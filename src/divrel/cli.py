@@ -19,22 +19,9 @@ import numpy as np
 from . import applications, contraction, identities, inequalities, moment_bounds
 from .distributions import Channel, DiscreteDistribution, align
 from .divergences import DivergenceSpec, f_divergence
-from .errors import (
-    DivrelError,
-    EtaOutOfBranch,
-    MaxDepthExceeded,
-    QuadratureFailure,
-    SpectralFailure,
-    BudgetExceeded,
-)
+from .errors import DivrelError, EtaOutOfBranch, MaxDepthExceeded, QuadratureFailure
 
-_NUMERICAL_ERRORS = (
-    MaxDepthExceeded,
-    QuadratureFailure,
-    SpectralFailure,
-    BudgetExceeded,
-    EtaOutOfBranch,
-)
+_NUMERICAL_ERRORS = (MaxDepthExceeded, QuadratureFailure, EtaOutOfBranch)
 
 
 def _load_distribution(path: str) -> DiscreteDistribution:
@@ -52,8 +39,10 @@ def _jsonable(obj):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    if isinstance(obj, float) and math.isnan(obj):
+        return None
     if isinstance(obj, float) and math.isinf(obj):
         return "inf" if obj > 0 else "-inf"
     if isinstance(obj, DiscreteDistribution):

@@ -15,19 +15,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import Channel, DiscreteDistribution, mixture, push_forward
-from .divergences import DivergenceSpec, f_divergence, kl, skew_k, skew_s
+from .divergences import DivergenceSpec, f_divergence, gyorfi_vajda, kl, skew_k, skew_s
 from .errors import (
     DimensionMismatch,
     DomainError,
     NotIrreducible,
     NotReversible,
     PreconditionViolated,
-    SpectralFailure,
 )
 from .identities import DEFAULT_CFG, IdentityReport, QuadratureConfig, integrate
 from .inequalities import InequalityReport
-
-_SVD_CUTOFF = 64
 
 
 @dataclass(frozen=True)
@@ -56,39 +53,21 @@ class ContractionEstimate:
     point_estimate: float
 
 
-def _second_singular_value(b: np.ndarray, u1: np.ndarray, v1: np.ndarray) -> float:
-    """Second-largest singular value; the top pair (u1, v1, 1) is known."""
-    if min(b.shape) <= _SVD_CUTOFF:
-        sv = np.linalg.svd(b, compute_uv=False)
-        if sv.size < 2:
-            return 0.0
-        return float(sv[1])
-    # deflate the known top pair, then power-iterate on B B^T
-    bd = b - np.outer(u1, v1)
-    g = bd @ bd.T
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal(g.shape[0])
-    prev = 0.0
-    for _ in range(100_000):
-        x = g @ x
-        norm = np.linalg.norm(x)
-        if norm == 0.0:
-            return 0.0
-        x /= norm
-        est = float(x @ g @ x)
-        if abs(est - prev) < 1e-12:
-            return math.sqrt(max(est, 0.0))
-        prev = est
-    raise SpectralFailure("power iteration did not converge")
+def _normalized_joint(sc: SourceChannelPair) -> np.ndarray:
+    """B[x, y] = sqrt(Qx(x)) W(y|x) / sqrt(Qy(y)); its top singular value is 1."""
+    qx = sc.qx.p
+    qy = qx @ sc.w.matrix
+    return np.sqrt(qx)[:, None] * sc.w.matrix / np.sqrt(qy)[None, :]
 
 
 def chi2_contraction(sc: SourceChannelPair) -> float:
-    """Chi-squared contraction coefficient of the pair, in [0, 1]."""
-    qx = sc.qx.p
-    qy = qx @ sc.w.matrix
-    b = np.sqrt(qx)[:, None] * sc.w.matrix / np.sqrt(qy)[None, :]
-    s2 = _second_singular_value(b, np.sqrt(qx), np.sqrt(qy))
-    return float(min(max(s2 * s2, 0.0), 1.0))
+    """Chi-squared contraction coefficient of the pair, in [0, 1]: the
+    second-largest eigenvalue of the smaller Gram matrix of B."""
+    b = _normalized_joint(sc)
+    gram = b @ b.T if b.shape[0] <= b.shape[1] else b.T @ b
+    if gram.shape[0] < 2:
+        return 0.0
+    return float(np.clip(np.linalg.eigvalsh(gram)[-2], 0.0, 1.0))
 
 
 def maximal_correlation(sc: SourceChannelPair) -> float:
@@ -102,7 +81,7 @@ def maximal_correlation_ace(
     """Maximal correlation by alternating conditional expectations.
 
     Direct optimization over centered unit-variance score functions;
-    independent of the SVD path, used to cross-validate it.
+    independent of the spectral path, used to cross-validate it.
     """
     qx = sc.qx.p
     joint = qx[:, None] * sc.w.matrix
@@ -151,12 +130,33 @@ def _ratio(spec: DivergenceSpec, sc: SourceChannelPair, px: np.ndarray) -> float
 
 def _spectral_direction(sc: SourceChannelPair) -> np.ndarray:
     """Input perturbation direction attaining the chi^2 contraction."""
-    qx = sc.qx.p
-    qy = qx @ sc.w.matrix
-    b = np.sqrt(qx)[:, None] * sc.w.matrix / np.sqrt(qy)[None, :]
-    u, _, _ = np.linalg.svd(b)
+    u, _, _ = np.linalg.svd(_normalized_joint(sc))
     # u2 is orthogonal to sqrt(qx), so this perturbation sums to zero
-    return np.sqrt(qx) * u[:, 1]
+    return np.sqrt(sc.qx.p) * u[:, 1]
+
+
+def _sampled_sup(score, n: int, n_samples: int, seed: int, nm_options: dict):
+    """Best score over Dirichlet(1, ..., 1) draws of n-atom laws, and its
+    softmax Nelder-Mead refinement (-inf if the best draw has a zero atom)."""
+    rng = np.random.default_rng(seed)
+    best, best_px = -math.inf, None
+    for _ in range(n_samples):
+        px = rng.dirichlet(np.ones(n))
+        v = score(px)
+        if v > best:
+            best, best_px = v, px
+    if best_px is None or not np.all(best_px > 0):
+        return best, -math.inf
+    import scipy.optimize
+
+    def neg(z):
+        e = np.exp(z - z.max())
+        return -score(e / e.sum())
+
+    res = scipy.optimize.minimize(
+        neg, np.log(best_px), method="Nelder-Mead", options=nm_options
+    )
+    return best, -res.fun
 
 
 def brute_force_mu_f(
@@ -175,18 +175,11 @@ def brute_force_mu_f(
     """
     if len(sc.qx) > 6:
         raise PreconditionViolated("brute-force search is limited to <= 6 atoms")
-    rng = np.random.default_rng(seed)
-    n = len(sc.qx)
-    best = -math.inf
-    best_px = None
-    for _ in range(n_samples):
-        px = rng.dirichlet(np.ones(n))
-        r = _ratio(spec, sc, px)
-        if r > best:
-            best, best_px = r, px
-    lower = best
-
-    candidates = [best]
+    lower, refined = _sampled_sup(
+        lambda px: _ratio(spec, sc, px), len(sc.qx), n_samples, seed,
+        {"xatol": 1e-10, "fatol": 1e-12, "maxiter": 2000},
+    )
+    candidates = [lower, refined]
     # local candidates along the spectral direction
     h = _spectral_direction(sc)
     scale = np.max(np.abs(h) / sc.qx.p)
@@ -194,19 +187,6 @@ def brute_force_mu_f(
         px = sc.qx.p + (t / scale) * h
         if np.all(px > 0):
             candidates.append(_ratio(spec, sc, px / px.sum()))
-    # Nelder-Mead refinement from the best sample, softmax-parameterized
-    if best_px is not None and np.all(best_px > 0):
-        import scipy.optimize
-
-        def neg_ratio(z):
-            e = np.exp(z - z.max())
-            return -_ratio(spec, sc, e / e.sum())
-
-        res = scipy.optimize.minimize(
-            neg_ratio, np.log(best_px), method="Nelder-Mead",
-            options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 2000},
-        )
-        candidates.append(-res.fun)
     point = max(c for c in candidates if not math.isinf(c))
     return ContractionEstimate(lower=lower, upper=math.inf, point_estimate=point)
 
@@ -215,11 +195,7 @@ def mu_chi2_channel(
     w: Channel, n_samples: int = 2000, seed: int = 0
 ) -> float:
     """Source-independent chi^2 contraction: sup over input laws."""
-    import scipy.optimize
-
-    rng = np.random.default_rng(seed)
-    n = w.n_inputs
-    support = tuple(float(i) for i in range(n))
+    support = tuple(float(i) for i in range(w.n_inputs))
 
     def value(px: np.ndarray) -> float:
         if np.any(px <= 0) or np.any(px @ w.matrix <= 0):
@@ -227,22 +203,10 @@ def mu_chi2_channel(
         sc = SourceChannelPair(DiscreteDistribution(support, tuple(px)), w)
         return chi2_contraction(sc)
 
-    best, best_px = -math.inf, None
-    for _ in range(n_samples):
-        px = rng.dirichlet(np.ones(n))
-        v = value(px)
-        if v > best:
-            best, best_px = v, px
-
-    def neg(z):
-        e = np.exp(z - z.max())
-        return -value(e / e.sum())
-
-    res = scipy.optimize.minimize(
-        neg, np.log(best_px), method="Nelder-Mead",
-        options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 5000},
-    )
-    return max(best, -res.fun)
+    return max(_sampled_sup(
+        value, w.n_inputs, n_samples, seed,
+        {"xatol": 1e-12, "fatol": 1e-14, "maxiter": 5000},
+    ))
 
 
 def skew_k_factor(alpha: float, q_min: float) -> float:
@@ -290,12 +254,12 @@ def check_skew_s_integral(
     cfg: QuadratureConfig = DEFAULT_CFG,
 ) -> IdentityReport:
     """S_alpha(P||Q) vs its weighted integral over the skew-chi^2 curve."""
-    from .divergences import gyorfi_vajda
+    def weighted(s: float) -> float:
+        return g_alpha(alpha, s) * gyorfi_vajda(s, p, q)
 
     lhs = skew_s(alpha, p, q)
-    rhs = integrate(
-        lambda s: g_alpha(alpha, s) * gyorfi_vajda(s, p, q), 0.0, 1.0, cfg
-    )
+    # g_alpha has a kink at s = alpha, so each side is integrated on its own
+    rhs = integrate(weighted, 0.0, alpha, cfg) + integrate(weighted, alpha, 1.0, cfg)
     return IdentityReport.compare(f"skew_s_integral_a{alpha}", lhs, rhs)
 
 
@@ -314,12 +278,10 @@ def stationary_distribution(w: Channel) -> DiscreteDistribution:
 
 
 def _check_irreducible(w: Channel) -> None:
-    n = w.n_inputs
-    reach = (w.matrix > 0).astype(bool)
-    closure = reach | np.eye(n, dtype=bool)
-    for _ in range(n):
-        closure = closure | (closure @ closure)
-    if not closure.all():
+    from scipy.sparse.csgraph import connected_components
+
+    n_components, _ = connected_components(w.matrix > 0, connection="strong")
+    if n_components > 1:
         raise NotIrreducible("kernel support graph is not strongly connected")
 
 

@@ -49,14 +49,6 @@ class EpsilonTooLarge(DivrelError):
     """Perturbation parameter too large for the construction to be valid."""
 
 
-class SpectralFailure(DivrelError):
-    """Eigen/singular-value computation did not converge."""
-
-
-class BudgetExceeded(DivrelError):
-    """Search budget exhausted before reaching the requested accuracy."""
-
-
 class NotReversible(DivrelError):
     """Markov kernel violates detailed balance w.r.t. its stationary law."""
 

@@ -109,11 +109,6 @@ def skew_kl_convexity_comparison(
     return InequalityReport("skew_kl_vs_convexity", tighter, lam * d)
 
 
-def skew_kl_curve(p: DiscreteDistribution, q: DiscreteDistribution, lam: float) -> float:
-    """F(lam) = D(P || (1-lam)P + lam Q), the skew relative entropy curve."""
-    return skew_k(lam, p, q)
-
-
 def derivative_checks(
     p: DiscreteDistribution,
     q: DiscreteDistribution,
@@ -121,7 +116,7 @@ def derivative_checks(
     h: float = 1e-5,
     tol: float = 1e-6,
 ) -> dict:
-    """Finite-difference checks on the skew curve F.
+    """Finite-difference checks on the skew curve F(lam) = K_lam(P||Q).
 
     Verifies F'(lam) >= (exp(F(lam)) - 1)/lam pointwise on the grid, and
     compares F'(lam)/lam at lam = 1e-3 with its small-lam value
@@ -135,11 +130,11 @@ def derivative_checks(
         raise PreconditionViolated("needs finite chi^2(Q||P)")
 
     def fprime(lam: float) -> float:
-        return (skew_kl_curve(p, q, lam + h) - skew_kl_curve(p, q, lam - h)) / (2 * h)
+        return (skew_k(lam + h, p, q) - skew_k(lam - h, p, q)) / (2 * h)
 
     grid = []
     for lam in lam_grid:
-        lhs = (math.exp(skew_kl_curve(p, q, lam)) - 1.0) / lam
+        lhs = (math.exp(skew_k(lam, p, q)) - 1.0) / lam
         grid.append(
             {
                 "lam": lam,

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -17,10 +18,14 @@ def write_channel(tmp_path, name, rows):
     return str(path)
 
 
+def reject_constant(token):
+    raise ValueError(f"invalid JSON constant {token}")
+
+
 def run_json(capsys, argv):
     code = main(argv + ["--format", "json"])
     out = capsys.readouterr().out
-    return code, json.loads(out)
+    return code, json.loads(out, parse_constant=reject_constant)
 
 
 def test_divergence_zero_for_identical_inputs(tmp_path, capsys):
@@ -67,6 +72,30 @@ def test_identity_check(tmp_path, capsys):
     )
     assert code == 0
     assert rep["scalars"]["passed"] is True
+
+
+def test_identity_check_recursive_json(tmp_path, capsys):
+    # the report's pass flag is a numpy bool, which json cannot encode as is
+    p = write_dist(tmp_path, "p.json", [0, 1, 2], [0.2, 0.5, 0.3])
+    q = write_dist(tmp_path, "q.json", [0, 1, 2], [0.4, 0.1, 0.5])
+    code, rep = run_json(
+        capsys,
+        ["identity-check", "--which", "recursive", "--p", p, "--q", q,
+         "--k", "1", "--lam", "0.7"],
+    )
+    assert code == 0
+    assert rep["scalars"]["passed"] is True
+
+
+def test_moment_bound_zero_variance_json_null(capsys):
+    code, rep = run_json(
+        capsys,
+        ["moment-bound", "--mp", "1", "--varp", "0", "--mq", "0", "--varq", "2"],
+    )
+    assert code == 0
+    assert rep["scalars"]["bound_nats"] == pytest.approx(math.log1p(1 / 2))
+    assert rep["scalars"]["gaussian_kl_nats"] is None
+    assert rep["scalars"]["exponential_kl_nats"] is None
 
 
 def test_moment_bound_with_attainment(capsys):

@@ -167,6 +167,14 @@ def test_skew_s_integral_identity():
     for alpha in (0.2, 0.5, 0.8, 1.0):
         rep = check_skew_s_integral(alpha, p, q)
         assert rep.passed, rep
+    # a 5-atom pair at alpha ~ 0.875, where quad misses the kink of g_alpha
+    # at s = alpha unless the interval is split there
+    rng = np.random.default_rng(25)
+    n = int(rng.integers(2, 9))
+    p = make_distribution(range(n), rng.dirichlet(np.ones(n)))
+    q = make_distribution(range(n), rng.dirichlet(np.ones(n)))
+    rep = check_skew_s_integral(float(rng.uniform(0.05, 0.95)), p, q)
+    assert rep.passed, rep
 
 
 def test_data_processing_random_instances():
@@ -271,14 +279,23 @@ def test_path_bound_preconditions():
 
 
 def test_large_alphabet_power_iteration_path():
-    # exceeds the SVD cutoff; compare against the dense SVD on the same B
+    # the Gram-eigenvalue path against the dense SVD of the same B, on a
+    # 70-input channel, reversible chains at their stationary laws, a
+    # 1-input pair (mu = 0) and wide and tall channels
     rng = np.random.default_rng(2)
     n = 70
     w = make_channel(rng.dirichlet(np.ones(n), size=n))
-    qx = make_distribution(range(n), rng.dirichlet(np.ones(n) * 5 + 1))
-    sc = SourceChannelPair(qx, w)
-    mu = chi2_contraction(sc)
-    qy = qx.p @ w.matrix
-    b = np.sqrt(qx.p)[:, None] * w.matrix / np.sqrt(qy)[None, :]
-    sv = np.linalg.svd(b, compute_uv=False)
-    assert mu == pytest.approx(float(sv[1]) ** 2, abs=1e-10)
+    cases = [(make_distribution(range(n), rng.dirichlet(np.ones(n) * 5 + 1)), w)]
+    for n in (65, 200):
+        w = random_reversible_chain(np.random.default_rng(3), n)
+        cases.append((stationary_distribution(w), w))
+    cases.append((make_distribution([0], [1.0]), make_channel([[0.3, 0.7]])))
+    for n_in, n_out in ((3, 7), (7, 3)):
+        w = make_channel(rng.dirichlet(np.ones(n_out), size=n_in))
+        cases.append((make_distribution(range(n_in), rng.dirichlet(np.ones(n_in))), w))
+    for qx, w in cases:
+        qy = qx.p @ w.matrix
+        b = np.sqrt(qx.p)[:, None] * w.matrix / np.sqrt(qy)[None, :]
+        sv = np.append(np.linalg.svd(b, compute_uv=False), 0.0)
+        mu = chi2_contraction(SourceChannelPair(qx, w))
+        assert mu == pytest.approx(float(sv[1]) ** 2, abs=1e-10), w.matrix.shape
