@@ -42,6 +42,7 @@ from .divergences import (
     chi_squared,
     entropy,
     f_divergence,
+    f_divergence_rows,
     gyorfi_vajda,
     jensen_shannon,
     kl,
@@ -86,6 +87,7 @@ from .moment_bounds import (
     hcr_lower_bound,
     kl_moment_lower_bound,
     mixture_variance,
+    moment_bound_arrays,
 )
 
 __version__ = "0.1.0"

@@ -28,7 +28,7 @@ from .errors import (
 )
 from .identities import QuadratureConfig, integrate
 from .inequalities import mixture_of
-from .moment_bounds import MomentTuple, kl_moment_lower_bound
+from .moment_bounds import MomentTuple, kl_moment_lower_bound, moment_bound_arrays
 
 LN2 = math.log(2.0)
 
@@ -205,9 +205,9 @@ def redundancy_report(pf: PoissonFamily, tail_tol: float = 1e-15) -> dict:
 def d_star(tcp: TypeClassProblem, grid: int = 201) -> float:
     """Worst-case moment lower bound over the mean-by-variance box, nats.
 
-    Dense grid scan followed by a local simplex refinement; candidates
-    are clipped into the closed box, so the reported value is always
-    feasible.
+    The closed form is evaluated on the whole grid in one array pass, then
+    the best vertex is refined by a local simplex search; candidates are
+    clipped into the closed box, so the reported value is always feasible.
     """
     m_lo, m_hi = tcp.mean_box
     v_lo, v_hi = tcp.var_box
@@ -218,13 +218,12 @@ def d_star(tcp: TypeClassProblem, grid: int = 201) -> float:
 
     means = np.linspace(m_lo, m_hi, grid)
     variances = np.linspace(v_lo, v_hi, grid)
-    best = math.inf
-    best_xy = (means[0], variances[0])
-    for m_p in means:
-        for var_p in variances:
-            b = value(float(m_p), float(var_p))
-            if b < best:
-                best, best_xy = b, (float(m_p), float(var_p))
+    bounds = moment_bound_arrays(
+        means[:, None], variances[None, :], tcp.m_q, tcp.var_q
+    )[-1]
+    # ties go to the first minimum in row-major order
+    i, j = np.unravel_index(np.argmin(bounds), bounds.shape)
+    best, best_xy = float(bounds[i, j]), (float(means[i]), float(variances[j]))
 
     def clipped(z):
         m_p = min(max(z[0], m_lo), m_hi)

@@ -14,8 +14,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Channel, DiscreteDistribution, mixture, push_forward
-from .divergences import DivergenceSpec, f_divergence, gyorfi_vajda, kl, skew_k, skew_s
+from .distributions import (
+    Channel,
+    DiscreteDistribution,
+    mixture,
+    push_forward,
+    validate_mass,
+)
+from .divergences import (
+    DivergenceSpec,
+    f_divergence_rows,
+    gyorfi_vajda,
+    kl,
+    skew_k,
+    skew_s,
+)
 from .errors import (
     DimensionMismatch,
     DomainError,
@@ -53,21 +66,37 @@ class ContractionEstimate:
     point_estimate: float
 
 
-def _normalized_joint(sc: SourceChannelPair) -> np.ndarray:
-    """B[x, y] = sqrt(Qx(x)) W(y|x) / sqrt(Qy(y)); its top singular value is 1."""
-    qx = sc.qx.p
-    qy = qx @ sc.w.matrix
-    return np.sqrt(qx)[:, None] * sc.w.matrix / np.sqrt(qy)[None, :]
+def _normalized_joint(qx: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """B[k, x, y] = sqrt(qx[k, x]) W(y|x) / sqrt(Qy[k, y]) for each input law
+    qx[k] of the (m, n) stack; the top singular value of each B[k] is 1."""
+    qy = qx @ w
+    return np.sqrt(qx)[:, :, None] * w[None] / np.sqrt(qy)[:, None, :]
+
+
+# entries per stacked array: a long stack of large channels is scored in
+# blocks, so the (m, n, k) joint matrices stay near 8 MB
+_STACK_ENTRIES = 1 << 20
+
+
+def _chi2_contraction_rows(qx: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Chi-squared contraction of W at each positive input law of the stack
+    qx: the second-largest eigenvalue of the smaller Gram matrix of each
+    B[k], 0 for a 1x1 Gram, clamped to [0, 1]."""
+    block = max(1, _STACK_ENTRIES // w.size)
+    if len(qx) > block:
+        return np.concatenate([_chi2_contraction_rows(qx[i:i + block], w)
+                               for i in range(0, len(qx), block)])
+    b = _normalized_joint(qx, w)
+    bt = b.transpose(0, 2, 1)
+    gram = b @ bt if b.shape[1] <= b.shape[2] else bt @ b
+    if gram.shape[1] < 2:
+        return np.zeros(len(qx))
+    return np.clip(np.linalg.eigvalsh(gram)[:, -2], 0.0, 1.0)
 
 
 def chi2_contraction(sc: SourceChannelPair) -> float:
-    """Chi-squared contraction coefficient of the pair, in [0, 1]: the
-    second-largest eigenvalue of the smaller Gram matrix of B."""
-    b = _normalized_joint(sc)
-    gram = b @ b.T if b.shape[0] <= b.shape[1] else b.T @ b
-    if gram.shape[0] < 2:
-        return 0.0
-    return float(np.clip(np.linalg.eigvalsh(gram)[-2], 0.0, 1.0))
+    """Chi-squared contraction coefficient of the pair, in [0, 1]."""
+    return float(_chi2_contraction_rows(sc.qx.p[None, :], sc.w.matrix)[0])
 
 
 def maximal_correlation(sc: SourceChannelPair) -> float:
@@ -115,43 +144,36 @@ def maximal_correlation_ace(
 _RATIO_FLOOR = 1e-6
 
 
-def _ratio(spec: DivergenceSpec, sc: SourceChannelPair, px: np.ndarray) -> float:
-    """Output/input divergence ratio for the candidate input law px."""
-    p_in = DiscreteDistribution(sc.qx.support, tuple(px))
-    d_in = f_divergence(spec, p_in, sc.qx)
-    if not (_RATIO_FLOOR < d_in < math.inf):
-        return -math.inf
-    p_out = push_forward(p_in, sc.w)
-    d_out = f_divergence(spec, p_out, sc.qy)
-    if math.isinf(d_out):
-        return -math.inf
-    return d_out / d_in
-
-
 def _spectral_direction(sc: SourceChannelPair) -> np.ndarray:
     """Input perturbation direction attaining the chi^2 contraction."""
-    u, _, _ = np.linalg.svd(_normalized_joint(sc))
+    u, _, _ = np.linalg.svd(_normalized_joint(sc.qx.p[None, :], sc.w.matrix)[0])
     # u2 is orthogonal to sqrt(qx), so this perturbation sums to zero
     return np.sqrt(sc.qx.p) * u[:, 1]
 
 
-def _sampled_sup(score, n: int, n_samples: int, seed: int, nm_options: dict):
-    """Best score over Dirichlet(1, ..., 1) draws of n-atom laws, and its
-    softmax Nelder-Mead refinement (-inf if the best draw has a zero atom)."""
+def _sampled_sup(score_rows, n: int, n_samples: int, seed: int, nm_options: dict):
+    """Best score over n_samples Dirichlet(1, ..., 1) draws of n-atom laws,
+    scored as one (n_samples, n) stack, and its softmax Nelder-Mead
+    refinement (-inf if the best draw scores -inf or has a zero atom).
+
+    score_rows maps an (m, n) stack of laws to m scores. Ties go to the
+    first draw.
+    """
+    if n_samples < 1:
+        raise DomainError(f"the search needs n_samples >= 1, got {n_samples}")
     rng = np.random.default_rng(seed)
-    best, best_px = -math.inf, None
-    for _ in range(n_samples):
-        px = rng.dirichlet(np.ones(n))
-        v = score(px)
-        if v > best:
-            best, best_px = v, px
-    if best_px is None or not np.all(best_px > 0):
+    draws = rng.dirichlet(np.ones(n), size=n_samples)
+    validate_mass(draws)
+    scores = score_rows(draws)
+    i = int(np.argmax(scores))
+    best, best_px = float(scores[i]), draws[i]
+    if best == -math.inf or not np.all(best_px > 0):
         return best, -math.inf
     import scipy.optimize
 
     def neg(z):
         e = np.exp(z - z.max())
-        return -score(e / e.sum())
+        return -float(score_rows((e / e.sum())[None, :])[0])
 
     res = scipy.optimize.minimize(
         neg, np.log(best_px), method="Nelder-Mead", options=nm_options
@@ -173,21 +195,35 @@ def brute_force_mu_f(
     ratio localizes to the chi^2 value). The result is a valid lower
     estimate only; the upper field is +inf.
     """
-    if len(sc.qx) > 6:
+    n = len(sc.qx)
+    if n > 6:
         raise PreconditionViolated("brute-force search is limited to <= 6 atoms")
+    if n < 2:
+        raise PreconditionViolated("brute-force search needs >= 2 input atoms")
+    qx, w = sc.qx.p, sc.w.matrix
+    qy = qx @ w
+
+    def ratios(px: np.ndarray) -> np.ndarray:
+        """Output/input divergence ratio of each candidate input law."""
+        d_in = f_divergence_rows(spec, px, qx)
+        d_out = f_divergence_rows(spec, px @ w, qy)
+        usable = (_RATIO_FLOOR < d_in) & (d_in < math.inf) & (d_out < math.inf)
+        with np.errstate(invalid="ignore"):
+            return np.where(usable, d_out / d_in, -math.inf)
+
     lower, refined = _sampled_sup(
-        lambda px: _ratio(spec, sc, px), len(sc.qx), n_samples, seed,
+        ratios, n, n_samples, seed,
         {"xatol": 1e-10, "fatol": 1e-12, "maxiter": 2000},
     )
-    candidates = [lower, refined]
     # local candidates along the spectral direction
     h = _spectral_direction(sc)
-    scale = np.max(np.abs(h) / sc.qx.p)
-    for t in (1e-1, 3e-2, 1e-2):
-        px = sc.qx.p + (t / scale) * h
-        if np.all(px > 0):
-            candidates.append(_ratio(spec, sc, px / px.sum()))
-    point = max(c for c in candidates if not math.isinf(c))
+    scale = np.max(np.abs(h) / qx)
+    line = qx + (np.array([1e-1, 3e-2, 1e-2]) / scale)[:, None] * h
+    line = line[np.all(line > 0, axis=1)]
+    line /= line.sum(axis=1, keepdims=True)
+    validate_mass(line)
+    candidates = np.append(ratios(line), [lower, refined])
+    point = float(np.max(candidates, where=np.isfinite(candidates), initial=-math.inf))
     return ContractionEstimate(lower=lower, upper=math.inf, point_estimate=point)
 
 
@@ -195,16 +231,17 @@ def mu_chi2_channel(
     w: Channel, n_samples: int = 2000, seed: int = 0
 ) -> float:
     """Source-independent chi^2 contraction: sup over input laws."""
-    support = tuple(float(i) for i in range(w.n_inputs))
+    m = w.matrix
 
-    def value(px: np.ndarray) -> float:
-        if np.any(px <= 0) or np.any(px @ w.matrix <= 0):
-            return -math.inf
-        sc = SourceChannelPair(DiscreteDistribution(support, tuple(px)), w)
-        return chi2_contraction(sc)
+    def values(px: np.ndarray) -> np.ndarray:
+        # laws with a zero input or output mass fall outside the sup
+        ok = np.all(px > 0, axis=1) & np.all(px @ m > 0, axis=1)
+        out = np.full(len(px), -math.inf)
+        out[ok] = _chi2_contraction_rows(px[ok], m)
+        return out
 
     return max(_sampled_sup(
-        value, w.n_inputs, n_samples, seed,
+        values, w.n_inputs, n_samples, seed,
         {"xatol": 1e-12, "fatol": 1e-14, "maxiter": 5000},
     ))
 

@@ -17,11 +17,26 @@ from .errors import (
     DimensionMismatch,
     DuplicateAtom,
     NegativeMass,
+    NonFinite,
     NonStochastic,
 )
 
 INPUT_TOL = 1e-9
 INTERNAL_TOL = 1e-12
+
+
+def validate_mass(m: np.ndarray) -> None:
+    """The one probability check, for a law, the rows of a channel or a
+    stack of candidate laws: every vector along the last axis of m has
+    finite, non-negative entries summing to 1 within INPUT_TOL."""
+    if not np.all(np.isfinite(m)):
+        raise NonFinite("mass entries must be finite")
+    if np.any(m < 0):
+        raise NegativeMass(f"negative mass entry: {m.min()}")
+    sums = m.sum(axis=-1)
+    bad = np.abs(sums - 1.0) > INPUT_TOL
+    if np.any(bad):
+        raise NonStochastic(f"mass sums to {float(sums[bad][0])!r}, not 1")
 
 
 @dataclass(frozen=True)
@@ -38,12 +53,10 @@ class DiscreteDistribution:
     def __post_init__(self):
         if len(self.support) != len(self.mass) or len(self.support) == 0:
             raise DimensionMismatch("support and mass must have equal positive length")
-        m = np.asarray(self.mass, dtype=float)
-        if np.any(m < 0):
-            raise NegativeMass(f"negative mass entry: {m.min()}")
-        if abs(m.sum() - 1.0) > INPUT_TOL:
-            raise NonStochastic(f"mass sums to {m.sum()!r}, not 1")
+        validate_mass(np.asarray(self.mass, dtype=float))
         u = np.asarray(self.support, dtype=float)
+        if not np.all(np.isfinite(u)):
+            raise NonFinite("support atoms must be finite")
         if np.any(np.diff(u) <= 0):
             raise DuplicateAtom("support atoms must be strictly increasing and distinct")
 
@@ -77,10 +90,7 @@ class Channel:
         w = np.asarray(self.rows, dtype=float)
         if w.ndim != 2 or w.size == 0:
             raise DimensionMismatch("channel must be a non-empty 2-d matrix")
-        if np.any(w < 0):
-            raise NegativeMass("channel rows must be non-negative")
-        if np.any(np.abs(w.sum(axis=1) - 1.0) > INPUT_TOL):
-            raise NonStochastic("every channel row must sum to 1")
+        validate_mass(w)
 
     @property
     def matrix(self) -> np.ndarray:

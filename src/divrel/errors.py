@@ -13,6 +13,10 @@ class NegativeMass(DivrelError):
     """Mass vector contains a negative entry."""
 
 
+class NonFinite(DivrelError):
+    """Mass, support or channel entry is NaN or infinite."""
+
+
 class DuplicateAtom(DivrelError):
     """Support contains a repeated atom."""
 

@@ -12,10 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
 import scipy.integrate
 
 from .distributions import DiscreteDistribution, mixture
-from .divergences import chi_squared, generic_f_divergence, gyorfi_vajda, kl
+from .divergences import DivergenceSpec, chi_squared, f_divergence, gyorfi_vajda, kl
 from .errors import DomainError, MaxDepthExceeded
 
 
@@ -126,33 +127,32 @@ def _li(k: int, y: float, cfg: QuadratureConfig = DEFAULT_CFG) -> float:
     return integrate(lambda s: _li(k - 1, s, cfg) / s, 0.0, y, cfg)
 
 
-def polylog_f(k: int, x: float) -> float:
-    """Convex kernel Li_k(1-x); vanishes at x = 1 for every k >= 0."""
-    if x <= 0:
+def polylog_f(k: int, x):
+    """Convex kernel Li_k(1-x); vanishes at x = 1 for every k >= 0.
+
+    Elementwise over an array x (a float for a scalar x). Orders 0 and 1
+    are closed forms; higher orders run the scalar series or quadrature
+    of ``_li`` atom by atom through np.vectorize.
+    """
+    x = np.asarray(x, dtype=float)
+    if not (x > 0).all():
         raise DomainError(f"polylog kernel needs x > 0, got {x}")
     if k < 0:
         raise DomainError(f"polylog order must be >= 0, got {k}")
     if k == 0:
-        return (1.0 - x) / x
-    if k == 1:
-        return -math.log(x)
-    return _li(k, 1.0 - x)
-
-
-def _zeta(k: int) -> float:
-    import scipy.special
-
-    return float(scipy.special.zeta(k, 1))
+        out = (1.0 - x) / x
+    elif k == 1:
+        out = -np.log(x)
+    else:
+        out = np.vectorize(lambda t: _li(k, 1.0 - t), otypes=[float])(x)
+    return out if out.ndim else float(out)
 
 
 def f_k_divergence(k: int, p: DiscreteDistribution, q: DiscreteDistribution) -> float:
     """Divergence with the Li_k(1-x) kernel; k=0 gives chi^2(Q||P), k=1 gives D(Q||P)."""
     if k < 0:
         raise DomainError(f"order must be >= 0, got {k}")
-    f_at_zero = math.inf if k <= 1 else _zeta(k)
-    return generic_f_divergence(
-        lambda t: polylog_f(k, t), p, q, f_at_zero=f_at_zero, slope_at_inf=0.0
-    )
+    return f_divergence(DivergenceSpec("POLYLOG_F", k), p, q)
 
 
 def check_recursive_identity(

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .distributions import DiscreteDistribution, make_distribution, mixture, moments
 from .divergences import binary_kl
 from .errors import (
@@ -69,28 +71,36 @@ def mixture_variance(mt: MomentTuple, lam: float) -> float:
     )
 
 
+def moment_bound_arrays(m_p, var_p, m_q, var_q) -> tuple[np.ndarray, ...]:
+    """(r, s, a, b, v, bound_nats) of the binary-KL lower bound on D(P||Q),
+    elementwise over the broadcast moment arrays (variances non-negative).
+
+    a = m_p - m_q and b = a^2 + var_q - var_p. With a^2 = 0 (equal means,
+    or a gap so small that a^2 underflows) the infimum over compatible
+    pairs is zero and every field is 0. With var_p = 0 the generic forms
+    divide by r(1-r), so r is 0 or 1 and s takes its enumerated closed form.
+    """
+    var_p, var_q = np.asarray(var_p, dtype=float), np.asarray(var_q, dtype=float)
+    a = np.asarray(m_p, dtype=float) - m_q
+    a2 = a * a
+    b = a2 + var_q - var_p
+    degenerate = var_p == 0.0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        v = np.where(degenerate, b / (2.0 * np.abs(a)), np.sqrt(var_p + b * b / (4.0 * a2)))
+        r = 0.5 + b / (4.0 * a * v)
+        s = r - a / (2.0 * v)
+        s = np.where(degenerate, np.where(a > 0, var_q, a2) / (a2 + var_q),
+                     np.minimum(np.maximum(s, 0.0), 1.0))
+    r = np.where(degenerate, a > 0, np.minimum(np.maximum(r, 0.0), 1.0))
+    zero = a2 == 0.0
+    r, s, a, b, v = np.broadcast_arrays(*(np.where(zero, 0.0, x) for x in (r, s, a, b, v)))
+    return r, s, a, b, v, binary_kl(r, s)
+
+
 def kl_moment_lower_bound(mt: MomentTuple) -> BoundCertificate:
     """Best binary-KL lower bound on D(P||Q) from the four moments."""
-    a = mt.m_p - mt.m_q
-    if a * a == 0.0:
-        # equal means (or a gap so small a^2 underflows): the infimum
-        # over all compatible pairs is zero
-        return BoundCertificate(r=0.0, s=0.0, a=0.0, b=0.0, v=0.0, bound_nats=0.0)
-    b = a * a + mt.var_q - mt.var_p
-    if mt.var_p == 0.0:
-        # degenerate P: enumerated closed forms (generic ones divide by r(1-r))
-        if a > 0:
-            r, s = 1.0, mt.var_q / (mt.var_q + a * a)
-        else:
-            r, s = 0.0, a * a / (a * a + mt.var_q)
-        v = b / (2.0 * abs(a))
-        return BoundCertificate(r=r, s=s, a=a, b=b, v=v, bound_nats=binary_kl(r, s))
-    v = math.sqrt(mt.var_p + b * b / (4.0 * a * a))
-    r = 0.5 + b / (4.0 * a * v)
-    s = r - a / (2.0 * v)
-    r = min(max(r, 0.0), 1.0)
-    s = min(max(s, 0.0), 1.0)
-    return BoundCertificate(r=r, s=s, a=a, b=b, v=v, bound_nats=binary_kl(r, s))
+    fields = moment_bound_arrays(mt.m_p, mt.var_p, mt.m_q, mt.var_q)
+    return BoundCertificate(*(float(x) for x in fields))
 
 
 def attaining_pair(mt: MomentTuple) -> tuple[DiscreteDistribution, DiscreteDistribution]:
@@ -202,6 +212,7 @@ __all__ = [
     "hcr_lower_bound",
     "mixture_variance",
     "kl_moment_lower_bound",
+    "moment_bound_arrays",
     "attaining_pair",
     "equal_means_sequence",
     "equal_means_quaternary",

@@ -20,7 +20,7 @@ from divrel import (
 )
 from divrel.applications import poisson_entropy_direct
 from divrel.errors import DomainError, PreconditionViolated
-from divrel.moment_bounds import MomentTuple
+from divrel.moment_bounds import MomentTuple, moment_bound_arrays
 
 TCP = TypeClassProblem(
     m_q=40, var_q=20, mean_box=(43, 47), var_box=(18, 22),
@@ -229,3 +229,20 @@ def test_eta_stays_in_branch_over_parameter_sweep():
                 n = n_star(tcp, dv)
                 assert n >= 1
                 assert sanov_bound(tcp, n, dv) <= eps
+
+
+def test_d_star_grid_pass_matches_scalar_loop():
+    # the variance range starts at 0, so the grid holds the var_p = 0 branch
+    tcp = TypeClassProblem(
+        m_q=40, var_q=20, mean_box=(43, 47), var_box=(0, 22),
+        alphabet_size=2, epsilon=1e-10,
+    )
+    grid = 21
+    means, variances = np.linspace(43, 47, grid), np.linspace(0, 22, grid)
+    loop = [
+        kl_moment_lower_bound(MomentTuple(float(m), float(v), 40, 20)).bound_nats
+        for m in means for v in variances
+    ]
+    bounds = moment_bound_arrays(means[:, None], variances[None, :], 40, 20)[-1]
+    assert np.array_equal(bounds.ravel(), np.array(loop))
+    assert d_star(tcp, grid=grid) == pytest.approx(min(loop), rel=1e-12)

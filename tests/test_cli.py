@@ -135,6 +135,33 @@ def test_contraction(tmp_path, capsys):
     assert rep["scalars"]["brute_force_point"] <= 0.64
 
 
+def test_contraction_zero_budget_exits_1(tmp_path, capsys):
+    w = write_channel(tmp_path, "w.json", [[0.9, 0.1], [0.1, 0.9]])
+    qx = write_dist(tmp_path, "qx.json", [0, 1], [0.5, 0.5])
+    code = main(["contraction", "--channel", w, "--input-law", qx,
+                 "--brute-budget", "0"])
+    assert code == 1
+    assert "invalid input" in capsys.readouterr().err
+
+
+def test_contraction_one_input_pair_exits_1(tmp_path, capsys):
+    w = write_channel(tmp_path, "w.json", [[0.3, 0.7]])
+    qx = write_dist(tmp_path, "qx.json", [0], [1.0])
+    code = main(["contraction", "--channel", w, "--input-law", qx,
+                 "--brute-budget", "50"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "invalid input" in err and "Traceback" not in err
+
+
+def test_nan_literal_in_input_exits_1(tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_text('{"support": [0, 1], "mass": [NaN, 1.0]}')
+    code = main(["divergence", "--spec", "kl", "--p", str(path), "--q", str(path)])
+    assert code == 1
+    assert "invalid input" in capsys.readouterr().err
+
+
 def test_mixing(tmp_path, capsys):
     w = write_channel(tmp_path, "w.json", [[0.8, 0.2], [0.2, 0.8]])
     p0 = write_dist(tmp_path, "p0.json", [0, 1], [0.9, 0.1])

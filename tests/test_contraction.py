@@ -299,3 +299,52 @@ def test_large_alphabet_power_iteration_path():
         sv = np.append(np.linalg.svd(b, compute_uv=False), 0.0)
         mu = chi2_contraction(SourceChannelPair(qx, w))
         assert mu == pytest.approx(float(sv[1]) ** 2, abs=1e-10), w.matrix.shape
+
+
+def test_empty_search_budget_rejected():
+    sc = SourceChannelPair(UNIFORM2, bsc(0.1))
+    with pytest.raises(DomainError):
+        brute_force_mu_f(DivergenceSpec("KL"), sc, n_samples=0)
+    with pytest.raises(DomainError):
+        mu_chi2_channel(bsc(0.1), n_samples=0)
+
+
+def test_brute_force_one_input_rejected():
+    sc = SourceChannelPair(make_distribution([0], [1.0]), make_channel([[0.3, 0.7]]))
+    with pytest.raises(PreconditionViolated):
+        brute_force_mu_f(DivergenceSpec("KL"), sc, n_samples=10)
+
+
+def test_brute_force_lower_is_max_of_explicit_ratios():
+    # the batched search against one validated distribution per draw, scored
+    # by the two-distribution kernels, on the same seeded Dirichlet draws
+    w = make_channel([[0.7, 0.2, 0.1], [0.1, 0.6, 0.3], [0.2, 0.2, 0.6]])
+    sc = SourceChannelPair(make_distribution([0, 1, 2], [0.2, 0.3, 0.5]), w)
+    for spec in (DivergenceSpec("SKEW_S", 0.5), DivergenceSpec("KL"),
+                 DivergenceSpec("RENYI", 2.0)):
+        est = brute_force_mu_f(spec, sc, n_samples=300, seed=4)
+        rng = np.random.default_rng(4)
+        best = -np.inf
+        for _ in range(300):
+            px = make_distribution([0, 1, 2], rng.dirichlet(np.ones(3)))
+            d_in = f_divergence(spec, px, sc.qx)
+            d_out = f_divergence(spec, push_forward(px, w), sc.qy)
+            if 1e-6 < d_in < np.inf and d_out < np.inf:
+                best = max(best, d_out / d_in)
+        assert est.lower == pytest.approx(best, rel=1e-12), spec
+        assert est.lower <= est.point_estimate
+
+
+def test_chi2_contraction_rows_in_blocks(monkeypatch):
+    # a stack longer than one block is scored block by block, with the same
+    # values as one SourceChannelPair per law
+    from divrel import contraction
+
+    rng = np.random.default_rng(8)
+    w = make_channel(rng.dirichlet(np.ones(4), size=3))
+    px = rng.dirichlet(np.ones(3), size=50)
+    monkeypatch.setattr(contraction, "_STACK_ENTRIES", 5 * w.matrix.size)
+    got = contraction._chi2_contraction_rows(px, w.matrix)
+    want = [chi2_contraction(SourceChannelPair(make_distribution([0, 1, 2], p), w))
+            for p in px]
+    assert got == pytest.approx(want, abs=1e-14)

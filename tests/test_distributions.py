@@ -13,10 +13,13 @@ from divrel import (
     moments,
     push_forward,
 )
+from divrel.distributions import validate_mass
 from divrel.errors import (
     DimensionMismatch,
     DuplicateAtom,
+    DivrelError,
     NegativeMass,
+    NonFinite,
     NonStochastic,
 )
 
@@ -134,3 +137,28 @@ def test_push_forward_dimension_check():
     p = make_distribution([0, 1], [0.5, 0.5])
     with pytest.raises(DimensionMismatch):
         push_forward(p, w)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_input_rejected(bad):
+    with pytest.raises(NonFinite):
+        make_distribution([0, 1], [bad, 1.0])
+    with pytest.raises(NonFinite):
+        DiscreteDistribution((0.0, 1.0), (bad, 1.0))
+    with pytest.raises(NonFinite):
+        make_distribution([0, bad], [0.5, 0.5])
+    with pytest.raises(NonFinite):
+        make_channel([[0.5, 0.5], [bad, 1.0]])
+    assert issubclass(NonFinite, DivrelError)
+
+
+def test_validate_mass_checks_whole_stacks():
+    good = np.array([[0.5, 0.5], [0.2, 0.8], [1.0, 0.0]])
+    validate_mass(good)
+    validate_mass(good[:0])  # an empty stack has nothing to reject
+    for row, error in (([0.5, math.nan], NonFinite), ([1.1, -0.1], NegativeMass),
+                       ([0.5, 0.6], NonStochastic)):
+        stack = good.copy()
+        stack[1] = row
+        with pytest.raises(error):
+            validate_mass(stack)

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from divrel import (
     chi_squared,
     entropy,
     f_divergence,
+    f_divergence_rows,
     gyorfi_vajda,
     jensen_shannon,
     kl,
@@ -205,3 +207,130 @@ def test_skew_s_between_zero_and_symmetric_kl(seed, n, alpha):
     p, q = random_pair(rng, n)
     val = skew_s(alpha, p, q)
     assert 0.0 <= val <= kl(p, q) + kl(q, p) + 1e-10
+
+
+# P puts mass on an atom where Q2 has none, so a Renyi order below 1
+# counts the mass P holds off the support of Q2
+Q2 = make_distribution([0, 1, 2], [0.5, 0.5, 0.0])
+
+
+@pytest.mark.parametrize("alpha,q", [
+    (1 - 1e-8, Q), (1 + 1e-8, Q), (1 + 2e-9, Q), (1 + 1e-6, Q),
+    (1 - 1e-8, Q2), (0.5, Q2),
+])
+def test_renyi_near_order_one_mpmath(alpha, q):
+    # the masses of P sum to exactly 1 in binary, so the oracle's sum needs
+    # no normalization; Q's rounding enters only through (1 - alpha)
+    with mpmath.workdps(60):
+        assert mpmath.fsum(mpmath.mpf(x) for x in P.mass) == 1
+        a = mpmath.mpf(alpha)
+        z = mpmath.fsum(mpmath.mpf(x) ** a * mpmath.mpf(y) ** (1 - a)
+                        for x, y in zip(P.mass, q.mass) if y > 0)
+        want = float(mpmath.log(z) / (a - 1))
+    assert renyi(alpha, P, q) == pytest.approx(want, rel=1e-12)
+
+
+# -- f_divergence_rows against independent per-row formulas ----------------
+
+def _ref_kl(p, q):
+    if np.any((p > 0) & (q == 0)):
+        return math.inf
+    pos = p > 0
+    return float(np.sum(p[pos] * np.log(p[pos] / q[pos])))
+
+
+def _ref_gv(s, p, q):
+    """sum (p - q)^2 / ((1 - s) p + s q): infinite where only the
+    denominator vanishes, 0 where both masses do."""
+    d = (1 - s) * p + s * q
+    if np.any((d == 0) & (p != q)):
+        return math.inf
+    pos = d > 0
+    return float(np.sum((p[pos] - q[pos]) ** 2 / d[pos]))
+
+
+def _ref_renyi(alpha, p, q):
+    pos = p > 0
+    if alpha == 0:
+        return -math.log(np.sum(q[pos])) if np.sum(q[pos]) > 0 else math.inf
+    if np.any(pos & (q == 0)) and alpha > 1:
+        return math.inf
+    if math.isinf(alpha):
+        return math.log(np.max(p[pos] / q[pos]))
+    both = pos & (q > 0)
+    z = np.sum(p[both] ** alpha * q[both] ** (1 - alpha))
+    return math.log(z) / (alpha - 1) if z > 0 else math.inf
+
+
+def _ref_skew_s(alpha, p, q):
+    # K_{1-alpha}(Q||P) is a divergence from the same mixture as K_alpha(P||Q)
+    m = (1 - alpha) * p + alpha * q
+    total = 0.0
+    if alpha > 0:
+        total += alpha * _ref_kl(p, m)
+    if alpha < 1:
+        total += (1 - alpha) * _ref_kl(q, m)
+    return total
+
+
+def _ref_polylog(k, p, q):
+    total = mpmath.mpf(0)
+    for x, y in zip(p, q):
+        if y == 0:
+            continue  # lim f(u)/u = 0
+        if x == 0:
+            if k <= 1:
+                return math.inf
+            total += y * mpmath.zeta(k)
+        else:
+            total += y * mpmath.re(mpmath.polylog(k, 1 - mpmath.mpf(x) / y))
+    return float(total)
+
+
+ROW_REFERENCES = [
+    (DivergenceSpec("KL"), _ref_kl),
+    (DivergenceSpec("CHI2"), lambda p, q: _ref_gv(1.0, p, q)),
+    (DivergenceSpec("TV"), lambda p, q: float(np.sum(np.abs(p - q)))),
+    *((DivergenceSpec("RENYI", a), lambda p, q, a=a: _ref_renyi(a, p, q))
+      for a in (0.0, 0.5, 2.0, math.inf)),
+    *((DivergenceSpec("GV", s), lambda p, q, s=s: _ref_gv(s, p, q))
+      for s in (0.0, 0.3, 1.0)),
+    *((DivergenceSpec("SKEW_K", a), lambda p, q, a=a: _ref_kl(p, (1 - a) * p + a * q))
+      for a in (0.4, 1.0)),
+    *((DivergenceSpec("SKEW_S", a), lambda p, q, a=a: _ref_skew_s(a, p, q))
+      for a in (0.0, 0.3, 1.0)),
+    (DivergenceSpec("JS"), lambda p, q: _ref_skew_s(0.5, p, q)),
+    *((DivergenceSpec("POLYLOG_F", k), lambda p, q, k=k: _ref_polylog(k, p, q))
+      for k in (0, 1, 2)),
+]
+
+
+def _stack_with_zeros(rng, m, n):
+    """m laws on n atoms; about a third of the atoms carry no mass."""
+    x = rng.dirichlet(np.ones(n), size=m)
+    x[rng.random((m, n)) < 0.35] = 0.0
+    x[np.arange(m), rng.integers(0, n, size=m)] += 0.5
+    return x / x.sum(axis=1, keepdims=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 4), st.integers(2, 6),
+       st.sampled_from(range(len(ROW_REFERENCES))))
+def test_f_divergence_rows_matches_per_row_formulas(seed, m, n, which):
+    spec, ref = ROW_REFERENCES[which]
+    rng = np.random.default_rng(seed)
+    q = _stack_with_zeros(rng, 1, n)[0]
+    # the stack also holds q itself and a law that puts mass only where
+    # q has none (an infinite row for most kernels) when q has such atoms
+    rows = [_stack_with_zeros(rng, m, n), q[None, :]]
+    if np.any(q == 0):
+        rows.append((q == 0)[None, :] / np.sum(q == 0))
+    P = np.vstack(rows)
+    got = f_divergence_rows(spec, P, q)
+    assert got.shape == (len(P),)
+    for row, value in zip(P, got):
+        want = ref(row, q)
+        if math.isinf(want):
+            assert value == math.inf, (spec, row, q)
+        else:
+            assert value == pytest.approx(want, rel=1e-9, abs=1e-12), (spec, row, q)
