@@ -17,17 +17,10 @@ import numpy as np
 import scipy.optimize
 import scipy.stats
 
-from .distributions import DiscreteDistribution, align, make_distribution
-from .divergences import entropy, kl
-from .errors import (
-    DomainError,
-    EtaOutOfBranch,
-    MaxDepthExceeded,
-    PreconditionViolated,
-    QuadratureFailure,
-)
+from .distributions import DiscreteDistribution, _on_union_support, make_distribution
+from .divergences import DivergenceSpec, entropy, f_divergence_rows
+from .errors import DomainError, MaxDepthExceeded, PreconditionViolated, QuadratureFailure
 from .identities import QuadratureConfig, integrate
-from .inequalities import mixture_of
 from .moment_bounds import MomentTuple, kl_moment_lower_bound, moment_bound_arrays
 
 LN2 = math.log(2.0)
@@ -179,9 +172,9 @@ def redundancy_report(pf: PoissonFamily, tail_tol: float = 1e-15) -> dict:
         sum_tight += pf.weights[i] * tight
         sum_convex += pf.weights[i] * convex
 
-    dists = [poisson_pmf(lam, tail_tol)[0] for lam in pf.lambdas]
-    mix = mixture_of(dists, pf.weights)
-    direct = sum(w * kl(align(d, mix)[0], mix) for w, d in zip(pf.weights, dists))
+    _, stack = _on_union_support([poisson_pmf(lam, tail_tol)[0] for lam in pf.lambdas])
+    weights = np.asarray(pf.weights, dtype=float)
+    direct = float(weights @ f_divergence_rows(DivergenceSpec("KL"), stack, weights @ stack))
 
     avg_entropy = sum(
         w * poisson_entropy(lam) for w, lam in zip(pf.weights, pf.lambdas)
@@ -283,9 +276,8 @@ def n_star(tcp: TypeClassProblem, d: float) -> int:
         raise DomainError("the divergence floor d must be positive")
     k = tcp.alphabet_size
     eps = tcp.epsilon
+    # with x = d/(k-1), eta = -x e^(-x) eps^(1/(k-1)) > -1/e for eps in (0, 1)
     eta = -d * (eps * math.exp(-d)) ** (1.0 / (k - 1)) / (k - 1)
-    if eta < -1.0 / math.e - 1e-15:
-        raise EtaOutOfBranch(f"eta = {eta} is below the branch point")
     n = max(math.ceil(-(k - 1) * lambert_w_minus1(eta) / d) - 1, 1)
     log_eps = math.log(eps)
     while _log_tail_bound(n, k, d) > log_eps:

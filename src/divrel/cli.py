@@ -19,19 +19,15 @@ import numpy as np
 from . import applications, contraction, identities, inequalities, moment_bounds
 from .distributions import Channel, DiscreteDistribution, align
 from .divergences import DivergenceSpec, f_divergence
-from .errors import DivrelError, EtaOutOfBranch, MaxDepthExceeded, QuadratureFailure
+from .errors import DivrelError, MaxDepthExceeded, QuadratureFailure
 
-_NUMERICAL_ERRORS = (MaxDepthExceeded, QuadratureFailure, EtaOutOfBranch)
+_NUMERICAL_ERRORS = (MaxDepthExceeded, QuadratureFailure)
 
 
-def _load_distribution(path: str) -> DiscreteDistribution:
+def _load(cls, path: str):
+    """The DiscreteDistribution or Channel in the JSON file at path."""
     with open(path) as fh:
-        return DiscreteDistribution.from_json(fh.read())
-
-
-def _load_channel(path: str) -> Channel:
-    with open(path) as fh:
-        return Channel.from_json(fh.read())
+        return cls.from_json(fh.read())
 
 
 def _jsonable(obj):
@@ -45,10 +41,8 @@ def _jsonable(obj):
         return None
     if isinstance(obj, float) and math.isinf(obj):
         return "inf" if obj > 0 else "-inf"
-    if isinstance(obj, DiscreteDistribution):
-        return {"support": list(obj.support), "mass": list(obj.mass)}
-    if isinstance(obj, Channel):
-        return {"rows": [list(r) for r in obj.rows]}
+    if isinstance(obj, (DiscreteDistribution, Channel)):
+        return json.loads(obj.to_json())
     return obj
 
 
@@ -94,8 +88,8 @@ def _cell(v) -> str:
 
 def _cmd_divergence(args) -> dict:
     spec = DivergenceSpec.parse(args.spec)
-    p = _load_distribution(args.p)
-    q = _load_distribution(args.q)
+    p = _load(DiscreteDistribution, args.p)
+    q = _load(DiscreteDistribution, args.q)
     pa, qa = align(p, q)
     value = f_divergence(spec, pa, qa)
     return {
@@ -107,8 +101,8 @@ def _cmd_divergence(args) -> dict:
 
 
 def _cmd_identity_check(args) -> dict:
-    p = _load_distribution(args.p)
-    q = _load_distribution(args.q)
+    p = _load(DiscreteDistribution, args.p)
+    q = _load(DiscreteDistribution, args.q)
     which = args.which
     if which == "kl-chi2":
         rep = identities.check_kl_chi2_identity(p, q, args.lam)
@@ -163,13 +157,6 @@ def _cmd_moment_bound(args) -> dict:
     return report
 
 
-def _random_pair(rng, n):
-    support = tuple(float(i) for i in range(n))
-    p = DiscreteDistribution(support, tuple(rng.dirichlet(np.ones(n))))
-    q = DiscreteDistribution(support, tuple(rng.dirichlet(np.ones(n))))
-    return p, q
-
-
 def _cmd_inequalities(args) -> dict:
     rng = np.random.default_rng(args.seed)
     checks = {
@@ -183,7 +170,9 @@ def _cmd_inequalities(args) -> dict:
     tallies = {name: {"violations": 0, "min_slack": math.inf} for name in checks}
     for _ in range(args.trials):
         n = int(rng.integers(2, 7))
-        p, q = _random_pair(rng, n)
+        support = np.arange(n, dtype=float)
+        p = DiscreteDistribution(support, rng.dirichlet(np.ones(n)))
+        q = DiscreteDistribution(support, rng.dirichlet(np.ones(n)))
         for name, fn in checks.items():
             rep = fn(p, q)
             t = tallies[name]
@@ -204,8 +193,8 @@ def _cmd_inequalities(args) -> dict:
 
 
 def _cmd_contraction(args) -> dict:
-    w = _load_channel(args.channel)
-    qx = _load_distribution(args.input_law)
+    w = _load(Channel, args.channel)
+    qx = _load(DiscreteDistribution, args.input_law)
     sc = contraction.SourceChannelPair(qx, w)
     mu = contraction.chi2_contraction(sc)
     lower, upper_channel, upper_scaled = contraction.skew_contraction_sandwich(
@@ -237,8 +226,8 @@ def _cmd_contraction(args) -> dict:
 
 
 def _cmd_mixing(args) -> dict:
-    w = _load_channel(args.chain)
-    p0 = _load_distribution(args.p0)
+    w = _load(Channel, args.chain)
+    p0 = _load(DiscreteDistribution, args.p0)
     rep = contraction.markov_mixing_report(w, p0, args.alpha, args.n_max)
     return {
         "command": "mixing",
@@ -310,7 +299,7 @@ def _cmd_sample_size(args) -> dict:
 
 def _cmd_set_divergence(args) -> dict:
     spec = DivergenceSpec.parse(args.spec)
-    mu = _load_distribution(args.mu)
+    mu = _load(DiscreteDistribution, args.mu)
     direct, closed = inequalities.conditioned_measure_divergence(
         spec, mu, args.indices
     )

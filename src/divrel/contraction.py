@@ -14,13 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import (
-    Channel,
-    DiscreteDistribution,
-    mixture,
-    push_forward,
-    validate_mass,
-)
+from .distributions import Channel, DiscreteDistribution, push_forward, validate_mass
 from .divergences import (
     DivergenceSpec,
     f_divergence_rows,
@@ -232,6 +226,9 @@ def mu_chi2_channel(
 ) -> float:
     """Source-independent chi^2 contraction: sup over input laws."""
     m = w.matrix
+    empty = np.flatnonzero(~m.any(axis=0))
+    if empty.size:
+        raise PreconditionViolated(f"output column {empty[0]} is zero in every row")
 
     def values(px: np.ndarray) -> np.ndarray:
         # laws with a zero input or output mass fall outside the sup
@@ -308,10 +305,7 @@ def stationary_distribution(w: Channel) -> DiscreteDistribution:
     vals, vecs = np.linalg.eig(m.T)
     i = int(np.argmax(vals.real))
     v = np.abs(vecs[:, i].real)
-    v /= v.sum()
-    return DiscreteDistribution(
-        tuple(float(j) for j in range(len(v))), tuple(v)
-    )
+    return DiscreteDistribution(np.arange(len(v), dtype=float), v / v.sum())
 
 
 def _check_irreducible(w: Channel) -> None:
@@ -350,23 +344,21 @@ def markov_mixing_report(
     q_min = float(np.min(q.p))
     fk = skew_k_factor(alpha, q_min)
     fs = skew_s_factor(alpha, q_min)
-    p0a = DiscreteDistribution(q.support, tuple(p0.p))
+    p0a = DiscreteDistribution(q.support, p0.p)
     k0 = skew_k(alpha, p0a, q)
     s0 = skew_s(alpha, p0a, q)
-    rows = []
+    steps = np.empty((max(n_max, 0), len(q)))
     pn = p0a.p
-    for n in range(1, n_max + 1):
+    for step in steps:
         pn = pn @ w.matrix
-        dist = DiscreteDistribution(q.support, tuple(pn / pn.sum()))
-        rows.append(
-            {
-                "n": n,
-                "k_alpha": skew_k(alpha, dist, q),
-                "s_alpha": skew_s(alpha, dist, q),
-                "k_envelope": fk * mu**n * k0,
-                "s_envelope": fs * mu**n * s0,
-            }
-        )
+        step[:] = pn / pn.sum()
+    k = f_divergence_rows(DivergenceSpec("SKEW_K", alpha), steps, q.p)
+    s = f_divergence_rows(DivergenceSpec("SKEW_S", alpha), steps, q.p)
+    rows = [
+        {"n": n, "k_alpha": float(kn), "s_alpha": float(sn),
+         "k_envelope": fk * mu**n * k0, "s_envelope": fs * mu**n * s0}
+        for n, kn, sn in zip(range(1, n_max + 1), k, s)
+    ]
     return {
         "mu_chi2": mu,
         "q_min": q_min,
@@ -380,7 +372,7 @@ def markov_mixing_report(
 def chi2_contraction_power(w: Channel, q: DiscreteDistribution, n: int) -> float:
     """Chi^2 contraction of the n-step kernel at input law q."""
     m = np.linalg.matrix_power(w.matrix, n)
-    return chi2_contraction(SourceChannelPair(q, Channel(tuple(map(tuple, m)))))
+    return chi2_contraction(SourceChannelPair(q, Channel(m)))
 
 
 def max_correlation_path_bound(
@@ -390,7 +382,7 @@ def max_correlation_path_bound(
     n_grid: int = 101,
 ) -> InequalityReport:
     """Sup of the mixed-input maximal correlation dominates both KL-ratio roots."""
-    if p_x.support != q_x.support or p_x.mass == q_x.mass:
+    if not np.array_equal(p_x.support, q_x.support) or p_x == q_x:
         raise PreconditionViolated("needs P != Q on a shared support")
     if np.any(p_x.p <= 0) or np.any(q_x.p <= 0):
         raise PreconditionViolated("both input laws must be strictly positive")
@@ -403,9 +395,9 @@ def max_correlation_path_bound(
         # channel with identical rows maps everything to the same law)
         ratios.append(math.sqrt(dout / din) if din > 0 and dout > 1e-13 else 0.0)
     rhs_bound = max(ratios)
-    sup_rho = 0.0
-    for s in np.linspace(0.0, 1.0, n_grid):
-        mix = mixture(p_x, q_x, float(s))
-        sc = SourceChannelPair(mix, w)
-        sup_rho = max(sup_rho, maximal_correlation(sc))
+    s = np.linspace(0.0, 1.0, n_grid)[:, None]
+    mixes = (1.0 - s) * p_x.p + s * q_x.p
+    if np.any(mixes @ w.matrix <= 0):
+        raise PreconditionViolated("output law must be strictly positive")
+    sup_rho = float(np.sqrt(_chi2_contraction_rows(mixes, w.matrix)).max(initial=0.0))
     return InequalityReport("max_correlation_path", rhs_bound, sup_rho)

@@ -3,13 +3,17 @@
 Every distribution lives on an ordered support of real atoms so that means
 and variances are well defined; purely categorical uses simply ignore the
 atom values. Validation rejects bad input (tolerance 1e-9) instead of
-renormalizing; internally sums are maintained to 1e-12.
+renormalizing.
+
+Laws and channels hold read-only float64 arrays, copied from the input and
+validated once, at construction; they compare by value and are unhashable.
 """
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -22,7 +26,6 @@ from .errors import (
 )
 
 INPUT_TOL = 1e-9
-INTERNAL_TOL = 1e-12
 
 
 def validate_mass(m: np.ndarray) -> None:
@@ -39,7 +42,22 @@ def validate_mass(m: np.ndarray) -> None:
         raise NonStochastic(f"mass sums to {float(sums[bad][0])!r}, not 1")
 
 
-@dataclass(frozen=True)
+def _read_only(x) -> np.ndarray:
+    """A read-only float64 copy of x."""
+    a = np.array(x, dtype=float)
+    a.setflags(write=False)
+    return a
+
+
+def _equal_fields(self, other) -> bool:
+    """Value equality of two records of one class of arrays."""
+    if type(other) is not type(self):
+        return NotImplemented
+    return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+               for f in fields(self))
+
+
+@dataclass(frozen=True, eq=False)
 class DiscreteDistribution:
     """Probability mass function on a strictly increasing real support.
 
@@ -47,32 +65,36 @@ class DiscreteDistribution:
     on a common support.
     """
 
-    support: tuple[float, ...]
-    mass: tuple[float, ...]
+    support: np.ndarray
+    mass: np.ndarray
 
     def __post_init__(self):
-        if len(self.support) != len(self.mass) or len(self.support) == 0:
+        u, m = _read_only(self.support), _read_only(self.mass)
+        if u.ndim != 1 or u.shape != m.shape or len(u) == 0:
             raise DimensionMismatch("support and mass must have equal positive length")
-        validate_mass(np.asarray(self.mass, dtype=float))
-        u = np.asarray(self.support, dtype=float)
-        if not np.all(np.isfinite(u)):
+        validate_mass(m)
+        if not np.isfinite(u).all():
             raise NonFinite("support atoms must be finite")
-        if np.any(np.diff(u) <= 0):
+        if (u[1:] <= u[:-1]).any():
             raise DuplicateAtom("support atoms must be strictly increasing and distinct")
+        object.__setattr__(self, "support", u)
+        object.__setattr__(self, "mass", m)
+
+    __eq__ = _equal_fields
 
     @property
     def p(self) -> np.ndarray:
-        return np.asarray(self.mass, dtype=float)
+        return self.mass
 
     @property
     def atoms(self) -> np.ndarray:
-        return np.asarray(self.support, dtype=float)
+        return self.support
 
     def __len__(self) -> int:
         return len(self.support)
 
     def to_json(self) -> str:
-        return json.dumps({"support": list(self.support), "mass": list(self.mass)})
+        return json.dumps({"support": self.support.tolist(), "mass": self.mass.tolist()})
 
     @classmethod
     def from_json(cls, text: str) -> "DiscreteDistribution":
@@ -80,32 +102,31 @@ class DiscreteDistribution:
         return make_distribution(obj["support"], obj["mass"])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Channel:
     """Row-stochastic conditional probability matrix W(y|x)."""
 
-    rows: tuple[tuple[float, ...], ...]
+    matrix: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.rows, dtype=float)
+        w = _read_only(self.matrix)
         if w.ndim != 2 or w.size == 0:
             raise DimensionMismatch("channel must be a non-empty 2-d matrix")
         validate_mass(w)
+        object.__setattr__(self, "matrix", w)
 
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.asarray(self.rows, dtype=float)
+    __eq__ = _equal_fields
 
     @property
     def n_inputs(self) -> int:
-        return len(self.rows)
+        return self.matrix.shape[0]
 
     @property
     def n_outputs(self) -> int:
-        return len(self.rows[0])
+        return self.matrix.shape[1]
 
     def to_json(self) -> str:
-        return json.dumps({"rows": [list(r) for r in self.rows]})
+        return json.dumps({"rows": self.matrix.tolist()})
 
     @classmethod
     def from_json(cls, text: str) -> "Channel":
@@ -115,39 +136,44 @@ class Channel:
 
 def make_distribution(support, mass) -> DiscreteDistribution:
     """Validate and build a distribution; no silent renormalization."""
-    if len(support) != len(mass):
+    u, m = np.asarray(support, dtype=float), np.asarray(mass, dtype=float)
+    if u.ndim != 1 or u.shape != m.shape:
         raise DimensionMismatch("support and mass must have equal length")
-    order = np.argsort(np.asarray(support, dtype=float), kind="stable")
-    u = tuple(float(support[i]) for i in order)
-    m = tuple(float(mass[i]) for i in order)
-    if len(set(u)) != len(u):
-        raise DuplicateAtom("repeated atom in support")
-    return DiscreteDistribution(u, m)
+    order = np.argsort(u, kind="stable")
+    return DiscreteDistribution(u[order], m[order])
 
 
 def make_channel(rows) -> Channel:
-    return Channel(tuple(tuple(float(v) for v in row) for row in rows))
+    return Channel(rows)
+
+
+def _on_union_support(dists) -> tuple[np.ndarray, np.ndarray]:
+    """The union of the laws' supports and the (k, n) stack of their masses
+    on it, zero where a law has no atom."""
+    first = dists[0].support
+    if all(np.array_equal(d.support, first) for d in dists):
+        return first, np.stack([d.mass for d in dists])
+    support = functools.reduce(np.union1d, [d.support for d in dists])
+    stack = np.zeros((len(dists), len(support)))
+    for row, d in zip(stack, dists):
+        row[np.searchsorted(support, d.support)] = d.mass
+    return support, stack
 
 
 def align(p: DiscreteDistribution, q: DiscreteDistribution):
     """Put both distributions on the union support, padding with zero mass."""
-    if p.support == q.support:
+    if np.array_equal(p.support, q.support):
         return p, q
-    union = sorted(set(p.support) | set(q.support))
-    pm = dict(zip(p.support, p.mass))
-    qm = dict(zip(q.support, q.mass))
-    pa = DiscreteDistribution(tuple(union), tuple(pm.get(u, 0.0) for u in union))
-    qa = DiscreteDistribution(tuple(union), tuple(qm.get(u, 0.0) for u in union))
-    return pa, qa
+    support, (pm, qm) = _on_union_support((p, q))
+    return DiscreteDistribution(support, pm), DiscreteDistribution(support, qm)
 
 
 def mixture(p: DiscreteDistribution, q: DiscreteDistribution, lam: float) -> DiscreteDistribution:
     """Convex combination (1-lam)*P + lam*Q on the common support."""
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"mixture weight must lie in [0,1], got {lam}")
-    pa, qa = align(p, q)
-    m = (1.0 - lam) * pa.p + lam * qa.p
-    return DiscreteDistribution(pa.support, tuple(m))
+    support, (pm, qm) = _on_union_support((p, q))
+    return DiscreteDistribution(support, (1.0 - lam) * pm + lam * qm)
 
 
 def push_forward(p: DiscreteDistribution, w: Channel) -> DiscreteDistribution:
@@ -156,8 +182,7 @@ def push_forward(p: DiscreteDistribution, w: Channel) -> DiscreteDistribution:
         raise DimensionMismatch(
             f"input support size {len(p)} != channel rows {w.n_inputs}"
         )
-    out = p.p @ w.matrix
-    return DiscreteDistribution(tuple(float(i) for i in range(w.n_outputs)), tuple(out))
+    return DiscreteDistribution(np.arange(w.n_outputs, dtype=float), p.p @ w.matrix)
 
 
 def moments(p: DiscreteDistribution) -> tuple[float, float]:

@@ -72,7 +72,7 @@ class DivergenceSpec:
 
 
 def _aligned(p: DiscreteDistribution, q: DiscreteDistribution):
-    if p.support != q.support:
+    if not np.array_equal(p.support, q.support):
         raise UnalignedSupports(
             "distributions must share a support; call align() first"
         )
@@ -199,6 +199,11 @@ def f_divergence_rows(spec: DivergenceSpec, P, q) -> np.ndarray:
             f"need an (m, n) stack and an n-atom law, got {P.shape} and {q.shape}"
         )
     return _KERNELS[spec.tag](P, q, spec.param)
+
+
+def _divergence(spec: DivergenceSpec, a: np.ndarray, b: np.ndarray) -> float:
+    """The divergence selected by spec of the mass vector a from b."""
+    return float(f_divergence_rows(spec, a[None, :], b)[0])
 
 
 def _one_row(kernel, p: DiscreteDistribution, q: DiscreteDistribution, *args) -> float:

@@ -67,7 +67,3 @@ class EmptySet(DivrelError):
 
 class ZeroProbabilitySet(DivrelError):
     """Conditioning set has zero probability."""
-
-
-class EtaOutOfBranch(DivrelError):
-    """Lambert W_{-1} argument fell outside [-1/e, 0)."""

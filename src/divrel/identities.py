@@ -15,8 +15,15 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.integrate
 
-from .distributions import DiscreteDistribution, mixture
-from .divergences import DivergenceSpec, chi_squared, f_divergence, gyorfi_vajda, kl
+from .distributions import DiscreteDistribution, align, mixture
+from .divergences import (
+    DivergenceSpec,
+    _divergence,
+    chi_squared,
+    f_divergence,
+    gyorfi_vajda,
+    kl,
+)
 from .errors import DomainError, MaxDepthExceeded
 
 
@@ -73,13 +80,17 @@ def integrate(f, a: float, b: float, cfg: QuadratureConfig = DEFAULT_CFG) -> flo
     return float(result[0])
 
 
+_CHI2 = DivergenceSpec("CHI2")
+
+
 def check_kl_chi2_identity(
     p: DiscreteDistribution, q: DiscreteDistribution,
     lam: float, cfg: QuadratureConfig = DEFAULT_CFG,
 ) -> IdentityReport:
     """D(P||R_lam) vs the integral of chi^2(P||R_s)/s over (0, lam]."""
     lhs = kl(p, mixture(p, q, lam))
-    rhs = integrate(lambda s: chi_squared(p, mixture(p, q, s)) / s, 0.0, lam, cfg)
+    a, b = (d.p for d in align(p, q))
+    rhs = integrate(lambda s: _divergence(_CHI2, a, (1.0 - s) * a + s * b) / s, 0.0, lam, cfg)
     return IdentityReport.compare("kl_chi2", lhs, rhs)
 
 
@@ -89,7 +100,8 @@ def check_chi2_half_identity(
 ) -> IdentityReport:
     """chi^2(P||Q)/2 vs the integral of chi^2(sP+(1-s)Q||Q)/s."""
     lhs = 0.5 * chi_squared(p, q)
-    rhs = integrate(lambda s: chi_squared(mixture(q, p, s), q) / s, 0.0, 1.0, cfg)
+    a, b = p.p, q.p
+    rhs = integrate(lambda s: _divergence(_CHI2, (1.0 - s) * b + s * a, b) / s, 0.0, 1.0, cfg)
     return IdentityReport.compare("chi2_half", lhs, rhs)
 
 
@@ -150,8 +162,6 @@ def polylog_f(k: int, x):
 
 def f_k_divergence(k: int, p: DiscreteDistribution, q: DiscreteDistribution) -> float:
     """Divergence with the Li_k(1-x) kernel; k=0 gives chi^2(Q||P), k=1 gives D(Q||P)."""
-    if k < 0:
-        raise DomainError(f"order must be >= 0, got {k}")
     return f_divergence(DivergenceSpec("POLYLOG_F", k), p, q)
 
 
@@ -161,7 +171,7 @@ def check_recursive_identity(
 ) -> IdentityReport:
     """D_{f_{k+1}}(R_lam||P) vs the integral of D_{f_k}(R_s||P)/s over (0, lam]."""
     lhs = f_k_divergence(k + 1, mixture(p, q, lam), p)
-    rhs = integrate(
-        lambda s: f_k_divergence(k, mixture(p, q, s), p) / s, 0.0, lam, cfg
-    )
+    a, b = (d.p for d in align(p, q))
+    f_k = DivergenceSpec("POLYLOG_F", k)
+    rhs = integrate(lambda s: _divergence(f_k, (1.0 - s) * a + s * b, a) / s, 0.0, lam, cfg)
     return IdentityReport.compare(f"recursive_k{k}", lhs, rhs)

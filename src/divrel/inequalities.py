@@ -14,16 +14,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .distributions import DiscreteDistribution, align
-from .divergences import (
-    DivergenceSpec,
-    chi_squared,
-    entropy,
-    f_divergence,
-    kl,
-    skew_k,
-    total_variation,
-)
+from .distributions import DiscreteDistribution, _on_union_support, align
+from .divergences import DivergenceSpec, _divergence, chi_squared, entropy
+from .divergences import f_divergence_rows, kl, skew_k, total_variation
 from .errors import DomainError, EmptySet, PreconditionViolated, ZeroProbabilitySet
 
 GRACE = 1e-10
@@ -123,7 +116,7 @@ def derivative_checks(
     chi^2(Q||P).
     """
     pa, qa = align(p, q)
-    if pa.mass == qa.mass:
+    if pa == qa:
         raise PreconditionViolated("derivative checks need P != Q")
     chi2_qp = chi_squared(qa, pa)
     if math.isinf(chi2_qp):
@@ -160,18 +153,25 @@ def _validated_weights(dists, weights):
     return w
 
 
-def _common_support(dists):
-    out = list(dists)
-    for i in range(1, len(out)):
-        out[0], out[i] = align(out[0], out[i])
-    return [align(d, out[0])[0] for d in out]
+_KL = DivergenceSpec("KL")
 
 
 def mixture_of(dists, weights) -> DiscreteDistribution:
     w = _validated_weights(dists, weights)
-    ds = _common_support(dists)
-    mass = sum(wi * d.p for wi, d in zip(w, ds))
-    return DiscreteDistribution(ds[0].support, tuple(mass))
+    support, stack = _on_union_support(dists)
+    return DiscreteDistribution(support, w @ stack)
+
+
+def _mixture_kl_rhs(i: int, w: np.ndarray, stack: np.ndarray) -> float:
+    """-ln(a_i + (1-a_i) exp(-avg pairwise KL from P_i)) for the laws of
+    the (k, n) stack."""
+    ai = w[i]
+    if ai == 1.0:
+        return 0.0
+    cross = sum(w[j] * _divergence(_KL, stack[i], stack[j]) for j in range(len(w)) if j != i)
+    if math.isinf(cross):
+        return -math.log(ai)
+    return -math.log(ai + (1.0 - ai) * math.exp(-cross / (1.0 - ai)))
 
 
 def mixture_kl_upper(
@@ -179,18 +179,9 @@ def mixture_kl_upper(
 ) -> InequalityReport:
     """D(P_i || mixture) <= -ln(a_i + (1-a_i) exp(-avg pairwise KL from P_i))."""
     w = _validated_weights(dists, weights)
-    ds = _common_support(dists)
-    mix = mixture_of(ds, w)
-    lhs = kl(ds[i], mix)
-    ai = w[i]
-    if ai == 1.0:
-        return InequalityReport("mixture_kl_upper", lhs, 0.0)
-    cross = sum(w[j] * kl(ds[i], ds[j]) for j in range(len(ds)) if j != i)
-    if math.isinf(cross):
-        rhs = -math.log(ai)
-    else:
-        rhs = -math.log(ai + (1.0 - ai) * math.exp(-cross / (1.0 - ai)))
-    return InequalityReport("mixture_kl_upper", lhs, rhs)
+    _, stack = _on_union_support(dists)
+    lhs = _divergence(_KL, stack[i], w @ stack)
+    return InequalityReport("mixture_kl_upper", lhs, _mixture_kl_rhs(i, w, stack))
 
 
 def concavity_deficit_bounds(dists, weights) -> dict:
@@ -201,13 +192,13 @@ def concavity_deficit_bounds(dists, weights) -> dict:
     per-source mixture-KL bounds; classic upper: the weight entropy H(a).
     """
     w = _validated_weights(dists, weights)
-    ds = _common_support(dists)
-    mix = mixture_of(ds, w)
+    support, stack = _on_union_support(dists)
+    mix = DiscreteDistribution(support, w @ stack)
     deficit_entropy = entropy(mix) - float(
-        sum(wi * entropy(d) for wi, d in zip(w, ds))
+        sum(wi * entropy(d) for wi, d in zip(w, dists))
     )
-    deficit_kl = float(sum(wi * kl(d, mix) for wi, d in zip(w, ds)))
-    upper = float(sum(mixture_kl_upper(i, ds, w).rhs * w[i] for i in range(len(ds))))
+    deficit_kl = float(w @ f_divergence_rows(_KL, stack, mix.p))
+    upper = float(sum(_mixture_kl_rhs(i, w, stack) * w[i] for i in range(len(w))))
     classic = float(-sum(wi * math.log(wi) for wi in w if wi > 0))
     return {
         "deficit_entropy_form": deficit_entropy,
@@ -235,19 +226,17 @@ def conditioned_measure_divergence(
     the closed form t*f(1/t) at t = mu(C) plus (1 - mu(C)) f(0). For the
     Renyi family the value is ln(1/mu(C)) for every order.
     """
-    idx = sorted(set(int(i) for i in c_indices))
-    if not idx:
+    idx = np.unique(np.asarray(c_indices, dtype=int))
+    if idx.size == 0:
         raise EmptySet("conditioning set is empty")
-    if any(i < 0 or i >= len(mu) for i in idx):
+    if idx[0] < 0 or idx[-1] >= len(mu):
         raise DomainError("conditioning index out of range")
-    mass_c = float(sum(mu.mass[i] for i in idx))
+    mass_c = float(mu.mass[idx].sum())
     if mass_c <= 0.0:
         raise ZeroProbabilitySet("conditioning set has zero probability")
-    cond_mass = [
-        (mu.mass[i] / mass_c if i in idx else 0.0) for i in range(len(mu))
-    ]
-    mu_c = DiscreteDistribution(mu.support, tuple(cond_mass))
-    direct = f_divergence(spec, mu_c, mu)
+    cond_mass = np.zeros(len(mu))
+    cond_mass[idx] = mu.mass[idx] / mass_c
+    direct = _divergence(spec, cond_mass, mu.mass)
     if spec.tag == "RENYI":
         return direct, math.log(1.0 / mass_c)
     if spec.tag not in _KERNELS:

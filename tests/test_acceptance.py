@@ -171,7 +171,7 @@ def test_criterion_6_inequality_sweep():
         ]
         violations += sum(0 if r.holds else 1 for r in reports)
         # differential inequality F'(lam) >= (e^F - 1)/lam via central diff
-        if p.mass != q.mass:
+        if not np.array_equal(p.mass, q.mass):
             h = 1e-6
             f = kl(p, DiscreteDistribution(
                 p.support,

@@ -220,8 +220,7 @@ def test_sanov_bound_clipping_and_decay():
 
 def test_eta_stays_in_branch_over_parameter_sweep():
     # for epsilon < 1 the transformed argument cannot leave [-1/e, 0),
-    # so n_star succeeds across a wide sweep; the branch guard is
-    # defensive only
+    # so n_star succeeds across a wide sweep without a branch guard
     for k in (2, 5, 100):
         for eps in (0.5, 1e-4, 1e-12):
             for dv in (1e-3, 0.2, 5.0, 50.0):

@@ -236,3 +236,35 @@ def test_json_round_trips(capsys):
     )
     assert code == 0
     assert json.loads(json.dumps(rep)) == rep
+
+
+def test_identity_check_quadrature_failure_exits_2(tmp_path, capsys, monkeypatch):
+    import divrel.identities
+    from divrel.errors import MaxDepthExceeded
+
+    def fail(*args, **kwargs):
+        raise MaxDepthExceeded("quadrature did not converge: limit reached")
+
+    monkeypatch.setattr(divrel.identities, "integrate", fail)
+    p = write_dist(tmp_path, "p.json", [0, 1], [0.4, 0.6])
+    q = write_dist(tmp_path, "q.json", [0, 1], [0.7, 0.3])
+    code = main(["identity-check", "--which", "kl-chi2", "--p", p, "--q", q])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("numerical failure:")
+    assert "Traceback" not in err
+
+
+def test_redundancy_entropy_failure_exits_2(capsys, monkeypatch):
+    import divrel.applications
+    from divrel.errors import QuadratureFailure
+
+    def fail(lam):
+        raise QuadratureFailure(f"entropy integral at rate {lam} did not converge")
+
+    monkeypatch.setattr(divrel.applications, "poisson_entropy", fail)
+    code = main(["redundancy", "--lambdas", "16", "20"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("numerical failure:")
+    assert "Traceback" not in err

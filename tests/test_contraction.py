@@ -13,9 +13,12 @@ from divrel import (
     markov_mixing_report,
     max_correlation_path_bound,
     maximal_correlation,
+    mixture,
     mu_chi2_channel,
     push_forward,
     skew_contraction_sandwich,
+    skew_k,
+    skew_s,
 )
 from divrel.contraction import (
     check_skew_s_integral,
@@ -27,6 +30,7 @@ from divrel.contraction import (
     stationary_distribution,
 )
 from divrel.errors import (
+    DimensionMismatch,
     DomainError,
     NotIrreducible,
     NotReversible,
@@ -348,3 +352,56 @@ def test_chi2_contraction_rows_in_blocks(monkeypatch):
     want = [chi2_contraction(SourceChannelPair(make_distribution([0, 1, 2], p), w))
             for p in px]
     assert got == pytest.approx(want, abs=1e-14)
+
+
+def test_mu_chi2_channel_rejects_unreachable_output():
+    # no input law gives output 1 positive mass, so the sup is over nothing
+    with pytest.raises(PreconditionViolated, match="column 1"):
+        mu_chi2_channel(make_channel([[1, 0], [1, 0]]), n_samples=5)
+    with pytest.raises(PreconditionViolated, match="column 2"):
+        mu_chi2_channel(make_channel([[0.5, 0.5, 0.0], [0.1, 0.9, 0.0]]))
+
+
+@pytest.mark.parametrize("alpha", [0.3, 1.0])
+def test_mixing_rows_match_per_step_laws(alpha):
+    rng = np.random.default_rng(17)
+    w = random_reversible_chain(rng, 5)
+    p0 = make_distribution(range(5), rng.dirichlet(np.ones(5)))
+    rep = markov_mixing_report(w, p0, alpha, 12)
+    q = rep["stationary"]
+    pn = p0.p
+    assert len(rep["rows"]) == 12
+    for n, row in enumerate(rep["rows"], start=1):
+        pn = pn @ w.matrix
+        law = make_distribution(q.support, pn / pn.sum())
+        assert row["n"] == n
+        assert row["k_alpha"] == pytest.approx(skew_k(alpha, law, q), rel=1e-12, abs=0)
+        assert row["s_alpha"] == pytest.approx(skew_s(alpha, law, q), rel=1e-12, abs=0)
+
+
+def test_mixing_rejects_initial_law_of_wrong_length():
+    with pytest.raises(DimensionMismatch):
+        markov_mixing_report(bsc(0.2), make_distribution([0, 1, 2], [0.2, 0.3, 0.5]), 1.0, 3)
+
+
+def test_path_bound_matches_explicit_mixture_loop():
+    rng = np.random.default_rng(33)
+    for n_grid in (2, 11, 101):
+        w = make_channel(rng.dirichlet(np.ones(4), size=3))
+        p = make_distribution([0, 1, 2], rng.dirichlet(np.ones(3) * 2 + 1))
+        q = make_distribution([0, 1, 2], rng.dirichlet(np.ones(3) * 2 + 1))
+        loop = max(
+            maximal_correlation(SourceChannelPair(mixture(p, q, float(s)), w))
+            for s in np.linspace(0.0, 1.0, n_grid)
+        )
+        assert max_correlation_path_bound(p, q, w, n_grid).rhs == pytest.approx(
+            loop, rel=1e-12, abs=0)
+
+
+def test_path_bound_rejects_unreachable_output():
+    # no input reaches output 2, so every mixed input has a zero output atom
+    w = make_channel([[0.5, 0.5, 0.0], [0.2, 0.8, 0.0], [0.3, 0.7, 0.0]])
+    p = make_distribution([0, 1, 2], [0.2, 0.3, 0.5])
+    q = make_distribution([0, 1, 2], [0.5, 0.3, 0.2])
+    with pytest.raises(PreconditionViolated, match="output law"):
+        max_correlation_path_bound(p, q, w)

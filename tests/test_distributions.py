@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from divrel import (
     Channel,
@@ -10,6 +12,7 @@ from divrel import (
     make_channel,
     make_distribution,
     mixture,
+    mixture_of,
     moments,
     push_forward,
 )
@@ -26,14 +29,14 @@ from divrel.errors import (
 
 def test_valid_distribution():
     d = make_distribution([0.0, 1.0, 2.5], [0.2, 0.3, 0.5])
-    assert d.support == (0.0, 1.0, 2.5)
+    assert np.array_equal(d.support, [0.0, 1.0, 2.5])
     assert math.isclose(sum(d.mass), 1.0)
 
 
 def test_unsorted_input_is_sorted():
     d = make_distribution([2.0, 0.0, 1.0], [0.5, 0.2, 0.3])
-    assert d.support == (0.0, 1.0, 2.0)
-    assert d.mass == (0.2, 0.3, 0.5)
+    assert np.array_equal(d.support, [0.0, 1.0, 2.0])
+    assert np.array_equal(d.mass, [0.2, 0.3, 0.5])
 
 
 def test_zero_mass_atoms_allowed():
@@ -77,9 +80,10 @@ def test_align_zero_pads_union():
     p = make_distribution([0, 1], [0.4, 0.6])
     q = make_distribution([1, 2], [0.3, 0.7])
     pa, qa = align(p, q)
-    assert pa.support == qa.support == (0.0, 1.0, 2.0)
-    assert pa.mass == (0.4, 0.6, 0.0)
-    assert qa.mass == (0.0, 0.3, 0.7)
+    assert np.array_equal(pa.support, [0.0, 1.0, 2.0])
+    assert np.array_equal(qa.support, [0.0, 1.0, 2.0])
+    assert np.array_equal(pa.mass, [0.4, 0.6, 0.0])
+    assert np.array_equal(qa.mass, [0.0, 0.3, 0.7])
 
 
 def test_align_noop_on_shared_support():
@@ -92,14 +96,14 @@ def test_mixture_endpoints():
     p = make_distribution([0, 1], [0.4, 0.6])
     q = make_distribution([0, 1], [0.1, 0.9])
     assert mixture(p, q, 0.0) == p
-    assert mixture(p, q, 1.0).mass == q.mass
+    assert np.array_equal(mixture(p, q, 1.0).mass, q.mass)
 
 
 def test_mixture_interior():
     p = make_distribution([0, 1], [1.0, 0.0])
     q = make_distribution([0, 1], [0.0, 1.0])
     m = mixture(p, q, 0.25)
-    assert m.mass == (0.75, 0.25)
+    assert np.array_equal(m.mass, [0.75, 0.25])
 
 
 def test_moments():
@@ -162,3 +166,118 @@ def test_validate_mass_checks_whole_stacks():
         stack[1] = row
         with pytest.raises(error):
             validate_mass(stack)
+
+
+# -- the representation: read-only float64 arrays with value equality -------
+
+
+@st.composite
+def laws(draw, max_atoms=8, atoms=st.integers(-20, 20)):
+    """(support, mass) of a law on distinct integer-valued atoms, unsorted."""
+    support = draw(st.lists(atoms, min_size=1, max_size=max_atoms, unique=True))
+    weights = draw(st.lists(st.floats(0.0, 1.0), min_size=len(support),
+                            max_size=len(support)))
+    w = np.asarray(weights) + 1e-3
+    return np.asarray(support, dtype=float), w / w.sum()
+
+
+@settings(max_examples=80, deadline=None)
+@given(laws(), st.randoms(use_true_random=False))
+def test_shuffled_support_matches_argsort_reference(law, rnd):
+    support, mass = law
+    order = list(range(len(support)))
+    rnd.shuffle(order)
+    d = make_distribution(support[order], mass[order])
+    ref = np.argsort(support)
+    assert np.array_equal(d.support, support[ref])
+    assert np.array_equal(d.mass, mass[ref])
+    assert d == make_distribution(list(support), list(mass))
+
+
+@settings(max_examples=40, deadline=None)
+@given(laws())
+def test_fields_are_read_only_float64_copies(law):
+    support, mass = law
+    order = np.argsort(support)
+    u, m = support[order].copy(), mass[order].copy()
+    d = DiscreteDistribution(u, m)
+    for field in (d.support, d.mass, d.p, d.atoms):
+        assert isinstance(field, np.ndarray) and field.dtype == np.float64
+        assert not field.flags.writeable
+        with pytest.raises(ValueError):
+            field[0] = 0.5
+    assert d.p is d.mass and d.atoms is d.support
+    kept = d.mass.copy(), d.support.copy()
+    m[:] = 0.0
+    u[0] = 99.0
+    assert np.array_equal(d.mass, kept[0]) and np.array_equal(d.support, kept[1])
+
+
+def _dict_union(dists, weights):
+    """Reference: each law as an atom -> mass dict, mixed atom by atom."""
+    atoms = sorted({float(a) for d in dists for a in d.support})
+    tables = [dict(zip(d.support.tolist(), d.mass.tolist())) for d in dists]
+    rows = [[t.get(a, 0.0) for a in atoms] for t in tables]
+    mix = [sum(w * row[i] for w, row in zip(weights, rows)) for i in range(len(atoms))]
+    return atoms, rows, mix
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(laws(max_atoms=6, atoms=st.integers(0, 9)), min_size=1, max_size=4),
+       st.lists(st.floats(0.01, 1.0), min_size=4, max_size=4))
+def test_align_and_mixture_of_match_dict_reference(raw, raw_weights):
+    dists = [make_distribution(u, m) for u, m in raw]
+    w = np.asarray(raw_weights[:len(dists)])
+    w = w / w.sum()
+    atoms, rows, mix = _dict_union(dists, w)
+    got = mixture_of(dists, w)
+    assert np.array_equal(got.support, atoms)
+    assert np.allclose(got.mass, mix, rtol=1e-12, atol=1e-15)
+    pa, qa = align(dists[0], dists[-1])
+    ref_atoms, ref_rows, _ = _dict_union([dists[0], dists[-1]], [0.5, 0.5])
+    assert np.array_equal(pa.support, ref_atoms) and np.array_equal(qa.support, ref_atoms)
+    assert np.array_equal(pa.mass, ref_rows[0]) and np.array_equal(qa.mass, ref_rows[1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(laws(), st.integers(0, 7))
+def test_json_round_trip_is_equal_and_a_changed_mass_is_not(law, k):
+    d = make_distribution(*law)
+    e = DiscreteDistribution.from_json(d.to_json())
+    assert e == d and not (e != d)
+    i = k % len(d)
+    if len(d) > 1:
+        m = d.mass.copy()
+        j = (i + 1) % len(d)
+        shift = m[i] / 2
+        m[i] -= shift
+        m[j] += shift
+        assert DiscreteDistribution(d.support, m) != d
+    assert d != make_distribution(d.support + 1.0, d.mass)
+    assert d != "not a law"
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_channel_matrix_is_a_read_only_value(n_in, n_out, seed):
+    rows = np.random.default_rng(seed).dirichlet(np.ones(n_out), size=n_in)
+    w = make_channel(rows)
+    assert isinstance(w.matrix, np.ndarray) and w.matrix.dtype == np.float64
+    assert np.array_equal(w.matrix, rows)
+    assert (w.n_inputs, w.n_outputs) == (n_in, n_out)
+    with pytest.raises(ValueError):
+        w.matrix[0, 0] = 0.5
+    rows[0, 0] = 7.0
+    assert w.matrix[0, 0] != 7.0
+    assert Channel.from_json(w.to_json()) == w
+    if n_out > 1:
+        changed = w.matrix.copy()
+        changed[0, :2] = changed[0, 1::-1]
+        assert (make_channel(changed) != w) == (changed[0, 0] != changed[0, 1])
+
+
+def test_laws_and_channels_are_unhashable():
+    with pytest.raises(TypeError):
+        hash(make_distribution([0, 1], [0.5, 0.5]))
+    with pytest.raises(TypeError):
+        hash(make_channel([[1.0]]))

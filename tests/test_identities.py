@@ -18,7 +18,7 @@ from divrel import (
     mixture,
     polylog_f,
 )
-from divrel.errors import DomainError
+from divrel.errors import DomainError, UnalignedSupports
 from divrel.identities import IdentityReport, integrate
 
 from conftest import random_pair
@@ -153,3 +153,29 @@ def test_integrand_vanishes_at_small_mixing():
     # integrand chi^2/s tends to zero rather than diverging
     small = chi_squared(P, mixture(P, Q, 1e-6)) / 1e-6
     assert small == pytest.approx(1e-6 * chi_squared(Q, P), rel=1e-3)
+
+
+def test_identity_checks_reject_unaligned_supports():
+    p = make_distribution([0, 1], [0.4, 0.6])
+    q = make_distribution([1, 2], [0.3, 0.7])
+    with pytest.raises(UnalignedSupports):
+        check_kl_chi2_identity(p, q, 0.5)
+    with pytest.raises(UnalignedSupports):
+        check_chi2_half_identity(p, q)
+    for k in (0, 1, 2):
+        with pytest.raises(UnalignedSupports):
+            check_recursive_identity(k, p, q, 0.5)
+
+
+def test_mixture_path_checks_need_only_the_atoms_of_q_in_p():
+    # the path R_s = (1-s)P + sQ stays on the support of P when that
+    # support holds every atom of Q; Q is then padded with zero mass
+    p = make_distribution([0, 1, 2], [0.2, 0.5, 0.3])
+    q = make_distribution([0, 2], [0.6, 0.4])
+    q3 = make_distribution([0, 1, 2], [0.6, 0.0, 0.4])
+    assert check_kl_chi2_identity(p, q, 0.7) == check_kl_chi2_identity(p, q3, 0.7)
+    assert check_recursive_identity(1, p, q, 0.7) == check_recursive_identity(1, p, q3, 0.7)
+    with pytest.raises(UnalignedSupports):
+        check_chi2_half_identity(p, q)
+    with pytest.raises(ValueError):
+        check_kl_chi2_identity(p, q3, 1.5)
