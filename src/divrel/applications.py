@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
-import scipy.stats
 
 from .distributions import DiscreteDistribution, _on_union_support, make_distribution
 from .divergences import DivergenceSpec, entropy, f_divergence_rows
@@ -28,6 +26,11 @@ LN2 = math.log(2.0)
 _ENTROPY_CFG = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-14, max_depth=200)
 
 
+def _check_rate(lam: float) -> None:
+    if not 0.0 < lam < math.inf:
+        raise DomainError(f"Poisson rate must be positive and finite, got {lam}")
+
+
 @dataclass(frozen=True)
 class PoissonFamily:
     lambdas: tuple[float, ...]
@@ -36,10 +39,10 @@ class PoissonFamily:
     def __post_init__(self):
         if len(self.lambdas) != len(self.weights) or not self.lambdas:
             raise DomainError("lambdas and weights must be equal-length, non-empty")
-        if any(l <= 0 for l in self.lambdas):
-            raise DomainError("Poisson rates must be positive")
+        for lam in self.lambdas:
+            _check_rate(lam)
         w = np.asarray(self.weights, dtype=float)
-        if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9:
+        if not np.all(np.isfinite(w)) or np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9:
             raise DomainError("weights must form a probability vector")
 
 
@@ -75,26 +78,31 @@ def poisson_pmf(
     """Truncated, renormalized Poisson law and the discarded tail mass.
 
     The support is {0..N} with N minimal such that the tail beyond N has
-    mass below tail_tol.
+    mass below tail_tol, found in a window of candidates that doubles
+    until it holds one.
     """
-    if lam <= 0:
-        raise DomainError("Poisson rate must be positive")
-    n = int(scipy.stats.poisson.ppf(1.0 - tail_tol, lam))
-    while scipy.stats.poisson.sf(n, lam) >= tail_tol:
-        n += 1
-    while n > 0 and scipy.stats.poisson.sf(n - 1, lam) < tail_tol:
-        n -= 1
-    ks = np.arange(n + 1)
-    mass = scipy.stats.poisson.pmf(ks, lam)
+    _check_rate(lam)
+    if not 0.0 < tail_tol < 1.0:
+        raise DomainError(f"tail_tol must lie in (0, 1), got {tail_tol}")
+    import scipy.special
+
+    size = int(lam + 10.0 * math.sqrt(lam)) + 16
+    while True:
+        below = scipy.special.pdtrc(np.arange(size, dtype=float), lam) < tail_tol
+        if below.any():
+            break
+        size *= 2
+    ks = np.arange(int(np.argmax(below)) + 1, dtype=float)
+    mass = np.exp(scipy.special.xlogy(ks, lam) - scipy.special.gammaln(ks + 1) - lam)
     delta = float(1.0 - mass.sum())
     mass = mass / mass.sum()
-    return make_distribution(ks.astype(float), mass), delta
+    return make_distribution(ks, mass), delta
 
 
 def poisson_kl(lam_i: float, lam_j: float) -> float:
     """Relative entropy between Poisson laws, in nats."""
-    if lam_i <= 0 or lam_j <= 0:
-        raise DomainError("Poisson rates must be positive")
+    _check_rate(lam_i)
+    _check_rate(lam_j)
     return lam_i * math.log(lam_i / lam_j) + (lam_j - lam_i)
 
 
@@ -106,8 +114,7 @@ def poisson_entropy(lam: float) -> float:
     at u -> 0; the upper cutoff is where the envelope lam e^{-u}/u drops
     below 1e-16.
     """
-    if lam <= 0:
-        raise DomainError("Poisson rate must be positive")
+    _check_rate(lam)
 
     def integrand(u: float) -> float:
         if u < 1e-9:
@@ -222,6 +229,8 @@ def d_star(tcp: TypeClassProblem, grid: int = 201) -> float:
         m_p = min(max(z[0], m_lo), m_hi)
         var_p = min(max(z[1], v_lo), v_hi)
         return value(m_p, var_p)
+
+    import scipy.optimize
 
     res = scipy.optimize.minimize(
         clipped, np.array(best_xy), method="Nelder-Mead",

@@ -309,11 +309,18 @@ def stationary_distribution(w: Channel) -> DiscreteDistribution:
 
 
 def _check_irreducible(w: Channel) -> None:
-    from scipy.sparse.csgraph import connected_components
-
-    n_components, _ = connected_components(w.matrix > 0, connection="strong")
-    if n_components > 1:
-        raise NotIrreducible("kernel support graph is not strongly connected")
+    """Strong connectivity of the support graph: breadth-first search from
+    state 0 along the edges and along the reversed edges reaches every state."""
+    adj = w.matrix > 0
+    for graph in (adj, adj.T):
+        seen = np.zeros(len(graph), dtype=bool)
+        seen[0] = True
+        frontier = seen
+        while frontier.any():
+            frontier = graph[frontier].any(axis=0) & ~seen
+            seen = seen | frontier
+        if not seen.all():
+            raise NotIrreducible("kernel support graph is not strongly connected")
 
 
 def _check_reversible(w: Channel, q: DiscreteDistribution, tol: float = 1e-10) -> None:

@@ -123,7 +123,9 @@ def _renyi(a, b, alpha):
             - np.where(off, a, 0.0).sum(axis=-1)
         )
         out = np.log1p(z_minus_1) / (alpha - 1.0)
-    out[z_minus_1 <= -1.0] = INF
+    # rows with no atom in common have sum p^alpha q^(1-alpha) = 0 exactly,
+    # however the rounded P(q = 0) falls short of 1
+    out[(z_minus_1 <= -1.0) | ~(pos & ~off).any(axis=-1)] = INF
     if alpha > 1.0:
         out[off.any(axis=-1)] = INF
     return out
@@ -155,18 +157,21 @@ def _js(a, b, _=None):
 
 
 def _polylog(a, b, k):
+    k = int(k)
+    # Li_0(1 - t) = 1/t - 1 and Li_1(1 - t) = -ln t: chi^2(b||a) and D(b||a)
+    if k == 0:
+        return _chi2(b, a)
+    if k == 1:
+        return _kl(b, a)
+    import scipy.special
+
     from .identities import polylog_f  # identities builds on this module
 
-    k = int(k)
-    f_at_zero = INF
-    if k > 1:
-        import scipy.special
-
-        f_at_zero = float(scipy.special.zeta(k, 1))
-    return _generic(lambda t: polylog_f(k, t), a, b, f_at_zero, 0.0)
+    f_at_zero = float(scipy.special.zeta(k, 1))
+    return _generic(a, b, lambda t: polylog_f(k, t), f_at_zero, 0.0)
 
 
-def _generic(f, a, b, f_at_zero, slope_at_inf):
+def _generic(a, b, f, f_at_zero, slope_at_inf):
     """Sum b f(a/b) per row. f is called once, on the array of likelihood
     ratios, with 1 standing in at atoms where a mass vanishes; those
     atoms take the boundary limits instead."""

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
 
 from .distributions import DiscreteDistribution, align, mixture
 from .divergences import (
@@ -70,6 +69,8 @@ def integrate(f, a: float, b: float, cfg: QuadratureConfig = DEFAULT_CFG) -> flo
     """Adaptive quadrature on (a, b]; the integrand must have a limit at a."""
     if a == b:
         return 0.0
+    import scipy.integrate
+
     result = scipy.integrate.quad(
         f, a, b,
         epsabs=cfg.abs_tol, epsrel=cfg.rel_tol,

@@ -128,14 +128,8 @@ def derivative_checks(
     grid = []
     for lam in lam_grid:
         lhs = (math.exp(skew_k(lam, p, q)) - 1.0) / lam
-        grid.append(
-            {
-                "lam": lam,
-                "fprime": fprime(lam),
-                "lower": lhs,
-                "holds": fprime(lam) >= lhs - tol,
-            }
-        )
+        slope = fprime(lam)
+        grid.append({"lam": lam, "fprime": slope, "lower": lhs, "holds": slope >= lhs - tol})
     lam0 = 1e-3
     ratio = fprime(lam0) / lam0
     return {

@@ -53,6 +53,40 @@ def test_poisson_pmf_support_grows_with_rate():
     assert n32 > n16
 
 
+@pytest.mark.parametrize("tail_tol", [1e-8, 1e-15, 1e-17, 1e-300])
+@pytest.mark.parametrize("lam", [1e-6, 0.1, 16.0, 400.0, 1e4])
+def test_poisson_pmf_matches_scipy_stats(lam, tail_tol):
+    import scipy.stats
+
+    d, delta = poisson_pmf(lam, tail_tol)
+    n = len(d) - 1
+    np.testing.assert_array_equal(d.support, np.arange(n + 1))
+    # the pmf before renormalization, from the mass and the discarded tail
+    oracle = scipy.stats.poisson.pmf(np.arange(n + 1), lam)
+    assert delta == float(1.0 - oracle.sum())
+    assert np.array_equal(d.mass, oracle / oracle.sum())
+    assert scipy.stats.poisson.sf(n, lam) < tail_tol
+    assert n == 0 or scipy.stats.poisson.sf(n - 1, lam) >= tail_tol
+
+
+@pytest.mark.parametrize("tail_tol", [0.0, 1.0, 2.0, -1.0, math.nan])
+def test_poisson_pmf_rejects_tail_tol_outside_unit_interval(tail_tol):
+    with pytest.raises(DomainError):
+        poisson_pmf(16.0, tail_tol)
+
+
+@pytest.mark.parametrize("lam", [0.0, -1.0, math.nan, math.inf])
+def test_poisson_functions_reject_bad_rates(lam):
+    with pytest.raises(DomainError):
+        poisson_pmf(lam)
+    with pytest.raises(DomainError):
+        poisson_kl(lam, 1.0)
+    with pytest.raises(DomainError):
+        poisson_kl(1.0, lam)
+    with pytest.raises(DomainError):
+        poisson_entropy(lam)
+
+
 def test_poisson_kl_closed_form():
     assert poisson_kl(16, 16) == 0.0
     assert poisson_kl(16, 20) == pytest.approx(0.429703178972643908, rel=1e-14)
@@ -117,6 +151,17 @@ def test_poisson_family_validation():
         PoissonFamily((16, -1), (0.5, 0.5))
     with pytest.raises(DomainError):
         PoissonFamily((16, 20), (0.5, 0.6))
+
+
+@pytest.mark.parametrize("lambdas, weights", [
+    ((1.0, 2.0), (math.nan, 1.0)),
+    ((1.0, 2.0), (math.inf, 0.5)),
+    ((math.nan, 2.0), (0.5, 0.5)),
+    ((math.inf, 2.0), (0.5, 0.5)),
+])
+def test_poisson_family_rejects_non_finite_entries(lambdas, weights):
+    with pytest.raises(DomainError):
+        PoissonFamily(lambdas, weights)
 
 
 def test_d_star_reference_instance():

@@ -268,3 +268,10 @@ def test_redundancy_entropy_failure_exits_2(capsys, monkeypatch):
     assert code == 2
     assert err.startswith("numerical failure:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("rate", ["nan", "inf"])
+def test_redundancy_non_finite_rate_exits_1(capsys, rate):
+    code = main(["redundancy", "--lambdas", rate, "20"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("invalid input:")

@@ -1,6 +1,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from divrel import (
     DivergenceSpec,
@@ -21,6 +24,7 @@ from divrel import (
     skew_s,
 )
 from divrel.contraction import (
+    _check_irreducible,
     check_skew_s_integral,
     chi2_contraction_power,
     g_alpha,
@@ -249,6 +253,30 @@ def test_mixing_rejects_reducible():
     p0 = UNIFORM2
     with pytest.raises(NotIrreducible):
         markov_mixing_report(w, p0, 1.0, 5)
+
+
+def test_mixing_rejects_one_way_chain():
+    # state 0 reaches state 1, but nothing leads back to state 0
+    w = make_channel([[0.5, 0.5], [0.0, 1.0]])
+    with pytest.raises(NotIrreducible):
+        markov_mixing_report(w, UNIFORM2, 1.0, 5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12).flatmap(
+    lambda n: st.lists(st.booleans(), min_size=n * n, max_size=n * n)
+))
+def test_irreducibility_matches_strong_components(pattern):
+    n = int(round(len(pattern) ** 0.5))
+    support = np.array(pattern, dtype=float).reshape(n, n)
+    support[support.sum(axis=1) == 0, 0] = 1.0  # every row needs some mass
+    w = make_channel(support / support.sum(axis=1, keepdims=True))
+    n_components, _ = connected_components(support > 0, connection="strong")
+    if n_components > 1:
+        with pytest.raises(NotIrreducible):
+            _check_irreducible(w)
+    else:
+        _check_irreducible(w)
 
 
 def test_path_bound_identity_channel():

@@ -18,6 +18,7 @@ from divrel import (
     mixture,
     polylog_f,
 )
+from divrel.divergences import generic_f_divergence
 from divrel.errors import DomainError, UnalignedSupports
 from divrel.identities import IdentityReport, integrate
 
@@ -93,6 +94,41 @@ def test_f_k_divergence_low_orders_collapse():
     # order 0 is the reversed chi-squared, order 1 the reversed KL
     assert f_k_divergence(0, P, Q) == pytest.approx(chi_squared(Q, P), rel=1e-12)
     assert f_k_divergence(1, P, Q) == pytest.approx(kl(Q, P), rel=1e-12)
+
+
+def _zero_atom_pairs():
+    """Pairs with zero atoms on either side, some with infinite values."""
+    pairs = [
+        ([0.5, 0.5], [1.0, 0.0]),
+        ([1.0, 0.0], [0.5, 0.5]),
+        ([0.5, 0.5, 0.0], [0.0, 0.3, 0.7]),
+        ([0.2, 0.0, 0.8], [0.2, 0.0, 0.8]),
+    ]
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        p, q = rng.dirichlet(np.ones(5), size=2)
+        p[rng.random(5) < 0.3] = 0.0
+        q[rng.random(5) < 0.3] = 0.0
+        p[0] += 0.1
+        q[1] += 0.1
+        pairs.append((p / p.sum(), q / q.sum()))
+    return [(make_distribution(range(len(p)), p), make_distribution(range(len(q)), q))
+            for p, q in pairs]
+
+
+@pytest.mark.parametrize("k, reversed_closed_form", [(0, chi_squared), (1, kl)])
+def test_f_k_divergence_low_orders_with_zero_atoms(k, reversed_closed_form):
+    for p, q in _zero_atom_pairs():
+        got = f_k_divergence(k, p, q)
+        # the Li_k(1 - x) kernel summed atom by atom with its boundary limits
+        kernel_sum = generic_f_divergence(lambda t: polylog_f(k, t), p, q, math.inf, 0.0)
+        for want in (reversed_closed_form(q, p), kernel_sum):
+            if math.isinf(want):
+                assert got == math.inf
+            else:
+                assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
+    half, point = _zero_atom_pairs()[0]
+    assert f_k_divergence(0, half, point) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_f_k_divergence_oracle_values():

@@ -22,6 +22,7 @@ from divrel import (
     symmetrized_chi2_bound,
     thirds_bound,
 )
+from divrel.divergences import skew_k
 from divrel.errors import DomainError, EmptySet, ZeroProbabilitySet
 from divrel.inequalities import InequalityReport, skew_kl_convexity_comparison
 
@@ -95,6 +96,22 @@ def test_derivative_checks_reference_pair():
     assert all(row["holds"] for row in out["grid"])
     # F'(lam)/lam at small lam approaches chi^2(Q||P)
     assert out["limit_rel_err"] < 1e-3
+
+
+def test_derivative_checks_evaluates_the_curve_once_per_point(monkeypatch):
+    import divrel.inequalities
+
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return skew_k(*args)
+
+    monkeypatch.setattr(divrel.inequalities, "skew_k", counting)
+    lam_grid = (0.1, 0.3, 0.5, 0.7, 0.9)
+    derivative_checks(P, Q, lam_grid)
+    # per grid point F(lam) and two points for F'(lam); two more for F'(1e-3)
+    assert len(calls) == 3 * len(lam_grid) + 2
 
 
 def test_mixture_kl_upper_dominates_truth():
