@@ -17,8 +17,8 @@ import numpy as np
 from .distributions import Channel, DiscreteDistribution, push_forward, validate_mass
 from .divergences import (
     DivergenceSpec,
+    _gv,
     f_divergence_rows,
-    gyorfi_vajda,
     kl,
     skew_k,
     skew_s,
@@ -288,12 +288,18 @@ def check_skew_s_integral(
     cfg: QuadratureConfig = DEFAULT_CFG,
 ) -> IdentityReport:
     """S_alpha(P||Q) vs its weighted integral over the skew-chi^2 curve."""
-    def weighted(s: float) -> float:
-        return g_alpha(alpha, s) * gyorfi_vajda(s, p, q)
-
     lhs = skew_s(alpha, p, q)
-    # g_alpha has a kink at s = alpha, so each side is integrated on its own
-    rhs = integrate(weighted, 0.0, alpha, cfg) + integrate(weighted, alpha, 1.0, cfg)
+    a, b = p.p[None, :], q.p
+
+    # g_alpha, alpha s then (1 - alpha)(1 - s), has a kink at s = alpha, so
+    # each side is integrated on its own
+    def left(s):
+        return alpha * s * _gv(a, b, s[:, None])
+
+    def right(s):
+        return (1.0 - alpha) * (1.0 - s) * _gv(a, b, s[:, None])
+
+    rhs = integrate(left, 0.0, alpha, cfg) + integrate(right, alpha, 1.0, cfg)
     return IdentityReport.compare(f"skew_s_integral_a{alpha}", lhs, rhs)
 
 

@@ -13,6 +13,7 @@ conventions; the functions on two distributions are its one-row case.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -20,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .distributions import DiscreteDistribution
-from .errors import DimensionMismatch, DomainError, UnalignedSupports
+from .errors import DimensionMismatch, DomainError, NonFinite, UnalignedSupports
 
 INF = math.inf
 
@@ -132,9 +133,15 @@ def _renyi(a, b, alpha):
 
 
 def _gv(a, b, s):
-    if s == 0.0:
+    """s is one skew, or an (m, 1) column of skews, one for each row."""
+    s = np.asarray(s, dtype=float)
+    if not s.any():
         return _chi2(b, a)
-    return _chi2(a, (1.0 - s) * a + s * b) / (s * s)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = _chi2(a, (1.0 - s) * a + s * b) / (s * s).ravel()
+    if s.all():
+        return out
+    return np.where(s.ravel() == 0.0, _chi2(b, a), out)
 
 
 def _skew_k(a, b, alpha):
@@ -163,12 +170,115 @@ def _polylog(a, b, k):
         return _chi2(b, a)
     if k == 1:
         return _kl(b, a)
+    # f(0) = Li_k(1) = zeta(k), the constant term of the ln-expansion
+    zeta_k = _polylog_coefficients(k)[1][0]
+    return _generic(a, b, lambda t: _polylog_li(k, t), zeta_k, 0.0)
+
+
+@functools.cache
+def _polylog_coefficients(k: int):
+    """Coefficients of Li_k for integer k >= 2 (``_polylog_li``): the power
+    series 1/n^k; the expansion in mu = ln z, zeta(k - m)/m! with
+    H_(k-1)/(k-1)! at m = k - 1, and 1/(k-1)! of its log term; and the
+    orders k, k - 2, ... and weights 1, 2 eta(2), 2 eta(4), ... of the
+    inversion formula, eta(2j) = (1 - 2^(1-2j)) zeta(2j)."""
     import scipy.special
 
-    from .identities import polylog_f  # identities builds on this module
+    series = np.arange(1.0, _SERIES_TERMS + 1.0) ** -float(k)
+    m = np.arange(max(_LOG_TERMS, k), dtype=float)
+    log_exp = scipy.special.zeta(k - m)
+    log_exp[k - 1] = math.fsum(1.0 / j for j in range(1, k))
+    log_exp /= scipy.special.factorial(m)
+    two_j = np.arange(0.0, k + 1.0, 2.0)
+    weights = 2.0 * (1.0 - 2.0 ** (1.0 - two_j)) * scipy.special.zeta(two_j)
+    weights[0] = 1.0
+    return series, log_exp, 1.0 / scipy.special.factorial(k - 1.0), k - two_j, weights
 
-    f_at_zero = float(scipy.special.zeta(k, 1))
-    return _generic(a, b, lambda t: polylog_f(k, t), f_at_zero, 0.0)
+
+# 40 terms of the series reach a relative 1e-16 for |z| <= 1/2, and 28 of
+# the ln-expansion for |mu| <= ln 2 (its terms fall like (mu / 2 pi)^m)
+_SERIES_TERMS = 40
+_LOG_TERMS = 28
+
+
+def _powers(z: np.ndarray, count: int) -> np.ndarray:
+    """The (len(z), count) array z, z^2, ..., z^count."""
+    return np.cumprod(np.repeat(z[:, None], count, axis=1), axis=1)
+
+
+def _polylog_li(k: int, x: np.ndarray) -> np.ndarray:
+    """Li_k(1 - x) for integer k >= 2 and an array x > 0, in closed form
+    (D. C. Wood, The Computation of Polylogarithms, 1992).
+
+    With y = 1 - x, the inversion
+    Li_k(y) = -(-1)^k Li_k(1/y) - L^k/k! - 2 sum_j eta(2j) L^(k-2j)/(k-2j)!,
+    L = ln(-y), maps y < -1 to t = 1/y in (-1, 0), and the duplication
+    Li_k(t) = 2^(1-k) Li_k(t^2) - Li_k(-t) maps t < -1/2 into (1/4, 1].
+    That leaves two expansions, each evaluated once on all its points: the
+    power series sum z^n/n^k for |z| <= 1/2, and for z in (1/2, 1]
+    Li_k(z) = sum_m zeta(k - m) mu^m/m! + mu^(k-1) (H_(k-1) - ln(-mu))/(k-1)!
+    in mu = ln z, taken as ln(1 - x) where z = y.
+    """
+    import scipy.special
+
+    series, log_exp, log_term, orders, weights = _polylog_coefficients(k)
+    x = np.asarray(x, dtype=float)
+    y = 1.0 - x
+    low = y < -1.0
+    t = y.copy()
+    t[low] = 1.0 / y[low]
+    near = t > 0.5
+    dup = t < -0.5
+    plain = ~(near | dup)
+    square_near = t * t > 0.5
+    square_plain = dup & ~square_near
+    square_near &= dup
+
+    z = np.concatenate([t[plain], t[square_plain] ** 2])
+    mu = np.concatenate([np.log1p(-x[near]), np.log(-t[dup]), 2.0 * np.log(-t[square_near])])
+    by_series = _powers(z, _SERIES_TERMS) @ series
+    mu_powers = _powers(mu, len(log_exp) - 1)
+    log_mu = np.zeros_like(mu)
+    np.log(-mu, out=log_mu, where=mu < 0.0)
+    by_log = log_exp[0] + mu_powers @ log_exp[1:] - mu_powers[:, k - 2] * log_mu * log_term
+
+    out = np.empty_like(x)
+    n_plain, n_near, n_dup = int(plain.sum()), int(near.sum()), int(dup.sum())
+    out[plain] = by_series[:n_plain]
+    out[near] = by_log[:n_near]
+    square = np.empty(n_dup)
+    square[~square_near[dup]] = by_series[n_plain:]
+    square[square_near[dup]] = by_log[n_near + n_dup:]
+    out[dup] = 2.0 ** (1 - k) * square - by_log[n_near:n_near + n_dup]
+
+    # L^m/m! as exp(m ln L - ln m!), which neither overflows nor divides inf by inf
+    log_l = np.log(np.log(-y[low]))[:, None]
+    inverted = np.exp(log_l * orders - scipy.special.gammaln(orders + 1.0)) @ weights
+    out[low] = -inverted - (-1) ** k * out[low]
+    return out
+
+
+def polylog_f(k: int, x):
+    """Convex kernel Li_k(1-x) of integer order k >= 0 at finite x > 0;
+    vanishes at x = 1 for every k.
+
+    Elementwise over an array x (a float for a scalar x). Orders 0 and 1
+    are closed forms, higher orders the array Li_k of ``_polylog_li``.
+    """
+    if isinstance(k, bool) or not float(k).is_integer() or k < 0:
+        raise DomainError(f"polylog order must be an integer >= 0, got {k!r}")
+    x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        raise NonFinite(f"polylog kernel needs finite x, got {x}")
+    if not (x > 0).all():
+        raise DomainError(f"polylog kernel needs x > 0, got {x}")
+    if k == 0:
+        out = (1.0 - x) / x
+    elif k == 1:
+        out = -np.log(x)
+    else:
+        out = _polylog_li(int(k), np.atleast_1d(x)).reshape(x.shape)
+    return out if out.ndim else float(out)
 
 
 def _generic(a, b, f, f_at_zero, slope_at_inf):
@@ -192,16 +302,18 @@ _KERNELS = {
 
 def f_divergence_rows(spec: DivergenceSpec, P, q) -> np.ndarray:
     """The divergence selected by spec of every row of the (m, n) stack P
-    against the n-atom law q, in nats (+inf where a row's value is infinite).
+    against the n-atom law q, or against the matching row of an (m, n)
+    stack q, in nats (+inf where a row's value is infinite).
 
     The rows and q share one support and are taken to be probability
     vectors already checked (see ``distributions.validate_mass``).
     """
     P = np.asarray(P, dtype=float)
     q = np.asarray(q, dtype=float)
-    if P.ndim != 2 or q.ndim != 1 or P.shape[1] != q.shape[0]:
+    if P.ndim != 2 or q.shape not in ((P.shape[1],), P.shape):
         raise DimensionMismatch(
-            f"need an (m, n) stack and an n-atom law, got {P.shape} and {q.shape}"
+            f"need an (m, n) stack and an n-atom law or (m, n) stack, "
+            f"got {P.shape} and {q.shape}"
         )
     return _KERNELS[spec.tag](P, q, spec.param)
 

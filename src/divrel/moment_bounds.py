@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import DiscreteDistribution, make_distribution, mixture, moments
-from .divergences import binary_kl
 from .errors import (
     DegenerateVariance,
     DomainError,
@@ -77,24 +76,37 @@ def moment_bound_arrays(m_p, var_p, m_q, var_q) -> tuple[np.ndarray, ...]:
 
     a = m_p - m_q and b = a^2 + var_q - var_p. With a^2 = 0 (equal means,
     or a gap so small that a^2 underflows) the infimum over compatible
-    pairs is zero and every field is 0. With var_p = 0 the generic forms
-    divide by r(1-r), so r is 0 or 1 and s takes its enumerated closed form.
+    pairs is zero and every field is 0. With var_p = 0, v = b/(2|a|) and r
+    is 0 or 1.
     """
     var_p, var_q = np.asarray(var_p, dtype=float), np.asarray(var_q, dtype=float)
     a = np.asarray(m_p, dtype=float) - m_q
     a2 = a * a
     b = a2 + var_q - var_p
-    degenerate = var_p == 0.0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        v = np.where(degenerate, b / (2.0 * np.abs(a)), np.sqrt(var_p + b * b / (4.0 * a2)))
-        r = 0.5 + b / (4.0 * a * v)
-        s = r - a / (2.0 * v)
-        s = np.where(degenerate, np.where(a > 0, var_q, a2) / (a2 + var_q),
-                     np.minimum(np.maximum(s, 0.0), 1.0))
-    r = np.where(degenerate, a > 0, np.minimum(np.maximum(r, 0.0), 1.0))
+        v = np.where(var_p == 0.0, b / (2.0 * np.abs(a)), np.sqrt(var_p + b * b / (4.0 * a2)))
+        r, r_comp, s, s_comp = _masses(a, b, v, var_p)
+        # d(r||s) with r/s = 1 + (r - s)/s and r - s = a/(2v), which keeps
+        # its digits when r and s are within rounding of each other
+        step = a / (2.0 * v)
+        bound = np.where(r > 0, r * np.log1p(step / s), 0.0)
+        bound += np.where(r_comp > 0, r_comp * np.log1p(-step / s_comp), 0.0)
     zero = a2 == 0.0
-    r, s, a, b, v = np.broadcast_arrays(*(np.where(zero, 0.0, x) for x in (r, s, a, b, v)))
-    return r, s, a, b, v, binary_kl(r, s)
+    return tuple(np.broadcast_arrays(*(np.where(zero, 0.0, x) for x in (r, s, a, b, v, bound))))
+
+
+def _masses(a, b, v, var_p):
+    """(r, 1 - r, s, 1 - s), each computed directly. With c = b/(2a),
+    r = (v + c)/(2v) and s = r - a/(2v). Near-equal means put r and s
+    within rounding of 0 or 1, where 1 - r would lose every digit, so the
+    smaller of v + c and v - c is taken as var_p over the larger. At
+    var_p = 0, v = |c| and r is 0 or 1."""
+    c = b / (2.0 * a)
+    big = v + np.abs(c)
+    small = var_p / big
+    v_plus_c, v_minus_c = np.where(c > 0, big, small), np.where(c > 0, small, big)
+    return tuple(np.minimum(np.maximum(x / (2.0 * v), 0.0), 1.0)
+                 for x in (v_plus_c, v_minus_c, v_plus_c - a, v_minus_c + a))
 
 
 def kl_moment_lower_bound(mt: MomentTuple) -> BoundCertificate:
@@ -110,11 +122,11 @@ def attaining_pair(mt: MomentTuple) -> tuple[DiscreteDistribution, DiscreteDistr
     if mt.var_p <= 0.0:
         raise PreconditionViolated("attaining pair requires var_p > 0")
     cert = kl_moment_lower_bound(mt)
-    r = cert.r
-    u1 = mt.m_p + math.sqrt((1.0 - r) * mt.var_p / r)
-    u2 = mt.m_p - math.sqrt(r * mt.var_p / (1.0 - r))
-    p = make_distribution([u2, u1], [1.0 - r, r])
-    q = make_distribution([u2, u1], [1.0 - cert.s, cert.s])
+    r, r_comp, s, s_comp = (float(x) for x in _masses(cert.a, cert.b, cert.v, mt.var_p))
+    u1 = mt.m_p + math.sqrt(r_comp * mt.var_p / r)
+    u2 = mt.m_p - math.sqrt(r * mt.var_p / r_comp)
+    p = make_distribution([u2, u1], [r_comp, r])
+    q = make_distribution([u2, u1], [s_comp, s])
     return p, q
 
 

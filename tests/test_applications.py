@@ -115,6 +115,18 @@ def test_poisson_entropy_against_direct_sum():
         )
 
 
+def test_poisson_entropy_over_an_array_of_rates():
+    rates = np.array([[0.5, 16.0], [32.0, 200.0]])
+    got = poisson_entropy(rates)
+    assert got.shape == rates.shape
+    for lam, h in zip(rates.ravel(), got.ravel()):
+        assert h == pytest.approx(poisson_entropy(float(lam)), rel=1e-12)
+        assert h == pytest.approx(poisson_entropy_direct(float(lam)), abs=1e-9)
+    for bad in ([], [16.0, math.nan], [16.0, 0.0]):
+        with pytest.raises(DomainError):
+            poisson_entropy(bad)
+
+
 def test_poisson_entropy_increasing():
     hs = [poisson_entropy(float(lam)) for lam in (16, 20, 24, 28, 32)]
     assert hs == sorted(hs)

@@ -23,7 +23,7 @@ from divrel import (
     skew_s,
     total_variation,
 )
-from divrel.errors import DomainError, UnalignedSupports
+from divrel.errors import DimensionMismatch, DomainError, UnalignedSupports
 
 from conftest import random_pair
 
@@ -334,3 +334,37 @@ def test_f_divergence_rows_matches_per_row_formulas(seed, m, n, which):
             assert value == math.inf, (spec, row, q)
         else:
             assert value == pytest.approx(want, rel=1e-9, abs=1e-12), (spec, row, q)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 4), st.integers(2, 6),
+       st.sampled_from(range(len(ROW_REFERENCES))))
+def test_f_divergence_rows_against_a_stack_of_laws(seed, m, n, which):
+    spec, ref = ROW_REFERENCES[which]
+    rng = np.random.default_rng(seed)
+    P, Q = _stack_with_zeros(rng, m, n), _stack_with_zeros(rng, m, n)
+    got = f_divergence_rows(spec, P, Q)
+    assert got.shape == (m,)
+    for row, q, value in zip(P, Q, got):
+        want = ref(row, q)
+        if math.isinf(want):
+            assert value == math.inf, (spec, row, q)
+        else:
+            assert value == pytest.approx(want, rel=1e-9, abs=1e-12), (spec, row, q)
+
+
+@pytest.mark.parametrize("shapes", [((2, 3), (4,)), ((2, 3), (3, 3)), ((3,), (3,)),
+                                    ((2, 3), (2, 4))])
+def test_f_divergence_rows_rejects_mismatched_shapes(shapes):
+    P, q = (np.full(shape, 1.0 / shape[-1]) for shape in shapes)
+    with pytest.raises(DimensionMismatch):
+        f_divergence_rows(DivergenceSpec("KL"), P, q)
+
+
+def test_gv_kernel_takes_a_column_of_skews():
+    from divrel.divergences import _gv
+
+    p, q = random_pair(np.random.default_rng(8), 5)
+    skews = np.array([0.0, 0.3, 1.0, 0.7])
+    got = _gv(p.p[None, :], q.p, skews[:, None])
+    assert got == pytest.approx([gyorfi_vajda(s, p, q) for s in skews], rel=1e-14)

@@ -19,7 +19,7 @@ from divrel import (
     polylog_f,
 )
 from divrel.divergences import generic_f_divergence
-from divrel.errors import DomainError, UnalignedSupports
+from divrel.errors import DivrelError, DomainError, UnalignedSupports
 from divrel.identities import IdentityReport, integrate
 
 from conftest import random_pair
@@ -50,6 +50,20 @@ def test_report_comparison_tolerances():
 def test_quadrature_config_validation():
     with pytest.raises(DomainError):
         QuadratureConfig(rel_tol=0.0)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"rel_tol": math.nan}, {"rel_tol": math.inf}, {"abs_tol": math.nan},
+    {"abs_tol": math.inf}, {"abs_tol": -1e-12}, {"max_depth": 2.5}, {"max_depth": True},
+    {"max_depth": 0}, {"max_depth": "3"},
+])
+def test_quadrature_config_rejects_non_finite_tolerances_and_non_integer_depth(kwargs):
+    with pytest.raises(DomainError):
+        QuadratureConfig(**kwargs)
+
+
+def test_quadrature_config_accepts_numpy_integer_depth():
+    assert QuadratureConfig(max_depth=np.int64(7)).max_depth == 7
 
 
 def test_kl_chi2_identity_reference_pair():
@@ -88,6 +102,61 @@ def test_polylog_kernel_domain():
         polylog_f(2, 0.0)
     with pytest.raises(DomainError):
         polylog_f(-1, 0.5)
+
+
+@pytest.mark.parametrize("k, x", [
+    (2.5, 3.0), (0.5, 0.5), (True, 0.5), (False, 0.5), (math.nan, 0.5), (math.inf, 0.5),
+    (2, math.inf), (2, math.nan), (3, [0.5, math.inf]), (0, math.inf), (1, math.nan),
+])
+def test_polylog_kernel_rejects_bad_order_and_non_finite_x(k, x):
+    with pytest.raises(DivrelError):
+        polylog_f(k, x)
+
+
+def test_polylog_kernel_accepts_integral_orders_of_any_type():
+    assert polylog_f(2.0, 4.0) == polylog_f(2, 4.0) == polylog_f(np.int64(2), 4.0)
+
+
+def _mp_polylog_kernel(k, x):
+    """Li_k(1 - x) from mpmath, with 1 - x formed exactly."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        return float(mpmath.polylog(k, 1 - mpmath.mpf(x)))
+
+
+def _assert_matches_mpmath(k, xs, rel=1e-13):
+    got = polylog_f(k, np.asarray(xs, dtype=float))
+    for x, value in zip(xs, np.atleast_1d(got)):
+        want = _mp_polylog_kernel(k, x)
+        assert abs(value - want) <= rel * abs(want), (k, x, value, want)
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_polylog_kernel_matches_mpmath_on_a_log_grid(k):
+    # every region of the closed form: ln-expansion (x < 1/2), series
+    # (1/2 <= x <= 3/2), duplication (3/2 < x <= 2) and inversion (x > 2)
+    xs = np.concatenate([np.logspace(-12, 6, 181), [0.5, 1.0, 1.5, 2.0, 2.5, 3.0]])
+    _assert_matches_mpmath(k, xs)
+
+
+@pytest.mark.parametrize("k", [28, 29, 64, 200])
+def test_polylog_kernel_high_orders(k):
+    # orders past the 28 terms of the ln-expansion, and past 170, where k!
+    # is no longer a float
+    _assert_matches_mpmath(k, [1e-6, 0.3, 0.9, 1.7, 2.0, 2.5, 1e3, 1e6])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 6), st.floats(1e-12, 1e6))
+def test_polylog_kernel_matches_mpmath_random(k, x):
+    _assert_matches_mpmath(k, [x])
+
+
+def test_polylog_kernel_near_x_zero():
+    # a power series stopped once its term falls below 1e-14 misses
+    # Li_2(1 - 1e-6) by 3.7e-9 relative, since its tail is term/(1 - y)
+    assert polylog_f(2, 1e-6) == pytest.approx(_mp_polylog_kernel(2, 1e-6), rel=1e-13, abs=0)
 
 
 def test_f_k_divergence_low_orders_collapse():

@@ -1,5 +1,6 @@
-"""Import cost: ``import divrel`` loads numpy and no scipy, and each CLI
-subcommand loads only the scipy module it calls.
+"""Import cost: ``import divrel`` loads numpy and no scipy, each CLI
+subcommand loads only the scipy module it calls, and no code of divrel
+uses scipy.integrate.
 
 Every case runs in a fresh interpreter, since the test process itself has
 scipy loaded already.
@@ -24,7 +25,7 @@ def scipy_modules():
 workdir = pathlib.Path(sys.argv[1])
 (workdir / "p.json").write_text(json.dumps({"support": [0, 1], "mass": [0.4, 0.6]}))
 (workdir / "q.json").write_text(json.dumps({"support": [0, 1], "mass": [0.7, 0.3]}))
-(workdir / "u.json").write_text(json.dumps({"support": [0, 1], "mass": [0.5, 0.5]}))
+(workdir / "v.json").write_text(json.dumps({"support": [0, 1], "mass": [0.9, 0.1]}))
 (workdir / "w.json").write_text(json.dumps({"rows": [[0.9, 0.1], [0.2, 0.8]]}))
 import divrel
 steps = [scipy_modules()]
@@ -55,19 +56,22 @@ NUMPY_ONLY = [
     ["set-divergence", "--spec", "kl", "--mu", "{d}/p.json", "--indices", "0"],
     ["inequalities", "--trials", "5"],
     ["mixing", "--chain", "{d}/w.json", "--p0", "{d}/p.json", "--n-max", "3"],
+    ["identity-check", "--which", "kl-chi2", "--p", "{d}/p.json", "--q", "{d}/q.json"],
 ]
 
 # each call runs after the ones above it in the same interpreter, so its step
-# shows the scipy modules it adds; the polylog pair keeps every likelihood ratio below 2, where Li_2 is a
-# series (at larger ratios it is a quadrature and loads scipy.integrate)
+# shows the scipy modules it adds; the polylog kernels see the likelihood
+# ratios 0.6/0.3 = 2 (Li_k at -1) and 0.6/0.1 = 6 (the inversion formula)
 WITH_SCIPY = [
-    ["divergence", "--spec", "polylog:2", "--p", "{d}/p.json", "--q", "{d}/u.json"],
+    ["divergence", "--spec", "polylog:2", "--p", "{d}/p.json", "--q", "{d}/q.json"],
+    ["divergence", "--spec", "polylog:3", "--p", "{d}/p.json", "--q", "{d}/v.json"],
+    ["redundancy", "--lambdas", "2", "3"],
+    ["identity-check", "--which", "recursive", "--k", "2", "--p", "{d}/p.json",
+     "--q", "{d}/q.json"],
     ["sample-size", "--mq", "40", "--varq", "20", "--mean-box", "43", "47",
      "--var-box", "18", "22", "--alphabet", "2", "--epsilon", "1e-10"],
     ["contraction", "--channel", "{d}/w.json", "--input-law", "{d}/p.json",
      "--brute-budget", "20"],
-    ["identity-check", "--which", "kl-chi2", "--p", "{d}/p.json", "--q", "{d}/q.json"],
-    ["redundancy", "--lambdas", "2", "3"],
 ]
 
 
@@ -78,14 +82,20 @@ def test_import_and_numpy_only_subcommands_load_no_scipy(tmp_path):
 def test_subcommands_load_only_the_scipy_they_call(tmp_path):
     steps = loaded_after(tmp_path, WITH_SCIPY)
     assert steps[1] == set()
-    polylog, sample_size, contraction, identity, _ = steps[2:]
+    polylog, inversion, redundancy, recursive, sample_size, contraction = steps[2:]
     assert "scipy.special" in polylog
     assert not {"scipy.optimize", "scipy.integrate"} & polylog
+    # the later calls add nothing to scipy.special
+    assert inversion == redundancy == recursive == polylog
     assert "scipy.optimize" in sample_size
     assert "scipy.integrate" not in contraction
-    assert "scipy.integrate" in identity
     for loaded in steps:
-        # scipy.optimize and scipy.integrate import scipy.sparse themselves;
-        # divrel uses neither scipy.stats nor the csgraph routines
+        # scipy.optimize imports scipy.sparse itself; divrel uses neither
+        # scipy.stats nor the csgraph routines
         assert "scipy.stats" not in loaded
         assert "scipy.sparse.csgraph" not in loaded
+
+
+def test_no_module_of_divrel_names_scipy_integrate():
+    for path in (SRC / "divrel").glob("*.py"):
+        assert "scipy.integrate" not in path.read_text(), path.name

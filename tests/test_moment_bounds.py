@@ -199,3 +199,44 @@ def test_bound_below_gaussian_kl(m_p, v_p, m_q, v_q):
     cert = kl_moment_lower_bound(mt)
     assert cert.bound_nats <= gaussian_kl(mt) + 1e-9
     assert cert.bound_nats <= exponential_kl(mt) + 1e-9
+
+
+def _mp_bound(m_p, v_p, m_q, v_q):
+    """d(r||s) from the closed forms at 50 digits."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        m_p, v_p, m_q, v_q = map(mpmath.mpf, (m_p, v_p, m_q, v_q))
+        a = m_p - m_q
+        b = a * a + v_q - v_p
+        v = mpmath.sqrt(v_p + b * b / (4 * a * a))
+        r = mpmath.mpf(1) / 2 + b / (4 * a * v)
+        s = r - a / (2 * v)
+        return float(r * mpmath.log(r / s) + (1 - r) * mpmath.log((1 - r) / (1 - s)))
+
+
+def test_attaining_pair_with_nearly_equal_means():
+    # r and s lie within 1e-9 of 1: 1 - s taken by subtraction puts the
+    # variance of Q off by 1.6e-7 and the bound off by 1.8e-7
+    mt = MomentTuple(3.338435283642567, 4.587542110086956, 3.338469074067107,
+                     1.7904199382549955)
+    cert = kl_moment_lower_bound(mt)
+    assert cert.bound_nats == pytest.approx(_mp_bound(*vars(mt).values()), rel=1e-12)
+    p, q = attaining_pair(mt)
+    for dist, (mean, var) in ((p, (mt.m_p, mt.var_p)), (q, (mt.m_q, mt.var_q))):
+        assert moments(dist) == pytest.approx((mean, var), rel=1e-12)
+    assert kl(p, q) == pytest.approx(cert.bound_nats, rel=1e-8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-20, 20), st.floats(0.01, 30), st.floats(-9, 0), st.booleans(),
+       st.floats(0.01, 30))
+def test_bound_keeps_its_digits_as_the_means_meet(m_p, v_p, log_gap, below, v_q):
+    m_q = m_p + (-1 if below else 1) * 10.0 ** log_gap
+    if m_q == m_p:
+        return
+    mt = MomentTuple(m_p, v_p, m_q, v_q)
+    assert kl_moment_lower_bound(mt).bound_nats == pytest.approx(
+        _mp_bound(m_p, v_p, m_q, v_q), rel=1e-9)
+    p, q = attaining_pair(mt)
+    assert moments(q)[1] == pytest.approx(v_q, rel=1e-9)
