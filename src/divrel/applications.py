@@ -16,9 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import DiscreteDistribution, _on_union_support, make_distribution
-from .divergences import DivergenceSpec, entropy, f_divergence_rows
+from .divergences import DivergenceSpec, f_divergence_rows
 from .errors import DomainError, MaxDepthExceeded, PreconditionViolated, QuadratureFailure
 from .identities import QuadratureConfig, integrate
+from .inequalities import _mixture_kl_bound
 from .moment_bounds import MomentTuple, kl_moment_lower_bound, moment_bound_arrays
 
 LN2 = math.log(2.0)
@@ -142,26 +143,6 @@ def poisson_entropy(lam):
     return out if out.ndim else float(out)
 
 
-def poisson_entropy_direct(lam: float, tail_tol: float = 1e-15) -> float:
-    """Entropy of the truncated pmf, in nats; oracle for poisson_entropy."""
-    dist, _ = poisson_pmf(lam, tail_tol)
-    return entropy(dist)
-
-
-def _pairwise_kl_to_mixture_bound(i: int, pf: PoissonFamily) -> tuple[float, float]:
-    """(mixture-KL upper bound, convexity bound) in nats for source i."""
-    ai = pf.weights[i]
-    cross = sum(
-        pf.weights[j] * poisson_kl(pf.lambdas[i], pf.lambdas[j])
-        for j in range(len(pf.lambdas))
-        if j != i
-    )
-    if ai >= 1.0:
-        return 0.0, 0.0
-    tight = -math.log(ai + (1.0 - ai) * math.exp(-cross / (1.0 - ai)))
-    return tight, cross
-
-
 def redundancy_report(pf: PoissonFamily, tail_tol: float = 1e-15) -> dict:
     """Redundancy bounds for a Shannon code built on the Poisson mixture.
 
@@ -171,22 +152,15 @@ def redundancy_report(pf: PoissonFamily, tail_tol: float = 1e-15) -> dict:
     The fractional-penalty bounds divide through the average source
     entropy per the mismatched-code sandwich.
     """
-    m = len(pf.lambdas)
-    per_source = []
-    sum_tight = 0.0
-    sum_convex = 0.0
-    for i in range(m):
-        tight, convex = _pairwise_kl_to_mixture_bound(i, pf)
-        per_source.append(
-            {
-                "lam": pf.lambdas[i],
-                "weight": pf.weights[i],
-                "kl_upper_bits": tight / LN2,
-                "convexity_bits": convex / LN2,
-            }
-        )
-        sum_tight += pf.weights[i] * tight
-        sum_convex += pf.weights[i] * convex
+    # the bounds from the closed-form KL matrix of the family
+    bounds = [_mixture_kl_bound(i, pf.weights, [poisson_kl(lam, other) for other in pf.lambdas])
+              for i, lam in enumerate(pf.lambdas)]
+    per_source = [
+        {"lam": lam, "weight": w, "kl_upper_bits": tight / LN2, "convexity_bits": convex / LN2}
+        for lam, w, (tight, convex) in zip(pf.lambdas, pf.weights, bounds)
+    ]
+    sum_tight = sum(w * tight for w, (tight, _) in zip(pf.weights, bounds))
+    sum_convex = sum(w * convex for w, (_, convex) in zip(pf.weights, bounds))
 
     _, stack = _on_union_support([poisson_pmf(lam, tail_tol)[0] for lam in pf.lambdas])
     weights = np.asarray(pf.weights, dtype=float)

@@ -98,41 +98,6 @@ def maximal_correlation(sc: SourceChannelPair) -> float:
     return math.sqrt(chi2_contraction(sc))
 
 
-def maximal_correlation_ace(
-    sc: SourceChannelPair, iters: int = 10_000, tol: float = 1e-14, seed: int = 0
-) -> float:
-    """Maximal correlation by alternating conditional expectations.
-
-    Direct optimization over centered unit-variance score functions;
-    independent of the spectral path, used to cross-validate it.
-    """
-    qx = sc.qx.p
-    joint = qx[:, None] * sc.w.matrix
-    qy = joint.sum(axis=0)
-    rng = np.random.default_rng(seed)
-    f = rng.standard_normal(len(qx))
-    prev = 0.0
-    for _ in range(iters):
-        f = f - np.dot(qx, f)
-        # g(y) proportional to E[f(X) | Y=y]
-        g = (joint * f[:, None]).sum(axis=0) / qy
-        g = g - np.dot(qy, g)
-        var_g = np.dot(qy, g * g)
-        if var_g <= 0:
-            return 0.0
-        g /= math.sqrt(var_g)
-        f = (joint * g[None, :]).sum(axis=1) / qx
-        var_f = np.dot(qx, f * f)
-        if var_f <= 0:
-            return 0.0
-        f /= math.sqrt(var_f)
-        corr = float(np.einsum("x,xy,y->", f, joint, g))
-        if abs(corr - prev) < tol:
-            break
-        prev = corr
-    return abs(corr)
-
-
 # below this input divergence the ratio loses enough float precision to
 # overshoot the true supremum, so such candidates are rejected
 _RATIO_FLOOR = 1e-6
@@ -218,6 +183,10 @@ def brute_force_mu_f(
     validate_mass(line)
     candidates = np.append(ratios(line), [lower, refined])
     point = float(np.max(candidates, where=np.isfinite(candidates), initial=-math.inf))
+    if point == -math.inf:  # e.g. SKEW_K at alpha = 0, which vanishes identically
+        raise PreconditionViolated(
+            f"no candidate has a finite ratio and an input divergence above {_RATIO_FLOOR}"
+        )
     return ContractionEstimate(lower=lower, upper=math.inf, point_estimate=point)
 
 

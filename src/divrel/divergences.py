@@ -32,44 +32,24 @@ class DivergenceSpec:
 
     tag: KL | CHI2 | TV | RENYI | GV | SKEW_K | SKEW_S | JS | POLYLOG_F
     param: order alpha for RENYI, skew s/alpha for GV/SKEW_*, integer k
-    for POLYLOG_F; ignored otherwise.
+    for POLYLOG_F; None for the others (domains in ``_REGISTRY``).
     """
 
     tag: str
     param: float | None = None
 
     def __post_init__(self):
-        if self.tag not in _KERNELS:
-            raise DomainError(f"unknown divergence tag {self.tag!r}")
-        p = self.param
-        if self.tag == "RENYI" and not (p is not None and p >= 0):
-            raise DomainError("RENYI requires alpha in [0, inf]")
-        if self.tag == "GV" and not (p is not None and 0 <= p <= 1):
-            raise DomainError("GV requires s in [0, 1]")
-        if self.tag == "SKEW_K" and not (p is not None and 0 < p <= 1):
-            raise DomainError("SKEW_K requires alpha in (0, 1]")
-        if self.tag == "SKEW_S" and not (p is not None and 0 <= p <= 1):
-            raise DomainError("SKEW_S requires alpha in [0, 1]")
-        if self.tag == "POLYLOG_F" and not (
-            p is not None and p >= 0 and float(p).is_integer()
-        ):
-            raise DomainError("POLYLOG_F requires integer k >= 0")
+        _check_param(self.tag, self.param)
 
     @classmethod
     def parse(cls, text: str) -> "DivergenceSpec":
         """Parse CLI-style specs like 'kl', 'renyi:2', 'gv:0.5', 'polylog:2'."""
         name, _, arg = text.partition(":")
         name = name.strip().lower()
-        table = {
-            "kl": "KL", "chi2": "CHI2", "tv": "TV", "renyi": "RENYI",
-            "gv": "GV", "skew_k": "SKEW_K", "skew_s": "SKEW_S", "js": "JS",
-            "polylog": "POLYLOG_F", "polylog_f": "POLYLOG_F",
-        }
-        if name not in table:
+        tag = _NAMES.get(name)
+        if tag is None:
             raise DomainError(f"unknown divergence name {name!r}")
-        tag = table[name]
-        param = float(arg) if arg else None
-        return cls(tag, param)
+        return cls(tag, float(arg) if arg else None)
 
 
 def _aligned(p: DiscreteDistribution, q: DiscreteDistribution):
@@ -259,14 +239,13 @@ def _polylog_li(k: int, x: np.ndarray) -> np.ndarray:
 
 
 def polylog_f(k: int, x):
-    """Convex kernel Li_k(1-x) of integer order k >= 0 at finite x > 0;
+    """Convex kernel Li_k(1-x) of integer order k in [0, 1000] at finite x > 0;
     vanishes at x = 1 for every k.
 
     Elementwise over an array x (a float for a scalar x). Orders 0 and 1
     are closed forms, higher orders the array Li_k of ``_polylog_li``.
     """
-    if isinstance(k, bool) or not float(k).is_integer() or k < 0:
-        raise DomainError(f"polylog order must be an integer >= 0, got {k!r}")
+    _check_param("POLYLOG_F", k)
     x = np.asarray(x, dtype=float)
     if not np.isfinite(x).all():
         raise NonFinite(f"polylog kernel needs finite x, got {x}")
@@ -294,10 +273,41 @@ def _generic(a, b, f, f_at_zero, slope_at_inf):
     return terms.sum(axis=-1)
 
 
-_KERNELS = {
-    "KL": _kl, "CHI2": _chi2, "TV": _tv, "RENYI": _renyi, "GV": _gv,
-    "SKEW_K": _skew_k, "SKEW_S": _skew_s, "JS": _js, "POLYLOG_F": _polylog,
+def _unit(x) -> bool:
+    return 0.0 <= x <= 1.0
+
+
+# One entry per tag: its row kernel, and the domain of its parameter as a
+# predicate (None: the tag takes no parameter) and as text for the error.
+_REGISTRY = {
+    "KL": (_kl, None, ""),
+    "CHI2": (_chi2, None, ""),
+    "TV": (_tv, None, ""),
+    "RENYI": (_renyi, lambda alpha: alpha >= 0, "an order alpha in [0, inf]"),
+    "GV": (_gv, _unit, "a skew s in [0, 1]"),
+    "SKEW_K": (_skew_k, _unit, "a skew alpha in [0, 1]"),
+    "SKEW_S": (_skew_s, _unit, "a skew alpha in [0, 1]"),
+    "JS": (_js, None, ""),
+    # the coefficient tables of Li_k grow linearly in k
+    "POLYLOG_F": (_polylog, lambda k: not isinstance(k, bool) and float(k).is_integer()
+                  and 0 <= k <= 1000, "an integer order k in [0, 1000]"),
 }
+# CLI names: the lower-case tag, and 'polylog' for POLYLOG_F
+_NAMES = {tag.lower(): tag for tag in _REGISTRY} | {"polylog": "POLYLOG_F"}
+
+
+def _check_param(tag: str, param) -> Callable:
+    """The row kernel of tag; raises DomainError unless param lies in the
+    domain of its parameter."""
+    if tag not in _REGISTRY:
+        raise DomainError(f"unknown divergence tag {tag!r}")
+    rows, domain, needs = _REGISTRY[tag]
+    if domain is None:
+        if param is not None:
+            raise DomainError(f"{tag} takes no parameter, got {param!r}")
+    elif param is None or not domain(param):
+        raise DomainError(f"{tag} requires {needs}, got {param!r}")
+    return rows
 
 
 def f_divergence_rows(spec: DivergenceSpec, P, q) -> np.ndarray:
@@ -315,12 +325,7 @@ def f_divergence_rows(spec: DivergenceSpec, P, q) -> np.ndarray:
             f"need an (m, n) stack and an n-atom law or (m, n) stack, "
             f"got {P.shape} and {q.shape}"
         )
-    return _KERNELS[spec.tag](P, q, spec.param)
-
-
-def _divergence(spec: DivergenceSpec, a: np.ndarray, b: np.ndarray) -> float:
-    """The divergence selected by spec of the mass vector a from b."""
-    return float(f_divergence_rows(spec, a[None, :], b)[0])
+    return _REGISTRY[spec.tag][0](P, q, spec.param)
 
 
 def _one_row(kernel, p: DiscreteDistribution, q: DiscreteDistribution, *args) -> float:
@@ -332,7 +337,7 @@ def f_divergence(
     spec: DivergenceSpec, p: DiscreteDistribution, q: DiscreteDistribution
 ) -> float:
     """Evaluate the divergence selected by spec; result in nats (or +inf)."""
-    return _one_row(_KERNELS[spec.tag], p, q, spec.param)
+    return _one_row(_REGISTRY[spec.tag][0], p, q, spec.param)
 
 
 def generic_f_divergence(
@@ -367,34 +372,28 @@ def total_variation(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
     return _one_row(_tv, p, q)
 
 
+def _parametric(tag: str, param, p: DiscreteDistribution, q: DiscreteDistribution) -> float:
+    return _one_row(_check_param(tag, param), p, q, param)
+
+
 def renyi(alpha: float, p: DiscreteDistribution, q: DiscreteDistribution) -> float:
     """Renyi divergence of order alpha in [0, inf], with continuous extensions."""
-    if not alpha >= 0:
-        raise DomainError(f"Renyi order must be >= 0, got {alpha}")
-    return _one_row(_renyi, p, q, alpha)
-
-
-def _check_skew(s: float) -> None:
-    if not 0.0 <= s <= 1.0:
-        raise DomainError(f"skew parameter must lie in [0,1], got {s}")
+    return _parametric("RENYI", alpha, p, q)
 
 
 def gyorfi_vajda(s: float, p: DiscreteDistribution, q: DiscreteDistribution) -> float:
     """Divergence with kernel (t-1)^2 / (s + (1-s)t); scaled chi^2 vs the s-mixture."""
-    _check_skew(s)
-    return _one_row(_gv, p, q, s)
+    return _parametric("GV", s, p, q)
 
 
 def skew_k(alpha: float, p: DiscreteDistribution, q: DiscreteDistribution) -> float:
     """K_alpha(P||Q) = D(P || (1-alpha)P + alpha*Q); K_0 = 0 by continuity."""
-    _check_skew(alpha)
-    return _one_row(_skew_k, p, q, alpha)
+    return _parametric("SKEW_K", alpha, p, q)
 
 
 def skew_s(alpha: float, p: DiscreteDistribution, q: DiscreteDistribution) -> float:
     """S_alpha(P||Q) = alpha*K_alpha(P||Q) + (1-alpha)*K_{1-alpha}(Q||P)."""
-    _check_skew(alpha)
-    return _one_row(_skew_s, p, q, alpha)
+    return _parametric("SKEW_S", alpha, p, q)
 
 
 def jensen_shannon(p: DiscreteDistribution, q: DiscreteDistribution) -> float:

@@ -11,6 +11,7 @@ kernel call.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -71,9 +72,13 @@ class IdentityReport:
     def compare(cls, name: str, lhs: float, rhs: float,
                 abs_tol: float = CHECK_ABS_TOL,
                 rel_tol: float = CHECK_REL_TOL) -> "IdentityReport":
-        abs_err = abs(lhs - rhs)
-        scale = max(abs(lhs), abs(rhs))
-        rel_err = abs_err / scale if scale > 0 else 0.0
+        if lhs == rhs:  # equal infinities included
+            abs_err = rel_err = 0.0
+        else:
+            abs_err = abs(lhs - rhs)
+            scale = max(abs(lhs), abs(rhs))
+            # a finite side against an infinite one: the limit of the ratio is 1
+            rel_err = 1.0 if math.isinf(scale) else abs_err / scale
         return cls(name, lhs, rhs, abs_err, rel_err,
                    abs_err <= abs_tol or rel_err <= rel_tol)
 

@@ -15,8 +15,8 @@ from typing import Sequence
 import numpy as np
 
 from .distributions import DiscreteDistribution, _on_union_support, align
-from .divergences import DivergenceSpec, _divergence, chi_squared, entropy
-from .divergences import f_divergence_rows, kl, skew_k, total_variation
+from .divergences import DivergenceSpec, chi_squared, entropy, f_divergence_rows
+from .divergences import gyorfi_vajda, kl, skew_k, total_variation
 from .errors import DomainError, EmptySet, PreconditionViolated, ZeroProbabilitySet
 
 GRACE = 1e-10
@@ -66,8 +66,6 @@ def gv_lower_bound(
     """D(P||Q) >= (1-theta) ln(1/(1-theta)) * D_{phi_theta}(P||Q)."""
     if not 0.0 < theta < 1.0:
         raise DomainError(f"theta must lie in (0,1), got {theta}")
-    from .divergences import gyorfi_vajda
-
     lhs = (1.0 - theta) * math.log(1.0 / (1.0 - theta)) * gyorfi_vajda(theta, p, q)
     return InequalityReport("gv_lower", lhs, kl(p, q))
 
@@ -80,15 +78,19 @@ def half_chi2_plus_quarter_tv(
     return InequalityReport("half_chi2_quarter_tv", kl(p, q), rhs)
 
 
+def _skew_kl_bound(lam: float, d: float) -> float:
+    """-ln(1 - lam + lam exp(-d)), the bound on K_lam(P||Q) from d = D(P||Q)."""
+    if not 0.0 <= lam <= 1.0:
+        raise DomainError(f"lambda must lie in [0,1], got {lam}")
+    inner = (1.0 - lam) + lam * (0.0 if math.isinf(d) else math.exp(-d))
+    return math.inf if inner == 0.0 else -math.log(inner)
+
+
 def skew_kl_upper(
     p: DiscreteDistribution, q: DiscreteDistribution, lam: float
 ) -> InequalityReport:
     """K_lam(P||Q) <= -ln(1 - lam + lam exp(-D(P||Q))); equality at lam in {0,1}."""
-    if not 0.0 <= lam <= 1.0:
-        raise DomainError(f"lambda must lie in [0,1], got {lam}")
-    d = kl(p, q)
-    inner = (1.0 - lam) + lam * (0.0 if math.isinf(d) else math.exp(-d))
-    rhs = math.inf if inner == 0.0 else -math.log(inner)
+    rhs = _skew_kl_bound(lam, kl(p, q))
     return InequalityReport("skew_kl_upper", skew_k(lam, p, q), rhs)
 
 
@@ -97,9 +99,7 @@ def skew_kl_convexity_comparison(
 ) -> InequalityReport:
     """The mixture-based bound dominates the convexity bound lam * D(P||Q)."""
     d = kl(p, q)
-    inner = (1.0 - lam) + lam * (0.0 if math.isinf(d) else math.exp(-d))
-    tighter = math.inf if inner == 0.0 else -math.log(inner)
-    return InequalityReport("skew_kl_vs_convexity", tighter, lam * d)
+    return InequalityReport("skew_kl_vs_convexity", _skew_kl_bound(lam, d), lam * d)
 
 
 def derivative_checks(
@@ -156,16 +156,25 @@ def mixture_of(dists, weights) -> DiscreteDistribution:
     return DiscreteDistribution(support, w @ stack)
 
 
-def _mixture_kl_rhs(i: int, w: np.ndarray, stack: np.ndarray) -> float:
-    """-ln(a_i + (1-a_i) exp(-avg pairwise KL from P_i)) for the laws of
-    the (k, n) stack."""
-    ai = w[i]
-    if ai == 1.0:
-        return 0.0
-    cross = sum(w[j] * _divergence(_KL, stack[i], stack[j]) for j in range(len(w)) if j != i)
-    if math.isinf(cross):
-        return -math.log(ai)
-    return -math.log(ai + (1.0 - ai) * math.exp(-cross / (1.0 - ai)))
+def _mixture_kl_bound(i: int, w, d) -> tuple[float, float]:
+    """(-ln(a + (1-a) exp(-c/(1-a))), c) for source i of a mixture with
+    weights w, where a = w[i], d[j] = D(P_i||P_j) and c = sum_{j != i}
+    w[j] d[j], the convexity bound; both bound D(P_i || mixture) above.
+    A component of weight 0 adds nothing to c."""
+    a = w[i]
+    c = sum(w[j] * d[j] for j in range(len(w)) if j != i and w[j] > 0)
+    if a >= 1.0:
+        return 0.0, c
+    if math.isinf(c):
+        return (math.inf if a == 0.0 else -math.log(a)), c
+    return -math.log(a + (1.0 - a) * math.exp(-c / (1.0 - a))), c
+
+
+def _kl_table(rows: np.ndarray, laws: np.ndarray) -> np.ndarray:
+    """D(rows[r] || laws[c]) as an (r, c) array, scored in one kernel call."""
+    r, c = len(rows), len(laws)
+    table = f_divergence_rows(_KL, np.repeat(rows, c, axis=0), np.tile(laws, (r, 1)))
+    return table.reshape(r, c)
 
 
 def mixture_kl_upper(
@@ -174,8 +183,9 @@ def mixture_kl_upper(
     """D(P_i || mixture) <= -ln(a_i + (1-a_i) exp(-avg pairwise KL from P_i))."""
     w = _validated_weights(dists, weights)
     _, stack = _on_union_support(dists)
-    lhs = _divergence(_KL, stack[i], w @ stack)
-    return InequalityReport("mixture_kl_upper", lhs, _mixture_kl_rhs(i, w, stack))
+    table = _kl_table(stack[i:i + 1], np.vstack([w @ stack, stack]))[0]
+    return InequalityReport("mixture_kl_upper", float(table[0]),
+                            _mixture_kl_bound(i, w, table[1:])[0])
 
 
 def concavity_deficit_bounds(dists, weights) -> dict:
@@ -184,6 +194,7 @@ def concavity_deficit_bounds(dists, weights) -> dict:
     deficit = H(mixture) - sum_j a_j H(P_j), identically equal to
     sum_i a_i D(P_i || mixture). Sharp upper: weighted sum of the
     per-source mixture-KL bounds; classic upper: the weight entropy H(a).
+    Components of weight 0 are left out of every sum.
     """
     w = _validated_weights(dists, weights)
     support, stack = _on_union_support(dists)
@@ -191,8 +202,10 @@ def concavity_deficit_bounds(dists, weights) -> dict:
     deficit_entropy = entropy(mix) - float(
         sum(wi * entropy(d) for wi, d in zip(w, dists))
     )
-    deficit_kl = float(w @ f_divergence_rows(_KL, stack, mix.p))
-    upper = float(sum(_mixture_kl_rhs(i, w, stack) * w[i] for i in range(len(w))))
+    used = np.flatnonzero(w > 0)
+    table = _kl_table(stack, np.vstack([mix.p, stack]))
+    deficit_kl = float(w[used] @ table[used, 0])
+    upper = float(sum(_mixture_kl_bound(i, w, table[i, 1:])[0] * w[i] for i in used))
     classic = float(-sum(wi * math.log(wi) for wi in w if wi > 0))
     return {
         "deficit_entropy_form": deficit_entropy,
@@ -203,22 +216,17 @@ def concavity_deficit_bounds(dists, weights) -> dict:
     }
 
 
-_KERNELS = {
-    # f, f(0), dual kernel t*f(1/t) evaluated at t
-    "KL": (lambda t: t * math.log(t), 0.0, lambda t: -math.log(t)),
-    "CHI2": (lambda t: (t - 1.0) ** 2, 1.0, lambda t: (1.0 - t) ** 2 / t),
-    "TV": (lambda t: abs(t - 1.0), 1.0, lambda t: abs(1.0 - t)),
-}
-
-
 def conditioned_measure_divergence(
     spec: DivergenceSpec, mu: DiscreteDistribution, c_indices: Sequence[int]
 ) -> tuple[float, float]:
     """Divergence from the conditioned measure mu_C to mu, two ways.
 
     Returns (direct, closed_form): the direct f-divergence evaluation and
-    the closed form t*f(1/t) at t = mu(C) plus (1 - mu(C)) f(0). For the
-    Renyi family the value is ln(1/mu(C)) for every order.
+    the closed form t*f(1/t) + (1 - t) f(0) at t = mu(C). Under mu_C the
+    likelihood ratio is 1/t on C and 0 off it, so the closed form is the
+    divergence of the two-atom law (1, 0) from (t, 1 - t), for every tag;
+    for the Renyi family it is ln(1/t) at every order. Both rows are scored
+    in one kernel call, on n + 1 atoms with zero columns as padding.
     """
     idx = np.unique(np.asarray(c_indices, dtype=int))
     if idx.size == 0:
@@ -228,13 +236,10 @@ def conditioned_measure_divergence(
     mass_c = float(mu.mass[idx].sum())
     if mass_c <= 0.0:
         raise ZeroProbabilitySet("conditioning set has zero probability")
-    cond_mass = np.zeros(len(mu))
-    cond_mass[idx] = mu.mass[idx] / mass_c
-    direct = _divergence(spec, cond_mass, mu.mass)
-    if spec.tag == "RENYI":
-        return direct, math.log(1.0 / mass_c)
-    if spec.tag not in _KERNELS:
-        raise DomainError(f"no finite-f(0) kernel registered for tag {spec.tag}")
-    _, f0, dual = _KERNELS[spec.tag]
-    closed = dual(mass_c) + (1.0 - mass_c) * f0
-    return direct, closed
+    # rows mu_C and (1, 0), scored against mu and (mass_c, 1 - mass_c)
+    stack = np.zeros((4, len(mu) + 1))
+    stack[0, idx] = mu.mass[idx] / mass_c
+    stack[1, 0] = 1.0
+    stack[2, :-1] = mu.mass
+    stack[3, :2] = mass_c, 1.0 - mass_c
+    return tuple(f_divergence_rows(spec, stack[:2], stack[2:]).tolist())

@@ -18,9 +18,10 @@ from divrel import (
     redundancy_report,
     sanov_bound,
 )
-from divrel.applications import poisson_entropy_direct
 from divrel.errors import DomainError, PreconditionViolated
 from divrel.moment_bounds import MomentTuple, moment_bound_arrays
+
+from oracles import poisson_entropy_direct
 
 TCP = TypeClassProblem(
     m_q=40, var_q=20, mean_box=(43, 47), var_box=(18, 22),

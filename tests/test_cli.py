@@ -275,3 +275,40 @@ def test_redundancy_non_finite_rate_exits_1(capsys, rate):
     code = main(["redundancy", "--lambdas", rate, "20"])
     assert code == 1
     assert capsys.readouterr().err.startswith("invalid input:")
+
+
+def test_identity_check_infinite_sides_json(tmp_path, capsys):
+    # chi^2(P||Q) = inf when Q lacks an atom of P; equal infinities agree exactly
+    p = write_dist(tmp_path, "p.json", [0, 1], [0.5, 0.5])
+    q = write_dist(tmp_path, "q.json", [0, 1], [1.0, 0.0])
+    code, rep = run_json(
+        capsys, ["identity-check", "--which", "chi2-half", "--p", p, "--q", q],
+    )
+    assert code == 0
+    s = rep["scalars"]
+    assert s["lhs"] == s["rhs"] == "inf"
+    assert s["abs_err"] == 0.0 and s["rel_err"] == 0.0
+    assert s["passed"] is True
+
+
+@pytest.mark.parametrize("spec", [
+    "kl:3", "js:0.5", "polylog:1e9", "polylog:1001", "polylog:1.5", "renyi:-1",
+    "renyi", "gv:1.5", "skew_k:-0.1", "skew_s", "nonsense",
+])
+def test_rejected_specs_exit_1(tmp_path, capsys, spec):
+    p = write_dist(tmp_path, "p.json", [0, 1], [0.4, 0.6])
+    for argv in (["divergence", "--spec", spec, "--p", p, "--q", p],
+                 ["set-divergence", "--spec", spec, "--mu", p, "--indices", "0"]):
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("invalid input:")
+
+
+@pytest.mark.parametrize("spec", ["gv:0.3", "skew_k:0", "skew_s:0.25", "js", "polylog:3"])
+def test_set_divergence_every_tag(tmp_path, capsys, spec):
+    mu = write_dist(tmp_path, "mu.json", [0, 1, 2, 3], [0.1, 0.2, 0.3, 0.4])
+    code, rep = run_json(
+        capsys,
+        ["set-divergence", "--spec", spec, "--mu", mu, "--indices", "1", "3"],
+    )
+    assert code == 0
+    assert rep["scalars"]["direct"] == pytest.approx(rep["scalars"]["closed_form"], rel=1e-12)

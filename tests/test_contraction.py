@@ -28,7 +28,6 @@ from divrel.contraction import (
     check_skew_s_integral,
     chi2_contraction_power,
     g_alpha,
-    maximal_correlation_ace,
     skew_k_factor,
     skew_s_factor,
     stationary_distribution,
@@ -40,6 +39,8 @@ from divrel.errors import (
     NotReversible,
     PreconditionViolated,
 )
+
+from oracles import maximal_correlation_ace
 
 
 def bsc(eps):
@@ -346,6 +347,13 @@ def test_brute_force_one_input_rejected():
     with pytest.raises(PreconditionViolated):
         brute_force_mu_f(DivergenceSpec("KL"), sc, n_samples=10)
 
+
+
+def test_brute_force_rejects_a_divergence_that_vanishes_identically():
+    # K_0(P||Q) = 0 for every pair, so no candidate has a ratio
+    sc = SourceChannelPair(make_distribution([0, 1], [0.4, 0.6]), bsc(0.1))
+    with pytest.raises(PreconditionViolated):
+        brute_force_mu_f(DivergenceSpec("SKEW_K", 0.0), sc, n_samples=50)
 
 def test_brute_force_lower_is_max_of_explicit_ratios():
     # the batched search against one validated distribution per draw, scored

@@ -161,6 +161,38 @@ def test_spec_parse():
         DivergenceSpec("POLYLOG_F", 1.5)
 
 
+
+def test_spec_domains_come_from_the_registry():
+    # every parametric tag takes its endpoints, as its function does
+    assert DivergenceSpec("SKEW_K", 0.0).param == 0.0
+    assert f_divergence(DivergenceSpec("SKEW_K", 0.0), P, Q) == skew_k(0.0, P, Q) == 0.0
+    for tag in ("GV", "SKEW_K", "SKEW_S"):
+        for s in (0.0, 1.0):
+            DivergenceSpec(tag, s)
+        for s in (-0.1, 1.1, math.nan, None):
+            with pytest.raises(DomainError):
+                DivergenceSpec(tag, s)
+    DivergenceSpec("RENYI", math.inf)
+    DivergenceSpec("POLYLOG_F", 1000)
+    for k in (1001, 1e9, -1, math.inf):
+        with pytest.raises(DomainError):
+            DivergenceSpec("POLYLOG_F", k)
+    for tag in ("KL", "CHI2", "TV", "JS"):
+        with pytest.raises(DomainError):
+            DivergenceSpec(tag, 3.0)
+    assert DivergenceSpec.parse("polylog:2") == DivergenceSpec.parse("polylog_f:2")
+    assert DivergenceSpec.parse("skew_s:0.3") == DivergenceSpec("SKEW_S", 0.3)
+    with pytest.raises(DomainError):
+        DivergenceSpec.parse("kl:3")
+
+
+def test_parametric_functions_check_the_registry_domain():
+    for fn in (gyorfi_vajda, skew_k, skew_s):
+        with pytest.raises(DomainError):
+            fn(1.5, P, Q)
+    with pytest.raises(DomainError):
+        renyi(-1.0, P, Q)
+
 def test_f_divergence_dispatch():
     assert f_divergence(DivergenceSpec("KL"), P, Q) == kl(P, Q)
     assert f_divergence(DivergenceSpec("JS"), P, Q) == jensen_shannon(P, Q)

@@ -47,6 +47,22 @@ def test_report_comparison_tolerances():
     assert not r.passed
 
 
+
+def test_report_comparison_with_infinite_sides():
+    r = IdentityReport.compare("x", math.inf, math.inf)
+    assert (r.abs_err, r.rel_err, r.passed) == (0.0, 0.0, True)
+    for lhs, rhs in ((math.inf, 5.0), (5.0, math.inf)):
+        r = IdentityReport.compare("x", lhs, rhs)
+        assert (r.abs_err, r.rel_err, r.passed) == (math.inf, 1.0, False)
+
+
+def test_chi2_half_identity_infinite_sides():
+    p = make_distribution([0, 1], [0.5, 0.5])
+    q = make_distribution([0, 1], [1.0, 0.0])
+    r = check_chi2_half_identity(p, q)
+    assert r.lhs == r.rhs == math.inf
+    assert (r.abs_err, r.rel_err, r.passed) == (0.0, 0.0, True)
+
 def test_quadrature_config_validation():
     with pytest.raises(DomainError):
         QuadratureConfig(rel_tol=0.0)
@@ -146,6 +162,13 @@ def test_polylog_kernel_high_orders(k):
     # is no longer a float
     _assert_matches_mpmath(k, [1e-6, 0.3, 0.9, 1.7, 2.0, 2.5, 1e3, 1e6])
 
+
+
+def test_polylog_kernel_top_order():
+    # the largest order the registry admits; one past it is rejected
+    _assert_matches_mpmath(1000, [1e-6, 0.3, 0.9, 1.7, 2.0, 2.5, 1e3, 1e6])
+    with pytest.raises(DomainError):
+        polylog_f(1001, 0.5)
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(2, 6), st.floats(1e-12, 1e6))

@@ -96,6 +96,14 @@ def test_subcommands_load_only_the_scipy_they_call(tmp_path):
         assert "scipy.sparse.csgraph" not in loaded
 
 
+
+def test_set_divergence_polylog_loads_scipy_special_only(tmp_path):
+    # mu_C has likelihood ratio 1/0.4 = 2.5 on C: the inversion formula
+    steps = loaded_after(tmp_path, [["set-divergence", "--spec", "polylog:3",
+                                     "--mu", "{d}/p.json", "--indices", "0"]])
+    assert "scipy.special" in steps[-1]
+    assert not {"scipy.optimize", "scipy.integrate"} & steps[-1]
+
 def test_no_module_of_divrel_names_scipy_integrate():
     for path in (SRC / "divrel").glob("*.py"):
         assert "scipy.integrate" not in path.read_text(), path.name

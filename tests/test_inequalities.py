@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -91,6 +92,14 @@ def test_skew_upper_beats_convexity_bound():
         assert skew_kl_convexity_comparison(P, Q, lam).holds
 
 
+
+@pytest.mark.parametrize("lam", [1.5, -1.0])
+def test_skew_bounds_reject_lambda_outside_unit_interval(lam):
+    with pytest.raises(DomainError):
+        skew_kl_upper(P, Q, lam)
+    with pytest.raises(DomainError):
+        skew_kl_convexity_comparison(P, Q, lam)
+
 def test_derivative_checks_reference_pair():
     out = derivative_checks(P, Q)
     assert all(row["holds"] for row in out["grid"])
@@ -123,6 +132,37 @@ def test_mixture_kl_upper_dominates_truth():
         assert rep.holds
         assert rep.lhs == pytest.approx(kl(dists[i], mix), rel=1e-12)
 
+
+
+# a third component of weight 0 whose atom the other two lack
+ZERO_WEIGHT = (
+    [make_distribution([0, 1, 2], [0.5, 0.5, 0.0]),
+     make_distribution([0, 1, 2], [0.25, 0.75, 0.0]),
+     make_distribution([0, 1, 2], [0.0, 0.0, 1.0])],
+    [0.5, 0.5, 0.0],
+)
+
+
+def test_mixture_kl_upper_with_a_zero_weight_component():
+    dists, w = ZERO_WEIGHT
+    # the zero-weight law is off the mixture's support: both sides are +inf
+    rep = mixture_kl_upper(2, dists, w)
+    assert rep.lhs == rep.rhs == math.inf and rep.holds
+    # and it adds nothing to the average divergence from the others
+    rep = mixture_kl_upper(0, dists, w)
+    d = kl(dists[0], dists[1])
+    assert rep.rhs == pytest.approx(-math.log(0.5 + 0.5 * math.exp(-d)), rel=1e-14)
+    assert rep.holds
+
+
+def test_concavity_deficit_with_a_zero_weight_component():
+    dists, w = ZERO_WEIGHT
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = concavity_deficit_bounds(dists, w)
+    two = concavity_deficit_bounds(dists[:2], w[:2])
+    for key, value in two.items():
+        assert out[key] == pytest.approx(value, rel=1e-12, abs=1e-15), key
 
 def test_concavity_deficit_two_forms_agree():
     dists = [P, Q]
@@ -175,6 +215,72 @@ def test_conditioned_measure_chi2_meets_renyi2_link():
     )
     assert r2_closed == pytest.approx(math.log1p(chi2_closed), rel=1e-12)
 
+
+
+def _kl_f(u):
+    return u * math.log(u) if u > 0 else 0.0
+
+
+def _skew_k_f(alpha):
+    # K_alpha = sum p ln(p / ((1 - alpha) p + alpha q)) = sum q f(p/q)
+    return lambda u: u * math.log(u / ((1 - alpha) * u + alpha)) if u > 0 else 0.0
+
+
+def _skew_s_f(alpha):
+    # alpha K_alpha(P||Q) + (1 - alpha) K_(1-alpha)(Q||P)
+    return lambda u: alpha * _skew_k_f(alpha)(u) - (1 - alpha) * math.log((1 - alpha) * u + alpha)
+
+
+def _polylog_f(k):
+    import mpmath
+
+    # f(0) = Li_k(1): zeta(k) for k >= 2, +inf for k = 0, 1
+    return lambda u: (float(mpmath.polylog(k, 1 - mpmath.mpf(u))) if u > 0
+                      else (math.inf if k < 2 else float(mpmath.zeta(k))))
+
+
+def _power_mean(alpha):
+    """The Renyi divergence ln(sum q (p/q)^alpha) / (alpha - 1) of a
+    closed form sum q g(p/q), g(u) = u^alpha."""
+    return lambda value: math.log(value) / (alpha - 1)
+
+
+# tag, param, f with f(0), and the map from sum q f(p/q) to the divergence
+CLOSED_FORM_CASES = [
+    ("KL", None, _kl_f, None),
+    ("CHI2", None, lambda u: (u - 1) ** 2, None),
+    ("TV", None, lambda u: abs(u - 1), None),
+    # order 0: -ln Q(p > 0), the closed form of g(u) = 1 for u > 0, g(0) = 0
+    ("RENYI", 0.0, lambda u: 1.0 if u > 0 else 0.0, lambda value: -math.log(value)),
+    ("RENYI", 0.5, lambda u: u ** 0.5, _power_mean(0.5)),
+    ("RENYI", 2.0, lambda u: u ** 2, _power_mean(2.0)),
+    # order inf: ln max p/q over the atoms of P; the ratio is 1/t on all of them
+    ("RENYI", math.inf, None, None),
+    ("GV", 0.3, lambda u: (u - 1) ** 2 / (0.3 + 0.7 * u), None),
+    ("SKEW_K", 0.3, _skew_k_f(0.3), None),
+    ("SKEW_S", 0.3, _skew_s_f(0.3), None),
+    ("JS", None, _skew_s_f(0.5), None),
+    *(("POLYLOG_F", k, _polylog_f(k), None) for k in (0, 1, 2, 5)),
+]
+
+
+@pytest.mark.parametrize("tag, param, f, to_divergence", CLOSED_FORM_CASES)
+@pytest.mark.parametrize("c", [[1, 3], [0], [0, 1, 2, 3]])
+def test_conditioned_measure_closed_form_every_tag(tag, param, f, to_divergence, c):
+    mu = make_distribution([0, 1, 2, 3], [0.1, 0.2, 0.3, 0.4])
+    t = float(sum(mu.mass[i] for i in c))
+    if f is None:
+        want = math.log(1 / t)
+    else:
+        # t f(1/t) + (1 - t) f(0), the f-divergence of mu_C from mu
+        value = t * f(1 / t) + ((1 - t) * f(0.0) if t < 1 else 0.0)
+        want = to_divergence(value) if to_divergence else value
+    direct, closed = conditioned_measure_divergence(DivergenceSpec(tag, param), mu, c)
+    if math.isinf(want):
+        assert closed == direct == want
+    else:
+        assert closed == pytest.approx(want, rel=1e-12, abs=1e-15)
+        assert direct == pytest.approx(want, rel=1e-10, abs=1e-14)
 
 def test_conditioned_measure_errors():
     mu = make_distribution([0, 1, 2], [0.5, 0.5, 0.0])
