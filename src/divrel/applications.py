@@ -11,16 +11,19 @@ in nats throughout.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .distributions import DiscreteDistribution, _on_union_support, make_distribution
 from .divergences import DivergenceSpec, f_divergence_rows
-from .errors import DomainError, MaxDepthExceeded, PreconditionViolated, QuadratureFailure
+from .errors import (
+    DomainError, MaxDepthExceeded, NonFinite, PreconditionViolated, QuadratureFailure,
+)
 from .identities import QuadratureConfig, integrate
 from .inequalities import _mixture_kl_bound
-from .moment_bounds import MomentTuple, kl_moment_lower_bound, moment_bound_arrays
+from .moment_bounds import MomentTuple, kl_moment_lower_bound
 
 LN2 = math.log(2.0)
 
@@ -57,14 +60,18 @@ class TypeClassProblem:
     epsilon: float
 
     def __post_init__(self):
+        values = (self.m_q, self.var_q, *self.mean_box, *self.var_box)
+        if not all(math.isfinite(x) for x in values):
+            raise NonFinite(f"m_q, var_q and the box edges must be finite, got {values}")
         if self.var_q < 0:
             raise DomainError("var_q must be non-negative")
         if self.mean_box[0] > self.mean_box[1] or self.var_box[0] > self.var_box[1]:
             raise DomainError("boxes must be non-empty intervals")
         if self.var_box[0] < 0:
             raise DomainError("variance box must be non-negative")
-        if self.alphabet_size < 2:
-            raise DomainError("alphabet size must be at least 2")
+        k = self.alphabet_size
+        if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 2:
+            raise DomainError(f"alphabet size must be an integer >= 2, got {k!r}")
         if not 0.0 < self.epsilon < 1.0:
             raise DomainError("epsilon must lie in (0, 1)")
         # the target mean box must exclude the reference mean, otherwise
@@ -183,41 +190,22 @@ def redundancy_report(pf: PoissonFamily, tail_tol: float = 1e-15) -> dict:
     }
 
 
-def d_star(tcp: TypeClassProblem, grid: int = 201) -> float:
+def d_star(tcp: TypeClassProblem) -> float:
     """Worst-case moment lower bound over the mean-by-variance box, nats.
 
-    The closed form is evaluated on the whole grid in one array pass, then
-    the best vertex is refined by a local simplex search; candidates are
-    clipped into the closed box, so the reported value is always feasible.
+    The bound of ``moment_bound_arrays`` is the HCR bound on
+    chi^2(P||R_s), R_s = (1-s)P + sQ, integrated through
+    D(P||Q) = int_0^1 chi^2(P||R_s)/s ds:
+    int_0^1 s a^2 / ((1-s) var_p + s var_q + s(1-s) a^2) ds, a = m_p - m_q.
+    The integrand is non-decreasing in a^2 (its a^2-derivative has the sign
+    of (1-s) var_p + s var_q) and non-increasing in var_p, so the minimum
+    over the box is at one corner: the mean edge nearest m_q, at the
+    largest variance.
     """
     m_lo, m_hi = tcp.mean_box
-    v_lo, v_hi = tcp.var_box
-
-    def value(m_p: float, var_p: float) -> float:
-        mt = MomentTuple(m_p=m_p, var_p=var_p, m_q=tcp.m_q, var_q=tcp.var_q)
-        return kl_moment_lower_bound(mt).bound_nats
-
-    means = np.linspace(m_lo, m_hi, grid)
-    variances = np.linspace(v_lo, v_hi, grid)
-    bounds = moment_bound_arrays(
-        means[:, None], variances[None, :], tcp.m_q, tcp.var_q
-    )[-1]
-    # ties go to the first minimum in row-major order
-    i, j = np.unravel_index(np.argmin(bounds), bounds.shape)
-    best, best_xy = float(bounds[i, j]), (float(means[i]), float(variances[j]))
-
-    def clipped(z):
-        m_p = min(max(z[0], m_lo), m_hi)
-        var_p = min(max(z[1], v_lo), v_hi)
-        return value(m_p, var_p)
-
-    import scipy.optimize
-
-    res = scipy.optimize.minimize(
-        clipped, np.array(best_xy), method="Nelder-Mead",
-        options={"xatol": 1e-10, "fatol": 1e-13, "maxiter": 2000},
-    )
-    return float(min(best, res.fun))
+    m_near = m_lo if m_lo > tcp.m_q else m_hi
+    mt = MomentTuple(m_p=m_near, var_p=tcp.var_box[1], m_q=tcp.m_q, var_q=tcp.var_q)
+    return kl_moment_lower_bound(mt).bound_nats
 
 
 def lambert_w_minus1(y: float) -> float:
@@ -262,8 +250,11 @@ def n_star(tcp: TypeClassProblem, d: float) -> int:
     epsilon at the returned n and must exceed it one step earlier
     (unless the returned n is 1).
     """
-    if d <= 0:
-        raise DomainError("the divergence floor d must be positive")
+    if not d > 0:
+        raise DomainError(f"the divergence floor d must be positive, got {d}")
+    if math.isinf(d):
+        # exp(-n d) = 0 at every n >= 1
+        return 1
     k = tcp.alphabet_size
     eps = tcp.epsilon
     # with x = d/(k-1), eta = -x e^(-x) eps^(1/(k-1)) > -1/e for eps in (0, 1)

@@ -30,7 +30,7 @@ from .errors import (
     NotReversible,
     PreconditionViolated,
 )
-from .identities import DEFAULT_CFG, IdentityReport, QuadratureConfig, integrate
+from .identities import DEFAULT_CFG, IdentityReport, QuadratureConfig, _escapes, integrate
 from .inequalities import InequalityReport
 
 
@@ -268,7 +268,13 @@ def check_skew_s_integral(
     def right(s):
         return (1.0 - alpha) * (1.0 - s) * _gv(a, b, s[:, None])
 
-    rhs = integrate(left, 0.0, alpha, cfg) + integrate(right, alpha, 1.0, cfg)
+    # the curve is not integrable, like the lhs is +inf: at alpha = 1 left is
+    # chi^2(P||R_s)/s, R_s = (1 - s)P + sQ, and P has mass where Q has none;
+    # at alpha = 0 right is at least (1 - s) Q(P = 0)/s
+    if (alpha == 1.0 and _escapes(p.p, q.p)) or (alpha == 0.0 and _escapes(q.p, p.p)):
+        rhs = math.inf
+    else:
+        rhs = integrate(left, 0.0, alpha, cfg) + integrate(right, alpha, 1.0, cfg)
     return IdentityReport.compare(f"skew_s_integral_a{alpha}", lhs, rhs)
 
 

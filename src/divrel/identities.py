@@ -186,6 +186,13 @@ def integrate(f, a: float, b: float, cfg: QuadratureConfig = DEFAULT_CFG):
 _CHI2 = DivergenceSpec("CHI2")
 
 
+def _escapes(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether a has mass where b has none, so D(a||b) = +inf. The curve
+    chi^2(a||R_s)/s, R_s = (1 - s) a + s b, is then at least
+    s a(b = 0)/(1 - s): its integral up to s = 1 is +inf too."""
+    return bool(((a > 0) & (b == 0)).any())
+
+
 def _mixtures(s: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The (m, n) stack of laws (1 - s) a + s b, one row per node s."""
     s = s[:, None]
@@ -204,7 +211,8 @@ def check_kl_chi2_identity(
         rows = _mixtures(s, a, b)
         return f_divergence_rows(_CHI2, np.repeat(a[None, :], len(s), axis=0), rows) / s
 
-    return IdentityReport.compare("kl_chi2", lhs, integrate(integrand, 0.0, lam, cfg))
+    rhs = math.inf if lam == 1.0 and _escapes(a, b) else integrate(integrand, 0.0, lam, cfg)
+    return IdentityReport.compare("kl_chi2", lhs, rhs)
 
 
 def check_chi2_half_identity(
@@ -226,7 +234,9 @@ def check_gv_identity(
     """D(P||R_lam) vs the integral of s * D_{phi_s}(P||Q) over (0, lam]."""
     lhs = kl(p, mixture(p, q, lam))
     a, b = _aligned(p, q)
-    rhs = integrate(lambda s: s * _gv(a[None, :], b, s[:, None]), 0.0, lam, cfg)
+    # s D_{phi_s}(P||Q) = chi^2(P||R_s)/s
+    rhs = (math.inf if lam == 1.0 and _escapes(a, b)
+           else integrate(lambda s: s * _gv(a[None, :], b, s[:, None]), 0.0, lam, cfg))
     return IdentityReport.compare("gv", lhs, rhs)
 
 
@@ -243,5 +253,7 @@ def check_recursive_identity(
     lhs = f_k_divergence(k + 1, mixture(p, q, lam), p)
     a, b = (d.p for d in align(p, q))
     f_k = DivergenceSpec("POLYLOG_F", k)
-    rhs = integrate(lambda s: f_divergence_rows(f_k, _mixtures(s, a, b), a) / s, 0.0, lam, cfg)
+    # at k = 0 the curve is chi^2(P||R_s)/s
+    rhs = (math.inf if k == 0 and lam == 1.0 and _escapes(a, b) else
+           integrate(lambda s: f_divergence_rows(f_k, _mixtures(s, a, b), a) / s, 0.0, lam, cfg))
     return IdentityReport.compare(f"recursive_k{k}", lhs, rhs)

@@ -15,11 +15,18 @@ from typing import Sequence
 import numpy as np
 
 from .distributions import DiscreteDistribution, _on_union_support, align
-from .divergences import DivergenceSpec, chi_squared, entropy, f_divergence_rows
-from .divergences import gyorfi_vajda, kl, skew_k, total_variation
+from .divergences import DivergenceSpec, _aligned, _chi2, _gv, _kl, _skew_k, _tv
+from .divergences import chi_squared, entropy, f_divergence_rows, kl, skew_k
 from .errors import DomainError, EmptySet, PreconditionViolated, ZeroProbabilitySet
 
 GRACE = 1e-10
+
+
+def _slack(lhs, rhs):
+    """rhs - lhs over arrays; 0 where both sides are infinite (equal infinities)."""
+    lhs, rhs = np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float)
+    with np.errstate(invalid="ignore"):
+        return np.where(np.isinf(lhs) & np.isinf(rhs), 0.0, rhs - lhs)
 
 
 @dataclass(frozen=True)
@@ -30,34 +37,68 @@ class InequalityReport:
 
     @property
     def slack(self) -> float:
-        if math.isinf(self.rhs) and math.isinf(self.lhs):
-            return 0.0
-        return self.rhs - self.lhs
+        return float(_slack(self.lhs, self.rhs))
 
     @property
     def holds(self) -> bool:
         return self.slack >= -GRACE
 
 
+def _skew_kl_bound(lam: float, d):
+    """-ln(1 - lam + lam exp(-d)), the bound on K_lam(P||Q) from d = D(P||Q),
+    elementwise over an array d."""
+    if not 0.0 <= lam <= 1.0:
+        raise DomainError(f"lambda must lie in [0,1], got {lam}")
+    with np.errstate(divide="ignore"):
+        return -np.log((1.0 - lam) + lam * np.exp(-np.asarray(d, dtype=float)))
+
+
+# Each pair inequality once, over (m, n) stacks: name -> (P, Q, t) -> (lhs, rhs), t
+# being theta for gv_lower and lambda for skew_kl_upper (statements below).
+_PAIRS = {
+    "pinsker": lambda P, Q, _: (0.5 * _tv(P, Q) ** 2, _kl(P, Q)),
+    "thirds": lambda P, Q, _: (_kl(P, Q), _chi2(P, Q) / 3.0 + _chi2(Q, P) / 6.0),
+    "symmetrized_chi2": lambda P, Q, _: (
+        _kl(P, Q) + _kl(Q, P), 0.5 * (_chi2(P, Q) + _chi2(Q, P))),
+    "gv_lower": lambda P, Q, theta: (
+        (1.0 - theta) * math.log(1.0 / (1.0 - theta)) * _gv(P, Q, theta), _kl(P, Q)),
+    "half_chi2_quarter_tv": lambda P, Q, _: (_kl(P, Q), 0.5 * _chi2(P, Q) + 0.25 * _tv(P, Q)),
+    "skew_kl_upper": lambda P, Q, lam: (_skew_k(P, Q, lam), _skew_kl_bound(lam, _kl(P, Q))),
+}
+
+
+def _pair_report(name: str, p: DiscreteDistribution, q: DiscreteDistribution,
+                 t: float | None = None) -> InequalityReport:
+    """The one-row case of _PAIRS[name]."""
+    a, b = _aligned(p, q)
+    lhs, rhs = _PAIRS[name](a[None, :], b[None, :], t)
+    return InequalityReport(name, float(lhs[0]), float(rhs[0]))
+
+
+def pair_slacks(P, Q, t: float) -> dict[str, np.ndarray]:
+    """Slack of each pair inequality on every row pair of the (m, n) stacks
+    P and Q (probability rows on one support), at theta = lambda = t."""
+    if not 0.0 < t < 1.0:
+        raise DomainError(f"theta and lambda must lie in (0,1), got {t}")
+    P, Q = np.asarray(P, dtype=float), np.asarray(Q, dtype=float)
+    return {name: _slack(*check(P, Q, t)) for name, check in _PAIRS.items()}
+
+
 def pinsker(p: DiscreteDistribution, q: DiscreteDistribution) -> InequalityReport:
     """D(P||Q) >= |P-Q|^2 / 2 (nats)."""
-    tv = total_variation(p, q)
-    return InequalityReport("pinsker", 0.5 * tv * tv, kl(p, q))
+    return _pair_report("pinsker", p, q)
 
 
 def thirds_bound(p: DiscreteDistribution, q: DiscreteDistribution) -> InequalityReport:
     """D(P||Q) <= chi^2(P||Q)/3 + chi^2(Q||P)/6 (nats)."""
-    rhs = chi_squared(p, q) / 3.0 + chi_squared(q, p) / 6.0
-    return InequalityReport("thirds", kl(p, q), rhs)
+    return _pair_report("thirds", p, q)
 
 
 def symmetrized_chi2_bound(
     p: DiscreteDistribution, q: DiscreteDistribution
 ) -> InequalityReport:
     """D(P||Q) + D(Q||P) <= (chi^2(P||Q) + chi^2(Q||P)) / 2 (nats)."""
-    lhs = kl(p, q) + kl(q, p)
-    rhs = 0.5 * (chi_squared(p, q) + chi_squared(q, p))
-    return InequalityReport("symmetrized_chi2", lhs, rhs)
+    return _pair_report("symmetrized_chi2", p, q)
 
 
 def gv_lower_bound(
@@ -66,32 +107,21 @@ def gv_lower_bound(
     """D(P||Q) >= (1-theta) ln(1/(1-theta)) * D_{phi_theta}(P||Q)."""
     if not 0.0 < theta < 1.0:
         raise DomainError(f"theta must lie in (0,1), got {theta}")
-    lhs = (1.0 - theta) * math.log(1.0 / (1.0 - theta)) * gyorfi_vajda(theta, p, q)
-    return InequalityReport("gv_lower", lhs, kl(p, q))
+    return _pair_report("gv_lower", p, q, theta)
 
 
 def half_chi2_plus_quarter_tv(
     p: DiscreteDistribution, q: DiscreteDistribution
 ) -> InequalityReport:
     """D(P||Q) <= chi^2(P||Q)/2 + |P-Q|/4 (nats)."""
-    rhs = 0.5 * chi_squared(p, q) + 0.25 * total_variation(p, q)
-    return InequalityReport("half_chi2_quarter_tv", kl(p, q), rhs)
-
-
-def _skew_kl_bound(lam: float, d: float) -> float:
-    """-ln(1 - lam + lam exp(-d)), the bound on K_lam(P||Q) from d = D(P||Q)."""
-    if not 0.0 <= lam <= 1.0:
-        raise DomainError(f"lambda must lie in [0,1], got {lam}")
-    inner = (1.0 - lam) + lam * (0.0 if math.isinf(d) else math.exp(-d))
-    return math.inf if inner == 0.0 else -math.log(inner)
+    return _pair_report("half_chi2_quarter_tv", p, q)
 
 
 def skew_kl_upper(
     p: DiscreteDistribution, q: DiscreteDistribution, lam: float
 ) -> InequalityReport:
     """K_lam(P||Q) <= -ln(1 - lam + lam exp(-D(P||Q))); equality at lam in {0,1}."""
-    rhs = _skew_kl_bound(lam, kl(p, q))
-    return InequalityReport("skew_kl_upper", skew_k(lam, p, q), rhs)
+    return _pair_report("skew_kl_upper", p, q, lam)
 
 
 def skew_kl_convexity_comparison(
@@ -99,7 +129,7 @@ def skew_kl_convexity_comparison(
 ) -> InequalityReport:
     """The mixture-based bound dominates the convexity bound lam * D(P||Q)."""
     d = kl(p, q)
-    return InequalityReport("skew_kl_vs_convexity", _skew_kl_bound(lam, d), lam * d)
+    return InequalityReport("skew_kl_vs_convexity", float(_skew_kl_bound(lam, d)), lam * d)
 
 
 def derivative_checks(

@@ -77,7 +77,8 @@ def moment_bound_arrays(m_p, var_p, m_q, var_q) -> tuple[np.ndarray, ...]:
     a = m_p - m_q and b = a^2 + var_q - var_p. With a^2 = 0 (equal means,
     or a gap so small that a^2 underflows) the infimum over compatible
     pairs is zero and every field is 0. With var_p = 0, v = b/(2|a|) and r
-    is 0 or 1.
+    is 0 or 1; with var_q = 0, Q is a point mass, s is 0 or 1 and the bound
+    is +inf.
     """
     var_p, var_q = np.asarray(var_p, dtype=float), np.asarray(var_q, dtype=float)
     a = np.asarray(m_p, dtype=float) - m_q
@@ -85,28 +86,40 @@ def moment_bound_arrays(m_p, var_p, m_q, var_q) -> tuple[np.ndarray, ...]:
     b = a2 + var_q - var_p
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         v = np.where(var_p == 0.0, b / (2.0 * np.abs(a)), np.sqrt(var_p + b * b / (4.0 * a2)))
-        r, r_comp, s, s_comp = _masses(a, b, v, var_p)
-        # d(r||s) with r/s = 1 + (r - s)/s and r - s = a/(2v), which keeps
-        # its digits when r and s are within rounding of each other
+        r, r_comp, s, s_comp = _masses(a, b, v, var_p, var_q)
+        # d(r||s) with r - s = a/(2v)
         step = a / (2.0 * v)
-        bound = np.where(r > 0, r * np.log1p(step / s), 0.0)
-        bound += np.where(r_comp > 0, r_comp * np.log1p(-step / s_comp), 0.0)
+        bound = np.where(r > 0, r * _log_ratio(r, s, step), 0.0)
+        bound += np.where(r_comp > 0, r_comp * _log_ratio(r_comp, s_comp, -step), 0.0)
     zero = a2 == 0.0
     return tuple(np.broadcast_arrays(*(np.where(zero, 0.0, x) for x in (r, s, a, b, v, bound))))
 
 
-def _masses(a, b, v, var_p):
+def _log_ratio(x, y, diff):
+    """ln(x/y) where x - y = diff: log1p(diff/y), which keeps its digits
+    when x and y are within rounding of each other, except where x < y/2,
+    where diff/y may round to -1 and ln(x/y) is accurate."""
+    return np.where(diff < -0.5 * y, np.log(x / y), np.log1p(diff / y))
+
+
+def _masses(a, b, v, var_p, var_q):
     """(r, 1 - r, s, 1 - s), each computed directly. With c = b/(2a),
     r = (v + c)/(2v) and s = r - a/(2v). Near-equal means put r and s
     within rounding of 0 or 1, where 1 - r would lose every digit, so the
-    smaller of v + c and v - c is taken as var_p over the larger. At
-    var_p = 0, v = |c| and r is 0 or 1."""
+    smaller of v + c and v - c is taken as var_p over the larger, their
+    product. Likewise (v + c - a)(v - c + a) = var_q: a factor of s or
+    1 - s below a quarter of the other, where the difference may have
+    lost digits, is taken as var_q over the other. At var_p = 0, v = |c|
+    and r is 0 or 1; at var_q = 0, s is 0 or 1."""
     c = b / (2.0 * a)
     big = v + np.abs(c)
     small = var_p / big
     v_plus_c, v_minus_c = np.where(c > 0, big, small), np.where(c > 0, small, big)
+    s_up, s_down = v_plus_c - a, v_minus_c + a
+    larger = np.maximum(s_up, s_down)
+    s_up, s_down = (np.where(x < 0.25 * larger, var_q / larger, x) for x in (s_up, s_down))
     return tuple(np.minimum(np.maximum(x / (2.0 * v), 0.0), 1.0)
-                 for x in (v_plus_c, v_minus_c, v_plus_c - a, v_minus_c + a))
+                 for x in (v_plus_c, v_minus_c, s_up, s_down))
 
 
 def kl_moment_lower_bound(mt: MomentTuple) -> BoundCertificate:
@@ -122,7 +135,8 @@ def attaining_pair(mt: MomentTuple) -> tuple[DiscreteDistribution, DiscreteDistr
     if mt.var_p <= 0.0:
         raise PreconditionViolated("attaining pair requires var_p > 0")
     cert = kl_moment_lower_bound(mt)
-    r, r_comp, s, s_comp = (float(x) for x in _masses(cert.a, cert.b, cert.v, mt.var_p))
+    masses = _masses(cert.a, cert.b, cert.v, mt.var_p, mt.var_q)
+    r, r_comp, s, s_comp = (float(x) for x in masses)
     u1 = mt.m_p + math.sqrt(r_comp * mt.var_p / r)
     u2 = mt.m_p - math.sqrt(r * mt.var_p / r_comp)
     p = make_distribution([u2, u1], [r_comp, r])

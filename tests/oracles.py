@@ -49,3 +49,18 @@ def maximal_correlation_ace(
             break
         prev = corr
     return abs(corr)
+
+
+def moment_bound_integral(m_p: float, var_p: float, m_q: float, var_q: float) -> float:
+    """The moment lower bound on D(P||Q) as the HCR bound on chi^2(P||R_s),
+    R_s = (1-s)P + sQ, integrated through D(P||Q) = int_0^1 chi^2(P||R_s)/s
+    ds; oracle for moment_bound_arrays (scipy quad)."""
+    import scipy.integrate
+
+    a2 = (m_p - m_q) ** 2
+
+    def integrand(s):
+        return s * a2 / ((1 - s) * var_p + s * var_q + s * (1 - s) * a2)
+
+    value, _ = scipy.integrate.quad(integrand, 0.0, 1.0, epsabs=0.0, epsrel=1e-13, limit=200)
+    return value

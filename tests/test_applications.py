@@ -18,7 +18,7 @@ from divrel import (
     redundancy_report,
     sanov_bound,
 )
-from divrel.errors import DomainError, PreconditionViolated
+from divrel.errors import DomainError, NonFinite, PreconditionViolated
 from divrel.moment_bounds import MomentTuple, moment_bound_arrays
 
 from oracles import poisson_entropy_direct
@@ -187,7 +187,7 @@ def test_d_star_point_box_equals_direct_bound():
         alphabet_size=2, epsilon=1e-10,
     )
     direct = kl_moment_lower_bound(MomentTuple(45, 20, 40, 20)).bound_nats
-    assert d_star(tcp, grid=3) == pytest.approx(direct, abs=1e-12)
+    assert d_star(tcp) == pytest.approx(direct, abs=1e-12)
     assert direct == pytest.approx(0.521, abs=1e-3)
 
 
@@ -196,7 +196,7 @@ def test_d_star_monotone_in_box_widening():
         m_q=40, var_q=20, mean_box=(43, 47), var_box=(14, 26),
         alphabet_size=2, epsilon=1e-10,
     )
-    assert d_star(wide, grid=51) <= d_star(TCP, grid=51) + 1e-12
+    assert d_star(wide) <= d_star(TCP) + 1e-12
 
 
 def test_d_star_below_every_grid_vertex():
@@ -302,4 +302,51 @@ def test_d_star_grid_pass_matches_scalar_loop():
     ]
     bounds = moment_bound_arrays(means[:, None], variances[None, :], 40, 20)[-1]
     assert np.array_equal(bounds.ravel(), np.array(loop))
-    assert d_star(tcp, grid=grid) == pytest.approx(min(loop), rel=1e-12)
+    assert d_star(tcp) == pytest.approx(min(loop), rel=1e-12)
+
+
+def test_d_star_is_the_minimum_of_a_dense_grid():
+    # boxes on both sides of m_q, point boxes and var_lo = 0 among them
+    rng = np.random.default_rng(10)
+    for i in range(24):
+        m_q, var_q = rng.uniform(-20, 20), 10 ** rng.uniform(-2, 2)
+        side = 1 if i % 2 else -1
+        near = m_q + side * 10 ** rng.uniform(-4, 1)
+        width = 0.0 if i % 6 == 0 else rng.uniform(0, 10)
+        mean_box = tuple(sorted((near, near + side * width)))
+        v_lo = 0.0 if i % 3 == 0 else rng.uniform(0, 30)
+        var_box = (v_lo, v_lo + (0.0 if i % 6 == 0 else rng.uniform(0, 30)))
+        tcp = TypeClassProblem(m_q, var_q, mean_box, var_box, 2, 1e-10)
+        means, variances = np.linspace(*mean_box, 301), np.linspace(*var_box, 301)
+        grid = moment_bound_arrays(means[:, None], variances[None, :], m_q, var_q)[-1]
+        assert d_star(tcp) == pytest.approx(grid.min(), rel=1e-12, abs=1e-300)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("m_q", math.nan), ("m_q", math.inf), ("var_q", math.nan), ("var_q", math.inf),
+    ("mean_box", (43, math.inf)), ("mean_box", (math.nan, 47)), ("mean_box", (-math.inf, 37)),
+    ("var_box", (18, math.inf)), ("var_box", (math.nan, 22)),
+])
+def test_type_class_problem_rejects_non_finite_inputs(field, value):
+    fields = dict(m_q=40, var_q=20, mean_box=(43, 47), var_box=(18, 22),
+                  alphabet_size=2, epsilon=1e-10)
+    with pytest.raises(NonFinite):
+        TypeClassProblem(**{**fields, field: value})
+
+
+@pytest.mark.parametrize("k", [2.5, 2.0, True, 1, 0, -3])
+def test_type_class_problem_rejects_bad_alphabet_size(k):
+    with pytest.raises(DomainError):
+        TypeClassProblem(40, 20, (43, 47), (18, 22), k, 1e-10)
+    assert TypeClassProblem(40, 20, (43, 47), (18, 22), np.int64(3), 1e-10).alphabet_size == 3
+
+
+def test_point_mass_reference_law_needs_one_sample():
+    # var_q = 0: Q is a point mass at m_q, every P in the box has D(P||Q) = inf
+    tcp = TypeClassProblem(40, 0.0, (43, 47), (18, 22), 2, 1e-10)
+    d = d_star(tcp)
+    assert d == math.inf
+    assert n_star(tcp, d) == 1
+    assert sanov_bound(tcp, 1, d) == 0.0
+    with pytest.raises(DomainError):
+        n_star(tcp, math.nan)

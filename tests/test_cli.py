@@ -312,3 +312,55 @@ def test_set_divergence_every_tag(tmp_path, capsys, spec):
     )
     assert code == 0
     assert rep["scalars"]["direct"] == pytest.approx(rep["scalars"]["closed_form"], rel=1e-12)
+
+
+SAMPLE_SIZE = ["sample-size", "--mq", "40", "--varq", "20", "--mean-box", "43", "47",
+               "--var-box", "18", "22", "--alphabet", "2", "--epsilon", "1e-10"]
+
+
+@pytest.mark.parametrize("flag, values", [
+    ("--mq", ["nan"]), ("--varq", ["inf"]), ("--mean-box", ["43", "inf"]),
+    ("--var-box", ["18", "inf"]), ("--var-box", ["nan", "22"]), ("--alphabet", ["1"]),
+])
+def test_sample_size_bad_inputs_exit_1(capsys, flag, values):
+    # the alphabet must be an integer >= 2; argparse itself refuses --alphabet 2.5
+    argv = list(SAMPLE_SIZE)
+    i = argv.index(flag)
+    argv[i + 1:i + 1 + len(values)] = values
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "invalid input" in err and "divergence floor" not in err
+
+
+def test_sample_size_point_mass_reference(capsys):
+    argv = list(SAMPLE_SIZE)
+    argv[argv.index("--varq") + 1] = "0"
+    code, rep = run_json(capsys, argv)
+    assert code == 0
+    assert rep["scalars"]["d_star_nats"] == "inf"
+    assert rep["scalars"]["n_star"] == 1
+
+
+@pytest.mark.parametrize("trials", ["-5", "0"])
+def test_inequalities_without_trials_exits_1(capsys, trials):
+    assert main(["inequalities", "--trials", trials]) == 1
+    assert "trials" in capsys.readouterr().err
+
+
+def test_moment_bound_point_mass_q_is_infinite(capsys):
+    code, rep = run_json(
+        capsys, ["moment-bound", "--mp", "43", "--varp", "22", "--mq", "40", "--varq", "0"])
+    assert code == 0
+    assert rep["scalars"]["bound_nats"] == "inf"
+
+
+@pytest.mark.parametrize("which", ["gv", "kl-chi2", "skew-s", "recursive"])
+def test_identity_check_at_the_end_with_infinite_sides(tmp_path, capsys, which):
+    p = write_dist(tmp_path, "p.json", [0, 1], [0.5, 0.5])
+    q = write_dist(tmp_path, "q.json", [0, 1], [1.0, 0.0])
+    code, rep = run_json(capsys, ["identity-check", "--which", which, "--p", p, "--q", q,
+                                  "--lam", "1", "--alpha", "1", "--k", "0"])
+    assert code == 0
+    s = rep["scalars"]
+    assert s["lhs"] == s["rhs"] == "inf"
+    assert s["passed"] is True

@@ -1,3 +1,4 @@
+import math
 
 import numpy as np
 import pytest
@@ -441,3 +442,14 @@ def test_path_bound_rejects_unreachable_output():
     q = make_distribution([0, 1, 2], [0.5, 0.3, 0.2])
     with pytest.raises(PreconditionViolated, match="output law"):
         max_correlation_path_bound(p, q, w)
+
+
+@pytest.mark.parametrize("alpha, first, second", [(1.0, 0, 1), (0.0, 1, 0)])
+def test_skew_s_integral_with_infinite_sides(alpha, first, second):
+    # S_1(P||Q) = D(P||Q) and S_0(P||Q) = D(Q||P), +inf when the first law has
+    # mass where the second has none; the other order stays finite
+    laws = (make_distribution([0, 1], [0.5, 0.5]), make_distribution([0, 1], [1.0, 0.0]))
+    rep = check_skew_s_integral(alpha, laws[first], laws[second])
+    assert rep.lhs == rep.rhs == math.inf and rep.passed
+    rep = check_skew_s_integral(alpha, laws[second], laws[first])
+    assert math.isfinite(rep.rhs) and rep.passed

@@ -63,6 +63,23 @@ def test_chi2_half_identity_infinite_sides():
     assert r.lhs == r.rhs == math.inf
     assert (r.abs_err, r.rel_err, r.passed) == (0.0, 0.0, True)
 
+
+@pytest.mark.parametrize("check", [
+    check_kl_chi2_identity, check_gv_identity,
+    lambda p, q, lam: check_recursive_identity(0, p, q, lam),
+])
+def test_identities_at_lam_one_with_infinite_sides(check):
+    # Q lacks an atom of P: D(P||Q) = inf, and the curve is not integrable at s = 1
+    p = make_distribution([0, 1], [0.5, 0.5])
+    q = make_distribution([0, 1], [1.0, 0.0])
+    r = check(p, q, 1.0)
+    assert r.lhs == r.rhs == math.inf
+    assert (r.abs_err, r.rel_err, r.passed) == (0.0, 0.0, True)
+    # short of s = 1, and in the other direction, both sides are finite
+    for args in ((p, q, 0.999), (q, p, 1.0)):
+        r = check(*args)
+        assert math.isfinite(r.rhs) and r.passed
+
 def test_quadrature_config_validation():
     with pytest.raises(DomainError):
         QuadratureConfig(rel_tol=0.0)

@@ -57,6 +57,8 @@ NUMPY_ONLY = [
     ["inequalities", "--trials", "5"],
     ["mixing", "--chain", "{d}/w.json", "--p0", "{d}/p.json", "--n-max", "3"],
     ["identity-check", "--which", "kl-chi2", "--p", "{d}/p.json", "--q", "{d}/q.json"],
+    ["sample-size", "--mq", "40", "--varq", "20", "--mean-box", "43", "47",
+     "--var-box", "18", "22", "--alphabet", "2", "--epsilon", "1e-10"],
 ]
 
 # each call runs after the ones above it in the same interpreter, so its step
@@ -68,8 +70,6 @@ WITH_SCIPY = [
     ["redundancy", "--lambdas", "2", "3"],
     ["identity-check", "--which", "recursive", "--k", "2", "--p", "{d}/p.json",
      "--q", "{d}/q.json"],
-    ["sample-size", "--mq", "40", "--varq", "20", "--mean-box", "43", "47",
-     "--var-box", "18", "22", "--alphabet", "2", "--epsilon", "1e-10"],
     ["contraction", "--channel", "{d}/w.json", "--input-law", "{d}/p.json",
      "--brute-budget", "20"],
 ]
@@ -82,12 +82,11 @@ def test_import_and_numpy_only_subcommands_load_no_scipy(tmp_path):
 def test_subcommands_load_only_the_scipy_they_call(tmp_path):
     steps = loaded_after(tmp_path, WITH_SCIPY)
     assert steps[1] == set()
-    polylog, inversion, redundancy, recursive, sample_size, contraction = steps[2:]
+    polylog, inversion, redundancy, recursive, contraction = steps[2:]
     assert "scipy.special" in polylog
     assert not {"scipy.optimize", "scipy.integrate"} & polylog
     # the later calls add nothing to scipy.special
     assert inversion == redundancy == recursive == polylog
-    assert "scipy.optimize" in sample_size
     assert "scipy.integrate" not in contraction
     for loaded in steps:
         # scipy.optimize imports scipy.sparse itself; divrel uses neither

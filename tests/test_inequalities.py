@@ -25,7 +25,12 @@ from divrel import (
 )
 from divrel.divergences import skew_k
 from divrel.errors import DomainError, EmptySet, ZeroProbabilitySet
-from divrel.inequalities import InequalityReport, skew_kl_convexity_comparison
+from divrel.inequalities import (
+    InequalityReport,
+    _skew_kl_bound,
+    pair_slacks,
+    skew_kl_convexity_comparison,
+)
 
 from conftest import random_pair
 
@@ -329,3 +334,43 @@ def test_concavity_deficit_random(seed, n, m):
     assert abs(out["deficit_entropy_form"] - out["deficit_kl_form"]) < 1e-10
     assert out["deficit"] <= out["pairwise_upper"] + 1e-10
     assert out["deficit"] <= out["classic_upper"] + 1e-10
+
+
+PAIR_CHECKS = {
+    "pinsker": lambda p, q, t: pinsker(p, q),
+    "thirds": lambda p, q, t: thirds_bound(p, q),
+    "symmetrized_chi2": lambda p, q, t: symmetrized_chi2_bound(p, q),
+    "gv_lower": lambda p, q, t: gv_lower_bound(t, p, q),
+    "half_chi2_quarter_tv": lambda p, q, t: half_chi2_plus_quarter_tv(p, q),
+    "skew_kl_upper": lambda p, q, t: skew_kl_upper(p, q, t),
+}
+
+
+@pytest.mark.parametrize("t", [0.1, 0.5, 0.9])
+def test_stacked_suite_on_padded_stacks_equals_per_pair_calls(t):
+    rng = np.random.default_rng(3)
+    pairs = [random_pair(rng, int(rng.integers(2, 7)), strict=bool(i % 2)) for i in range(60)]
+    # a pair with infinite divergences in both directions
+    pairs.append((make_distribution([0, 1], [1.0, 0.0]), make_distribution([0, 1], [0.0, 1.0])))
+    P, Q = np.zeros((2, len(pairs), 6))
+    for row, (p, q) in enumerate(pairs):
+        P[row, :len(p)], Q[row, :len(q)] = p.mass, q.mass
+    slacks = pair_slacks(P, Q, t)
+    assert list(slacks) == list(PAIR_CHECKS)
+    for name, check in PAIR_CHECKS.items():
+        expected = np.array([check(p, q, t).slack for p, q in pairs])
+        assert np.allclose(slacks[name], expected, rtol=1e-12, atol=1e-15, equal_nan=False), name
+
+
+@pytest.mark.parametrize("t", [0.0, 1.0, -0.5, math.nan])
+def test_stacked_suite_rejects_parameter_outside_unit_interval(t):
+    with pytest.raises(DomainError):
+        pair_slacks(P.mass[None, :], Q.mass[None, :], t)
+
+
+def test_skew_kl_bound_over_arrays():
+    d = np.array([0.0, 0.3, 2.0, math.inf])
+    out = _skew_kl_bound(0.4, d)
+    expected = [-math.log(0.6 + 0.4 * math.exp(-x)) for x in d]
+    assert np.allclose(out, expected, rtol=1e-15)
+    assert _skew_kl_bound(1.0, math.inf) == math.inf

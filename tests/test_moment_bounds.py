@@ -1,5 +1,7 @@
 import math
 
+import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,6 +29,9 @@ from divrel.errors import (
     EpsilonTooLarge,
     PreconditionViolated,
 )
+from divrel.moment_bounds import moment_bound_arrays
+
+from oracles import moment_bound_integral
 
 
 def test_reference_case_one():
@@ -240,3 +245,63 @@ def test_bound_keeps_its_digits_as_the_means_meet(m_p, v_p, log_gap, below, v_q)
         _mp_bound(m_p, v_p, m_q, v_q), rel=1e-9)
     p, q = attaining_pair(mt)
     assert moments(q)[1] == pytest.approx(v_q, rel=1e-9)
+
+
+# -- the bound as an integral, its monotonicity, and small var_q ----------
+
+moment_means = st.floats(-50, 50)
+moment_variances = st.floats(1e-3, 100)
+
+
+def bound(m_p, var_p, m_q, var_q):
+    return float(moment_bound_arrays(m_p, var_p, m_q, var_q)[-1])
+
+
+def test_bound_equals_integrated_hcr_bound():
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        m_p, m_q = rng.uniform(-20, 20, 2)
+        var_p, var_q = 10 ** rng.uniform(-2, 2, 2)
+        assert bound(m_p, var_p, m_q, var_q) == pytest.approx(
+            moment_bound_integral(m_p, var_p, m_q, var_q), rel=1e-10, abs=1e-300)
+
+
+@settings(max_examples=200, deadline=None)
+@given(moment_means, moment_variances, moment_variances, st.floats(0, 20), st.floats(0, 20))
+def test_bound_non_decreasing_in_mean_gap(m_q, var_p, var_q, gap, more):
+    near, far = bound(m_q + gap, var_p, m_q, var_q), bound(m_q + gap + more, var_p, m_q, var_q)
+    assert near <= far * (1 + 1e-12) + 1e-300
+    # the bound depends on the gap only through its square
+    assert bound(m_q - gap, var_p, m_q, var_q) == pytest.approx(near, rel=1e-12, abs=1e-300)
+
+
+@settings(max_examples=200, deadline=None)
+@given(moment_means, moment_means, st.floats(0, 100), st.floats(0, 100), moment_variances)
+def test_bound_non_increasing_in_var_p(m_p, m_q, var_p, more, var_q):
+    assert bound(m_p, var_p + more, m_q, var_q) <= bound(m_p, var_p, m_q, var_q) * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("var_q", [1.6e-12, 1e-10, 1e-8, 1e-6, 1e-3])
+def test_bound_accurate_at_small_var_q(var_q):
+    mpmath.mp.dps = 50
+    a = mpmath.mpf(3)
+    ref = mpmath.quad(lambda s: s * a**2 / ((1 - s) * 22 + s * mpmath.mpf(var_q)
+                                            + s * (1 - s) * a**2),
+                      [0, 0.5, 0.9, 0.99, 1 - mpmath.mpf(1e-4), 1 - mpmath.mpf(1e-8),
+                       1 - mpmath.mpf(1e-12), 1])
+    assert bound(43, 22, 40, var_q) == pytest.approx(float(ref), rel=1e-13)
+
+
+def test_bound_infinite_for_point_mass_q():
+    # Q is a point mass at 40 and P has mass elsewhere
+    assert bound(43, 22, 40, 0.0) == math.inf
+    assert bound(43, 0.0, 40, 0.0) == math.inf
+    assert kl_moment_lower_bound(MomentTuple(43, 22, 40, 0.0)).s == 0.0
+    assert kl_moment_lower_bound(MomentTuple(37, 22, 40, 0.0)).s == 1.0
+
+
+def test_bound_finite_at_tiny_var_p():
+    # r is about 6e-17 against s = 0.94: ln(r/s) must not become log1p(-1)
+    tiny = bound(0.0, 1e-15, 4.0, 1.0)
+    assert math.isfinite(tiny)
+    assert tiny == pytest.approx(bound(0.0, 0.0, 4.0, 1.0), rel=1e-12)
