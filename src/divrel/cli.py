@@ -1,8 +1,10 @@
 """Command-line front end: one subcommand per pipeline, batch-oriented.
 
 Output formats: human table (default), json, csv. Exit codes: 0 success,
-1 invalid input, 2 numerical failure. Every report echoes its inputs and
-a one-line description of the formula used.
+1 invalid input (a malformed command line included), 2 numerical failure.
+Every report echoes its inputs and a one-line description of the formula
+used. Input files are read by ``from_json``; the report is written with
+the stdlib json module.
 """
 
 from __future__ import annotations
@@ -41,8 +43,10 @@ def _jsonable(obj):
         return None
     if isinstance(obj, float) and math.isinf(obj):
         return "inf" if obj > 0 else "-inf"
-    if isinstance(obj, (DiscreteDistribution, Channel)):
-        return json.loads(obj.to_json())
+    if isinstance(obj, DiscreteDistribution):
+        # in the keys of its file; not to_json, which would load orjson into
+        # a call that reads no file
+        return {"support": obj.support.tolist(), "mass": obj.mass.tolist()}
     return obj
 
 
@@ -152,8 +156,7 @@ def _cmd_moment_bound(args) -> dict:
     }
     if args.attain:
         p, q = moment_bounds.attaining_pair(mt)
-        report["scalars"]["attaining_p"] = json.loads(p.to_json())
-        report["scalars"]["attaining_q"] = json.loads(q.to_json())
+        report["scalars"]["attaining_p"], report["scalars"]["attaining_q"] = p, q
     return report
 
 
@@ -299,8 +302,17 @@ def _cmd_set_divergence(args) -> dict:
     }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose errors are invalid input, exit 1: its own
+    exit 2 would read as a numerical failure."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"invalid input: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="divrel",
         description="Divergence relations toolkit: f-divergences, integral "
                     "identities, moment bounds, contraction coefficients and "

@@ -165,9 +165,10 @@ def _polylog_coefficients(k: int):
     import scipy.special
 
     series = np.arange(1.0, _SERIES_TERMS + 1.0) ** -float(k)
-    m = np.arange(max(_LOG_TERMS, k), dtype=float)
+    m = np.arange(_LOG_TERMS, dtype=float)
     log_exp = scipy.special.zeta(k - m)
-    log_exp[k - 1] = math.fsum(1.0 / j for j in range(1, k))
+    if k <= _LOG_TERMS:
+        log_exp[k - 1] = math.fsum(1.0 / j for j in range(1, k))
     log_exp /= scipy.special.factorial(m)
     two_j = np.arange(0.0, k + 1.0, 2.0)
     weights = 2.0 * (1.0 - 2.0 ** (1.0 - two_j)) * scipy.special.zeta(two_j)
@@ -176,7 +177,9 @@ def _polylog_coefficients(k: int):
 
 
 # 40 terms of the series reach a relative 1e-16 for |z| <= 1/2, and 28 of
-# the ln-expansion for |mu| <= ln 2 (its terms fall like (mu / 2 pi)^m)
+# the ln-expansion for |mu| <= ln 2 at every order k: its terms fall like
+# (mu / 2 pi)^m, and for k > 28 they are zeta(k - m) mu^m/m! with zeta near
+# 1, below 1e-30 past the 28th, as is the log term mu^(k-1)/(k-1)!
 _SERIES_TERMS = 40
 _LOG_TERMS = 28
 
@@ -220,7 +223,7 @@ def _polylog_li(k: int, x: np.ndarray) -> np.ndarray:
     mu_powers = _powers(mu, len(log_exp) - 1)
     log_mu = np.zeros_like(mu)
     np.log(-mu, out=log_mu, where=mu < 0.0)
-    by_log = log_exp[0] + mu_powers @ log_exp[1:] - mu_powers[:, k - 2] * log_mu * log_term
+    by_log = log_exp[0] + mu_powers @ log_exp[1:] - mu ** (k - 1) * log_mu * log_term
 
     out = np.empty_like(x)
     n_plain, n_near, n_dup = int(plain.sum()), int(near.sum()), int(dup.sum())
@@ -231,9 +234,15 @@ def _polylog_li(k: int, x: np.ndarray) -> np.ndarray:
     square[square_near[dup]] = by_log[n_near + n_dup:]
     out[dup] = 2.0 ** (1 - k) * square - by_log[n_near:n_near + n_dup]
 
-    # L^m/m! as exp(m ln L - ln m!), which neither overflows nor divides inf by inf
+    # L^m/m! as exp(m ln L - ln m!), which neither overflows nor divides inf by
+    # inf. |Li_k(y)| >= eta(k) >= 1/2 for y <= -1, so the orders m >= 2 max L
+    # with (max L)^m/m! < 1e-32 are left out (max L taken as at least 1):
+    # together they add below 1e-31
     log_l = np.log(np.log(-y[low]))[:, None]
-    inverted = np.exp(log_l * orders - scipy.special.gammaln(orders + 1.0)) @ weights
+    top = log_l.max(initial=0.0)
+    log_fact = scipy.special.gammaln(orders + 1.0)
+    keep = (orders < 2.0 * np.exp(top)) | (orders * top - log_fact > math.log(1e-32))
+    inverted = np.exp(log_l * orders[keep] - log_fact[keep]) @ weights[keep]
     out[low] = -inverted - (-1) ** k * out[low]
     return out
 

@@ -76,7 +76,7 @@ def moment_bound_arrays(m_p, var_p, m_q, var_q) -> tuple[np.ndarray, ...]:
 
     a = m_p - m_q and b = a^2 + var_q - var_p. With a^2 = 0 (equal means,
     or a gap so small that a^2 underflows) the infimum over compatible
-    pairs is zero and every field is 0. With var_p = 0, v = b/(2|a|) and r
+    pairs is zero and every field is 0. With var_p = 0, v = |b/(2a)| and r
     is 0 or 1; with var_q = 0, Q is a point mass, s is 0 or 1 and the bound
     is +inf.
     """
@@ -85,32 +85,52 @@ def moment_bound_arrays(m_p, var_p, m_q, var_q) -> tuple[np.ndarray, ...]:
     a2 = a * a
     b = a2 + var_q - var_p
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        v = np.where(var_p == 0.0, b / (2.0 * np.abs(a)), np.sqrt(var_p + b * b / (4.0 * a2)))
-        r, r_comp, s, s_comp = _masses(a, b, v, var_p, var_q)
-        # d(r||s) with r - s = a/(2v)
-        step = a / (2.0 * v)
-        bound = np.where(r > 0, r * _log_ratio(r, s, step), 0.0)
-        bound += np.where(r_comp > 0, r_comp * _log_ratio(r_comp, s_comp, -step), 0.0)
+        # |b/(2a)| at var_p = 0; hypot, as b^2/(4a^2) overflows for a gap far
+        # below the standard deviations
+        v = np.hypot(np.sqrt(var_p), b / (2.0 * a))
+        # 2v times (r, 1 - r, s, 1 - s), which do not underflow where such a
+        # gap puts a mass below 1e-308
+        masses = _scaled_masses(a, b, v, var_p, var_q)
+        r, s = masses[0] / (2.0 * v), masses[2] / (2.0 * v)
+        # d(r||s) as two non-negative terms, with 2v (r - s) = a
+        diff = np.broadcast_to(a, v.shape)
+        terms = _binary_term(masses[:2], masses[2:], np.stack([diff, -diff]))
+        bound = terms.sum(axis=0) / (2.0 * v)
     zero = a2 == 0.0
     return tuple(np.broadcast_arrays(*(np.where(zero, 0.0, x) for x in (r, s, a, b, v, bound))))
 
 
-def _log_ratio(x, y, diff):
-    """ln(x/y) where x - y = diff: log1p(diff/y), which keeps its digits
-    when x and y are within rounding of each other, except where x < y/2,
-    where diff/y may round to -1 and ln(x/y) is accurate."""
-    return np.where(diff < -0.5 * y, np.log(x / y), np.log1p(diff / y))
+# g(t)/t^2 = sum_j (-t)^j / ((j + 1)(j + 2)), to 1e-17 relative for |t| < 1/8
+_G_POWERS = np.arange(18.0)
+_G_SERIES = 1.0 / ((_G_POWERS + 1.0) * (_G_POWERS + 2.0))
+_G_CUT = 0.125
 
 
-def _masses(a, b, v, var_p, var_q):
-    """(r, 1 - r, s, 1 - s), each computed directly. With c = b/(2a),
-    r = (v + c)/(2v) and s = r - a/(2v). Near-equal means put r and s
-    within rounding of 0 or 1, where 1 - r would lose every digit, so the
-    smaller of v + c and v - c is taken as var_p over the larger, their
-    product. Likewise (v + c - a)(v - c + a) = var_q: a factor of s or
-    1 - s below a quarter of the other, where the difference may have
-    lost digits, is taken as var_q over the other. At var_p = 0, v = |c|
-    and r is 0 or 1; at var_q = 0, s is 0 or 1."""
+def _binary_term(x, y, diff):
+    """x ln(x/y) - diff where x - y = diff, that is y g(diff/y) with
+    g(t) = (1 + t) ln(1 + t) - t >= 0; 0 at x = 0 and +inf at y = 0 < x.
+
+    The terms of d(r||s) for r and 1 - r sum to d because their diffs
+    cancel. Written as x ln(x/y) each term is about +-diff and the sum loses
+    every digit as r -> s; g keeps them: by its series where |t| < 1/8, and
+    elsewhere directly, where the subtraction loses at most four bits, with
+    ln(x/y) = log1p(t) except where t < -1/2 and x/y is the accurate one."""
+    t = diff / y
+    by_series = y * t * t * ((-t)[..., None] ** _G_POWERS @ _G_SERIES)
+    log_ratio = np.where(t < -0.5, np.log(x / y), np.log1p(t))
+    direct = np.where(x > 0, x * log_ratio, 0.0) - diff
+    return np.where(np.abs(t) < _G_CUT, by_series, direct)
+
+
+def _scaled_masses(a, b, v, var_p, var_q):
+    """2v (r, 1 - r, s, 1 - s) = (v + c, v - c, v + c - a, v - c + a) with
+    c = b/(2a), each computed directly. Near-equal means put r and s within
+    rounding of 0 or 1, where 1 - r would lose every digit, so the smaller
+    of v + c and v - c is taken as var_p over the larger, their product.
+    Likewise (v + c - a)(v - c + a) = var_q: a factor below a quarter of the
+    other, where the difference may have lost digits, is taken as var_q
+    over the other. At var_p = 0, v = |c| and r is 0 or 1; at var_q = 0, s
+    is 0 or 1."""
     c = b / (2.0 * a)
     big = v + np.abs(c)
     small = var_p / big
@@ -118,8 +138,7 @@ def _masses(a, b, v, var_p, var_q):
     s_up, s_down = v_plus_c - a, v_minus_c + a
     larger = np.maximum(s_up, s_down)
     s_up, s_down = (np.where(x < 0.25 * larger, var_q / larger, x) for x in (s_up, s_down))
-    return tuple(np.minimum(np.maximum(x / (2.0 * v), 0.0), 1.0)
-                 for x in (v_plus_c, v_minus_c, s_up, s_down))
+    return np.minimum(np.maximum(np.stack([v_plus_c, v_minus_c, s_up, s_down]), 0.0), 2.0 * v)
 
 
 def kl_moment_lower_bound(mt: MomentTuple) -> BoundCertificate:
@@ -135,7 +154,7 @@ def attaining_pair(mt: MomentTuple) -> tuple[DiscreteDistribution, DiscreteDistr
     if mt.var_p <= 0.0:
         raise PreconditionViolated("attaining pair requires var_p > 0")
     cert = kl_moment_lower_bound(mt)
-    masses = _masses(cert.a, cert.b, cert.v, mt.var_p, mt.var_q)
+    masses = _scaled_masses(cert.a, cert.b, cert.v, mt.var_p, mt.var_q) / (2.0 * cert.v)
     r, r_comp, s, s_comp = (float(x) for x in masses)
     u1 = mt.m_p + math.sqrt(r_comp * mt.var_p / r)
     u2 = mt.m_p - math.sqrt(r * mt.var_p / r_comp)

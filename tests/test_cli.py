@@ -162,6 +162,37 @@ def test_nan_literal_in_input_exits_1(tmp_path, capsys):
     assert "invalid input" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+def test_non_finite_literals_in_files_exit_1(tmp_path, capsys, literal):
+    # strict JSON has no NaN or Infinity, and 1e400 overflows a double
+    p = tmp_path / "p.json"
+    p.write_text(f'{{"support": [0, 1], "mass": [{literal}, 1.0]}}')
+    w = tmp_path / "w.json"
+    w.write_text(f'{{"rows": [[1.0, 0.0], [{literal}, 0.5]]}}')
+    for argv in (["divergence", "--spec", "kl", "--p", str(p), "--q", str(p)],
+                 ["mixing", "--chain", str(w), "--p0", str(p)]):
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("invalid input:")
+    u = write_dist(tmp_path, "u.json", [0, 1], [0.5, 0.5])
+    assert main(["contraction", "--channel", str(w), "--input-law", u]) == 1
+    assert capsys.readouterr().err.startswith("invalid input:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample-size", "--mq", "40", "--varq", "20", "--mean-box", "43", "47",
+     "--var-box", "18", "22", "--alphabet", "2.5", "--epsilon", "1e-10"],
+    ["inequalities", "--trials", "x"],
+    [],
+])
+def test_malformed_command_lines_exit_1_with_usage(capsys, argv):
+    # exit 2 is a numerical failure; argparse would use it for a typo
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: divrel") and "invalid input:" in err
+
+
 def test_mixing(tmp_path, capsys):
     w = write_channel(tmp_path, "w.json", [[0.8, 0.2], [0.2, 0.8]])
     p0 = write_dist(tmp_path, "p0.json", [0, 1], [0.9, 0.1])
@@ -323,7 +354,7 @@ SAMPLE_SIZE = ["sample-size", "--mq", "40", "--varq", "20", "--mean-box", "43", 
     ("--var-box", ["18", "inf"]), ("--var-box", ["nan", "22"]), ("--alphabet", ["1"]),
 ])
 def test_sample_size_bad_inputs_exit_1(capsys, flag, values):
-    # the alphabet must be an integer >= 2; argparse itself refuses --alphabet 2.5
+    # the alphabet must be an integer >= 2; the parser itself refuses --alphabet 2.5
     argv = list(SAMPLE_SIZE)
     i = argv.index(flag)
     argv[i + 1:i + 1 + len(values)] = values

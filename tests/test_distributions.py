@@ -281,3 +281,70 @@ def test_laws_and_channels_are_unhashable():
         hash(make_distribution([0, 1], [0.5, 0.5]))
     with pytest.raises(TypeError):
         hash(make_channel([[1.0]]))
+
+
+# -- the JSON codec: bit for bit, whatever the memory layout -----------------
+
+# floats whose shortest round-trip digits a codec may get wrong: the least
+# subnormal, other subnormals, negative zero
+ODD_MASSES = [5e-324, 2.2250738585072e-310, 1.5e-320, -0.0]
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+def _with_odd_masses(mass):
+    """mass with its first entries replaced by ODD_MASSES, still summing to 1."""
+    mass = np.array(mass, dtype=float)
+    k = len(ODD_MASSES)
+    mass[k] += mass[:k].sum()
+    mass[:k] = ODD_MASSES
+    return mass
+
+
+def test_json_round_trip_is_bit_exact_on_a_large_law():
+    n = 100_000
+    # integer atoms, negative zero, subnormals and +-1e300
+    support = np.arange(n, dtype=float) - n // 2
+    support[n // 2:n // 2 + 3] = [-0.0, 5e-324, 2.2e-310]
+    support[[0, -1]] = [-1e300, 1e300]
+    mass = _with_odd_masses(np.random.default_rng(3).dirichlet(np.ones(n)))
+    d = make_distribution(support, mass)
+    e = DiscreteDistribution.from_json(d.to_json())
+    assert np.array_equal(_bits(e.support), _bits(support))
+    assert np.array_equal(_bits(e.mass), _bits(mass))
+
+
+def test_json_round_trip_is_bit_exact_on_a_channel():
+    rows = np.random.default_rng(4).dirichlet(np.ones(4), size=1000)
+    rows[:3] = [ODD_MASSES[:3] + [1.0], [-0.0, 0.5, 0.5, 0.0], [1e-300, 0.25, 0.75, 0.0]]
+    w = make_channel(rows)
+    assert np.array_equal(_bits(Channel.from_json(w.to_json()).matrix), _bits(rows))
+
+
+def test_json_file_format_is_compact_and_reads_integers():
+    d = make_distribution([0, 2], [0.25, 0.75])
+    assert d.to_json() == '{"support":[0.0,2.0],"mass":[0.25,0.75]}'
+    assert make_channel([[1, 0]]).to_json() == '{"rows":[[1.0,0.0]]}'
+    # a file may write its atoms as integers
+    assert DiscreteDistribution.from_json('{"support": [0, 2], "mass": [0.25, 0.75]}') == d
+
+
+def test_fortran_ordered_and_strided_inputs_round_trip():
+    rng = np.random.default_rng(5)
+    rows = rng.dirichlet(np.ones(3), size=6)
+    wide = np.zeros((6, 6))
+    wide[:, ::2] = rows
+    mass = np.zeros(10)
+    mass[::2] = rng.dirichlet(np.ones(5))
+    support = np.arange(10.0)
+    for w in (make_channel(np.asfortranarray(rows)), make_channel(wide[:, ::2]),
+              make_channel(rows[::2]), Channel(rows.T.T)):
+        assert w.matrix.flags.c_contiguous
+        assert Channel.from_json(w.to_json()) == w
+    for d in (make_distribution(support[::2], mass[::2]),
+              DiscreteDistribution(support[::2], mass[::2])):
+        assert d.support.flags.c_contiguous and d.mass.flags.c_contiguous
+        assert np.array_equal(d.mass, mass[::2])
+        assert DiscreteDistribution.from_json(d.to_json()) == d

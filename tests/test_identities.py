@@ -187,6 +187,26 @@ def test_polylog_kernel_top_order():
     with pytest.raises(DomainError):
         polylog_f(1001, 0.5)
 
+
+def test_polylog_kernel_memory_does_not_grow_with_the_order():
+    # the ln-expansion keeps 28 terms at every order: past the 28th they
+    # are below 1e-30 relative, so a table of k terms per point only costs
+    import tracemalloc
+
+    xs = np.geomspace(1e-6, 1e6, 2000)
+
+    def peak(k):
+        polylog_f(k, xs)  # coefficients cached, outside the measurement
+        tracemalloc.start()
+        try:
+            polylog_f(k, xs)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(1000) <= 2 * peak(28)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(2, 6), st.floats(1e-12, 1e6))
 def test_polylog_kernel_matches_mpmath_random(k, x):

@@ -1,6 +1,6 @@
 """Import cost: ``import divrel`` loads numpy and no scipy, each CLI
-subcommand loads only the scipy module it calls, and no code of divrel
-uses scipy.integrate.
+subcommand loads only the scipy module it calls, only the subcommands that
+read a file load orjson, and no code of divrel uses scipy.integrate.
 
 Every case runs in a fresh interpreter, since the test process itself has
 scipy loaded already.
@@ -15,12 +15,13 @@ import sys
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 # Imports divrel and divrel.cli, then runs the given CLI calls one after
-# another in one interpreter; prints the scipy modules loaded after each step.
+# another in one interpreter; prints the modules of the given package loaded
+# after each step.
 SCRIPT = r"""
 import json, pathlib, sys
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+def package_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == sys.argv[3])
 
 workdir = pathlib.Path(sys.argv[1])
 (workdir / "p.json").write_text(json.dumps({"support": [0, 1], "mass": [0.4, 0.6]}))
@@ -28,22 +29,23 @@ workdir = pathlib.Path(sys.argv[1])
 (workdir / "v.json").write_text(json.dumps({"support": [0, 1], "mass": [0.9, 0.1]}))
 (workdir / "w.json").write_text(json.dumps({"rows": [[0.9, 0.1], [0.2, 0.8]]}))
 import divrel
-steps = [scipy_modules()]
+steps = [package_modules()]
 import divrel.cli
-steps.append(scipy_modules())
+steps.append(package_modules())
 for argv in json.loads(sys.argv[2]):
     code = divrel.cli.main([a.format(d=workdir) for a in argv] + ["--format", "json"])
     assert code == 0, (argv, code)
-    steps.append(scipy_modules())
+    steps.append(package_modules())
 print(json.dumps(steps), file=sys.stderr)
 """
 
 
-def loaded_after(tmp_path, calls):
-    """Sets of scipy modules loaded after each step, in one fresh interpreter."""
+def loaded_after(tmp_path, calls, package="scipy"):
+    """Sets of the package's modules loaded after each step, in one fresh
+    interpreter."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT, str(tmp_path), json.dumps(calls)],
+        [sys.executable, "-c", SCRIPT, str(tmp_path), json.dumps(calls), package],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
@@ -102,6 +104,24 @@ def test_set_divergence_polylog_loads_scipy_special_only(tmp_path):
                                      "--mu", "{d}/p.json", "--indices", "0"]])
     assert "scipy.special" in steps[-1]
     assert not {"scipy.optimize", "scipy.integrate"} & steps[-1]
+
+
+# the subcommands that read no file; moment-bound --attain writes a law
+NO_FILE = [
+    ["moment-bound", "--mp", "45", "--varp", "20", "--mq", "40", "--varq", "20", "--attain"],
+    ["sample-size", "--mq", "40", "--varq", "20", "--mean-box", "43", "47",
+     "--var-box", "18", "22", "--alphabet", "2", "--epsilon", "1e-10"],
+    ["redundancy", "--lambdas", "2", "3"],
+    ["inequalities", "--trials", "5"],
+]
+
+
+def test_only_subcommands_that_read_a_file_load_orjson(tmp_path):
+    reads = ["divergence", "--spec", "kl", "--p", "{d}/p.json", "--q", "{d}/q.json"]
+    steps = loaded_after(tmp_path, NO_FILE + [reads], package="orjson")
+    assert steps[:-1] == [set()] * (2 + len(NO_FILE))
+    assert "orjson" in steps[-1]
+
 
 def test_no_module_of_divrel_names_scipy_integrate():
     for path in (SRC / "divrel").glob("*.py"):

@@ -292,6 +292,29 @@ def test_bound_accurate_at_small_var_q(var_q):
     assert bound(43, 22, 40, var_q) == pytest.approx(float(ref), rel=1e-13)
 
 
+@pytest.mark.parametrize("gap", [1e-15, 1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2, 0.3, 1.0])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_bound_accurate_at_nearly_equal_means(gap, sign):
+    # r -> s as the gap closes: d(r||s) must not be the difference of two
+    # terms of size r - s
+    mpmath.mp.dps = 50
+    a = mpmath.mpf(sign * gap)
+    for var_p, var_q in [(2.0, 2.0), (1.0, 3.0), (3.0, 1.0), (0.01, 5.0), (20.0, 0.5), (0.0, 2.0)]:
+        ref = mpmath.quad(lambda s: s * a**2 / ((1 - s) * var_p + s * var_q
+                                                + s * (1 - s) * a**2), [0, 0.5, 1])
+        got = bound(sign * gap, var_p, 0.0, var_q)
+        assert got == pytest.approx(float(ref), rel=1e-12, abs=0), (var_p, var_q)
+
+
+def test_bound_at_a_gap_far_below_the_deviations():
+    # a^2 = 8.2e-323: b^2/(4a^2) overflows and 1 - r, 1 - s underflow; the
+    # bound is about a^2 int_0^1 s/((1-s) var_p + s var_q) ds, 1.1e-322 and
+    # 1.3e-321 here
+    a = 9.059863746052646e-162
+    wide, narrow = bound(0.0, 2.0, a, 0.0625), bound(0.0, 0.0, a, 0.0625)
+    assert 1e-322 <= wide <= narrow <= 1.4e-321
+
+
 def test_bound_infinite_for_point_mass_q():
     # Q is a point mass at 40 and P has mass elsewhere
     assert bound(43, 22, 40, 0.0) == math.inf
