@@ -150,7 +150,7 @@ def poisson_entropy(lam):
     return out if out.ndim else float(out)
 
 
-def redundancy_report(pf: PoissonFamily, tail_tol: float = 1e-15) -> dict:
+def redundancy_report(pf: PoissonFamily) -> dict:
     """Redundancy bounds for a Shannon code built on the Poisson mixture.
 
     All headline numbers are in bits. The direct column evaluates
@@ -169,7 +169,7 @@ def redundancy_report(pf: PoissonFamily, tail_tol: float = 1e-15) -> dict:
     sum_tight = sum(w * tight for w, (tight, _) in zip(pf.weights, bounds))
     sum_convex = sum(w * convex for w, (_, convex) in zip(pf.weights, bounds))
 
-    _, stack = _on_union_support([poisson_pmf(lam, tail_tol)[0] for lam in pf.lambdas])
+    _, stack = _on_union_support([poisson_pmf(lam)[0] for lam in pf.lambdas])
     weights = np.asarray(pf.weights, dtype=float)
     direct = float(weights @ f_divergence_rows(DivergenceSpec("KL"), stack, weights @ stack))
 

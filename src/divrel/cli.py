@@ -2,16 +2,21 @@
 
 Output formats: human table (default), json, csv. Exit codes: 0 success,
 1 invalid input (a malformed command line included), 2 numerical failure.
-Every report echoes its inputs and a one-line description of the formula
-used. Input files are read by ``from_json``; the report is written with
-the stdlib json module.
+Input files are read by ``from_json``; the report is written with the
+stdlib json module.
+
+Every report has one layout, assembled in ``main``: ``command`` (the
+subcommand), ``formula`` (a one-line description of what was computed),
+``inputs`` (every argument of the subcommand, defaults included, except
+``--format``), then the subcommand's own ``scalars`` and/or ``rows``. Each
+subcommand registers its runner and formula with its parser; a runner
+returns only its ``scalars`` and ``rows``.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import sys
@@ -24,6 +29,9 @@ from .divergences import DivergenceSpec, f_divergence
 from .errors import DivrelError, DomainError, MaxDepthExceeded, QuadratureFailure
 
 _NUMERICAL_ERRORS = (MaxDepthExceeded, QuadratureFailure)
+
+# parsed attributes that are not inputs of the computation
+_NOT_INPUTS = ("command", "fn", "formula", "format")
 
 
 def _load(cls, path: str):
@@ -39,10 +47,8 @@ def _jsonable(obj):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, np.generic):
         obj = obj.item()
-    if isinstance(obj, float) and math.isnan(obj):
-        return None
-    if isinstance(obj, float) and math.isinf(obj):
-        return "inf" if obj > 0 else "-inf"
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None if math.isnan(obj) else "inf" if obj > 0 else "-inf"
     if isinstance(obj, DiscreteDistribution):
         # in the keys of its file; not to_json, which would load orjson into
         # a call that reads no file
@@ -57,23 +63,14 @@ def _emit(report: dict, fmt: str) -> None:
         return
     rows = report.get("rows")
     if fmt == "csv":
-        out = io.StringIO()
-        if rows:
-            writer = csv.DictWriter(out, fieldnames=list(rows[0].keys()))
-            writer.writeheader()
-            for row in rows:
-                writer.writerow(row)
-        else:
-            scalars = report.get("scalars", {})
-            writer = csv.DictWriter(out, fieldnames=list(scalars.keys()))
-            writer.writeheader()
-            writer.writerow(scalars)
-        sys.stdout.write(out.getvalue())
+        table = rows or [report.get("scalars", {})]
+        writer = csv.DictWriter(sys.stdout, fieldnames=list(table[0]))
+        writer.writeheader()
+        writer.writerows(table)
         return
-    # table
     print(f"command: {report['command']}")
     print(f"formula: {report['formula']}")
-    for k, v in report.get("inputs", {}).items():
+    for k, v in report["inputs"].items():
         print(f"  {k}: {v}")
     for k, v in report.get("scalars", {}).items():
         print(f"{k:32s} {v}")
@@ -85,79 +82,48 @@ def _emit(report: dict, fmt: str) -> None:
 
 
 def _cell(v) -> str:
-    if isinstance(v, float):
-        return f"{v:.10g}"
-    return str(v)
+    return f"{v:.10g}" if isinstance(v, float) else str(v)
 
 
 def _cmd_divergence(args) -> dict:
     spec = DivergenceSpec.parse(args.spec)
-    p = _load(DiscreteDistribution, args.p)
-    q = _load(DiscreteDistribution, args.q)
-    pa, qa = align(p, q)
-    value = f_divergence(spec, pa, qa)
-    return {
-        "command": "divergence",
-        "formula": "sum_i q_i f(p_i/q_i) for the selected kernel, in nats",
-        "inputs": {"spec": args.spec, "p": args.p, "q": args.q},
-        "scalars": {"value_nats": value},
-    }
+    p, q = (_load(DiscreteDistribution, path) for path in (args.p, args.q))
+    return {"scalars": {"value_nats": f_divergence(spec, *align(p, q))}}
+
+
+# --which -> (formula, check of the pair P, Q under the parsed arguments a)
+_IDENTITIES = {
+    "kl-chi2": ("D(P||R_lam) vs integral of chi2(P||R_s)/s over (0,lam]",
+                lambda a, p, q: identities.check_kl_chi2_identity(p, q, a.lam)),
+    "chi2-half": ("chi2(P||Q)/2 vs integral of chi2(sP+(1-s)Q||Q)/s over (0,1]",
+                  lambda a, p, q: identities.check_chi2_half_identity(p, q)),
+    "gv": ("D(P||R_lam) vs integral of s*D_phi_s(P||Q) over (0,lam]",
+           lambda a, p, q: identities.check_gv_identity(p, q, a.lam)),
+    "recursive": ("order-(k+1) polylog divergence vs integral of order-k over (0,lam]",
+                  lambda a, p, q: identities.check_recursive_identity(a.k, p, q, a.lam)),
+    "skew-s": ("S_alpha(P||Q) vs weighted integral of the skew-chi2 curve",
+               lambda a, p, q: contraction.check_skew_s_integral(a.alpha, p, q)),
+}
 
 
 def _cmd_identity_check(args) -> dict:
-    p = _load(DiscreteDistribution, args.p)
-    q = _load(DiscreteDistribution, args.q)
-    which = args.which
-    if which == "kl-chi2":
-        rep = identities.check_kl_chi2_identity(p, q, args.lam)
-        formula = "D(P||R_lam) vs integral of chi2(P||R_s)/s over (0,lam]"
-    elif which == "chi2-half":
-        rep = identities.check_chi2_half_identity(p, q)
-        formula = "chi2(P||Q)/2 vs integral of chi2(sP+(1-s)Q||Q)/s over (0,1]"
-    elif which == "gv":
-        rep = identities.check_gv_identity(p, q, args.lam)
-        formula = "D(P||R_lam) vs integral of s*D_phi_s(P||Q) over (0,lam]"
-    elif which == "recursive":
-        rep = identities.check_recursive_identity(args.k, p, q, args.lam)
-        formula = "order-(k+1) polylog divergence vs integral of order-k over (0,lam]"
-    elif which == "skew-s":
-        rep = contraction.check_skew_s_integral(args.alpha, p, q)
-        formula = "S_alpha(P||Q) vs weighted integral of the skew-chi2 curve"
-    else:
-        raise DivrelError(f"unknown identity {which!r}")
-    return {
-        "command": "identity-check",
-        "formula": formula,
-        "inputs": {"which": which, "lam": args.lam, "k": args.k, "alpha": args.alpha},
-        "scalars": {
-            "lhs": rep.lhs, "rhs": rep.rhs,
-            "abs_err": rep.abs_err, "rel_err": rep.rel_err,
-            "passed": rep.passed,
-        },
-    }
+    p, q = (_load(DiscreteDistribution, path) for path in (args.p, args.q))
+    rep = _IDENTITIES[args.which][1](args, p, q)
+    return {"scalars": {k: v for k, v in vars(rep).items() if k != "name"}}
 
 
 def _cmd_moment_bound(args) -> dict:
     mt = moment_bounds.MomentTuple(args.mp, args.varp, args.mq, args.varq)
     cert = moment_bounds.kl_moment_lower_bound(mt)
+    spread = args.varp > 0 and args.varq > 0
     scalars = {
-        "bound_nats": cert.bound_nats,
-        "r": cert.r, "s": cert.s,
-        "gaussian_kl_nats": moment_bounds.gaussian_kl(mt)
-        if args.varp > 0 and args.varq > 0 else math.nan,
-        "exponential_kl_nats": moment_bounds.exponential_kl(mt)
-        if args.varp > 0 and args.varq > 0 else math.nan,
-    }
-    report = {
-        "command": "moment-bound",
-        "formula": "binary relative entropy d(r||s) from the four moments",
-        "inputs": {"mp": args.mp, "varp": args.varp, "mq": args.mq, "varq": args.varq},
-        "scalars": scalars,
+        "bound_nats": cert.bound_nats, "r": cert.r, "s": cert.s,
+        "gaussian_kl_nats": moment_bounds.gaussian_kl(mt) if spread else math.nan,
+        "exponential_kl_nats": moment_bounds.exponential_kl(mt) if spread else math.nan,
     }
     if args.attain:
-        p, q = moment_bounds.attaining_pair(mt)
-        report["scalars"]["attaining_p"], report["scalars"]["attaining_q"] = p, q
-    return report
+        scalars["attaining_p"], scalars["attaining_q"] = moment_bounds.attaining_pair(mt)
+    return {"scalars": scalars}
 
 
 def _cmd_inequalities(args) -> dict:
@@ -170,136 +136,68 @@ def _cmd_inequalities(args) -> dict:
         n = int(rng.integers(2, 7))
         p[:n] = rng.dirichlet(np.ones(n))
         q[:n] = rng.dirichlet(np.ones(n))
-    rows = [{"inequality": name, "trials": args.trials,
-             "violations": int(np.count_nonzero(~(slack >= -inequalities.GRACE))),
-             "min_slack": float(slack[np.isfinite(slack)].min(initial=math.inf))}
-            for name, slack in inequalities.pair_slacks(P, Q, 0.5).items()]
-    return {
-        "command": "inequalities",
-        "formula": "randomized sweep of the divergence inequality suite",
-        "inputs": {"seed": args.seed, "trials": args.trials},
-        "rows": rows,
-    }
+    return {"rows": [
+        {"inequality": name, "trials": args.trials,
+         "violations": int(np.count_nonzero(~(slack >= -inequalities.GRACE))),
+         "min_slack": float(slack[np.isfinite(slack)].min(initial=math.inf))}
+        for name, slack in inequalities.pair_slacks(P, Q, 0.5).items()]}
 
 
 def _cmd_contraction(args) -> dict:
     w = _load(Channel, args.channel)
     qx = _load(DiscreteDistribution, args.input_law)
     sc = contraction.SourceChannelPair(qx, w)
-    mu = contraction.chi2_contraction(sc)
-    lower, upper_channel, upper_scaled = contraction.skew_contraction_sandwich(
-        args.alpha, args.family, sc
-    )
+    # the sandwich's lower end is the chi^2 contraction itself
+    mu, upper_channel, upper_scaled = contraction.skew_contraction_sandwich(
+        args.alpha, args.family, sc)
     tag = "SKEW_K" if args.family == "K" else "SKEW_S"
-    est = contraction.brute_force_mu_f(
-        DivergenceSpec(tag, args.alpha), sc, n_samples=args.brute_budget
-    )
-    return {
-        "command": "contraction",
-        "formula": "squared second singular value of the normalized joint matrix, "
-                   "with skew-family sandwich bounds",
-        "inputs": {
-            "channel": args.channel, "input_law": args.input_law,
-            "alpha": args.alpha, "family": args.family,
-            "brute_budget": args.brute_budget,
-        },
-        "scalars": {
-            "mu_chi2": mu,
-            "maximal_correlation": math.sqrt(mu),
-            "sandwich_lower": lower,
-            "sandwich_upper_channel": upper_channel,
-            "sandwich_upper_scaled": upper_scaled,
-            "brute_force_lower": est.lower,
-            "brute_force_point": est.point_estimate,
-        },
-    }
+    est = contraction.brute_force_mu_f(DivergenceSpec(tag, args.alpha), sc,
+                                       n_samples=args.brute_budget)
+    return {"scalars": {
+        "mu_chi2": mu, "maximal_correlation": math.sqrt(mu), "sandwich_lower": mu,
+        "sandwich_upper_channel": upper_channel, "sandwich_upper_scaled": upper_scaled,
+        "brute_force_lower": est.lower, "brute_force_point": est.point_estimate,
+    }}
 
 
 def _cmd_mixing(args) -> dict:
     w = _load(Channel, args.chain)
     p0 = _load(DiscreteDistribution, args.p0)
     rep = contraction.markov_mixing_report(w, p0, args.alpha, args.n_max)
-    return {
-        "command": "mixing",
-        "formula": "skew divergences to the stationary law vs mu^n decay envelopes",
-        "inputs": {
-            "chain": args.chain, "p0": args.p0,
-            "alpha": args.alpha, "n_max": args.n_max,
-        },
-        "scalars": {
-            "mu_chi2": rep["mu_chi2"],
-            "q_min": rep["q_min"],
-            "k_alpha_initial": rep["k_alpha_initial"],
-            "s_alpha_initial": rep["s_alpha_initial"],
-        },
-        "rows": rep["rows"],
-    }
+    keys = ("mu_chi2", "q_min", "k_alpha_initial", "s_alpha_initial")
+    return {"scalars": {k: rep[k] for k in keys}, "rows": rep["rows"]}
 
 
 def _cmd_redundancy(args) -> dict:
-    if args.weights == ["uniform"]:
-        weights = [1.0 / len(args.lambdas)] * len(args.lambdas)
-    else:
-        weights = [float(v) for v in args.weights]
+    n = len(args.lambdas)
+    weights = [1.0 / n] * n if args.weights == ["uniform"] else args.weights
     pf = applications.PoissonFamily(tuple(args.lambdas), tuple(weights))
     rep = applications.redundancy_report(pf)
-    return {
-        "command": "redundancy",
-        "formula": "mixture-KL and convexity upper bounds on the mismatched "
-                   "Shannon-code penalty, in bits",
-        "inputs": {"lambdas": args.lambdas, "weights": weights},
-        "scalars": {
-            "sum_kl_upper_bits": rep["sum_kl_upper_bits"],
-            "convexity_upper_bits": rep["convexity_upper_bits"],
-            "direct_sum_bits": rep["direct_sum_bits"],
-            "avg_entropy_bits": rep["avg_entropy_bits"],
-            "nu_upper_improved_pct": 100.0 * rep["nu_upper_improved"],
-            "nu_upper_loose_pct": 100.0 * rep["nu_upper_loose"],
-            "nu_lower_direct_pct": 100.0 * rep["nu_lower_direct"],
-        },
-        "rows": rep["per_source"],
-    }
+    bits = ("sum_kl_upper_bits", "convexity_upper_bits", "direct_sum_bits", "avg_entropy_bits")
+    fractions = ("nu_upper_improved", "nu_upper_loose", "nu_lower_direct")
+    scalars = {k: rep[k] for k in bits} | {f"{k}_pct": 100.0 * rep[k] for k in fractions}
+    return {"scalars": scalars, "rows": rep["per_source"]}
 
 
 def _cmd_sample_size(args) -> dict:
-    tcp = applications.TypeClassProblem(
-        m_q=args.mq, var_q=args.varq,
-        mean_box=(args.mean_box[0], args.mean_box[1]),
-        var_box=(args.var_box[0], args.var_box[1]),
-        alphabet_size=args.alphabet, epsilon=args.epsilon,
-    )
+    tcp = applications.TypeClassProblem(args.mq, args.varq, tuple(args.mean_box),
+                                        tuple(args.var_box), args.alphabet, args.epsilon)
     d = applications.d_star(tcp)
     n = applications.n_star(tcp, d)
-    return {
-        "command": "sample-size",
-        "formula": "minimal n with (n+1)^(k-1) exp(-n d*) <= epsilon, "
-                   "inverted via the secondary Lambert W branch",
-        "inputs": {
-            "mq": args.mq, "varq": args.varq,
-            "mean_box": args.mean_box, "var_box": args.var_box,
-            "alphabet": args.alphabet, "epsilon": args.epsilon,
-        },
-        "scalars": {
-            "d_star_nats": d,
-            "n_star": n,
-            "tail_bound_at_n_star": applications.sanov_bound(tcp, n, d),
-        },
-    }
+    return {"scalars": {"d_star_nats": d, "n_star": n,
+                        "tail_bound_at_n_star": applications.sanov_bound(tcp, n, d)}}
 
 
 def _cmd_set_divergence(args) -> dict:
     spec = DivergenceSpec.parse(args.spec)
     mu = _load(DiscreteDistribution, args.mu)
-    direct, closed = inequalities.conditioned_measure_divergence(
-        spec, mu, args.indices
-    )
-    return {
-        "command": "set-divergence",
-        "formula": "divergence from the conditioned measure: direct evaluation "
-                   "vs the closed form in the set probability",
-        "inputs": {"spec": args.spec, "mu": args.mu, "indices": args.indices},
-        "scalars": {"direct": direct, "closed_form": closed},
-    }
+    direct, closed = inequalities.conditioned_measure_divergence(spec, mu, args.indices)
+    return {"scalars": {"direct": direct, "closed_form": closed}}
+
+
+def _weight(text: str):
+    """One --weights token: 'uniform' or a float."""
+    return text if text == "uniform" else float(text)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -314,109 +212,116 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="divrel",
-        description="Divergence relations toolkit: f-divergences, integral "
-                    "identities, moment bounds, contraction coefficients and "
-                    "their applications.",
+        description="Divergence relations toolkit: f-divergences, integral identities, "
+                    "moment bounds, contraction coefficients and their applications.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("table", "json", "csv"),
+                     default="table", help="output format")
 
-    def add_fmt(p):
-        p.add_argument("--format", choices=("table", "json", "csv"),
-                       default="table", help="output format")
+    def command(name, fn, formula, help):
+        """The subparser of one subcommand, its runner and formula registered."""
+        p = sub.add_parser(name, help=help, parents=[fmt])
+        p.set_defaults(fn=fn, formula=formula)
+        return p
 
-    p = sub.add_parser("divergence", help="evaluate one divergence (nats)")
+    p = command("divergence", _cmd_divergence,
+                "sum_i q_i f(p_i/q_i) for the selected kernel, in nats",
+                "evaluate one divergence (nats)")
     p.add_argument("--spec", required=True,
                    help="kl | chi2 | tv | renyi:a | gv:s | skew_k:a | skew_s:a "
                         "| js | polylog:k")
-    p.add_argument("--p", required=True, help="JSON file {support, mass}")
-    p.add_argument("--q", required=True, help="JSON file {support, mass}")
-    add_fmt(p)
-    p.set_defaults(fn=_cmd_divergence)
+    for name in ("--p", "--q"):
+        p.add_argument(name, required=True, help="JSON file {support, mass}")
 
-    p = sub.add_parser("identity-check", help="two-path integral identity check")
-    p.add_argument("--which", required=True,
-                   choices=("kl-chi2", "chi2-half", "gv", "recursive", "skew-s"))
+    # the formula depends on --which, so it is looked up once the line is parsed
+    p = command("identity-check", _cmd_identity_check,
+                lambda args: _IDENTITIES[args.which][0],
+                "two-path integral identity check")
+    p.add_argument("--which", required=True, choices=tuple(_IDENTITIES))
     p.add_argument("--p", required=True)
     p.add_argument("--q", required=True)
     p.add_argument("--lam", type=float, default=1.0)
     p.add_argument("--k", type=int, default=1, help="polylog order (recursive)")
     p.add_argument("--alpha", type=float, default=0.5, help="skew (skew-s)")
-    add_fmt(p)
-    p.set_defaults(fn=_cmd_identity_check)
 
-    p = sub.add_parser("moment-bound", help="moment-based KL lower bound")
-    p.add_argument("--mp", type=float, required=True)
-    p.add_argument("--varp", type=float, required=True)
-    p.add_argument("--mq", type=float, required=True)
-    p.add_argument("--varq", type=float, required=True)
+    p = command("moment-bound", _cmd_moment_bound,
+                "binary relative entropy d(r||s) from the four moments",
+                "moment-based KL lower bound")
+    for name in ("--mp", "--varp", "--mq", "--varq"):
+        p.add_argument(name, type=float, required=True)
     p.add_argument("--attain", action="store_true",
                    help="also emit the two-point pair attaining the bound")
-    add_fmt(p)
-    p.set_defaults(fn=_cmd_moment_bound)
 
-    p = sub.add_parser("inequalities", help="randomized inequality sweep")
+    p = command("inequalities", _cmd_inequalities,
+                "randomized sweep of the divergence inequality suite",
+                "randomized inequality sweep")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=1000)
-    add_fmt(p)
-    p.set_defaults(fn=_cmd_inequalities)
 
-    p = sub.add_parser("contraction", help="contraction coefficient report")
+    p = command("contraction", _cmd_contraction,
+                "squared second singular value of the normalized joint matrix, "
+                "with skew-family sandwich bounds",
+                "contraction coefficient report")
     p.add_argument("--channel", required=True, help="JSON file {rows}")
     p.add_argument("--input-law", required=True, help="JSON file {support, mass}")
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--family", choices=("K", "S"), default="K")
     p.add_argument("--brute-budget", type=int, default=10_000)
-    add_fmt(p)
-    p.set_defaults(fn=_cmd_contraction)
 
-    p = sub.add_parser("mixing", help="Markov mixing envelope report")
+    p = command("mixing", _cmd_mixing,
+                "skew divergences to the stationary law vs mu^n decay envelopes",
+                "Markov mixing envelope report")
     p.add_argument("--chain", required=True, help="JSON file {rows}, square")
     p.add_argument("--p0", required=True, help="JSON file {support, mass}")
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--n-max", type=int, default=20)
-    add_fmt(p)
-    p.set_defaults(fn=_cmd_mixing)
 
-    p = sub.add_parser("redundancy", help="Poisson-mixture code redundancy")
+    p = command("redundancy", _cmd_redundancy,
+                "mixture-KL and convexity upper bounds on the mismatched "
+                "Shannon-code penalty, in bits",
+                "Poisson-mixture code redundancy")
     p.add_argument("--lambdas", type=float, nargs="+", required=True)
-    p.add_argument("--weights", nargs="+", default=["uniform"],
+    p.add_argument("--weights", type=_weight, nargs="+", default=["uniform"],
                    help="'uniform' or one weight per rate")
-    add_fmt(p)
-    p.set_defaults(fn=_cmd_redundancy)
 
-    p = sub.add_parser("sample-size", help="minimal n for the type-class bound")
-    p.add_argument("--mq", type=float, required=True)
-    p.add_argument("--varq", type=float, required=True)
-    p.add_argument("--mean-box", type=float, nargs=2, required=True)
-    p.add_argument("--var-box", type=float, nargs=2, required=True)
+    p = command("sample-size", _cmd_sample_size,
+                "minimal n with (n+1)^(k-1) exp(-n d*) <= epsilon, "
+                "inverted via the secondary Lambert W branch",
+                "minimal n for the type-class bound")
+    for name in ("--mq", "--varq"):
+        p.add_argument(name, type=float, required=True)
+    for name in ("--mean-box", "--var-box"):
+        p.add_argument(name, type=float, nargs=2, required=True)
     p.add_argument("--alphabet", type=int, required=True)
     p.add_argument("--epsilon", type=float, required=True)
-    add_fmt(p)
-    p.set_defaults(fn=_cmd_sample_size)
 
-    p = sub.add_parser("set-divergence",
-                       help="divergence from a conditioned measure")
+    p = command("set-divergence", _cmd_set_divergence,
+                "divergence from the conditioned measure: direct evaluation "
+                "vs the closed form in the set probability",
+                "divergence from a conditioned measure")
     p.add_argument("--spec", required=True)
     p.add_argument("--mu", required=True, help="JSON file {support, mass}")
     p.add_argument("--indices", type=int, nargs="+", required=True)
-    add_fmt(p)
-    p.set_defaults(fn=_cmd_set_divergence)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        report = args.fn(args)
+        parts = args.fn(args)
     except _NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except (DivrelError, ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (DivrelError, ValueError, OSError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 1
-    _emit(report, args.format)
+    formula = args.formula(args) if callable(args.formula) else args.formula
+    inputs = {k: v for k, v in vars(args).items() if k not in _NOT_INPUTS}
+    _emit({"command": args.command, "formula": formula, "inputs": inputs, **parts},
+          args.format)
     return 0
 
 

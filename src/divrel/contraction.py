@@ -30,7 +30,7 @@ from .errors import (
     NotReversible,
     PreconditionViolated,
 )
-from .identities import DEFAULT_CFG, IdentityReport, QuadratureConfig, _escapes, integrate
+from .identities import IdentityReport, _escapes, integrate
 from .inequalities import InequalityReport
 
 
@@ -252,10 +252,8 @@ def g_alpha(alpha: float, s: float) -> float:
     return out
 
 
-def check_skew_s_integral(
-    alpha: float, p: DiscreteDistribution, q: DiscreteDistribution,
-    cfg: QuadratureConfig = DEFAULT_CFG,
-) -> IdentityReport:
+def check_skew_s_integral(alpha: float, p: DiscreteDistribution,
+                          q: DiscreteDistribution) -> IdentityReport:
     """S_alpha(P||Q) vs its weighted integral over the skew-chi^2 curve."""
     lhs = skew_s(alpha, p, q)
     a, b = p.p[None, :], q.p
@@ -274,7 +272,7 @@ def check_skew_s_integral(
     if (alpha == 1.0 and _escapes(p.p, q.p)) or (alpha == 0.0 and _escapes(q.p, p.p)):
         rhs = math.inf
     else:
-        rhs = integrate(left, 0.0, alpha, cfg) + integrate(right, alpha, 1.0, cfg)
+        rhs = integrate(left, 0.0, alpha) + integrate(right, alpha, 1.0)
     return IdentityReport.compare(f"skew_s_integral_a{alpha}", lhs, rhs)
 
 
@@ -304,10 +302,10 @@ def _check_irreducible(w: Channel) -> None:
             raise NotIrreducible("kernel support graph is not strongly connected")
 
 
-def _check_reversible(w: Channel, q: DiscreteDistribution, tol: float = 1e-10) -> None:
+def _check_reversible(w: Channel, q: DiscreteDistribution) -> None:
     m = w.matrix
     flow = q.p[:, None] * m
-    if not np.allclose(flow, flow.T, atol=tol, rtol=0.0):
+    if not np.allclose(flow, flow.T, atol=1e-10, rtol=0.0):
         raise NotReversible("detailed balance fails for the stationary law")
 
 

@@ -21,6 +21,7 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     DuplicateAtom,
+    MalformedJSON,
     NegativeMass,
     NonFinite,
     NonStochastic,
@@ -104,10 +105,7 @@ class DiscreteDistribution:
 
     @classmethod
     def from_json(cls, text: str) -> "DiscreteDistribution":
-        import orjson
-
-        obj = orjson.loads(text)
-        return make_distribution(obj["support"], obj["mass"])
+        return make_distribution(*_json_arrays(text, "support", "mass"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,9 +139,23 @@ class Channel:
 
     @classmethod
     def from_json(cls, text: str) -> "Channel":
-        import orjson
+        return make_channel(*_json_arrays(text, "rows"))
 
-        return make_channel(orjson.loads(text)["rows"])
+
+def _json_arrays(text: str, *keys: str) -> list[np.ndarray]:
+    """The numeric arrays under keys of the JSON object in text; MalformedJSON
+    for text that is not JSON, not an object, or lacks a numeric array at a key."""
+    import orjson
+
+    try:
+        obj = orjson.loads(text)
+        arrays = [np.asarray(obj[k]) for k in keys]
+        if any(a.dtype.kind not in "iuf" for a in arrays):
+            raise TypeError("a value is not an array of numbers")
+    except (ValueError, TypeError, KeyError) as exc:
+        raise MalformedJSON(f"expected a JSON object with numeric {', '.join(keys)}: "
+                            f"{type(exc).__name__}: {exc}") from None
+    return arrays
 
 
 def make_distribution(support, mass) -> DiscreteDistribution:

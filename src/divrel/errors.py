@@ -25,6 +25,10 @@ class DimensionMismatch(DivrelError):
     """Distribution / channel dimensions are inconsistent."""
 
 
+class MalformedJSON(DivrelError):
+    """Input text is not a JSON object of numeric arrays under the expected keys."""
+
+
 class UnalignedSupports(DivrelError):
     """Two distributions do not share a common support."""
 

@@ -69,9 +69,7 @@ class IdentityReport:
     passed: bool
 
     @classmethod
-    def compare(cls, name: str, lhs: float, rhs: float,
-                abs_tol: float = CHECK_ABS_TOL,
-                rel_tol: float = CHECK_REL_TOL) -> "IdentityReport":
+    def compare(cls, name: str, lhs: float, rhs: float) -> "IdentityReport":
         if lhs == rhs:  # equal infinities included
             abs_err = rel_err = 0.0
         else:
@@ -80,7 +78,7 @@ class IdentityReport:
             # a finite side against an infinite one: the limit of the ratio is 1
             rel_err = 1.0 if math.isinf(scale) else abs_err / scale
         return cls(name, lhs, rhs, abs_err, rel_err,
-                   abs_err <= abs_tol or rel_err <= rel_tol)
+                   abs_err <= CHECK_ABS_TOL or rel_err <= CHECK_REL_TOL)
 
 
 # The 15-point Gauss-Kronrod rule on [-1, 1] and the 7-point Gauss rule on
@@ -199,10 +197,8 @@ def _mixtures(s: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (1.0 - s) * a + s * b
 
 
-def check_kl_chi2_identity(
-    p: DiscreteDistribution, q: DiscreteDistribution,
-    lam: float, cfg: QuadratureConfig = DEFAULT_CFG,
-) -> IdentityReport:
+def check_kl_chi2_identity(p: DiscreteDistribution, q: DiscreteDistribution,
+                           lam: float) -> IdentityReport:
     """D(P||R_lam) vs the integral of chi^2(P||R_s)/s over (0, lam]."""
     lhs = kl(p, mixture(p, q, lam))
     a, b = (d.p for d in align(p, q))
@@ -211,32 +207,26 @@ def check_kl_chi2_identity(
         rows = _mixtures(s, a, b)
         return f_divergence_rows(_CHI2, np.repeat(a[None, :], len(s), axis=0), rows) / s
 
-    rhs = math.inf if lam == 1.0 and _escapes(a, b) else integrate(integrand, 0.0, lam, cfg)
+    rhs = math.inf if lam == 1.0 and _escapes(a, b) else integrate(integrand, 0.0, lam)
     return IdentityReport.compare("kl_chi2", lhs, rhs)
 
 
-def check_chi2_half_identity(
-    p: DiscreteDistribution, q: DiscreteDistribution,
-    cfg: QuadratureConfig = DEFAULT_CFG,
-) -> IdentityReport:
+def check_chi2_half_identity(p: DiscreteDistribution, q: DiscreteDistribution) -> IdentityReport:
     """chi^2(P||Q)/2 vs the integral of chi^2(sP+(1-s)Q||Q)/s."""
     lhs = 0.5 * chi_squared(p, q)
     a, b = p.p, q.p
-    rhs = integrate(lambda s: f_divergence_rows(_CHI2, _mixtures(s, b, a), b) / s,
-                    0.0, 1.0, cfg)
+    rhs = integrate(lambda s: f_divergence_rows(_CHI2, _mixtures(s, b, a), b) / s, 0.0, 1.0)
     return IdentityReport.compare("chi2_half", lhs, rhs)
 
 
-def check_gv_identity(
-    p: DiscreteDistribution, q: DiscreteDistribution,
-    lam: float, cfg: QuadratureConfig = DEFAULT_CFG,
-) -> IdentityReport:
+def check_gv_identity(p: DiscreteDistribution, q: DiscreteDistribution,
+                      lam: float) -> IdentityReport:
     """D(P||R_lam) vs the integral of s * D_{phi_s}(P||Q) over (0, lam]."""
     lhs = kl(p, mixture(p, q, lam))
     a, b = _aligned(p, q)
     # s D_{phi_s}(P||Q) = chi^2(P||R_s)/s
     rhs = (math.inf if lam == 1.0 and _escapes(a, b)
-           else integrate(lambda s: s * _gv(a[None, :], b, s[:, None]), 0.0, lam, cfg))
+           else integrate(lambda s: s * _gv(a[None, :], b, s[:, None]), 0.0, lam))
     return IdentityReport.compare("gv", lhs, rhs)
 
 
@@ -245,15 +235,13 @@ def f_k_divergence(k: int, p: DiscreteDistribution, q: DiscreteDistribution) -> 
     return f_divergence(DivergenceSpec("POLYLOG_F", k), p, q)
 
 
-def check_recursive_identity(
-    k: int, p: DiscreteDistribution, q: DiscreteDistribution,
-    lam: float, cfg: QuadratureConfig = DEFAULT_CFG,
-) -> IdentityReport:
+def check_recursive_identity(k: int, p: DiscreteDistribution, q: DiscreteDistribution,
+                             lam: float) -> IdentityReport:
     """D_{f_{k+1}}(R_lam||P) vs the integral of D_{f_k}(R_s||P)/s over (0, lam]."""
     lhs = f_k_divergence(k + 1, mixture(p, q, lam), p)
     a, b = (d.p for d in align(p, q))
     f_k = DivergenceSpec("POLYLOG_F", k)
     # at k = 0 the curve is chi^2(P||R_s)/s
     rhs = (math.inf if k == 0 and lam == 1.0 and _escapes(a, b) else
-           integrate(lambda s: f_divergence_rows(f_k, _mixtures(s, a, b), a) / s, 0.0, lam, cfg))
+           integrate(lambda s: f_divergence_rows(f_k, _mixtures(s, a, b), a) / s, 0.0, lam))
     return IdentityReport.compare(f"recursive_k{k}", lhs, rhs)

@@ -183,6 +183,7 @@ def test_non_finite_literals_in_files_exit_1(tmp_path, capsys, literal):
      "--var-box", "18", "22", "--alphabet", "2.5", "--epsilon", "1e-10"],
     ["inequalities", "--trials", "x"],
     [],
+    ["redundancy", "--lambdas", "16", "20", "--weights", "x"],
 ])
 def test_malformed_command_lines_exit_1_with_usage(capsys, argv):
     # exit 2 is a numerical failure; argparse would use it for a typo
@@ -395,3 +396,100 @@ def test_identity_check_at_the_end_with_infinite_sides(tmp_path, capsys, which):
     s = rep["scalars"]
     assert s["lhs"] == s["rhs"] == "inf"
     assert s["passed"] is True
+
+
+@pytest.mark.parametrize("name, text", [
+    ("array.json", "[0.5, 0.5]"),
+    ("field.json", '{"support": {"a": 1}, "mass": [1.0]}'),
+    ("missing.json", '{"mass": [0.5, 0.5]}'),
+])
+def test_malformed_json_files_exit_1(tmp_path, capsys, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    u = write_dist(tmp_path, "u.json", [0, 1], [0.5, 0.5])
+    for argv in (["divergence", "--spec", "kl", "--p", str(path), "--q", str(path)],
+                 ["contraction", "--channel", str(path), "--input-law", u],
+                 ["mixing", "--chain", str(path), "--p0", u]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("invalid input:") and "Traceback" not in err
+
+
+@pytest.fixture
+def files(tmp_path):
+    return {
+        "p": write_dist(tmp_path, "p.json", [0, 1, 2], [0.2, 0.5, 0.3]),
+        "q": write_dist(tmp_path, "q.json", [0, 1, 2], [0.4, 0.1, 0.5]),
+        "u": write_dist(tmp_path, "u.json", [0, 1], [0.5, 0.5]),
+        "w": write_channel(tmp_path, "w.json", [[0.9, 0.1], [0.1, 0.9]]),
+    }
+
+
+# subcommand -> (its arguments, "{p}" standing for the file p of `files`;
+# every option of its parser but --format, in order; the parts it reports)
+LAYOUTS = {
+    "divergence": (["--spec", "kl", "--p", "{p}", "--q", "{q}"],
+                   ["spec", "p", "q"], ["scalars"]),
+    "identity-check": (["--which", "gv", "--p", "{p}", "--q", "{q}"],
+                       ["which", "p", "q", "lam", "k", "alpha"], ["scalars"]),
+    "moment-bound": (["--mp", "45", "--varp", "20", "--mq", "40", "--varq", "20"],
+                     ["mp", "varp", "mq", "varq", "attain"], ["scalars"]),
+    "inequalities": (["--trials", "5"], ["seed", "trials"], ["rows"]),
+    "contraction": (["--channel", "{w}", "--input-law", "{u}", "--brute-budget", "50"],
+                    ["channel", "input_law", "alpha", "family", "brute_budget"], ["scalars"]),
+    "mixing": (["--chain", "{w}", "--p0", "{u}", "--n-max", "3"],
+               ["chain", "p0", "alpha", "n_max"], ["scalars", "rows"]),
+    "redundancy": (["--lambdas", "16", "20"], ["lambdas", "weights"], ["scalars", "rows"]),
+    "sample-size": (SAMPLE_SIZE[1:],
+                    ["mq", "varq", "mean_box", "var_box", "alphabet", "epsilon"], ["scalars"]),
+    "set-divergence": (["--spec", "kl", "--mu", "{p}", "--indices", "1"],
+                       ["spec", "mu", "indices"], ["scalars"]),
+}
+
+
+@pytest.mark.parametrize("command", LAYOUTS)
+def test_report_layout(files, capsys, command):
+    args, options, parts = LAYOUTS[command]
+    argv = [command] + [a.format(**files) for a in args]
+    code, rep = run_json(capsys, argv)
+    assert code == 0
+    assert list(rep) == ["command", "formula", "inputs", *parts]
+    assert rep["command"] == command
+    assert isinstance(rep["formula"], str) and rep["formula"]
+    assert list(rep["inputs"]) == options
+    # the table writes the same header: command, formula, then one line per input
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == [f"command: {command}", f"formula: {rep['formula']}"]
+    assert [line.split(":")[0].strip() for line in lines[2:2 + len(options)]] == options
+
+
+def test_inputs_echo_the_parsed_values(files, capsys):
+    code, rep = run_json(capsys, ["identity-check", "--which", "recursive", "--p", files["p"],
+                                  "--q", files["q"], "--k", "2"])
+    assert code == 0
+    assert rep["inputs"] == {"which": "recursive", "p": files["p"], "q": files["q"],
+                             "lam": 1.0, "k": 2, "alpha": 0.5}
+    code, rep = run_json(capsys, ["moment-bound", "--mp", "45", "--varp", "20", "--mq", "40",
+                                  "--varq", "20", "--attain"])
+    assert rep["inputs"]["attain"] is True
+
+
+def test_identity_check_formula_per_identity(files, capsys):
+    formulas = set()
+    for which in ("kl-chi2", "chi2-half", "gv", "recursive", "skew-s"):
+        code, rep = run_json(capsys, ["identity-check", "--which", which,
+                                      "--p", files["p"], "--q", files["q"]])
+        assert code == 0 and rep["inputs"]["which"] == which
+        formulas.add(rep["formula"])
+    assert len(formulas) == 5
+
+
+def test_redundancy_echoes_weights_as_numbers(capsys):
+    code, rep = run_json(capsys, ["redundancy", "--lambdas", "16", "20", "--weights", "0.3", "0.7"])
+    assert code == 0
+    assert rep["inputs"]["weights"] == [0.3, 0.7]
+    assert [row["weight"] for row in rep["rows"]] == [0.3, 0.7]
+    code, rep = run_json(capsys, ["redundancy", "--lambdas", "16", "20"])
+    assert rep["inputs"]["weights"] == ["uniform"]
+    assert [row["weight"] for row in rep["rows"]] == [0.5, 0.5]

@@ -348,3 +348,33 @@ def test_fortran_ordered_and_strided_inputs_round_trip():
         assert d.support.flags.c_contiguous and d.mass.flags.c_contiguous
         assert np.array_equal(d.mass, mass[::2])
         assert DiscreteDistribution.from_json(d.to_json()) == d
+
+
+MALFORMED_LAWS = [
+    "[0.5, 0.5]",                                     # an array, not an object
+    '{"support": {"a": 1}, "mass": [1.0]}',           # an object as a field
+    '{"mass": [0.5, 0.5]}',                           # a missing key
+    '{"support": ["0", "1"], "mass": [0.5, 0.5]}',    # numbers written as strings
+    '{"support": [0, 1], "mass": [0.5, null]}',
+    '"support"',
+    "{",
+]
+MALFORMED_CHANNELS = [
+    "[[1.0, 0.0]]",
+    '{"rows": {"a": [1.0]}}',
+    '{"matrix": [[1.0, 0.0]]}',
+    '{"rows": [[1.0], [0.5, 0.5]]}',                  # ragged rows
+    '{"rows": [[true, false]]}',
+]
+
+
+@pytest.mark.parametrize("text", MALFORMED_LAWS)
+def test_distribution_from_json_rejects_wrong_shape(text):
+    with pytest.raises(DivrelError, match="expected a JSON object with numeric support, mass"):
+        DiscreteDistribution.from_json(text)
+
+
+@pytest.mark.parametrize("text", MALFORMED_CHANNELS)
+def test_channel_from_json_rejects_wrong_shape(text):
+    with pytest.raises(DivrelError, match="expected a JSON object with numeric rows"):
+        Channel.from_json(text)
