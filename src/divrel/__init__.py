@@ -43,9 +43,11 @@ from .divergences import (
     entropy,
     f_divergence,
     f_divergence_rows,
+    f_k_divergence,
     gyorfi_vajda,
     jensen_shannon,
     kl,
+    polylog_f,
     renyi,
     skew_k,
     skew_s,
@@ -59,8 +61,6 @@ from .identities import (
     check_gv_identity,
     check_kl_chi2_identity,
     check_recursive_identity,
-    f_k_divergence,
-    polylog_f,
 )
 from .inequalities import (
     InequalityReport,

@@ -22,7 +22,7 @@ from .errors import (
     DomainError, MaxDepthExceeded, NonFinite, PreconditionViolated, QuadratureFailure,
 )
 from .identities import QuadratureConfig, integrate
-from .inequalities import _mixture_kl_bound
+from .inequalities import _mixture_kl_bound, _validated_weights
 from .moment_bounds import MomentTuple, kl_moment_lower_bound
 
 LN2 = math.log(2.0)
@@ -45,9 +45,7 @@ class PoissonFamily:
             raise DomainError("lambdas and weights must be equal-length, non-empty")
         for lam in self.lambdas:
             _check_rate(lam)
-        w = np.asarray(self.weights, dtype=float)
-        if not np.all(np.isfinite(w)) or np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9:
-            raise DomainError("weights must form a probability vector")
+        _validated_weights(self.lambdas, self.weights)
 
 
 @dataclass(frozen=True)
@@ -274,4 +272,6 @@ def sanov_bound(tcp: TypeClassProblem, n: int, d: float | None = None) -> float:
         raise DomainError("n must be at least 1")
     if d is None:
         d = d_star(tcp)
+    elif not d > 0:
+        raise DomainError(f"the divergence floor d must be positive, got {d}")
     return min(math.exp(_log_tail_bound(n, tcp.alphabet_size, d)), 1.0)

@@ -102,7 +102,7 @@ _IDENTITIES = {
     "recursive": ("order-(k+1) polylog divergence vs integral of order-k over (0,lam]",
                   lambda a, p, q: identities.check_recursive_identity(a.k, p, q, a.lam)),
     "skew-s": ("S_alpha(P||Q) vs weighted integral of the skew-chi2 curve",
-               lambda a, p, q: contraction.check_skew_s_integral(a.alpha, p, q)),
+               lambda a, p, q: identities.check_skew_s_integral(a.alpha, p, q)),
 }
 
 

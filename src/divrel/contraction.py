@@ -15,14 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import Channel, DiscreteDistribution, push_forward, validate_mass
-from .divergences import (
-    DivergenceSpec,
-    _gv,
-    f_divergence_rows,
-    kl,
-    skew_k,
-    skew_s,
-)
+from .divergences import DivergenceSpec, f_divergence_rows, kl, skew_k, skew_s
 from .errors import (
     DimensionMismatch,
     DomainError,
@@ -30,7 +23,8 @@ from .errors import (
     NotReversible,
     PreconditionViolated,
 )
-from .identities import IdentityReport, _escapes, integrate
+# the S_alpha integral identity lives in identities; callers also reach it here
+from .identities import check_skew_s_integral, g_alpha  # noqa: F401
 from .inequalities import InequalityReport
 
 
@@ -240,40 +234,6 @@ def skew_contraction_sandwich(
     q_min = float(np.min(sc.qx.p))
     factor = skew_k_factor(alpha, q_min) if which == "K" else skew_s_factor(alpha, q_min)
     return lower, upper_channel, factor * lower
-
-
-def g_alpha(alpha: float, s: float) -> float:
-    """Weight kernel for the S-family integral representation."""
-    out = 0.0
-    if 0.0 < s <= alpha:
-        out += alpha * s
-    if alpha <= s < 1.0:
-        out += (1.0 - alpha) * (1.0 - s)
-    return out
-
-
-def check_skew_s_integral(alpha: float, p: DiscreteDistribution,
-                          q: DiscreteDistribution) -> IdentityReport:
-    """S_alpha(P||Q) vs its weighted integral over the skew-chi^2 curve."""
-    lhs = skew_s(alpha, p, q)
-    a, b = p.p[None, :], q.p
-
-    # g_alpha, alpha s then (1 - alpha)(1 - s), has a kink at s = alpha, so
-    # each side is integrated on its own
-    def left(s):
-        return alpha * s * _gv(a, b, s[:, None])
-
-    def right(s):
-        return (1.0 - alpha) * (1.0 - s) * _gv(a, b, s[:, None])
-
-    # the curve is not integrable, like the lhs is +inf: at alpha = 1 left is
-    # chi^2(P||R_s)/s, R_s = (1 - s)P + sQ, and P has mass where Q has none;
-    # at alpha = 0 right is at least (1 - s) Q(P = 0)/s
-    if (alpha == 1.0 and _escapes(p.p, q.p)) or (alpha == 0.0 and _escapes(q.p, p.p)):
-        rhs = math.inf
-    else:
-        rhs = integrate(left, 0.0, alpha) + integrate(right, alpha, 1.0)
-    return IdentityReport.compare(f"skew_s_integral_a{alpha}", lhs, rhs)
 
 
 def stationary_distribution(w: Channel) -> DiscreteDistribution:

@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    DomainError,
     DuplicateAtom,
     MalformedJSON,
     NegativeMass,
@@ -195,7 +196,7 @@ def align(p: DiscreteDistribution, q: DiscreteDistribution):
 def mixture(p: DiscreteDistribution, q: DiscreteDistribution, lam: float) -> DiscreteDistribution:
     """Convex combination (1-lam)*P + lam*Q on the common support."""
     if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"mixture weight must lie in [0,1], got {lam}")
+        raise DomainError(f"mixture weight must lie in [0,1], got {lam}")
     support, (pm, qm) = _on_union_support((p, q))
     return DiscreteDistribution(support, (1.0 - lam) * pm + lam * qm)
 

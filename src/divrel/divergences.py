@@ -49,7 +49,11 @@ class DivergenceSpec:
         tag = _NAMES.get(name)
         if tag is None:
             raise DomainError(f"unknown divergence name {name!r}")
-        return cls(tag, float(arg) if arg else None)
+        try:
+            param = float(arg) if arg else None
+        except ValueError:
+            raise DomainError(f"{name!r} needs a numeric parameter, got {arg!r}") from None
+        return cls(tag, param)
 
 
 def _aligned(p: DiscreteDistribution, q: DiscreteDistribution):
@@ -409,18 +413,45 @@ def jensen_shannon(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
     return _one_row(_js, p, q)
 
 
+def f_k_divergence(k: int, p: DiscreteDistribution, q: DiscreteDistribution) -> float:
+    """Divergence with the Li_k(1-x) kernel; k=0 gives chi^2(Q||P), k=1 gives D(Q||P)."""
+    return f_divergence(DivergenceSpec("POLYLOG_F", k), p, q)
+
+
+# g(t)/t^2 = sum_j (-t)^j / ((j + 1)(j + 2)), to 1e-17 relative for |t| < 1/8
+_G_POWERS = np.arange(18.0)
+_G_SERIES = 1.0 / ((_G_POWERS + 1.0) * (_G_POWERS + 2.0))
+_G_CUT = 0.125
+
+
+def _binary_term(x, y, diff):
+    """x ln(x/y) - diff where x - y = diff, that is y g(diff/y) with
+    g(t) = (1 + t) ln(1 + t) - t >= 0; 0 at x = 0 and +inf at y = 0 < x.
+
+    The terms of d(r||s) for r and 1 - r sum to d because their diffs
+    cancel. Written as x ln(x/y) each term is about +-diff and the sum loses
+    every digit as r -> s; g keeps them: by its series where |t| < 1/8, and
+    elsewhere directly, where the subtraction loses at most four bits, with
+    ln(x/y) = log1p(t) except where t < -1/2 and x/y is the accurate one."""
+    t = diff / y
+    by_series = y * t * t * ((-t)[..., None] ** _G_POWERS @ _G_SERIES)
+    log_ratio = np.where(t < -0.5, np.log(x / y), np.log1p(t))
+    direct = np.where(x > 0, x * log_ratio, 0.0) - diff
+    return np.where(np.abs(t) < _G_CUT, by_series, direct)
+
+
 def binary_kl(r, s):
     """d(r||s) = r log(r/s) + (1-r) log((1-r)/(1-s)) in nats, 0 log(0/0) = 0.
 
-    Elementwise over broadcast arrays; a float for scalar arguments.
+    Elementwise over broadcast arrays; a float for scalar arguments. The sum
+    of two non-negative terms (``_binary_term``), accurate as r -> s.
     """
     r = np.asarray(r, dtype=float)
     s = np.asarray(s, dtype=float)
     if not ((r >= 0) & (r <= 1) & (s >= 0) & (s <= 1)).all():
         raise DomainError(f"binary_kl arguments must lie in [0,1], got ({r}, {s})")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = (np.where(r > 0, r * np.log(r / s), 0.0)
-               + np.where(r < 1, (1.0 - r) * np.log((1.0 - r) / (1.0 - s)), 0.0))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        out = _binary_term(r, s, r - s) + _binary_term(1.0 - r, 1.0 - s, s - r)
     return out if out.ndim else float(out)
 
 

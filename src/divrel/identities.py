@@ -2,11 +2,12 @@
 
 Each check evaluates the same quantity along two independent numerical
 paths (a closed-form divergence vs an adaptive quadrature of a divergence
-curve) and reports the discrepancy. Every integrand here has a finite
-limit at s -> 0 (chi^2(P||R_s) ~ s^2 chi^2(Q||P)), so the open interval
-(0, lambda] needs no singularity handling. An integrand takes the array
-of quadrature nodes and scores the stack of laws they select in one row
-kernel call.
+curve, ``_path_check``) and reports the discrepancy. Every integrand here
+has a finite limit at s -> 0 (chi^2(P||R_s) ~ s^2 chi^2(Q||P)), so the
+open interval (0, lambda] needs no singularity handling. An integrand takes
+the array of quadrature nodes and scores the stack of laws they select in
+one row kernel call. The checks on R_s = (1-s)P + sQ put P and Q on their
+union support (``align``), so Q may lack atoms of P.
 """
 
 from __future__ import annotations
@@ -20,13 +21,13 @@ import numpy as np
 from .distributions import DiscreteDistribution, align, mixture
 from .divergences import (
     DivergenceSpec,
-    _aligned,
+    _chi2,
     _gv,
     chi_squared,
-    f_divergence,
     f_divergence_rows,
+    f_k_divergence,
     kl,
-    polylog_f,  # noqa: F401  the polylog kernel is part of this module's interface
+    skew_s,
 )
 from .errors import DomainError, MaxDepthExceeded, QuadratureFailure
 
@@ -181,9 +182,6 @@ def integrate(f, a: float, b: float, cfg: QuadratureConfig = DEFAULT_CFG):
         err = np.concatenate([err[keep], new_err])
 
 
-_CHI2 = DivergenceSpec("CHI2")
-
-
 def _escapes(a: np.ndarray, b: np.ndarray) -> bool:
     """Whether a has mass where b has none, so D(a||b) = +inf. The curve
     chi^2(a||R_s)/s, R_s = (1 - s) a + s b, is then at least
@@ -197,42 +195,39 @@ def _mixtures(s: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (1.0 - s) * a + s * b
 
 
+def _path_check(name: str, lhs: float, curve, edges, infinite: bool) -> IdentityReport:
+    """lhs against the integral of curve over the panels between edges (an
+    inner edge is a kink of the curve); +inf, with no quadrature, where
+    infinite says that the curve is not integrable."""
+    rhs = math.inf if infinite else sum(
+        integrate(curve, lo, hi) for lo, hi in zip(edges[:-1], edges[1:]))
+    return IdentityReport.compare(name, lhs, rhs)
+
+
 def check_kl_chi2_identity(p: DiscreteDistribution, q: DiscreteDistribution,
                            lam: float) -> IdentityReport:
     """D(P||R_lam) vs the integral of chi^2(P||R_s)/s over (0, lam]."""
-    lhs = kl(p, mixture(p, q, lam))
     a, b = (d.p for d in align(p, q))
-
-    def integrand(s):
-        rows = _mixtures(s, a, b)
-        return f_divergence_rows(_CHI2, np.repeat(a[None, :], len(s), axis=0), rows) / s
-
-    rhs = math.inf if lam == 1.0 and _escapes(a, b) else integrate(integrand, 0.0, lam)
-    return IdentityReport.compare("kl_chi2", lhs, rhs)
+    return _path_check("kl_chi2", kl(p, mixture(p, q, lam)),
+                       lambda s: _chi2(a[None, :], _mixtures(s, a, b)) / s,
+                       (0.0, lam), lam == 1.0 and _escapes(a, b))
 
 
 def check_chi2_half_identity(p: DiscreteDistribution, q: DiscreteDistribution) -> IdentityReport:
     """chi^2(P||Q)/2 vs the integral of chi^2(sP+(1-s)Q||Q)/s."""
-    lhs = 0.5 * chi_squared(p, q)
     a, b = p.p, q.p
-    rhs = integrate(lambda s: f_divergence_rows(_CHI2, _mixtures(s, b, a), b) / s, 0.0, 1.0)
-    return IdentityReport.compare("chi2_half", lhs, rhs)
+    return _path_check("chi2_half", 0.5 * chi_squared(p, q),
+                       lambda s: _chi2(_mixtures(s, b, a), b) / s, (0.0, 1.0), False)
 
 
 def check_gv_identity(p: DiscreteDistribution, q: DiscreteDistribution,
                       lam: float) -> IdentityReport:
     """D(P||R_lam) vs the integral of s * D_{phi_s}(P||Q) over (0, lam]."""
-    lhs = kl(p, mixture(p, q, lam))
-    a, b = _aligned(p, q)
+    a, b = (d.p for d in align(p, q))
     # s D_{phi_s}(P||Q) = chi^2(P||R_s)/s
-    rhs = (math.inf if lam == 1.0 and _escapes(a, b)
-           else integrate(lambda s: s * _gv(a[None, :], b, s[:, None]), 0.0, lam))
-    return IdentityReport.compare("gv", lhs, rhs)
-
-
-def f_k_divergence(k: int, p: DiscreteDistribution, q: DiscreteDistribution) -> float:
-    """Divergence with the Li_k(1-x) kernel; k=0 gives chi^2(Q||P), k=1 gives D(Q||P)."""
-    return f_divergence(DivergenceSpec("POLYLOG_F", k), p, q)
+    return _path_check("gv", kl(p, mixture(p, q, lam)),
+                       lambda s: s * _gv(a[None, :], b, s[:, None]),
+                       (0.0, lam), lam == 1.0 and _escapes(a, b))
 
 
 def check_recursive_identity(k: int, p: DiscreteDistribution, q: DiscreteDistribution,
@@ -242,6 +237,32 @@ def check_recursive_identity(k: int, p: DiscreteDistribution, q: DiscreteDistrib
     a, b = (d.p for d in align(p, q))
     f_k = DivergenceSpec("POLYLOG_F", k)
     # at k = 0 the curve is chi^2(P||R_s)/s
-    rhs = (math.inf if k == 0 and lam == 1.0 and _escapes(a, b) else
-           integrate(lambda s: f_divergence_rows(f_k, _mixtures(s, a, b), a) / s, 0.0, lam))
-    return IdentityReport.compare(f"recursive_k{k}", lhs, rhs)
+    return _path_check(f"recursive_k{k}", lhs,
+                       lambda s: f_divergence_rows(f_k, _mixtures(s, a, b), a) / s,
+                       (0.0, lam), k == 0 and lam == 1.0 and _escapes(a, b))
+
+
+def g_alpha(alpha: float, s):
+    """Weight of the skew-chi^2 curve in the S_alpha integral: alpha s on
+    (0, alpha] plus (1 - alpha)(1 - s) on [alpha, 1); both at s = alpha.
+    Elementwise over an array s (a float for a scalar s)."""
+    s = np.asarray(s, dtype=float)
+    if math.isnan(alpha) or np.isnan(s).any():
+        raise DomainError(f"g_alpha needs alpha and s that are not NaN, got {alpha}, {s}")
+    out = (np.where((0.0 < s) & (s <= alpha), alpha * s, 0.0)
+           + np.where((alpha <= s) & (s < 1.0), (1.0 - alpha) * (1.0 - s), 0.0))
+    return out if out.ndim else float(out)
+
+
+def check_skew_s_integral(alpha: float, p: DiscreteDistribution,
+                          q: DiscreteDistribution) -> IdentityReport:
+    """S_alpha(P||Q) vs the integral of g_alpha(s) D_{phi_s}(P||Q) over (0, 1),
+    split at the kink of g_alpha at s = alpha."""
+    lhs = skew_s(alpha, p, q)
+    a, b = p.p, q.p
+    # not integrable, like the lhs is +inf: at alpha = 1 the curve is chi^2(P||R_s)/s
+    # and P has mass where Q has none; at alpha = 0 it is >= (1 - s) Q(P = 0)/s
+    return _path_check(f"skew_s_integral_a{alpha}", lhs,
+                       lambda s: g_alpha(alpha, s) * _gv(a[None, :], b, s[:, None]),
+                       (0.0, alpha, 1.0),
+                       (alpha == 1.0 and _escapes(a, b)) or (alpha == 0.0 and _escapes(b, a)))

@@ -132,17 +132,17 @@ def skew_kl_convexity_comparison(
     return InequalityReport("skew_kl_vs_convexity", float(_skew_kl_bound(lam, d)), lam * d)
 
 
-def derivative_checks(
-    p: DiscreteDistribution,
-    q: DiscreteDistribution,
-    lam_grid: Sequence[float] = (0.1, 0.3, 0.5, 0.7, 0.9),
-    h: float = 1e-5,
-    tol: float = 1e-6,
-) -> dict:
+# central-difference step of derivative_checks and slack of its inequality
+_FD_STEP = 1e-5
+_FD_TOL = 1e-6
+
+
+def derivative_checks(p: DiscreteDistribution, q: DiscreteDistribution,
+                      lam_grid: Sequence[float] = (0.1, 0.3, 0.5, 0.7, 0.9)) -> dict:
     """Finite-difference checks on the skew curve F(lam) = K_lam(P||Q).
 
-    Verifies F'(lam) >= (exp(F(lam)) - 1)/lam pointwise on the grid, and
-    compares F'(lam)/lam at lam = 1e-3 with its small-lam value
+    Verifies F'(lam) >= (exp(F(lam)) - 1)/lam - _FD_TOL pointwise on the
+    grid, and compares F'(lam)/lam at lam = 1e-3 with its small-lam value
     chi^2(Q||P).
     """
     pa, qa = align(p, q)
@@ -153,15 +153,14 @@ def derivative_checks(
         raise PreconditionViolated("needs finite chi^2(Q||P)")
 
     def fprime(lam: float) -> float:
-        return (skew_k(lam + h, p, q) - skew_k(lam - h, p, q)) / (2 * h)
+        return (skew_k(lam + _FD_STEP, p, q) - skew_k(lam - _FD_STEP, p, q)) / (2 * _FD_STEP)
 
     grid = []
     for lam in lam_grid:
         lhs = (math.exp(skew_k(lam, p, q)) - 1.0) / lam
         slope = fprime(lam)
-        grid.append({"lam": lam, "fprime": slope, "lower": lhs, "holds": slope >= lhs - tol})
-    lam0 = 1e-3
-    ratio = fprime(lam0) / lam0
+        grid.append({"lam": lam, "fprime": slope, "lower": lhs, "holds": slope >= lhs - _FD_TOL})
+    ratio = fprime(1e-3) / 1e-3
     return {
         "grid": grid,
         "small_lam_ratio": ratio,
@@ -171,8 +170,10 @@ def derivative_checks(
 
 
 def _validated_weights(dists, weights):
+    """weights as an array: finite, non-negative, one per component, summing to 1."""
     w = np.asarray(weights, dtype=float)
-    if len(dists) != len(w) or np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9:
+    if (len(dists) != len(w) or not np.isfinite(w).all() or np.any(w < 0)
+            or abs(w.sum() - 1.0) > 1e-9):
         raise DomainError("weights must be a probability vector over the components")
     return w
 

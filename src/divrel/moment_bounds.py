@@ -15,10 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import DiscreteDistribution, make_distribution, mixture, moments
+from .divergences import _binary_term
 from .errors import (
     DegenerateVariance,
     DomainError,
     EpsilonTooLarge,
+    NonFinite,
     PreconditionViolated,
 )
 
@@ -31,6 +33,8 @@ class MomentTuple:
     var_q: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.m_p, self.var_p, self.m_q, self.var_q))):
+            raise NonFinite(f"means and variances must be finite, got {self}")
         if self.var_p < 0 or self.var_q < 0:
             raise DomainError("variances must be non-negative")
 
@@ -98,28 +102,6 @@ def moment_bound_arrays(m_p, var_p, m_q, var_q) -> tuple[np.ndarray, ...]:
         bound = terms.sum(axis=0) / (2.0 * v)
     zero = a2 == 0.0
     return tuple(np.broadcast_arrays(*(np.where(zero, 0.0, x) for x in (r, s, a, b, v, bound))))
-
-
-# g(t)/t^2 = sum_j (-t)^j / ((j + 1)(j + 2)), to 1e-17 relative for |t| < 1/8
-_G_POWERS = np.arange(18.0)
-_G_SERIES = 1.0 / ((_G_POWERS + 1.0) * (_G_POWERS + 2.0))
-_G_CUT = 0.125
-
-
-def _binary_term(x, y, diff):
-    """x ln(x/y) - diff where x - y = diff, that is y g(diff/y) with
-    g(t) = (1 + t) ln(1 + t) - t >= 0; 0 at x = 0 and +inf at y = 0 < x.
-
-    The terms of d(r||s) for r and 1 - r sum to d because their diffs
-    cancel. Written as x ln(x/y) each term is about +-diff and the sum loses
-    every digit as r -> s; g keeps them: by its series where |t| < 1/8, and
-    elsewhere directly, where the subtraction loses at most four bits, with
-    ln(x/y) = log1p(t) except where t < -1/2 and x/y is the accurate one."""
-    t = diff / y
-    by_series = y * t * t * ((-t)[..., None] ** _G_POWERS @ _G_SERIES)
-    log_ratio = np.where(t < -0.5, np.log(x / y), np.log1p(t))
-    direct = np.where(x > 0, x * log_ratio, 0.0) - diff
-    return np.where(np.abs(t) < _G_CUT, by_series, direct)
 
 
 def _scaled_masses(a, b, v, var_p, var_q):

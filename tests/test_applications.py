@@ -268,6 +268,13 @@ def test_n_star_is_true_threshold():
             assert sanov_bound(tcp, n - 1, d) > tcp.epsilon
 
 
+@pytest.mark.parametrize("d", [math.nan, 0.0, -1.0, -math.inf])
+def test_sanov_bound_needs_a_positive_floor(d):
+    with pytest.raises(DomainError):
+        sanov_bound(TCP, 10, d)
+    assert sanov_bound(TCP, 10, math.inf) == 0.0
+
+
 def test_sanov_bound_clipping_and_decay():
     d = 0.203
     assert sanov_bound(TCP, 1, d) == 1.0

@@ -379,6 +379,18 @@ def test_inequalities_without_trials_exits_1(capsys, trials):
     assert "trials" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--mp", "nan"), ("--varp", "inf"), ("--mq", "inf"), ("--varq", "nan"),
+])
+def test_moment_bound_non_finite_moments_exit_1(capsys, flag, value):
+    argv = ["moment-bound", "--mp", "45", "--varp", "20", "--mq", "40", "--varq", "20"]
+    argv[argv.index(flag) + 1] = value
+    assert main(argv + ["--format", "json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("invalid input:") and "finite" in captured.err
+
+
 def test_moment_bound_point_mass_q_is_infinite(capsys):
     code, rep = run_json(
         capsys, ["moment-bound", "--mp", "43", "--varp", "22", "--mq", "40", "--varq", "0"])

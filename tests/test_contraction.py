@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
+import divrel.contraction
+import divrel.identities
 from divrel import (
     DivergenceSpec,
     SourceChannelPair,
@@ -169,6 +171,18 @@ def test_g_alpha_shape():
     assert g_alpha(0.3, 1.0) == 0.0
     # both branches meet at s = alpha
     assert g_alpha(0.3, 0.3) == pytest.approx(0.3 * 0.3 + 0.7 * 0.7)
+    s = [0.0, 0.1, 0.3, 0.5, 1.0]
+    got = g_alpha(0.3, np.array(s))
+    assert isinstance(got, np.ndarray) and isinstance(g_alpha(0.3, 0.1), float)
+    assert got.tolist() == [g_alpha(0.3, x) for x in s]
+    for alpha, nodes in ((0.3, math.nan), (math.nan, 0.5), (0.3, np.array([0.1, math.nan]))):
+        with pytest.raises(DomainError):
+            g_alpha(alpha, nodes)
+
+
+def test_skew_s_integral_is_the_identities_one():
+    assert divrel.contraction.check_skew_s_integral is divrel.identities.check_skew_s_integral
+    assert divrel.contraction.g_alpha is divrel.identities.g_alpha
 
 
 def test_skew_s_integral_identity():

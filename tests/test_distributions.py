@@ -19,6 +19,7 @@ from divrel import (
 from divrel.distributions import validate_mass
 from divrel.errors import (
     DimensionMismatch,
+    DomainError,
     DuplicateAtom,
     DivrelError,
     NegativeMass,
@@ -97,6 +98,13 @@ def test_mixture_endpoints():
     q = make_distribution([0, 1], [0.1, 0.9])
     assert mixture(p, q, 0.0) == p
     assert np.array_equal(mixture(p, q, 1.0).mass, q.mass)
+
+
+@pytest.mark.parametrize("lam", [-0.1, 1.5, math.nan, math.inf])
+def test_mixture_weight_outside_the_unit_interval_is_a_domain_error(lam):
+    p = make_distribution([0, 1], [0.4, 0.6])
+    with pytest.raises(DomainError):
+        mixture(p, p, lam)
 
 
 def test_mixture_interior():

@@ -142,6 +142,30 @@ def test_binary_kl():
         binary_kl(1.5, 0.5)
 
 
+def _mp_binary_kl(r, s):
+    with mpmath.workdps(50):
+        r, s = mpmath.mpf(r), mpmath.mpf(s)
+        terms = [x * mpmath.log(x / y) for x, y in ((r, s), (1 - r, 1 - s)) if x > 0]
+        return float(mpmath.fsum(terms))
+
+
+@pytest.mark.parametrize("r, s", [
+    (0.5, 0.5 + 1e-12),
+    (1e-3, 1e-3 * (1 + 1e-7)),
+    (0.3, 0.3 * (1 - 1e-9)),
+    (0.9, 0.9 + 1e-10),
+    (1e-8, 1.1e-8),
+    (1 - 1e-6, 1 - 1.2e-6),
+])
+def test_binary_kl_near_equal_pairs_mpmath(r, s):
+    # each term of d(r||s) is about +-(r - s), and their sum is (r - s)^2
+    # order: summing the two terms as written loses every digit
+    want = _mp_binary_kl(r, s)
+    assert want > 0
+    assert binary_kl(r, s) == pytest.approx(want, rel=1e-13, abs=0)
+    assert binary_kl(np.array([r, s]), np.array([s, r]))[0] == binary_kl(r, s)
+
+
 def test_unaligned_supports_rejected():
     p = make_distribution([0, 1], [0.5, 0.5])
     q = make_distribution([0, 2], [0.5, 0.5])
@@ -159,6 +183,9 @@ def test_spec_parse():
         DivergenceSpec("RENYI", -1.0)
     with pytest.raises(DomainError):
         DivergenceSpec("POLYLOG_F", 1.5)
+    for text in ("renyi:abc", "polylog:2x"):
+        with pytest.raises(DomainError):
+            DivergenceSpec.parse(text)
 
 
 

@@ -340,7 +340,8 @@ def test_mixture_path_checks_need_only_the_atoms_of_q_in_p():
     q3 = make_distribution([0, 1, 2], [0.6, 0.0, 0.4])
     assert check_kl_chi2_identity(p, q, 0.7) == check_kl_chi2_identity(p, q3, 0.7)
     assert check_recursive_identity(1, p, q, 0.7) == check_recursive_identity(1, p, q3, 0.7)
+    assert check_gv_identity(p, q, 0.7) == check_gv_identity(p, q3, 0.7)
     with pytest.raises(UnalignedSupports):
         check_chi2_half_identity(p, q)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         check_kl_chi2_identity(p, q3, 1.5)

@@ -59,6 +59,9 @@ NUMPY_ONLY = [
     ["inequalities", "--trials", "5"],
     ["mixing", "--chain", "{d}/w.json", "--p0", "{d}/p.json", "--n-max", "3"],
     ["identity-check", "--which", "kl-chi2", "--p", "{d}/p.json", "--q", "{d}/q.json"],
+    ["identity-check", "--which", "skew-s", "--p", "{d}/p.json", "--q", "{d}/q.json"],
+    ["identity-check", "--which", "gv", "--p", "{d}/p.json", "--q", "{d}/q.json"],
+    ["identity-check", "--which", "chi2-half", "--p", "{d}/p.json", "--q", "{d}/q.json"],
     ["sample-size", "--mq", "40", "--varq", "20", "--mean-box", "43", "47",
      "--var-box", "18", "22", "--alphabet", "2", "--epsilon", "1e-10"],
 ]

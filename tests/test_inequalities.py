@@ -148,6 +148,16 @@ ZERO_WEIGHT = (
 )
 
 
+@pytest.mark.parametrize("weights", [[math.nan, math.nan], [math.nan, 1.0], [1.0, math.nan]])
+def test_mixture_weights_must_not_be_nan(weights):
+    dists = [make_distribution([0, 1], [0.3, 0.7]), make_distribution([0, 1], [0.6, 0.4])]
+    for call in (lambda: mixture_kl_upper(0, dists, weights),
+                 lambda: mixture_of(dists, weights),
+                 lambda: concavity_deficit_bounds(dists, weights)):
+        with pytest.raises(DomainError):
+            call()
+
+
 def test_mixture_kl_upper_with_a_zero_weight_component():
     dists, w = ZERO_WEIGHT
     # the zero-weight law is off the mixture's support: both sides are +inf

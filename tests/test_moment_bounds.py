@@ -27,11 +27,21 @@ from divrel.errors import (
     DegenerateVariance,
     DomainError,
     EpsilonTooLarge,
+    NonFinite,
     PreconditionViolated,
 )
 from divrel.moment_bounds import moment_bound_arrays
 
 from oracles import moment_bound_integral
+
+
+@pytest.mark.parametrize("fields", [
+    (math.nan, 1, 0, 1), (0, math.nan, 0, 1), (0, 1, math.inf, 1), (0, 1, 0, -math.inf),
+    (-math.inf, 1, 0, 1), (0, math.inf, 0, 1),
+])
+def test_moment_tuple_rejects_non_finite_fields(fields):
+    with pytest.raises(NonFinite):
+        MomentTuple(*fields)
 
 
 def test_reference_case_one():
