@@ -24,11 +24,9 @@ import sys
 import numpy as np
 
 from . import applications, contraction, identities, inequalities, moment_bounds
-from .distributions import Channel, DiscreteDistribution, align
+from .distributions import Channel, DiscreteDistribution
 from .divergences import DivergenceSpec, f_divergence
-from .errors import DivrelError, DomainError, MaxDepthExceeded, QuadratureFailure
-
-_NUMERICAL_ERRORS = (MaxDepthExceeded, QuadratureFailure)
+from .errors import DivrelError, DomainError, QuadratureFailure
 
 # parsed attributes that are not inputs of the computation
 _NOT_INPUTS = ("command", "fn", "formula", "format")
@@ -88,7 +86,7 @@ def _cell(v) -> str:
 def _cmd_divergence(args) -> dict:
     spec = DivergenceSpec.parse(args.spec)
     p, q = (_load(DiscreteDistribution, path) for path in (args.p, args.q))
-    return {"scalars": {"value_nats": f_divergence(spec, *align(p, q))}}
+    return {"scalars": {"value_nats": f_divergence(spec, p, q)}}
 
 
 # --which -> (formula, check of the pair P, Q under the parsed arguments a)
@@ -312,7 +310,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         parts = args.fn(args)
-    except _NUMERICAL_ERRORS as exc:
+    except QuadratureFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     except (DivrelError, ValueError, OSError) as exc:

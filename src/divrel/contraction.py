@@ -36,9 +36,9 @@ class SourceChannelPair:
     def __post_init__(self):
         if len(self.qx) != self.w.n_inputs:
             raise DimensionMismatch("input law size must match channel rows")
-        if np.any(self.qx.p <= 0):
+        if np.any(self.qx.mass <= 0):
             raise PreconditionViolated("input law must be strictly positive")
-        qy = self.qx.p @ self.w.matrix
+        qy = self.qx.mass @ self.w.matrix
         if np.any(qy <= 0):
             raise PreconditionViolated("output law must be strictly positive")
 
@@ -84,7 +84,7 @@ def _chi2_contraction_rows(qx: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def chi2_contraction(sc: SourceChannelPair) -> float:
     """Chi-squared contraction coefficient of the pair, in [0, 1]."""
-    return float(_chi2_contraction_rows(sc.qx.p[None, :], sc.w.matrix)[0])
+    return float(_chi2_contraction_rows(sc.qx.mass[None, :], sc.w.matrix)[0])
 
 
 def maximal_correlation(sc: SourceChannelPair) -> float:
@@ -99,9 +99,9 @@ _RATIO_FLOOR = 1e-6
 
 def _spectral_direction(sc: SourceChannelPair) -> np.ndarray:
     """Input perturbation direction attaining the chi^2 contraction."""
-    u, _, _ = np.linalg.svd(_normalized_joint(sc.qx.p[None, :], sc.w.matrix)[0])
+    u, _, _ = np.linalg.svd(_normalized_joint(sc.qx.mass[None, :], sc.w.matrix)[0])
     # u2 is orthogonal to sqrt(qx), so this perturbation sums to zero
-    return np.sqrt(sc.qx.p) * u[:, 1]
+    return np.sqrt(sc.qx.mass) * u[:, 1]
 
 
 def _sampled_sup(score_rows, n: int, n_samples: int, seed: int, nm_options: dict):
@@ -153,7 +153,7 @@ def brute_force_mu_f(
         raise PreconditionViolated("brute-force search is limited to <= 6 atoms")
     if n < 2:
         raise PreconditionViolated("brute-force search needs >= 2 input atoms")
-    qx, w = sc.qx.p, sc.w.matrix
+    qx, w = sc.qx.mass, sc.w.matrix
     qy = qx @ w
 
     def ratios(px: np.ndarray) -> np.ndarray:
@@ -231,7 +231,7 @@ def skew_contraction_sandwich(
         raise DomainError("which must be 'K' or 'S'")
     lower = chi2_contraction(sc)
     upper_channel = mu_chi2_channel(sc.w, n_samples=n_samples, seed=seed)
-    q_min = float(np.min(sc.qx.p))
+    q_min = float(np.min(sc.qx.mass))
     factor = skew_k_factor(alpha, q_min) if which == "K" else skew_s_factor(alpha, q_min)
     return lower, upper_channel, factor * lower
 
@@ -264,7 +264,7 @@ def _check_irreducible(w: Channel) -> None:
 
 def _check_reversible(w: Channel, q: DiscreteDistribution) -> None:
     m = w.matrix
-    flow = q.p[:, None] * m
+    flow = q.mass[:, None] * m
     if not np.allclose(flow, flow.T, atol=1e-10, rtol=0.0):
         raise NotReversible("detailed balance fails for the stationary law")
 
@@ -287,19 +287,19 @@ def markov_mixing_report(
     _check_reversible(w, q)
     sc = SourceChannelPair(q, w)
     mu = chi2_contraction(sc)
-    q_min = float(np.min(q.p))
+    q_min = float(np.min(q.mass))
     fk = skew_k_factor(alpha, q_min)
     fs = skew_s_factor(alpha, q_min)
-    p0a = DiscreteDistribution(q.support, p0.p)
+    p0a = DiscreteDistribution(q.support, p0.mass)
     k0 = skew_k(alpha, p0a, q)
     s0 = skew_s(alpha, p0a, q)
     steps = np.empty((max(n_max, 0), len(q)))
-    pn = p0a.p
+    pn = p0a.mass
     for step in steps:
         pn = pn @ w.matrix
         step[:] = pn / pn.sum()
-    k = f_divergence_rows(DivergenceSpec("SKEW_K", alpha), steps, q.p)
-    s = f_divergence_rows(DivergenceSpec("SKEW_S", alpha), steps, q.p)
+    k = f_divergence_rows(DivergenceSpec("SKEW_K", alpha), steps, q.mass)
+    s = f_divergence_rows(DivergenceSpec("SKEW_S", alpha), steps, q.mass)
     rows = [
         {"n": n, "k_alpha": float(kn), "s_alpha": float(sn),
          "k_envelope": fk * mu**n * k0, "s_envelope": fs * mu**n * s0}
@@ -330,7 +330,7 @@ def max_correlation_path_bound(
     """Sup of the mixed-input maximal correlation dominates both KL-ratio roots."""
     if not np.array_equal(p_x.support, q_x.support) or p_x == q_x:
         raise PreconditionViolated("needs P != Q on a shared support")
-    if np.any(p_x.p <= 0) or np.any(q_x.p <= 0):
+    if np.any(p_x.mass <= 0) or np.any(q_x.mass <= 0):
         raise PreconditionViolated("both input laws must be strictly positive")
     p_y, q_y = push_forward(p_x, w), push_forward(q_x, w)
     ratios = []
@@ -342,7 +342,7 @@ def max_correlation_path_bound(
         ratios.append(math.sqrt(dout / din) if din > 0 and dout > 1e-13 else 0.0)
     rhs_bound = max(ratios)
     s = np.linspace(0.0, 1.0, n_grid)[:, None]
-    mixes = (1.0 - s) * p_x.p + s * q_x.p
+    mixes = (1.0 - s) * p_x.mass + s * q_x.mass
     if np.any(mixes @ w.matrix <= 0):
         raise PreconditionViolated("output law must be strictly positive")
     sup_rho = float(np.sqrt(_chi2_contraction_rows(mixes, w.matrix)).max(initial=0.0))

@@ -85,14 +85,6 @@ class DiscreteDistribution:
 
     __eq__ = _equal_fields
 
-    @property
-    def p(self) -> np.ndarray:
-        return self.mass
-
-    @property
-    def atoms(self) -> np.ndarray:
-        return self.support
-
     def __len__(self) -> int:
         return len(self.support)
 
@@ -186,7 +178,9 @@ def _on_union_support(dists) -> tuple[np.ndarray, np.ndarray]:
 
 
 def align(p: DiscreteDistribution, q: DiscreteDistribution):
-    """Put both distributions on the union support, padding with zero mass."""
+    """Put both distributions on the union support, padding with zero mass;
+    the pair itself where the supports agree. Every function of two laws
+    calls it: this is the one place where two supports meet."""
     if np.array_equal(p.support, q.support):
         return p, q
     support, (pm, qm) = _on_union_support((p, q))
@@ -207,12 +201,12 @@ def push_forward(p: DiscreteDistribution, w: Channel) -> DiscreteDistribution:
         raise DimensionMismatch(
             f"input support size {len(p)} != channel rows {w.n_inputs}"
         )
-    return DiscreteDistribution(np.arange(w.n_outputs, dtype=float), p.p @ w.matrix)
+    return DiscreteDistribution(np.arange(w.n_outputs, dtype=float), p.mass @ w.matrix)
 
 
 def moments(p: DiscreteDistribution) -> tuple[float, float]:
     """(mean, variance) of the atom values under the mass vector."""
-    u = p.atoms
-    mean = float(np.dot(p.p, u))
-    var = float(np.dot(p.p, u * u) - mean * mean)
+    u = p.support
+    mean = float(np.dot(p.mass, u))
+    var = float(np.dot(p.mass, u * u) - mean * mean)
     return mean, max(var, 0.0)

@@ -1,4 +1,4 @@
-"""f-divergences on aligned discrete distributions.
+"""f-divergences of discrete distributions.
 
 All values are in nats. Divergences may be +inf (IEEE infinity is used as
 the explicit extended-real marker, never an exception), so inequalities
@@ -8,7 +8,8 @@ standard f-divergence definition: f(0) is the right limit at zero,
 
 Each kernel is written once, over an (m, n) stack of rows against one law
 on the same support (``f_divergence_rows``), with masks for the boundary
-conventions; the functions on two distributions are its one-row case.
+conventions; the functions on two distributions are its one-row case, on
+the union of the two supports (``align``).
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from typing import Callable
 
 import numpy as np
 
-from .distributions import DiscreteDistribution
-from .errors import DimensionMismatch, DomainError, NonFinite, UnalignedSupports
+from .distributions import DiscreteDistribution, align
+from .errors import DimensionMismatch, DomainError, NonFinite
 
 INF = math.inf
 
@@ -54,14 +55,6 @@ class DivergenceSpec:
         except ValueError:
             raise DomainError(f"{name!r} needs a numeric parameter, got {arg!r}") from None
         return cls(tag, param)
-
-
-def _aligned(p: DiscreteDistribution, q: DiscreteDistribution):
-    if not np.array_equal(p.support, q.support):
-        raise UnalignedSupports(
-            "distributions must share a support; call align() first"
-        )
-    return p.p, q.p
 
 
 # -- kernels: a and b broadcast to (m, n), one value per row ----------------
@@ -342,8 +335,8 @@ def f_divergence_rows(spec: DivergenceSpec, P, q) -> np.ndarray:
 
 
 def _one_row(kernel, p: DiscreteDistribution, q: DiscreteDistribution, *args) -> float:
-    pv, qv = _aligned(p, q)
-    return float(kernel(pv[None, :], qv, *args)[0])
+    pa, qa = align(p, q)
+    return float(kernel(pa.mass[None, :], qa.mass, *args)[0])
 
 
 def f_divergence(
@@ -457,6 +450,6 @@ def binary_kl(r, s):
 
 def entropy(p: DiscreteDistribution) -> float:
     """Shannon entropy in nats, 0 log 0 = 0."""
-    m = p.p
+    m = p.mass
     pos = m > 0
     return float(-np.sum(m[pos] * np.log(m[pos])))

@@ -29,20 +29,16 @@ class MalformedJSON(DivrelError):
     """Input text is not a JSON object of numeric arrays under the expected keys."""
 
 
-class UnalignedSupports(DivrelError):
-    """Two distributions do not share a common support."""
-
-
 class DomainError(DivrelError):
     """Argument outside the mathematical domain of the function."""
 
 
-class MaxDepthExceeded(DivrelError):
-    """Adaptive quadrature failed to converge within its budget."""
-
-
 class QuadratureFailure(DivrelError):
     """Numerical integration produced an unreliable result."""
+
+
+class MaxDepthExceeded(QuadratureFailure):
+    """Adaptive quadrature failed to converge within its budget."""
 
 
 class DegenerateVariance(DivrelError):

@@ -6,8 +6,8 @@ curve, ``_path_check``) and reports the discrepancy. Every integrand here
 has a finite limit at s -> 0 (chi^2(P||R_s) ~ s^2 chi^2(Q||P)), so the
 open interval (0, lambda] needs no singularity handling. An integrand takes
 the array of quadrature nodes and scores the stack of laws they select in
-one row kernel call. The checks on R_s = (1-s)P + sQ put P and Q on their
-union support (``align``), so Q may lack atoms of P.
+one row kernel call. Every check puts P and Q on their union support
+(``align``), so either law may lack atoms of the other.
 """
 
 from __future__ import annotations
@@ -207,7 +207,7 @@ def _path_check(name: str, lhs: float, curve, edges, infinite: bool) -> Identity
 def check_kl_chi2_identity(p: DiscreteDistribution, q: DiscreteDistribution,
                            lam: float) -> IdentityReport:
     """D(P||R_lam) vs the integral of chi^2(P||R_s)/s over (0, lam]."""
-    a, b = (d.p for d in align(p, q))
+    a, b = (d.mass for d in align(p, q))
     return _path_check("kl_chi2", kl(p, mixture(p, q, lam)),
                        lambda s: _chi2(a[None, :], _mixtures(s, a, b)) / s,
                        (0.0, lam), lam == 1.0 and _escapes(a, b))
@@ -215,7 +215,7 @@ def check_kl_chi2_identity(p: DiscreteDistribution, q: DiscreteDistribution,
 
 def check_chi2_half_identity(p: DiscreteDistribution, q: DiscreteDistribution) -> IdentityReport:
     """chi^2(P||Q)/2 vs the integral of chi^2(sP+(1-s)Q||Q)/s."""
-    a, b = p.p, q.p
+    a, b = (d.mass for d in align(p, q))
     return _path_check("chi2_half", 0.5 * chi_squared(p, q),
                        lambda s: _chi2(_mixtures(s, b, a), b) / s, (0.0, 1.0), False)
 
@@ -223,7 +223,7 @@ def check_chi2_half_identity(p: DiscreteDistribution, q: DiscreteDistribution) -
 def check_gv_identity(p: DiscreteDistribution, q: DiscreteDistribution,
                       lam: float) -> IdentityReport:
     """D(P||R_lam) vs the integral of s * D_{phi_s}(P||Q) over (0, lam]."""
-    a, b = (d.p for d in align(p, q))
+    a, b = (d.mass for d in align(p, q))
     # s D_{phi_s}(P||Q) = chi^2(P||R_s)/s
     return _path_check("gv", kl(p, mixture(p, q, lam)),
                        lambda s: s * _gv(a[None, :], b, s[:, None]),
@@ -234,7 +234,7 @@ def check_recursive_identity(k: int, p: DiscreteDistribution, q: DiscreteDistrib
                              lam: float) -> IdentityReport:
     """D_{f_{k+1}}(R_lam||P) vs the integral of D_{f_k}(R_s||P)/s over (0, lam]."""
     lhs = f_k_divergence(k + 1, mixture(p, q, lam), p)
-    a, b = (d.p for d in align(p, q))
+    a, b = (d.mass for d in align(p, q))
     f_k = DivergenceSpec("POLYLOG_F", k)
     # at k = 0 the curve is chi^2(P||R_s)/s
     return _path_check(f"recursive_k{k}", lhs,
@@ -259,7 +259,7 @@ def check_skew_s_integral(alpha: float, p: DiscreteDistribution,
     """S_alpha(P||Q) vs the integral of g_alpha(s) D_{phi_s}(P||Q) over (0, 1),
     split at the kink of g_alpha at s = alpha."""
     lhs = skew_s(alpha, p, q)
-    a, b = p.p, q.p
+    a, b = (d.mass for d in align(p, q))
     # not integrable, like the lhs is +inf: at alpha = 1 the curve is chi^2(P||R_s)/s
     # and P has mass where Q has none; at alpha = 0 it is >= (1 - s) Q(P = 0)/s
     return _path_check(f"skew_s_integral_a{alpha}", lhs,

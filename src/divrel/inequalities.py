@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .distributions import DiscreteDistribution, _on_union_support, align
-from .divergences import DivergenceSpec, _aligned, _chi2, _gv, _kl, _skew_k, _tv
+from .divergences import DivergenceSpec, _chi2, _gv, _kl, _skew_k, _tv
 from .divergences import chi_squared, entropy, f_divergence_rows, kl, skew_k
 from .errors import DomainError, EmptySet, PreconditionViolated, ZeroProbabilitySet
 
@@ -69,9 +69,9 @@ _PAIRS = {
 
 def _pair_report(name: str, p: DiscreteDistribution, q: DiscreteDistribution,
                  t: float | None = None) -> InequalityReport:
-    """The one-row case of _PAIRS[name]."""
-    a, b = _aligned(p, q)
-    lhs, rhs = _PAIRS[name](a[None, :], b[None, :], t)
+    """The one-row case of _PAIRS[name], on the union support."""
+    pa, qa = align(p, q)
+    lhs, rhs = _PAIRS[name](pa.mass[None, :], qa.mass[None, :], t)
     return InequalityReport(name, float(lhs[0]), float(rhs[0]))
 
 
@@ -132,17 +132,18 @@ def skew_kl_convexity_comparison(
     return InequalityReport("skew_kl_vs_convexity", float(_skew_kl_bound(lam, d)), lam * d)
 
 
-# central-difference step of derivative_checks and slack of its inequality
+# central-difference step of derivative_checks, slack of its inequality and
+# the skews it is checked at
 _FD_STEP = 1e-5
 _FD_TOL = 1e-6
+_LAM_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
 
 
-def derivative_checks(p: DiscreteDistribution, q: DiscreteDistribution,
-                      lam_grid: Sequence[float] = (0.1, 0.3, 0.5, 0.7, 0.9)) -> dict:
+def derivative_checks(p: DiscreteDistribution, q: DiscreteDistribution) -> dict:
     """Finite-difference checks on the skew curve F(lam) = K_lam(P||Q).
 
-    Verifies F'(lam) >= (exp(F(lam)) - 1)/lam - _FD_TOL pointwise on the
-    grid, and compares F'(lam)/lam at lam = 1e-3 with its small-lam value
+    Verifies F'(lam) >= (exp(F(lam)) - 1)/lam - _FD_TOL pointwise on
+    _LAM_GRID, and compares F'(lam)/lam at lam = 1e-3 with its small-lam value
     chi^2(Q||P).
     """
     pa, qa = align(p, q)
@@ -153,11 +154,11 @@ def derivative_checks(p: DiscreteDistribution, q: DiscreteDistribution,
         raise PreconditionViolated("needs finite chi^2(Q||P)")
 
     def fprime(lam: float) -> float:
-        return (skew_k(lam + _FD_STEP, p, q) - skew_k(lam - _FD_STEP, p, q)) / (2 * _FD_STEP)
+        return (skew_k(lam + _FD_STEP, pa, qa) - skew_k(lam - _FD_STEP, pa, qa)) / (2 * _FD_STEP)
 
     grid = []
-    for lam in lam_grid:
-        lhs = (math.exp(skew_k(lam, p, q)) - 1.0) / lam
+    for lam in _LAM_GRID:
+        lhs = (math.exp(skew_k(lam, pa, qa)) - 1.0) / lam
         slope = fprime(lam)
         grid.append({"lam": lam, "fprime": slope, "lower": lhs, "holds": slope >= lhs - _FD_TOL})
     ratio = fprime(1e-3) / 1e-3
@@ -234,7 +235,7 @@ def concavity_deficit_bounds(dists, weights) -> dict:
         sum(wi * entropy(d) for wi, d in zip(w, dists))
     )
     used = np.flatnonzero(w > 0)
-    table = _kl_table(stack, np.vstack([mix.p, stack]))
+    table = _kl_table(stack, np.vstack([mix.mass, stack]))
     deficit_kl = float(w[used] @ table[used, 0])
     upper = float(sum(_mixture_kl_bound(i, w, table[i, 1:])[0] * w[i] for i in used))
     classic = float(-sum(wi * math.log(wi) for wi in w if wi > 0))

@@ -24,7 +24,7 @@ def maximal_correlation_ace(
     Direct optimization over centered unit-variance score functions;
     independent of the spectral path, used to cross-validate it.
     """
-    qx = sc.qx.p
+    qx = sc.qx.mass
     joint = qx[:, None] * sc.w.matrix
     qy = joint.sum(axis=0)
     rng = np.random.default_rng(seed)

@@ -247,10 +247,10 @@ def test_criterion_8_markov_mixing():
         q = stationary_distribution(w)
         # start along the slowest decaying direction so the trajectory is
         # a clean single mode for the decay-rate estimate
-        sym = np.sqrt(q.p)[:, None] * w.matrix / np.sqrt(q.p)[None, :]
+        sym = np.sqrt(q.mass)[:, None] * w.matrix / np.sqrt(q.mass)[None, :]
         vecs = np.linalg.eigh((sym + sym.T) / 2)[1]
-        psi = vecs[:, -2] / np.sqrt(q.p)
-        p0v = q.p * (1 + (0.4 / np.max(np.abs(psi))) * psi)
+        psi = vecs[:, -2] / np.sqrt(q.mass)
+        p0v = q.mass * (1 + (0.4 / np.max(np.abs(psi))) * psi)
         p0 = make_distribution([0, 1, 2, 3], p0v / p0v.sum())
         rep = markov_mixing_report(w, p0, 1.0, 50)
         mu = rep["mu_chi2"]

@@ -18,7 +18,10 @@ from divrel import (
     redundancy_report,
     sanov_bound,
 )
-from divrel.errors import DomainError, NonFinite, PreconditionViolated
+from divrel.errors import (
+    DomainError, MaxDepthExceeded, NonFinite, PreconditionViolated, QuadratureFailure,
+)
+from divrel.identities import QuadratureConfig
 from divrel.moment_bounds import MomentTuple, moment_bound_arrays
 
 from oracles import poisson_entropy_direct
@@ -126,6 +129,17 @@ def test_poisson_entropy_over_an_array_of_rates():
     for bad in ([], [16.0, math.nan], [16.0, 0.0]):
         with pytest.raises(DomainError):
             poisson_entropy(bad)
+
+
+def test_poisson_entropy_runs_out_of_panels_as_a_quadrature_failure(monkeypatch):
+    import divrel.applications
+
+    monkeypatch.setattr(divrel.applications, "_ENTROPY_CFG", QuadratureConfig(max_depth=1))
+    with pytest.raises(MaxDepthExceeded) as info:
+        poisson_entropy(16.0)
+    assert "after 1 of max_depth=1 panels" in str(info.value)
+    # so that `except QuadratureFailure`, the one numerical failure, catches it
+    assert isinstance(info.value, QuadratureFailure)
 
 
 def test_poisson_entropy_increasing():
@@ -275,12 +289,19 @@ def test_sanov_bound_needs_a_positive_floor(d):
     assert sanov_bound(TCP, 10, math.inf) == 0.0
 
 
+@pytest.mark.parametrize("n", [math.nan, 2.5, True, 0])
+def test_sanov_bound_needs_an_integer_sample_size(n):
+    with pytest.raises(DomainError):
+        sanov_bound(TCP, n, 0.203)
+
+
 def test_sanov_bound_clipping_and_decay():
     d = 0.203
     assert sanov_bound(TCP, 1, d) == 1.0
     values = [sanov_bound(TCP, n, d) for n in (50, 100, 138, 200)]
     assert values == sorted(values, reverse=True)
     assert sanov_bound(TCP, 138, d) <= 1e-10
+    assert sanov_bound(TCP, np.int64(138), d) == sanov_bound(TCP, 138, d)
 
 
 def test_eta_stays_in_branch_over_parameter_sweep():

@@ -323,6 +323,18 @@ def test_identity_check_infinite_sides_json(tmp_path, capsys):
     assert s["passed"] is True
 
 
+def test_identity_check_on_different_supports(tmp_path, capsys):
+    # P lacks the atom 1 of Q: both are put on {0, 1, 2}
+    p = write_dist(tmp_path, "p.json", [0, 2], [0.6, 0.4])
+    padded = write_dist(tmp_path, "padded.json", [0, 1, 2], [0.6, 0.0, 0.4])
+    q = write_dist(tmp_path, "q.json", [0, 1, 2], [0.2, 0.5, 0.3])
+    argv = ["identity-check", "--which", "chi2-half", "--q", q, "--p"]
+    code, rep = run_json(capsys, argv + [p])
+    assert code == 0
+    assert rep["scalars"]["passed"] is True
+    assert rep["scalars"] == run_json(capsys, argv + [padded])[1]["scalars"]
+
+
 @pytest.mark.parametrize("spec", [
     "kl:3", "js:0.5", "polylog:1e9", "polylog:1001", "polylog:1.5", "renyi:-1",
     "renyi", "gv:1.5", "skew_k:-0.1", "skew_s", "nonsense",

@@ -223,7 +223,7 @@ def test_data_processing_random_instances():
 def test_stationary_distribution_two_state():
     w = make_channel([[0.9, 0.1], [0.3, 0.7]])
     q = stationary_distribution(w)
-    assert np.allclose(q.p, [0.75, 0.25])
+    assert np.allclose(q.mass, [0.75, 0.25])
 
 
 def test_power_identity_reversible():
@@ -342,8 +342,8 @@ def test_large_alphabet_power_iteration_path():
         w = make_channel(rng.dirichlet(np.ones(n_out), size=n_in))
         cases.append((make_distribution(range(n_in), rng.dirichlet(np.ones(n_in))), w))
     for qx, w in cases:
-        qy = qx.p @ w.matrix
-        b = np.sqrt(qx.p)[:, None] * w.matrix / np.sqrt(qy)[None, :]
+        qy = qx.mass @ w.matrix
+        b = np.sqrt(qx.mass)[:, None] * w.matrix / np.sqrt(qy)[None, :]
         sv = np.append(np.linalg.svd(b, compute_uv=False), 0.0)
         mu = chi2_contraction(SourceChannelPair(qx, w))
         assert mu == pytest.approx(float(sv[1]) ** 2, abs=1e-10), w.matrix.shape
@@ -420,7 +420,7 @@ def test_mixing_rows_match_per_step_laws(alpha):
     p0 = make_distribution(range(5), rng.dirichlet(np.ones(5)))
     rep = markov_mixing_report(w, p0, alpha, 12)
     q = rep["stationary"]
-    pn = p0.p
+    pn = p0.mass
     assert len(rep["rows"]) == 12
     for n, row in enumerate(rep["rows"], start=1):
         pn = pn @ w.matrix

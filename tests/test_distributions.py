@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import divrel as D
 from divrel import (
     Channel,
     DiscreteDistribution,
@@ -17,6 +18,7 @@ from divrel import (
     push_forward,
 )
 from divrel.distributions import validate_mass
+from divrel.divergences import generic_f_divergence
 from divrel.errors import (
     DimensionMismatch,
     DomainError,
@@ -26,6 +28,8 @@ from divrel.errors import (
     NonFinite,
     NonStochastic,
 )
+from divrel.identities import check_skew_s_integral
+from divrel.inequalities import skew_kl_convexity_comparison
 
 
 def test_valid_distribution():
@@ -141,7 +145,7 @@ def test_push_forward():
     w = make_channel([[0.9, 0.1], [0.2, 0.8]])
     p = make_distribution([0, 1], [0.5, 0.5])
     out = push_forward(p, w)
-    assert np.allclose(out.p, [0.55, 0.45])
+    assert np.allclose(out.mass, [0.55, 0.45])
 
 
 def test_push_forward_dimension_check():
@@ -209,12 +213,11 @@ def test_fields_are_read_only_float64_copies(law):
     order = np.argsort(support)
     u, m = support[order].copy(), mass[order].copy()
     d = DiscreteDistribution(u, m)
-    for field in (d.support, d.mass, d.p, d.atoms):
+    for field in (d.support, d.mass):
         assert isinstance(field, np.ndarray) and field.dtype == np.float64
         assert not field.flags.writeable
         with pytest.raises(ValueError):
             field[0] = 0.5
-    assert d.p is d.mass and d.atoms is d.support
     kept = d.mass.copy(), d.support.copy()
     m[:] = 0.0
     u[0] = 99.0
@@ -245,6 +248,51 @@ def test_align_and_mixture_of_match_dict_reference(raw, raw_weights):
     ref_atoms, ref_rows, _ = _dict_union([dists[0], dists[-1]], [0.5, 0.5])
     assert np.array_equal(pa.support, ref_atoms) and np.array_equal(qa.support, ref_atoms)
     assert np.array_equal(pa.mass, ref_rows[0]) and np.array_equal(qa.mass, ref_rows[1])
+
+
+# every public function of two laws, as f(p, q)
+TWO_LAW_FUNCTIONS = {
+    "kl": D.kl, "chi_squared": D.chi_squared, "total_variation": D.total_variation,
+    "renyi": lambda p, q: D.renyi(0.5, p, q),
+    "gyorfi_vajda": lambda p, q: D.gyorfi_vajda(0.3, p, q),
+    "skew_k": lambda p, q: D.skew_k(0.4, p, q),
+    "skew_s": lambda p, q: D.skew_s(0.4, p, q),
+    "jensen_shannon": D.jensen_shannon,
+    "f_k_divergence": lambda p, q: D.f_k_divergence(2, p, q),
+    "f_divergence": lambda p, q: D.f_divergence(D.DivergenceSpec("RENYI", 2.0), p, q),
+    "generic_f_divergence": lambda p, q: generic_f_divergence(
+        lambda t: t * np.log(t), p, q, 0.0, math.inf),
+    "pinsker": D.pinsker, "thirds_bound": D.thirds_bound,
+    "symmetrized_chi2_bound": D.symmetrized_chi2_bound,
+    "gv_lower_bound": lambda p, q: D.gv_lower_bound(0.3, p, q),
+    "half_chi2_plus_quarter_tv": D.half_chi2_plus_quarter_tv,
+    "skew_kl_upper": lambda p, q: D.skew_kl_upper(p, q, 0.3),
+    "skew_kl_convexity_comparison": lambda p, q: skew_kl_convexity_comparison(p, q, 0.3),
+    "derivative_checks": D.derivative_checks,
+    "check_kl_chi2_identity": lambda p, q: D.check_kl_chi2_identity(p, q, 0.7),
+    "check_chi2_half_identity": D.check_chi2_half_identity,
+    "check_gv_identity": lambda p, q: D.check_gv_identity(p, q, 1.0),
+    "check_recursive_identity": lambda p, q: D.check_recursive_identity(1, p, q, 0.6),
+    "check_skew_s_integral": lambda p, q: check_skew_s_integral(0.3, p, q),
+}
+
+
+def _outcome(f, p, q) -> str:
+    """The repr of f(p, q), exact for floats, or the class of its error."""
+    try:
+        return repr(f(p, q))
+    except DivrelError as exc:
+        return f"raises {type(exc).__name__}"
+
+
+@settings(max_examples=40, deadline=None)
+@given(laws(max_atoms=4, atoms=st.integers(0, 6)), laws(max_atoms=4, atoms=st.integers(0, 6)))
+def test_every_two_law_function_puts_the_pair_on_its_union_support(law_p, law_q):
+    assume(set(law_p[0]) & set(law_q[0]) and set(law_p[0]) != set(law_q[0]))
+    p, q = make_distribution(*law_p), make_distribution(*law_q)
+    pa, qa = align(p, q)
+    for name, f in TWO_LAW_FUNCTIONS.items():
+        assert _outcome(f, p, q) == _outcome(f, pa, qa), name
 
 
 @settings(max_examples=60, deadline=None)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from divrel import (
     DivergenceSpec,
+    align,
     binary_kl,
     chi_squared,
     entropy,
@@ -23,7 +24,7 @@ from divrel import (
     skew_s,
     total_variation,
 )
-from divrel.errors import DimensionMismatch, DomainError, UnalignedSupports
+from divrel.errors import DimensionMismatch, DomainError
 
 from conftest import random_pair
 
@@ -166,11 +167,12 @@ def test_binary_kl_near_equal_pairs_mpmath(r, s):
     assert binary_kl(np.array([r, s]), np.array([s, r]))[0] == binary_kl(r, s)
 
 
-def test_unaligned_supports_rejected():
+def test_unaligned_supports_meet_on_their_union():
+    # each law lacks an atom of the other: both are padded with zero mass
     p = make_distribution([0, 1], [0.5, 0.5])
     q = make_distribution([0, 2], [0.5, 0.5])
-    with pytest.raises(UnalignedSupports):
-        kl(p, q)
+    assert kl(p, q) == kl(*align(p, q)) == math.inf
+    assert total_variation(p, q) == total_variation(*align(p, q)) == 1.0
 
 
 def test_spec_parse():
@@ -425,5 +427,5 @@ def test_gv_kernel_takes_a_column_of_skews():
 
     p, q = random_pair(np.random.default_rng(8), 5)
     skews = np.array([0.0, 0.3, 1.0, 0.7])
-    got = _gv(p.p[None, :], q.p, skews[:, None])
+    got = _gv(p.mass[None, :], q.mass, skews[:, None])
     assert got == pytest.approx([gyorfi_vajda(s, p, q) for s in skews], rel=1e-14)

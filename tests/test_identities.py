@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from divrel import (
     QuadratureConfig,
+    align,
     check_chi2_half_identity,
     check_gv_identity,
     check_kl_chi2_identity,
@@ -19,7 +20,7 @@ from divrel import (
     polylog_f,
 )
 from divrel.divergences import generic_f_divergence
-from divrel.errors import DivrelError, DomainError, UnalignedSupports
+from divrel.errors import DivrelError, DomainError
 from divrel.identities import IdentityReport, integrate
 
 from conftest import random_pair
@@ -320,16 +321,14 @@ def test_integrand_vanishes_at_small_mixing():
     assert small == pytest.approx(1e-6 * chi_squared(Q, P), rel=1e-3)
 
 
-def test_identity_checks_reject_unaligned_supports():
+def test_identity_checks_align_unaligned_supports():
     p = make_distribution([0, 1], [0.4, 0.6])
     q = make_distribution([1, 2], [0.3, 0.7])
-    with pytest.raises(UnalignedSupports):
-        check_kl_chi2_identity(p, q, 0.5)
-    with pytest.raises(UnalignedSupports):
-        check_chi2_half_identity(p, q)
+    pa, qa = align(p, q)
+    assert check_kl_chi2_identity(p, q, 0.5) == check_kl_chi2_identity(pa, qa, 0.5)
+    assert check_chi2_half_identity(p, q) == check_chi2_half_identity(pa, qa)
     for k in (0, 1, 2):
-        with pytest.raises(UnalignedSupports):
-            check_recursive_identity(k, p, q, 0.5)
+        assert check_recursive_identity(k, p, q, 0.5) == check_recursive_identity(k, pa, qa, 0.5)
 
 
 def test_mixture_path_checks_need_only_the_atoms_of_q_in_p():
@@ -341,7 +340,6 @@ def test_mixture_path_checks_need_only_the_atoms_of_q_in_p():
     assert check_kl_chi2_identity(p, q, 0.7) == check_kl_chi2_identity(p, q3, 0.7)
     assert check_recursive_identity(1, p, q, 0.7) == check_recursive_identity(1, p, q3, 0.7)
     assert check_gv_identity(p, q, 0.7) == check_gv_identity(p, q3, 0.7)
-    with pytest.raises(UnalignedSupports):
-        check_chi2_half_identity(p, q)
+    assert check_chi2_half_identity(p, q) == check_chi2_half_identity(p, q3)
     with pytest.raises(DomainError):
         check_kl_chi2_identity(p, q3, 1.5)

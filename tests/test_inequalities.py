@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from divrel import (
     DivergenceSpec,
+    align,
     chi_squared,
     concavity_deficit_bounds,
     conditioned_measure_divergence,
@@ -27,6 +28,7 @@ from divrel.divergences import skew_k
 from divrel.errors import DomainError, EmptySet, ZeroProbabilitySet
 from divrel.inequalities import (
     InequalityReport,
+    _LAM_GRID,
     _skew_kl_bound,
     pair_slacks,
     skew_kl_convexity_comparison,
@@ -122,10 +124,18 @@ def test_derivative_checks_evaluates_the_curve_once_per_point(monkeypatch):
         return skew_k(*args)
 
     monkeypatch.setattr(divrel.inequalities, "skew_k", counting)
-    lam_grid = (0.1, 0.3, 0.5, 0.7, 0.9)
-    derivative_checks(P, Q, lam_grid)
+    derivative_checks(P, Q)
     # per grid point F(lam) and two points for F'(lam); two more for F'(1e-3)
-    assert len(calls) == 3 * len(lam_grid) + 2
+    assert len(calls) == 3 * len(_LAM_GRID) + 2
+
+
+def test_derivative_checks_put_the_pair_on_its_union_support():
+    # Q lacks an atom of P, so chi^2(Q||P) is finite and the checks run
+    p = make_distribution([0, 1, 2], [0.2, 0.5, 0.3])
+    q = make_distribution([0, 1], [0.6, 0.4])
+    out = derivative_checks(p, q)
+    assert out == derivative_checks(*align(p, q))
+    assert all(row["holds"] for row in out["grid"])
 
 
 def test_mixture_kl_upper_dominates_truth():

@@ -136,7 +136,7 @@ def test_identity_integrals_match_quad_on_1000_pairs():
     for _ in range(1000):
         n = int(rng.integers(2, 9))
         p, q = random_pair(rng, n)
-        a, b = p.p.tolist(), q.p.tolist()
+        a, b = p.mass.tolist(), q.mass.tolist()
         lam = float(rng.uniform(0.05, 1.0))
         alpha = float(rng.uniform(0.05, 0.95))
         cases = [
