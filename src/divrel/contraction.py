@@ -104,13 +104,67 @@ def _spectral_direction(sc: SourceChannelPair) -> np.ndarray:
     return np.sqrt(sc.qx.mass) * u[:, 1]
 
 
-def _sampled_sup(score_rows, n: int, n_samples: int, seed: int, nm_options: dict):
+# the batched refinement: each round scores steps h * 2**-j, j < _SCALES, from
+# each of the _STARTS best draws in one call; a loss divides h by 2**_SCALES,
+# so that start's next round goes on with the next smaller scales. Two starts,
+# since the chi^2 sup over input laws can have local maxima on several faces
+# of the simplex.
+_STARTS = 2
+_SCALES = 8
+_MOMENTUM = 0.9
+_MIN_STEP = 1e-11
+_MAX_ROUNDS = 1000
+
+
+def _refine(score_rows, z: np.ndarray, value: np.ndarray, rng):
+    """Batched pattern search in softmax logits from each row of z, whose law
+    scores value; returns (best score, rounds, rows scored, largest final h).
+
+    Each round scores one stack for all starts: start k moved by each step
+    h[k] * 2**-j along +-e_i, +-n random unit directions shared by the
+    starts, and +- its momentum, a decaying sum of its past moves that lines
+    up with a narrow valley. The best candidate of a start replaces it if it
+    scores higher, and its h becomes 4 times the winning step; otherwise its
+    h shrinks. The search stops once every h is below _MIN_STEP.
+    """
+    k, n = z.shape
+    fractions = 2.0 ** -np.arange(_SCALES)
+    dirs = np.zeros((k, 4 * n + 2, n))
+    dirs[:, :n] = np.eye(n)
+    dirs[:, n:2 * n] = -np.eye(n)
+    h, v, starts = np.ones(k), np.zeros_like(z), np.arange(k)
+    rounds = 0
+    while rounds < _MAX_ROUNDS and h.max() >= _MIN_STEP:
+        g = rng.standard_normal((n, n))
+        dirs[:, 2 * n:3 * n] = g / np.sqrt((g * g).sum(axis=1, keepdims=True))
+        dirs[:, 3 * n:4 * n] = -dirs[:, 2 * n:3 * n]
+        norm = np.sqrt((v * v).sum(axis=1, keepdims=True))
+        dirs[:, -2] = v / np.maximum(norm, np.finfo(float).tiny)
+        dirs[:, -1] = -dirs[:, -2]
+        steps = h[:, None] * fractions
+        cand = (z[:, None, None] + steps[:, :, None, None] * dirs[:, None]).reshape(k, -1, n)
+        e = np.exp(cand - cand.max(axis=2, keepdims=True))
+        scores = score_rows((e / e.sum(axis=2, keepdims=True)).reshape(-1, n)).reshape(k, -1)
+        rounds += 1
+        j = scores.argmax(axis=1)
+        top, moved = scores[starts, j], cand[starts, j]
+        won = top > value
+        v = np.where(won[:, None], _MOMENTUM * v + (moved - z), v)
+        z = np.where(won[:, None], moved, z)
+        value = np.where(won, top, value)
+        h = np.where(won, 4.0 * steps[starts, j // dirs.shape[1]], h / 2.0 ** _SCALES)
+    return float(value.max()), rounds, rounds * k * _SCALES * dirs.shape[1], float(h.max())
+
+
+def _sampled_sup(score_rows, n: int, n_samples: int, seed: int):
     """Best score over n_samples Dirichlet(1, ..., 1) draws of n-atom laws,
-    scored as one (n_samples, n) stack, and its softmax Nelder-Mead
-    refinement (-inf if the best draw scores -inf or has a zero atom).
+    scored as one (n_samples, n) stack, and its refinement by _refine from
+    the logits of the _STARTS best draws with no zero atom (-inf if the best
+    draw scores -inf or has a zero atom).
 
     score_rows maps an (m, n) stack of laws to m scores. Ties go to the
-    first draw.
+    first draw. The refinement draws its directions from the same generator
+    after the draws, so a seed always gives the same pair.
     """
     if n_samples < 1:
         raise DomainError(f"the search needs n_samples >= 1, got {n_samples}")
@@ -119,19 +173,25 @@ def _sampled_sup(score_rows, n: int, n_samples: int, seed: int, nm_options: dict
     validate_mass(draws)
     scores = score_rows(draws)
     i = int(np.argmax(scores))
-    best, best_px = float(scores[i]), draws[i]
-    if best == -math.inf or not np.all(best_px > 0):
-        return best, -math.inf
-    import scipy.optimize
+    best = float(scores[i])
+    if best == -math.inf or not np.all(draws[i] > 0):
+        refined, rounds, rows, h = -math.inf, 0, 0, math.nan
+    else:
+        order = np.argpartition(-scores, min(_STARTS, n_samples) - 1)[:_STARTS]
+        starts = order[(scores[order] > -math.inf) & np.all(draws[order] > 0, axis=1)]
+        refined, rounds, rows, h = _refine(
+            score_rows, np.log(draws[starts]), scores[starts], rng
+        )
+    # imported here, like scipy elsewhere, so that only the searches pay for it
+    import logging
 
-    def neg(z):
-        e = np.exp(z - z.max())
-        return -float(score_rows((e / e.sum())[None, :])[0])
-
-    res = scipy.optimize.minimize(
-        neg, np.log(best_px), method="Nelder-Mead", options=nm_options
+    logging.getLogger(__name__).debug(
+        "sampled sup over %d-atom laws: %d draws scored, %d refinement rounds, "
+        "%d rows scored, final step %.3g, round cap %s",
+        n, n_samples, rounds, rows, h,
+        "reached" if rounds == _MAX_ROUNDS else "not reached",
     )
-    return best, -res.fun
+    return best, refined
 
 
 def brute_force_mu_f(
@@ -142,10 +202,10 @@ def brute_force_mu_f(
 ) -> ContractionEstimate:
     """Sampled lower estimate of the contraction coefficient sup-ratio.
 
-    Dirichlet(1, ..., 1) sampling over input laws, Nelder-Mead refinement
-    through a softmax reparameterization, plus a line of candidates along
-    the spectral direction toward Qx (where every smooth f-divergence
-    ratio localizes to the chi^2 value). The result is a valid lower
+    Dirichlet(1, ..., 1) sampling over input laws, a batched local
+    refinement of the best draws in softmax logits, plus a line of
+    candidates along the spectral direction toward Qx (where every smooth
+    f-divergence ratio localizes to the chi^2 value). The result is a valid lower
     estimate only; the upper field is +inf.
     """
     n = len(sc.qx)
@@ -164,10 +224,7 @@ def brute_force_mu_f(
         with np.errstate(invalid="ignore"):
             return np.where(usable, d_out / d_in, -math.inf)
 
-    lower, refined = _sampled_sup(
-        ratios, n, n_samples, seed,
-        {"xatol": 1e-10, "fatol": 1e-12, "maxiter": 2000},
-    )
+    lower, refined = _sampled_sup(ratios, n, n_samples, seed)
     # local candidates along the spectral direction
     h = _spectral_direction(sc)
     scale = np.max(np.abs(h) / qx)
@@ -200,10 +257,7 @@ def mu_chi2_channel(
         out[ok] = _chi2_contraction_rows(px[ok], m)
         return out
 
-    return max(_sampled_sup(
-        values, w.n_inputs, n_samples, seed,
-        {"xatol": 1e-12, "fatol": 1e-14, "maxiter": 5000},
-    ))
+    return max(_sampled_sup(values, w.n_inputs, n_samples, seed))
 
 
 def skew_k_factor(alpha: float, q_min: float) -> float:

@@ -7,6 +7,7 @@ import numpy as np
 
 from divrel.applications import poisson_pmf
 from divrel.contraction import SourceChannelPair
+from divrel.distributions import validate_mass
 from divrel.divergences import entropy
 
 
@@ -49,6 +50,39 @@ def maximal_correlation_ace(
             break
         prev = corr
     return abs(corr)
+
+
+# Nelder-Mead tolerances and budgets of the two sampled searches
+BRUTE_NM = {"xatol": 1e-10, "fatol": 1e-12, "maxiter": 2000}
+CHANNEL_NM = {"xatol": 1e-12, "fatol": 1e-14, "maxiter": 5000}
+
+
+def nelder_mead_sup(nm_options: dict):
+    """A stand-in for divrel.contraction._sampled_sup that refines the best
+    Dirichlet draw by scipy's Nelder-Mead in softmax logits, one law per
+    evaluation; oracle for the batched refinement (same draws, same lower)."""
+    import scipy.optimize
+
+    def sampled_sup(score_rows, n, n_samples, seed):
+        rng = np.random.default_rng(seed)
+        draws = rng.dirichlet(np.ones(n), size=n_samples)
+        validate_mass(draws)
+        scores = score_rows(draws)
+        i = int(np.argmax(scores))
+        best, best_px = float(scores[i]), draws[i]
+        if best == -math.inf or not np.all(best_px > 0):
+            return best, -math.inf
+
+        def neg(z):
+            e = np.exp(z - z.max())
+            return -float(score_rows((e / e.sum())[None, :])[0])
+
+        res = scipy.optimize.minimize(
+            neg, np.log(best_px), method="Nelder-Mead", options=nm_options
+        )
+        return best, -res.fun
+
+    return sampled_sup
 
 
 def moment_bound_integral(m_p: float, var_p: float, m_q: float, var_q: float) -> float:

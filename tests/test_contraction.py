@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -43,7 +44,7 @@ from divrel.errors import (
     PreconditionViolated,
 )
 
-from oracles import maximal_correlation_ace
+from oracles import BRUTE_NM, CHANNEL_NM, maximal_correlation_ace, nelder_mead_sup
 
 
 def bsc(eps):
@@ -467,3 +468,108 @@ def test_skew_s_integral_with_infinite_sides(alpha, first, second):
     assert rep.lhs == rep.rhs == math.inf and rep.passed
     rep = check_skew_s_integral(alpha, laws[second], laws[first])
     assert math.isfinite(rep.rhs) and rep.passed
+
+
+def nelder_mead_estimates(monkeypatch, spec, sc, n_samples, seed):
+    """brute_force_mu_f and mu_chi2_channel with the Nelder-Mead oracle in
+    place of the batched refinement."""
+    with monkeypatch.context() as m:
+        m.setattr(divrel.contraction, "_sampled_sup", nelder_mead_sup(BRUTE_NM))
+        est = brute_force_mu_f(spec, sc, n_samples=n_samples, seed=seed)
+        m.setattr(divrel.contraction, "_sampled_sup", nelder_mead_sup(CHANNEL_NM))
+        mu = mu_chi2_channel(sc.w, n_samples=n_samples, seed=seed)
+    return est, mu
+
+
+def assert_no_worse_than_nelder_mead(monkeypatch, spec, sc, n_samples, seed):
+    want, want_mu = nelder_mead_estimates(monkeypatch, spec, sc, n_samples, seed)
+    est = brute_force_mu_f(spec, sc, n_samples=n_samples, seed=seed)
+    assert est.lower == want.lower
+    # 1e-4 is the search accuracy that test_sandwich_orders_bsc documents
+    assert est.point_estimate >= want.point_estimate - 1e-4
+    assert mu_chi2_channel(sc.w, n_samples=n_samples, seed=seed) >= want_mu - 1e-9
+
+
+@pytest.mark.parametrize("eps", [0.05, 0.1, 0.25])
+def test_refinement_matches_nelder_mead_on_bsc(monkeypatch, eps):
+    sc = SourceChannelPair(UNIFORM2, bsc(eps))
+    for spec in (DivergenceSpec("SKEW_K", 1.0), DivergenceSpec("SKEW_K", 0.5),
+                 DivergenceSpec("SKEW_S", 0.5), DivergenceSpec("KL"), DivergenceSpec("CHI2")):
+        assert_no_worse_than_nelder_mead(monkeypatch, spec, sc, 800, 3)
+
+
+ORACLE_SPECS = [DivergenceSpec("KL"), DivergenceSpec("CHI2"), DivergenceSpec("SKEW_K", 0.5),
+                DivergenceSpec("SKEW_S", 0.5), DivergenceSpec("RENYI", 2.0)]
+
+
+@pytest.mark.parametrize("which", range(len(ORACLE_SPECS)))
+def test_refinement_matches_nelder_mead_on_random_channels(monkeypatch, which):
+    # 200 seeded channels with 2-6 inputs and 2-6 outputs, 40 per divergence;
+    # among them a 6x5 channel whose chi^2 sup has two local maxima on faces
+    # of the simplex (k = 131), which one start alone can miss
+    for k in range(which, 200, len(ORACLE_SPECS)):
+        rng = np.random.default_rng([2024, k])
+        n_in, n_out = rng.integers(2, 7, size=2)
+        w = make_channel(rng.dirichlet(np.ones(n_out), size=n_in))
+        qx = make_distribution(range(n_in), rng.dirichlet(np.ones(n_in)))
+        seed = int(rng.integers(1 << 30))
+        assert_no_worse_than_nelder_mead(
+            monkeypatch, ORACLE_SPECS[which], SourceChannelPair(qx, w), 300, seed)
+
+
+def test_refinement_stays_within_its_round_budget(monkeypatch):
+    # Nelder-Mead spent 7,865 single-law evaluations on this input, at its
+    # iteration cap; the batched search makes two kernel calls per round
+    calls = [0]
+    rows = divrel.contraction.f_divergence_rows
+
+    def counted(*args):
+        calls[0] += 1
+        return rows(*args)
+
+    monkeypatch.setattr(divrel.contraction, "f_divergence_rows", counted)
+    sc = SourceChannelPair(UNIFORM2, bsc(0.14376407702030392))
+    est = brute_force_mu_f(DivergenceSpec("SKEW_S", 0.5), sc, n_samples=1500, seed=628404696)
+    assert calls[0] <= 2 * (divrel.contraction._MAX_ROUNDS + 2)
+    # Nelder-Mead's value; the ratio's rounding noise at the input-divergence
+    # floor is about 1e-10 here, while the best draw alone falls 4.5e-9 short
+    assert est.point_estimate >= 0.5076155482146442 - 1e-10
+
+
+def test_searches_log_their_budget(caplog):
+    caplog.set_level(logging.DEBUG, logger="divrel.contraction")
+    sc = SourceChannelPair(UNIFORM2, bsc(0.1))
+    brute_force_mu_f(DivergenceSpec("KL"), sc, n_samples=50, seed=1)
+    mu_chi2_channel(make_channel([[0.7, 0.2, 0.1], [0.1, 0.6, 0.3], [0.2, 0.2, 0.6]]),
+                    n_samples=40, seed=2)
+    # K_0 vanishes identically, so the best draw scores -inf and nothing is refined
+    with pytest.raises(PreconditionViolated):
+        brute_force_mu_f(DivergenceSpec("SKEW_K", 0.0), sc, n_samples=30)
+    records = [r for r in caplog.records if r.name == "divrel.contraction"]
+    assert [r.levelno for r in records] == [logging.DEBUG] * 3
+    # (atoms, draws scored, refinement rounds, rows scored, final step, round cap)
+    args = [r.args for r in records]
+    assert [a[:2] for a in args] == [(2, 50), (3, 40), (2, 30)]
+    for _, _, rounds, rows, step, cap in args[:2]:
+        assert 0 < rounds < divrel.contraction._MAX_ROUNDS and rows > rounds
+        assert step < divrel.contraction._MIN_STEP and cap == "not reached"
+    assert args[2][2:4] == (0, 0) and math.isnan(args[2][4]) and args[2][5] == "not reached"
+    assert "draws scored" in records[0].getMessage()
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(ORACLE_SPECS))
+def test_sampled_searches_are_seeded_and_bound_below_by_their_draws(seed, spec):
+    rng = np.random.default_rng(seed)
+    n_in, n_out = rng.integers(2, 7, size=2)
+    w = make_channel(rng.dirichlet(np.ones(n_out), size=n_in))
+    sc = SourceChannelPair(make_distribution(range(n_in), rng.dirichlet(np.ones(n_in))), w)
+    est = brute_force_mu_f(spec, sc, n_samples=40, seed=seed)
+    assert est.lower <= est.point_estimate
+    assert brute_force_mu_f(spec, sc, n_samples=40, seed=seed) == est
+    mu = mu_chi2_channel(w, n_samples=40, seed=seed)
+    assert mu_chi2_channel(w, n_samples=40, seed=seed) == mu
+    draws = np.random.default_rng(seed).dirichlet(np.ones(n_in), size=40)
+    draws = draws[np.all(draws > 0, axis=1) & np.all(draws @ w.matrix > 0, axis=1)]
+    best = divrel.contraction._chi2_contraction_rows(draws, w.matrix).max(initial=-math.inf)
+    assert mu >= best

@@ -1,6 +1,7 @@
 """Import cost: ``import divrel`` loads numpy and no scipy, each CLI
 subcommand loads only the scipy module it calls, only the subcommands that
-read a file load orjson, and no code of divrel uses scipy.integrate.
+read a file load orjson, and no code of divrel uses scipy.integrate or
+scipy.optimize.
 
 Every case runs in a fresh interpreter, since the test process itself has
 scipy loaded already.
@@ -64,6 +65,8 @@ NUMPY_ONLY = [
     ["identity-check", "--which", "chi2-half", "--p", "{d}/p.json", "--q", "{d}/q.json"],
     ["sample-size", "--mq", "40", "--varq", "20", "--mean-box", "43", "47",
      "--var-box", "18", "22", "--alphabet", "2", "--epsilon", "1e-10"],
+    ["contraction", "--channel", "{d}/w.json", "--input-law", "{d}/p.json",
+     "--brute-budget", "20"],
 ]
 
 # each call runs after the ones above it in the same interpreter, so its step
@@ -75,8 +78,6 @@ WITH_SCIPY = [
     ["redundancy", "--lambdas", "2", "3"],
     ["identity-check", "--which", "recursive", "--k", "2", "--p", "{d}/p.json",
      "--q", "{d}/q.json"],
-    ["contraction", "--channel", "{d}/w.json", "--input-law", "{d}/p.json",
-     "--brute-budget", "20"],
 ]
 
 
@@ -87,17 +88,14 @@ def test_import_and_numpy_only_subcommands_load_no_scipy(tmp_path):
 def test_subcommands_load_only_the_scipy_they_call(tmp_path):
     steps = loaded_after(tmp_path, WITH_SCIPY)
     assert steps[1] == set()
-    polylog, inversion, redundancy, recursive, contraction = steps[2:]
+    polylog, inversion, redundancy, recursive = steps[2:]
     assert "scipy.special" in polylog
     assert not {"scipy.optimize", "scipy.integrate"} & polylog
     # the later calls add nothing to scipy.special
     assert inversion == redundancy == recursive == polylog
-    assert "scipy.integrate" not in contraction
     for loaded in steps:
-        # scipy.optimize imports scipy.sparse itself; divrel uses neither
-        # scipy.stats nor the csgraph routines
-        assert "scipy.stats" not in loaded
-        assert "scipy.sparse.csgraph" not in loaded
+        # divrel uses none of scipy.stats, scipy.optimize and scipy.sparse
+        assert not {"scipy.stats", "scipy.optimize", "scipy.sparse"} & loaded
 
 
 
@@ -129,3 +127,8 @@ def test_only_subcommands_that_read_a_file_load_orjson(tmp_path):
 def test_no_module_of_divrel_names_scipy_integrate():
     for path in (SRC / "divrel").glob("*.py"):
         assert "scipy.integrate" not in path.read_text(), path.name
+
+
+def test_no_module_of_divrel_names_scipy_optimize():
+    for path in (SRC / "divrel").glob("*.py"):
+        assert "scipy.optimize" not in path.read_text(), path.name
