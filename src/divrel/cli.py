@@ -145,12 +145,14 @@ def _cmd_contraction(args) -> dict:
     w = _load(Channel, args.channel)
     qx = _load(DiscreteDistribution, args.input_law)
     sc = contraction.SourceChannelPair(qx, w)
+    tag = "SKEW_K" if args.family == "K" else "SKEW_S"
+    # first, so that its 2-6 input atoms are checked before either search runs;
+    # the two searches draw from their own seeds, so the order changes no value
+    est = contraction.brute_force_mu_f(DivergenceSpec(tag, args.alpha), sc,
+                                       n_samples=args.brute_budget)
     # the sandwich's lower end is the chi^2 contraction itself
     mu, upper_channel, upper_scaled = contraction.skew_contraction_sandwich(
         args.alpha, args.family, sc)
-    tag = "SKEW_K" if args.family == "K" else "SKEW_S"
-    est = contraction.brute_force_mu_f(DivergenceSpec(tag, args.alpha), sc,
-                                       n_samples=args.brute_budget)
     return {"scalars": {
         "mu_chi2": mu, "maximal_correlation": math.sqrt(mu), "sandwich_lower": mu,
         "sandwich_upper_channel": upper_channel, "sandwich_upper_scaled": upper_scaled,

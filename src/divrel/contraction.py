@@ -182,7 +182,7 @@ def _sampled_sup(score_rows, n: int, n_samples: int, seed: int):
         refined, rounds, rows, h = _refine(
             score_rows, np.log(draws[starts]), scores[starts], rng
         )
-    # imported here, like scipy elsewhere, so that only the searches pay for it
+    # imported here, so that only the searches pay for it
     import logging
 
     logging.getLogger(__name__).debug(
@@ -244,7 +244,14 @@ def brute_force_mu_f(
 def mu_chi2_channel(
     w: Channel, n_samples: int = 2000, seed: int = 0
 ) -> float:
-    """Source-independent chi^2 contraction: sup over input laws."""
+    """Source-independent chi^2 contraction: the sup of ``chi2_contraction``
+    over input laws, a sampled lower estimate.
+
+    The sup is also the channel's KL contraction coefficient:
+    eta_KL(W) = eta_chi2(W) (R. Ahlswede and P. Gacs, Spreading of sets in
+    product spaces and hypercontraction of the Markov operator, Ann. Probab.
+    4, 1976; V. Anantharam et al., arXiv 1304.6133).
+    """
     m = w.matrix
     empty = np.flatnonzero(~m.any(axis=0))
     if empty.size:

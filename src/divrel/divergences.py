@@ -15,6 +15,7 @@ the union of the two supports (``align``).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -152,25 +153,84 @@ def _polylog(a, b, k):
     return _generic(a, b, lambda t: _polylog_li(k, t), zeta_k, 0.0)
 
 
+# pi 10^50, truncated: the even zeta values are rationals times powers of pi
+_PI_E50 = 314159265358979323846264338327950288419716939937510
+# exact even zeta values up to this argument; past it zeta(s) - 1 < 2^-64
+_EXACT_EVEN = 64
+# terms of Borwein's eta series: for s >= 2 the error of zeta is below
+# 3 (3 + sqrt 8)^-30 / (1 - 2^(1-s)) < 1e-22
+_ETA_TERMS = 30
+
+
+@functools.cache
+def _tangent_numbers() -> list[int]:
+    """T_0 = 0, T_1, ..., T_(_EXACT_EVEN/2): tan x = sum T_n x^(2n-1)/(2n-1)!,
+    by the integer recurrence of R. P. Brent and D. Harvey (Fast computation
+    of Bernoulli, tangent and secant numbers, 2011)."""
+    count = _EXACT_EVEN // 2
+    t = [0, 1] + [0] * (count - 1)
+    for k in range(2, count + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, count + 1):
+        for j in range(k, count + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return t
+
+
+@functools.cache
+def _eta_weights() -> list[float]:
+    """(-1)^j (d_n - d_j)/d_n of P. Borwein's alternating series
+    eta(s) = sum_j (-1)^j (d_n - d_j)/d_n (j+1)^-s (An efficient algorithm
+    for the Riemann zeta function, 2000), with n = _ETA_TERMS and the
+    integers d_j = n sum_(i<=j) (n+i-1)! 4^i / ((n-i)! (2i)!)."""
+    n = _ETA_TERMS
+    d = list(itertools.accumulate(
+        n * math.factorial(n + i - 1) * 4 ** i // (math.factorial(n - i) * math.factorial(2 * i))
+        for i in range(n + 1)))
+    return [(-1) ** j * (d[n] - d[j]) / d[n] for j in range(n)]
+
+
+@functools.cache
+def _zeta(s: int) -> float:
+    """Riemann zeta at an integer s != 1, to within 2e-16 relative.
+
+    With the Bernoulli numbers B_2n = (-1)^(n-1) 2n T_n / (4^n (4^n - 1)):
+    zeta(2n) = T_n pi^(2n) / (2 (4^n - 1) (2n-1)!), zeta(1-2n) = -B_2n/2n,
+    zeta(0) = -1/2 and the trivial zeros zeta(-2n) = 0, each a ratio of
+    Python ints, whose true division rounds once. Odd s >= 3 and even s past
+    _EXACT_EVEN are eta(s)/(1 - 2^(1-s)) by Borwein's series, its rounded
+    terms summed exactly (``math.fsum``).
+    """
+    if s <= 0:
+        if s % 2 == 0:
+            return 0.0 if s else -0.5
+        n = (1 - s) // 2
+        return (-1) ** n * _tangent_numbers()[n] / (4 ** n * (4 ** n - 1))
+    if s % 2 == 0 and s <= _EXACT_EVEN:
+        n = s // 2
+        return (_tangent_numbers()[n] * _PI_E50 ** s
+                / (2 * (4 ** n - 1) * math.factorial(s - 1) * 10 ** (50 * s)))
+    eta = math.fsum(w * (j + 1.0) ** -s for j, w in enumerate(_eta_weights()))
+    return eta / (1.0 - 2.0 ** (1 - s))
+
+
 @functools.cache
 def _polylog_coefficients(k: int):
     """Coefficients of Li_k for integer k >= 2 (``_polylog_li``): the power
     series 1/n^k; the expansion in mu = ln z, zeta(k - m)/m! with
     H_(k-1)/(k-1)! at m = k - 1, and 1/(k-1)! of its log term; and the
-    orders k, k - 2, ... and weights 1, 2 eta(2), 2 eta(4), ... of the
-    inversion formula, eta(2j) = (1 - 2^(1-2j)) zeta(2j)."""
-    import scipy.special
-
+    orders k, k - 2, ... of the inversion formula, their ln m!, and its
+    weights 1, 2 eta(2), 2 eta(4), ..., eta(2j) = (1 - 2^(1-2j)) zeta(2j)."""
     series = np.arange(1.0, _SERIES_TERMS + 1.0) ** -float(k)
-    m = np.arange(_LOG_TERMS, dtype=float)
-    log_exp = scipy.special.zeta(k - m)
-    if k <= _LOG_TERMS:
-        log_exp[k - 1] = math.fsum(1.0 / j for j in range(1, k))
-    log_exp /= scipy.special.factorial(m)
-    two_j = np.arange(0.0, k + 1.0, 2.0)
-    weights = 2.0 * (1.0 - 2.0 ** (1.0 - two_j)) * scipy.special.zeta(two_j)
-    weights[0] = 1.0
-    return series, log_exp, 1.0 / scipy.special.factorial(k - 1.0), k - two_j, weights
+    log_exp = np.array([
+        (math.fsum(1.0 / j for j in range(1, k)) if m == k - 1 else _zeta(k - m))
+        / math.factorial(m) for m in range(_LOG_TERMS)])
+    orders = np.arange(k, -1, -2, dtype=float)
+    log_fact = np.array([math.lgamma(m + 1.0) for m in orders])
+    weights = np.array([1.0] + [2.0 * (1.0 - 2.0 ** (1 - j)) * _zeta(j)
+                                for j in range(2, k + 1, 2)])
+    # an int ratio, rounded once: 0 where (k-1)! passes the float range
+    return series, log_exp, 1 / math.factorial(k - 1), orders, log_fact, weights
 
 
 # 40 terms of the series reach a relative 1e-16 for |z| <= 1/2, and 28 of
@@ -199,9 +259,7 @@ def _polylog_li(k: int, x: np.ndarray) -> np.ndarray:
     Li_k(z) = sum_m zeta(k - m) mu^m/m! + mu^(k-1) (H_(k-1) - ln(-mu))/(k-1)!
     in mu = ln z, taken as ln(1 - x) where z = y.
     """
-    import scipy.special
-
-    series, log_exp, log_term, orders, weights = _polylog_coefficients(k)
+    series, log_exp, log_term, orders, log_fact, weights = _polylog_coefficients(k)
     x = np.asarray(x, dtype=float)
     y = 1.0 - x
     low = y < -1.0
@@ -237,7 +295,6 @@ def _polylog_li(k: int, x: np.ndarray) -> np.ndarray:
     # together they add below 1e-31
     log_l = np.log(np.log(-y[low]))[:, None]
     top = log_l.max(initial=0.0)
-    log_fact = scipy.special.gammaln(orders + 1.0)
     keep = (orders < 2.0 * np.exp(top)) | (orders * top - log_fact > math.log(1e-32))
     inverted = np.exp(log_l * orders[keep] - log_fact[keep]) @ weights[keep]
     out[low] = -inverted - (-1) ** k * out[low]

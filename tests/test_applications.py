@@ -1,5 +1,8 @@
+import functools
 import math
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special
@@ -57,6 +60,16 @@ def test_poisson_pmf_support_grows_with_rate():
     assert n32 > n16
 
 
+@functools.cache
+def _mpmath_pmf(lam: float) -> list:
+    """Poisson(lam) at 0..N of tail_tol 1e-300, exp(k ln lam - ln k! - lam)
+    at 30 digits."""
+    n = len(poisson_pmf(lam, 1e-300)[0])
+    with mpmath.workdps(30):
+        return [mpmath.exp(k * mpmath.log(lam) - mpmath.loggamma(k + 1) - lam)
+                for k in range(n)]
+
+
 @pytest.mark.parametrize("tail_tol", [1e-8, 1e-15, 1e-17, 1e-300])
 @pytest.mark.parametrize("lam", [1e-6, 0.1, 16.0, 400.0, 1e4])
 def test_poisson_pmf_matches_scipy_stats(lam, tail_tol):
@@ -65,12 +78,37 @@ def test_poisson_pmf_matches_scipy_stats(lam, tail_tol):
     d, delta = poisson_pmf(lam, tail_tol)
     n = len(d) - 1
     np.testing.assert_array_equal(d.support, np.arange(n + 1))
-    # the pmf before renormalization, from the mass and the discarded tail
-    oracle = scipy.stats.poisson.pmf(np.arange(n + 1), lam)
-    assert delta == float(1.0 - oracle.sum())
-    assert np.array_equal(d.mass, oracle / oracle.sum())
+    # N is the first atom whose tail lies below tail_tol
     assert scipy.stats.poisson.sf(n, lam) < tail_tol
     assert n == 0 or scipy.stats.poisson.sf(n - 1, lam) >= tail_tol
+    # the mass and tail to 30 digits
+    with mpmath.workdps(30):
+        pmf = _mpmath_pmf(lam)[:n + 1]
+        total = mpmath.fsum(pmf)
+        oracle = np.array([float(p / total) for p in pmf])
+        assert delta == pytest.approx(float(1 - total), rel=0, abs=2e-15)
+    # no atom is further off than under the formula scipy.stats.poisson uses,
+    # exp(xlogy(k, lam) - gammaln(k + 1) - lam); atoms below the normal
+    # range carry fewer digits in any formula
+    ks = np.arange(n + 1.0)
+    direct = np.exp(scipy.special.xlogy(ks, lam) - scipy.special.gammaln(ks + 1) - lam)
+    normal = oracle >= sys.float_info.min
+
+    def worst(mass):
+        return np.max(np.abs(mass[normal] / oracle[normal] - 1.0))
+
+    assert worst(d.mass) <= worst(direct / direct.sum())
+    assert worst(d.mass) < 1e-14
+
+
+def test_poisson_pmf_truncates_where_pdtrc_does():
+    # 918 cases: 306 rates from 1e-3 to 3000 and 1e4, three tolerances;
+    # N is the first atom whose tail pdtrc(N, lam) lies below tail_tol
+    for lam in [*np.geomspace(1e-3, 3000.0, 305), 1e4]:
+        for tail_tol in (1e-15, 1e-12, 1e-8):
+            n = len(poisson_pmf(lam, tail_tol)[0]) - 1
+            before, after = scipy.special.pdtrc([n - 1, n], lam)
+            assert after < tail_tol and (n == 0 or before >= tail_tol), (lam, tail_tol)
 
 
 @pytest.mark.parametrize("tail_tol", [0.0, 1.0, 2.0, -1.0, math.nan])

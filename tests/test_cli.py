@@ -154,6 +154,23 @@ def test_contraction_one_input_pair_exits_1(tmp_path, capsys):
     assert "invalid input" in err and "Traceback" not in err
 
 
+def test_contraction_checks_the_input_atoms_before_either_search(tmp_path, capsys,
+                                                                monkeypatch):
+    from divrel import contraction
+
+    def never(*args, **kwargs):
+        raise AssertionError("the channel sup ran")
+
+    monkeypatch.setattr(contraction, "mu_chi2_channel", never)
+    rows = [[0.5 + 0.05 * i, 0.5 - 0.05 * i] for i in range(7)]
+    w = write_channel(tmp_path, "w.json", rows)
+    qx = write_dist(tmp_path, "qx.json", list(range(7)), [1 / 7] * 7)
+    code = main(["contraction", "--channel", w, "--input-law", qx])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "invalid input" in err and "<= 6 atoms" in err
+
+
 def test_nan_literal_in_input_exits_1(tmp_path, capsys):
     path = tmp_path / "p.json"
     path.write_text('{"support": [0, 1], "mass": [NaN, 1.0]}')

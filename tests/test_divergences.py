@@ -429,3 +429,17 @@ def test_gv_kernel_takes_a_column_of_skews():
     skews = np.array([0.0, 0.3, 1.0, 0.7])
     got = _gv(p.mass[None, :], q.mass, skews[:, None])
     assert got == pytest.approx([gyorfi_vajda(s, p, q) for s in skews], rel=1e-14)
+
+
+def test_zeta_matches_mpmath_at_every_argument_of_the_polylog_tables():
+    from divrel.divergences import _zeta
+
+    # zeta(k - m) of the ln-expansion (2 <= k <= 1000, m < 28) and zeta(2j),
+    # 2j <= k, of the inversion weights; the pole at 1 is never asked for
+    args = ({k - m for k in range(2, 1001) for m in range(28)} | set(range(0, 1001, 2))) - {1}
+    for s in sorted(args):
+        want = mpmath.zeta(s)
+        if s < 0 and s % 2 == 0:
+            assert _zeta(s) == 0.0, s  # the trivial zeros, exactly
+        else:
+            assert abs(_zeta(s) / want - 1) <= 1e-15, s

@@ -1,7 +1,6 @@
-"""Import cost: ``import divrel`` loads numpy and no scipy, each CLI
-subcommand loads only the scipy module it calls, only the subcommands that
-read a file load orjson, and no code of divrel uses scipy.integrate or
-scipy.optimize.
+"""Import cost: ``import divrel`` and every CLI subcommand load numpy and no
+scipy, only the subcommands that read a file load orjson, and no code of
+divrel names scipy.
 
 Every case runs in a fresh interpreter, since the test process itself has
 scipy loaded already.
@@ -53,58 +52,34 @@ def loaded_after(tmp_path, calls, package="scipy"):
     return [set(step) for step in json.loads(proc.stderr.splitlines()[-1])]
 
 
+# the polylog kernels see the likelihood ratios 0.6/0.3 = 2 (Li_k at -1)
+# and 0.6/0.1 = 6 (the inversion formula); set-divergence's mu_C has the
+# ratio 1/0.4 = 2.5 on C
 NUMPY_ONLY = [
     ["divergence", "--spec", "kl", "--p", "{d}/p.json", "--q", "{d}/q.json"],
+    ["divergence", "--spec", "polylog:2", "--p", "{d}/p.json", "--q", "{d}/q.json"],
+    ["divergence", "--spec", "polylog:3", "--p", "{d}/p.json", "--q", "{d}/v.json"],
     ["moment-bound", "--mp", "45", "--varp", "20", "--mq", "40", "--varq", "20"],
     ["set-divergence", "--spec", "kl", "--mu", "{d}/p.json", "--indices", "0"],
+    ["set-divergence", "--spec", "polylog:3", "--mu", "{d}/p.json", "--indices", "0"],
     ["inequalities", "--trials", "5"],
     ["mixing", "--chain", "{d}/w.json", "--p0", "{d}/p.json", "--n-max", "3"],
     ["identity-check", "--which", "kl-chi2", "--p", "{d}/p.json", "--q", "{d}/q.json"],
     ["identity-check", "--which", "skew-s", "--p", "{d}/p.json", "--q", "{d}/q.json"],
     ["identity-check", "--which", "gv", "--p", "{d}/p.json", "--q", "{d}/q.json"],
     ["identity-check", "--which", "chi2-half", "--p", "{d}/p.json", "--q", "{d}/q.json"],
+    ["identity-check", "--which", "recursive", "--k", "2", "--p", "{d}/p.json",
+     "--q", "{d}/q.json"],
     ["sample-size", "--mq", "40", "--varq", "20", "--mean-box", "43", "47",
      "--var-box", "18", "22", "--alphabet", "2", "--epsilon", "1e-10"],
     ["contraction", "--channel", "{d}/w.json", "--input-law", "{d}/p.json",
      "--brute-budget", "20"],
-]
-
-# each call runs after the ones above it in the same interpreter, so its step
-# shows the scipy modules it adds; the polylog kernels see the likelihood
-# ratios 0.6/0.3 = 2 (Li_k at -1) and 0.6/0.1 = 6 (the inversion formula)
-WITH_SCIPY = [
-    ["divergence", "--spec", "polylog:2", "--p", "{d}/p.json", "--q", "{d}/q.json"],
-    ["divergence", "--spec", "polylog:3", "--p", "{d}/p.json", "--q", "{d}/v.json"],
     ["redundancy", "--lambdas", "2", "3"],
-    ["identity-check", "--which", "recursive", "--k", "2", "--p", "{d}/p.json",
-     "--q", "{d}/q.json"],
 ]
 
 
 def test_import_and_numpy_only_subcommands_load_no_scipy(tmp_path):
     assert loaded_after(tmp_path, NUMPY_ONLY) == [set()] * (2 + len(NUMPY_ONLY))
-
-
-def test_subcommands_load_only_the_scipy_they_call(tmp_path):
-    steps = loaded_after(tmp_path, WITH_SCIPY)
-    assert steps[1] == set()
-    polylog, inversion, redundancy, recursive = steps[2:]
-    assert "scipy.special" in polylog
-    assert not {"scipy.optimize", "scipy.integrate"} & polylog
-    # the later calls add nothing to scipy.special
-    assert inversion == redundancy == recursive == polylog
-    for loaded in steps:
-        # divrel uses none of scipy.stats, scipy.optimize and scipy.sparse
-        assert not {"scipy.stats", "scipy.optimize", "scipy.sparse"} & loaded
-
-
-
-def test_set_divergence_polylog_loads_scipy_special_only(tmp_path):
-    # mu_C has likelihood ratio 1/0.4 = 2.5 on C: the inversion formula
-    steps = loaded_after(tmp_path, [["set-divergence", "--spec", "polylog:3",
-                                     "--mu", "{d}/p.json", "--indices", "0"]])
-    assert "scipy.special" in steps[-1]
-    assert not {"scipy.optimize", "scipy.integrate"} & steps[-1]
 
 
 # the subcommands that read no file; moment-bound --attain writes a law
@@ -124,11 +99,6 @@ def test_only_subcommands_that_read_a_file_load_orjson(tmp_path):
     assert "orjson" in steps[-1]
 
 
-def test_no_module_of_divrel_names_scipy_integrate():
+def test_no_module_of_divrel_names_scipy():
     for path in (SRC / "divrel").glob("*.py"):
-        assert "scipy.integrate" not in path.read_text(), path.name
-
-
-def test_no_module_of_divrel_names_scipy_optimize():
-    for path in (SRC / "divrel").glob("*.py"):
-        assert "scipy.optimize" not in path.read_text(), path.name
+        assert "scipy" not in path.read_text(), path.name
