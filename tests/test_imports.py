@@ -82,6 +82,31 @@ def test_import_and_numpy_only_subcommands_load_no_scipy(tmp_path):
     assert loaded_after(tmp_path, NUMPY_ONLY) == [set()] * (2 + len(NUMPY_ONLY))
 
 
+# the calls that need zeta or the Poisson law, run first in a fresh
+# interpreter, so that no earlier call could have loaded a module for them
+ZETA_AND_POISSON = [
+    ["divergence", "--spec", "polylog:2", "--p", "{d}/p.json", "--q", "{d}/q.json"],
+    ["divergence", "--spec", "polylog:3", "--p", "{d}/p.json", "--q", "{d}/v.json"],
+    ["redundancy", "--lambdas", "2", "3"],
+    ["identity-check", "--which", "recursive", "--k", "2", "--p", "{d}/p.json",
+     "--q", "{d}/q.json"],
+]
+
+
+def test_subcommands_load_only_the_scipy_they_call(tmp_path):
+    # zeta and the Poisson pmf and tail are divrel's own: they call no scipy
+    steps = loaded_after(tmp_path, ZETA_AND_POISSON)
+    assert steps == [set()] * (2 + len(ZETA_AND_POISSON))
+
+
+def test_set_divergence_polylog_loads_scipy_special_only(tmp_path):
+    # mu_C has likelihood ratio 1/0.4 = 2.5 on C: the inversion formula,
+    # whose zeta values load no scipy, not even scipy.special
+    steps = loaded_after(tmp_path, [["set-divergence", "--spec", "polylog:3",
+                                     "--mu", "{d}/p.json", "--indices", "0"]])
+    assert steps == [set()] * 3
+
+
 # the subcommands that read no file; moment-bound --attain writes a law
 NO_FILE = [
     ["moment-bound", "--mp", "45", "--varp", "20", "--mq", "40", "--varq", "20", "--attain"],
@@ -102,3 +127,13 @@ def test_only_subcommands_that_read_a_file_load_orjson(tmp_path):
 def test_no_module_of_divrel_names_scipy():
     for path in (SRC / "divrel").glob("*.py"):
         assert "scipy" not in path.read_text(), path.name
+
+
+def test_no_module_of_divrel_names_scipy_integrate():
+    for path in (SRC / "divrel").glob("*.py"):
+        assert "scipy.integrate" not in path.read_text(), path.name
+
+
+def test_no_module_of_divrel_names_scipy_optimize():
+    for path in (SRC / "divrel").glob("*.py"):
+        assert "scipy.optimize" not in path.read_text(), path.name
