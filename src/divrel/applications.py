@@ -112,7 +112,8 @@ def poisson_pmf(
     relative of mpmath up to rate 1e4 (the direct exp(k ln lam - ln k! - lam)
     cancels its large terms: 4e-11 at rate 1e4). The tails are summed
     backward from the far end in units of the anchor's pmf, where no atom
-    overflows and tails down to 1e-300 stay normal numbers.
+    overflows and tails down to 1e-300 stay normal numbers; the discarded
+    tail is the one beyond N, so it is never negative.
     """
     _check_rate(lam)
     if not 0.0 < tail_tol < 1.0:
@@ -133,9 +134,7 @@ def poisson_pmf(
         size *= 2
     n = int(np.argmax(below))
     mass = p_a * rel[:n + 1]
-    delta = float(1.0 - mass.sum())
-    mass = mass / mass.sum()
-    return make_distribution(ks[:n + 1], mass), delta
+    return make_distribution(ks[:n + 1], mass / mass.sum()), float(p_a * tail[n])
 
 
 def poisson_kl(lam_i: float, lam_j: float) -> float:

@@ -146,8 +146,7 @@ def _cmd_contraction(args) -> dict:
     qx = _load(DiscreteDistribution, args.input_law)
     sc = contraction.SourceChannelPair(qx, w)
     tag = "SKEW_K" if args.family == "K" else "SKEW_S"
-    # first, so that its 2-6 input atoms are checked before either search runs;
-    # the two searches draw from their own seeds, so the order changes no value
+    # first, so that its 2-6 input atoms are checked before the channel sup runs
     est = contraction.brute_force_mu_f(DivergenceSpec(tag, args.alpha), sc,
                                        n_samples=args.brute_budget)
     # the sandwich's lower end is the chi^2 contraction itself

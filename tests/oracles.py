@@ -52,7 +52,8 @@ def maximal_correlation_ace(
     return abs(corr)
 
 
-# Nelder-Mead tolerances and budgets of the two sampled searches
+# Nelder-Mead tolerances and budgets: for the brute-force search, and for the
+# channel sup over the whole simplex
 BRUTE_NM = {"xatol": 1e-10, "fatol": 1e-12, "maxiter": 2000}
 CHANNEL_NM = {"xatol": 1e-12, "fatol": 1e-14, "maxiter": 5000}
 
@@ -98,3 +99,44 @@ def moment_bound_integral(m_p: float, var_p: float, m_q: float, var_q: float) ->
 
     value, _ = scipy.integrate.quad(integrand, 0.0, 1.0, epsabs=0.0, epsrel=1e-13, limit=200)
     return value
+
+
+def svd_chi2_contractions(w: np.ndarray, px: np.ndarray) -> np.ndarray:
+    """Chi^2 contraction of the channel matrix w at each law of the stack px,
+    the squared second singular value of its normalized joint matrix, one
+    SVD per law; -inf where an input or output atom has no mass."""
+    qy = px @ w
+    ok = np.all(px > 0, axis=1) & np.all(qy > 0, axis=1)
+    b = np.sqrt(px[ok])[:, :, None] * w[None] / np.sqrt(qy[ok])[:, None, :]
+    out = np.full(len(px), -math.inf)
+    out[ok] = np.linalg.svd(b, compute_uv=False)[:, 1] ** 2
+    return out
+
+
+def channel_sup_nelder_mead(w: np.ndarray, n_samples: int, seed: int) -> float:
+    """The sup of the chi^2 contraction over all input laws of w: the best of
+    n_samples Dirichlet draws, refined by Nelder-Mead (CHANNEL_NM), each
+    law scored by its own SVD; oracle for mu_chi2_channel."""
+    return max(nelder_mead_sup(CHANNEL_NM)(
+        lambda px: svd_chi2_contractions(w, px), len(w), n_samples, seed))
+
+
+def two_point_chi2_sup(w: np.ndarray) -> float:
+    """The best chi^2 contraction of w at an input law on two letters, the
+    mass t of the first found per pair by scipy's bounded scalar search and
+    scored by SVD; oracle that mu_chi2_channel's value is attained."""
+    import scipy.optimize
+
+    best = 0.0
+    for x in range(len(w)):
+        for x2 in range(x + 1, len(w)):
+            rows = w[[x, x2]]
+            rows = rows[:, rows.any(axis=0)]
+
+            def neg(t):
+                return -float(svd_chi2_contractions(rows, np.array([[t, 1.0 - t]]))[0])
+
+            res = scipy.optimize.minimize_scalar(
+                neg, bounds=(0.0, 1.0), method="bounded", options={"xatol": 1e-12})
+            best = max(best, -res.fun)
+    return best

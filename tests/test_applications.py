@@ -87,6 +87,13 @@ def test_poisson_pmf_matches_scipy_stats(lam, tail_tol):
         total = mpmath.fsum(pmf)
         oracle = np.array([float(p / total) for p in pmf])
         assert delta == pytest.approx(float(1 - total), rel=0, abs=2e-15)
+    # the tail beyond N, never negative, against mpmath's regularized
+    # incomplete gamma P(N + 1, lam) at 60 digits where that is a normal float
+    assert delta >= 0.0
+    with mpmath.workdps(60):
+        tail = float(mpmath.gammainc(n + 1, 0, lam, regularized=True))
+    if tail >= sys.float_info.min:
+        assert delta == pytest.approx(tail, rel=1e-7, abs=0)
     # no atom is further off than under the formula scipy.stats.poisson uses,
     # exp(xlogy(k, lam) - gammaln(k + 1) - lam); atoms below the normal
     # range carry fewer digits in any formula
@@ -106,9 +113,11 @@ def test_poisson_pmf_truncates_where_pdtrc_does():
     # N is the first atom whose tail pdtrc(N, lam) lies below tail_tol
     for lam in [*np.geomspace(1e-3, 3000.0, 305), 1e4]:
         for tail_tol in (1e-15, 1e-12, 1e-8):
-            n = len(poisson_pmf(lam, tail_tol)[0]) - 1
+            d, delta = poisson_pmf(lam, tail_tol)
+            n = len(d) - 1
             before, after = scipy.special.pdtrc([n - 1, n], lam)
             assert after < tail_tol and (n == 0 or before >= tail_tol), (lam, tail_tol)
+            assert 0.0 <= delta < tail_tol, (lam, tail_tol)
 
 
 @pytest.mark.parametrize("tail_tol", [0.0, 1.0, 2.0, -1.0, math.nan])

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
@@ -44,7 +44,13 @@ from divrel.errors import (
     PreconditionViolated,
 )
 
-from oracles import BRUTE_NM, CHANNEL_NM, maximal_correlation_ace, nelder_mead_sup
+from oracles import (
+    BRUTE_NM,
+    channel_sup_nelder_mead,
+    maximal_correlation_ace,
+    nelder_mead_sup,
+    two_point_chi2_sup,
+)
 
 
 def bsc(eps):
@@ -135,11 +141,9 @@ def test_brute_force_alphabet_limit():
 def test_sandwich_orders_bsc():
     sc = SourceChannelPair(UNIFORM2, bsc(0.1))
     for alpha, family in ((1.0, "K"), (0.5, "K"), (0.5, "S"), (0.25, "S")):
-        lower, upper_channel, upper_scaled = skew_contraction_sandwich(
-            alpha, family, sc, n_samples=300, seed=2
-        )
+        lower, upper_channel, upper_scaled = skew_contraction_sandwich(alpha, family, sc)
         assert lower == pytest.approx(0.64, abs=1e-10)
-        assert upper_channel == pytest.approx(0.64, abs=1e-7)
+        assert upper_channel == pytest.approx(0.64, abs=1e-15)
         assert upper_scaled >= lower - 1e-12
         est = brute_force_mu_f(
             DivergenceSpec("SKEW_K" if family == "K" else "SKEW_S", alpha),
@@ -160,9 +164,34 @@ def test_prop2_factor_alpha_one_is_inverse_qmin():
 
 
 def test_mu_chi2_channel_bsc():
-    assert mu_chi2_channel(bsc(0.1), n_samples=400, seed=0) == pytest.approx(
-        0.64, abs=1e-7
-    )
+    for eps in (0.05, 0.1, 0.25, 0.4):
+        assert mu_chi2_channel(bsc(eps)) == pytest.approx((1 - 2 * eps) ** 2, abs=1e-15)
+
+
+@pytest.mark.parametrize("rows, want", [
+    # the sups of these two lie at an end of the pair's curve, t -> 0 or 1
+    ([[1, 0], [0.3, 0.7]], 0.7),
+    ([[0.3, 0.7], [1, 0]], 0.7),
+    ([[0.8, 0.2, 0], [0, 0.2, 0.8]], 0.8),
+    ([[1, 0], [0, 1]], 1.0),
+    ([[0.3, 0.7], [0.3, 0.7]], 0.0),
+    ([[0.3, 0.7]], 0.0),
+])
+def test_mu_chi2_channel_exact_cases(rows, want):
+    mu = mu_chi2_channel(make_channel(rows))
+    assert not math.isnan(mu)
+    assert mu == pytest.approx(want, abs=1e-12)
+
+
+def test_sandwich_rejects_alpha_before_the_channel_sup(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("the channel sup ran")
+
+    monkeypatch.setattr(divrel.contraction, "mu_chi2_channel", never)
+    sc = SourceChannelPair(UNIFORM2, bsc(0.1))
+    for alpha, family in ((0.0, "K"), (1.5, "S"), (math.nan, "K")):
+        with pytest.raises(DomainError):
+            skew_contraction_sandwich(alpha, family, sc)
 
 
 def test_g_alpha_shape():
@@ -354,8 +383,6 @@ def test_empty_search_budget_rejected():
     sc = SourceChannelPair(UNIFORM2, bsc(0.1))
     with pytest.raises(DomainError):
         brute_force_mu_f(DivergenceSpec("KL"), sc, n_samples=0)
-    with pytest.raises(DomainError):
-        mu_chi2_channel(bsc(0.1), n_samples=0)
 
 
 def test_brute_force_one_input_rejected():
@@ -409,7 +436,7 @@ def test_chi2_contraction_rows_in_blocks(monkeypatch):
 def test_mu_chi2_channel_rejects_unreachable_output():
     # no input law gives output 1 positive mass, so the sup is over nothing
     with pytest.raises(PreconditionViolated, match="column 1"):
-        mu_chi2_channel(make_channel([[1, 0], [1, 0]]), n_samples=5)
+        mu_chi2_channel(make_channel([[1, 0], [1, 0]]))
     with pytest.raises(PreconditionViolated, match="column 2"):
         mu_chi2_channel(make_channel([[0.5, 0.5, 0.0], [0.1, 0.9, 0.0]]))
 
@@ -470,24 +497,19 @@ def test_skew_s_integral_with_infinite_sides(alpha, first, second):
     assert math.isfinite(rep.rhs) and rep.passed
 
 
-def nelder_mead_estimates(monkeypatch, spec, sc, n_samples, seed):
-    """brute_force_mu_f and mu_chi2_channel with the Nelder-Mead oracle in
-    place of the batched refinement."""
+def assert_no_worse_than_nelder_mead(monkeypatch, spec, sc, n_samples, seed):
+    """brute_force_mu_f against itself with the Nelder-Mead oracle in place
+    of the batched refinement, and mu_chi2_channel against a Nelder-Mead
+    search of the whole simplex, each law scored by its own SVD."""
     with monkeypatch.context() as m:
         m.setattr(divrel.contraction, "_sampled_sup", nelder_mead_sup(BRUTE_NM))
-        est = brute_force_mu_f(spec, sc, n_samples=n_samples, seed=seed)
-        m.setattr(divrel.contraction, "_sampled_sup", nelder_mead_sup(CHANNEL_NM))
-        mu = mu_chi2_channel(sc.w, n_samples=n_samples, seed=seed)
-    return est, mu
-
-
-def assert_no_worse_than_nelder_mead(monkeypatch, spec, sc, n_samples, seed):
-    want, want_mu = nelder_mead_estimates(monkeypatch, spec, sc, n_samples, seed)
+        want = brute_force_mu_f(spec, sc, n_samples=n_samples, seed=seed)
     est = brute_force_mu_f(spec, sc, n_samples=n_samples, seed=seed)
     assert est.lower == want.lower
     # 1e-4 is the search accuracy that test_sandwich_orders_bsc documents
     assert est.point_estimate >= want.point_estimate - 1e-4
-    assert mu_chi2_channel(sc.w, n_samples=n_samples, seed=seed) >= want_mu - 1e-9
+    w = sc.w.matrix
+    assert mu_chi2_channel(sc.w) >= channel_sup_nelder_mead(w, n_samples, seed) - 1e-9
 
 
 @pytest.mark.parametrize("eps", [0.05, 0.1, 0.25])
@@ -515,6 +537,8 @@ def test_refinement_matches_nelder_mead_on_random_channels(monkeypatch, which):
         seed = int(rng.integers(1 << 30))
         assert_no_worse_than_nelder_mead(
             monkeypatch, ORACLE_SPECS[which], SourceChannelPair(qx, w), 300, seed)
+        # the value is attained at a two-point law, not overshot
+        assert mu_chi2_channel(w) == pytest.approx(two_point_chi2_sup(w.matrix), abs=1e-12)
 
 
 def test_refinement_stays_within_its_round_budget(monkeypatch):
@@ -540,21 +564,24 @@ def test_searches_log_their_budget(caplog):
     caplog.set_level(logging.DEBUG, logger="divrel.contraction")
     sc = SourceChannelPair(UNIFORM2, bsc(0.1))
     brute_force_mu_f(DivergenceSpec("KL"), sc, n_samples=50, seed=1)
-    mu_chi2_channel(make_channel([[0.7, 0.2, 0.1], [0.1, 0.6, 0.3], [0.2, 0.2, 0.6]]),
-                    n_samples=40, seed=2)
+    mu_chi2_channel(make_channel([[0.7, 0.2, 0.1], [0.1, 0.6, 0.3], [0.2, 0.2, 0.6]]))
     # K_0 vanishes identically, so the best draw scores -inf and nothing is refined
     with pytest.raises(PreconditionViolated):
         brute_force_mu_f(DivergenceSpec("SKEW_K", 0.0), sc, n_samples=30)
     records = [r for r in caplog.records if r.name == "divrel.contraction"]
     assert [r.levelno for r in records] == [logging.DEBUG] * 3
     # (atoms, draws scored, refinement rounds, rows scored, final step, round cap)
-    args = [r.args for r in records]
-    assert [a[:2] for a in args] == [(2, 50), (3, 40), (2, 30)]
-    for _, _, rounds, rows, step, cap in args[:2]:
-        assert 0 < rounds < divrel.contraction._MAX_ROUNDS and rows > rounds
-        assert step < divrel.contraction._MIN_STEP and cap == "not reached"
-    assert args[2][2:4] == (0, 0) and math.isnan(args[2][4]) and args[2][5] == "not reached"
+    args = [records[0].args, records[2].args]
+    assert [a[:2] for a in args] == [(2, 50), (2, 30)]
+    _, _, rounds, rows, step, cap = args[0]
+    assert 0 < rounds < divrel.contraction._MAX_ROUNDS and rows > rounds
+    assert step < divrel.contraction._MIN_STEP and cap == "not reached"
+    assert args[1][2:4] == (0, 0) and math.isnan(args[1][4]) and args[1][5] == "not reached"
     assert "draws scored" in records[0].getMessage()
+    # the channel sup: (input pairs, bisection steps, final bracket width)
+    pairs, steps, width = records[1].args
+    assert (pairs, steps) == (3, divrel.contraction._BISECTIONS) and 0 < width < 1e-16
+    assert "bisection steps" in records[1].getMessage()
 
 
 @settings(max_examples=25, deadline=None)
@@ -567,9 +594,33 @@ def test_sampled_searches_are_seeded_and_bound_below_by_their_draws(seed, spec):
     est = brute_force_mu_f(spec, sc, n_samples=40, seed=seed)
     assert est.lower <= est.point_estimate
     assert brute_force_mu_f(spec, sc, n_samples=40, seed=seed) == est
-    mu = mu_chi2_channel(w, n_samples=40, seed=seed)
-    assert mu_chi2_channel(w, n_samples=40, seed=seed) == mu
+    mu = mu_chi2_channel(w)
     draws = np.random.default_rng(seed).dirichlet(np.ones(n_in), size=40)
     draws = draws[np.all(draws > 0, axis=1) & np.all(draws @ w.matrix > 0, axis=1)]
     best = divrel.contraction._chi2_contraction_rows(draws, w.matrix).max(initial=-math.inf)
-    assert mu >= best
+    assert mu >= best - 1e-12
+
+
+@st.composite
+def channels_with_input_laws(draw):
+    """A 2-6 x 2-6 channel, some entries zero, every output reachable; a
+    positive input law; and a permutation of the inputs and of the outputs."""
+    n_in, n_out = draw(st.integers(2, 6)), draw(st.integers(2, 6))
+    entry = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
+    m = np.array(draw(st.lists(entry, min_size=n_in * n_out, max_size=n_in * n_out)))
+    m = m.reshape(n_in, n_out)
+    assume(m.any(axis=1).all() and m.any(axis=0).all())
+    qx = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=n_in, max_size=n_in)))
+    perms = draw(st.permutations(range(n_in))), draw(st.permutations(range(n_out)))
+    return m / m.sum(axis=1, keepdims=True), qx / qx.sum(), perms
+
+
+@settings(max_examples=300, deadline=None)
+@given(channels_with_input_laws())
+def test_channel_sup_bounds_every_input_law_and_ignores_letter_order(case):
+    m, qx, (perm_in, perm_out) = case
+    mu = mu_chi2_channel(make_channel(m))
+    sc = SourceChannelPair(make_distribution(range(len(qx)), qx), make_channel(m))
+    assert chi2_contraction(sc) <= mu + 1e-12
+    permuted = make_channel(m[list(perm_in)][:, list(perm_out)])
+    assert abs(mu_chi2_channel(permuted) - mu) <= 1e-15
