@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import DiscreteDistribution, _on_union_support, make_distribution
-from .divergences import DivergenceSpec, f_divergence_rows
+from .divergences import DivergenceSpec, _binary_term, f_divergence_rows
 from .errors import DomainError, NonFinite, PreconditionViolated, QuadratureFailure
 from .identities import QuadratureConfig, integrate
 from .inequalities import _mixture_kl_bound, _validated_weights
@@ -84,10 +84,9 @@ def _poisson_anchor(lam: float) -> tuple[int, float]:
     computation of binomial probabilities, 2000),
     exp(-stirlerr(a) - bd0) / sqrt(2 pi a): the Stirling series of
     stirlerr(a) = ln a! - (a + 1/2) ln a + a - ln(2 pi)/2 to a^-9, and
-    bd0 = a ln(a/lam) + lam - a = (a - lam) v + 2a (v^3/3 + v^5/5 + ...),
-    v = (a - lam)/(a + lam), |v| < 1/32, where a - lam is exact; both reach
-    1e-16 for a >= 16. Below rate 16, a is 0 with pmf e^-lam, and no atom
-    outweighs it by more than e^16.
+    bd0 = a ln(a/lam) + lam - a by ``_binary_term``'s series, where a - lam
+    is exact; both reach 1e-16 for a >= 16. Below rate 16, a is 0 with pmf
+    e^-lam, and no atom outweighs it by more than e^16.
     """
     a = math.floor(lam)
     if a < 16:
@@ -95,9 +94,13 @@ def _poisson_anchor(lam: float) -> tuple[int, float]:
     inv2 = 1.0 / (a * a)
     stirlerr = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - inv2 / 1188) * inv2) * inv2)
                 * inv2) / a
-    v = (a - lam) / (a + lam)
-    bd0 = (a - lam) * v + 2.0 * a * sum(v ** j / j for j in range(3, 14, 2))
+    bd0 = float(_binary_term(a, lam, np.float64(a - lam)))
     return a, math.exp(-stirlerr - bd0) / math.sqrt(2.0 * math.pi * a)
+
+
+# the largest rate poisson_pmf takes: its window holds lam + 10 sqrt(lam) + 16
+# atoms, 8 MB at this rate
+_MAX_PMF_RATE = 1e6
 
 
 def poisson_pmf(
@@ -113,9 +116,12 @@ def poisson_pmf(
     cancels its large terms: 4e-11 at rate 1e4). The tails are summed
     backward from the far end in units of the anchor's pmf, where no atom
     overflows and tails down to 1e-300 stay normal numbers; the discarded
-    tail is the one beyond N, so it is never negative.
+    tail is the one beyond N, so it is never negative. Rates above
+    _MAX_PMF_RATE raise DomainError, as their window would not fit in memory.
     """
     _check_rate(lam)
+    if lam > _MAX_PMF_RATE:
+        raise DomainError(f"the Poisson pmf takes rates up to {_MAX_PMF_RATE:g}, got {lam}")
     if not 0.0 < tail_tol < 1.0:
         raise DomainError(f"tail_tol must lie in (0, 1), got {tail_tol}")
     a, p_a = _poisson_anchor(lam)

@@ -111,15 +111,14 @@ def _renyi(a, b, alpha):
 
 
 def _gv(a, b, s):
-    """s is one skew, or an (m, 1) column of skews, one for each row."""
-    s = np.asarray(s, dtype=float)
-    if not s.any():
-        return _chi2(b, a)
+    """Sum (a - b)^2 / ((1 - s) a + s b), +inf where only the denominator
+    vanishes. s is one skew, or an (m, 1) column of skews, one for each row;
+    s = 0 gives chi^2(b||a) and s = 1 gives chi^2(a||b)."""
+    d = a - b
+    m = (1.0 - s) * a + s * b
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = _chi2(a, (1.0 - s) * a + s * b) / (s * s).ravel()
-    if s.all():
-        return out
-    return np.where(s.ravel() == 0.0, _chi2(b, a), out)
+        terms = np.where(m > 0, d * d / m, np.where(d != 0, INF, 0.0))
+    return terms.sum(axis=-1)
 
 
 def _skew_k(a, b, alpha):
@@ -153,21 +152,19 @@ def _polylog(a, b, k):
     return _generic(a, b, lambda t: _polylog_li(k, t), zeta_k, 0.0)
 
 
-# pi 10^50, truncated: the even zeta values are rationals times powers of pi
-_PI_E50 = 314159265358979323846264338327950288419716939937510
-# exact even zeta values up to this argument; past it zeta(s) - 1 < 2^-64
-_EXACT_EVEN = 64
 # terms of Borwein's eta series: for s >= 2 the error of zeta is below
-# 3 (3 + sqrt 8)^-30 / (1 - 2^(1-s)) < 1e-22
+# 3 (3 + sqrt 8)^-30 / (1 - 2^(1-s)) < 1e-22, and its weights sum Li_k on
+# [-1, 0) to the same bound
 _ETA_TERMS = 30
 
 
 @functools.cache
 def _tangent_numbers() -> list[int]:
-    """T_0 = 0, T_1, ..., T_(_EXACT_EVEN/2): tan x = sum T_n x^(2n-1)/(2n-1)!,
-    by the integer recurrence of R. P. Brent and D. Harvey (Fast computation
-    of Bernoulli, tangent and secant numbers, 2011)."""
-    count = _EXACT_EVEN // 2
+    """T_0 = 0, T_1, ..., T_13: tan x = sum T_n x^(2n-1)/(2n-1)!, by the
+    integer recurrence of R. P. Brent and D. Harvey (Fast computation of
+    Bernoulli, tangent and secant numbers, 2011). They give zeta(1 - 2n)
+    for the ln-expansion of Li_k, which reaches zeta(2 - (_LOG_TERMS - 1))."""
+    count = _LOG_TERMS // 2 - 1
     t = [0, 1] + [0] * (count - 1)
     for k in range(2, count + 1):
         t[k] = (k - 1) * t[k - 1]
@@ -182,7 +179,11 @@ def _eta_weights() -> list[float]:
     """(-1)^j (d_n - d_j)/d_n of P. Borwein's alternating series
     eta(s) = sum_j (-1)^j (d_n - d_j)/d_n (j+1)^-s (An efficient algorithm
     for the Riemann zeta function, 2000), with n = _ETA_TERMS and the
-    integers d_j = n sum_(i<=j) (n+i-1)! 4^i / ((n-i)! (2i)!)."""
+    integers d_j = n sum_(i<=j) (n+i-1)! 4^i / ((n-i)! (2i)!). They sum any
+    alternating series whose terms a_j are moments int_0^1 u^j dmu, mu >= 0,
+    to within 2 a_0 (3 + sqrt 8)^-n (H. Cohen, F. Rodriguez Villegas and
+    D. Zagier, Convergence acceleration of alternating series, 2000), as
+    are those of Li_k on [-1, 0) (``_polylog_li``)."""
     n = _ETA_TERMS
     d = list(itertools.accumulate(
         n * math.factorial(n + i - 1) * 4 ** i // (math.factorial(n - i) * math.factorial(2 * i))
@@ -194,22 +195,17 @@ def _eta_weights() -> list[float]:
 def _zeta(s: int) -> float:
     """Riemann zeta at an integer s != 1, to within 2e-16 relative.
 
-    With the Bernoulli numbers B_2n = (-1)^(n-1) 2n T_n / (4^n (4^n - 1)):
-    zeta(2n) = T_n pi^(2n) / (2 (4^n - 1) (2n-1)!), zeta(1-2n) = -B_2n/2n,
+    For s >= 2 it is eta(s)/(1 - 2^(1-s)) by Borwein's series, its rounded
+    terms summed exactly (``math.fsum``). Below, with the Bernoulli numbers
+    B_2n = (-1)^(n-1) 2n T_n / (4^n (4^n - 1)): zeta(1-2n) = -B_2n/2n,
     zeta(0) = -1/2 and the trivial zeros zeta(-2n) = 0, each a ratio of
-    Python ints, whose true division rounds once. Odd s >= 3 and even s past
-    _EXACT_EVEN are eta(s)/(1 - 2^(1-s)) by Borwein's series, its rounded
-    terms summed exactly (``math.fsum``).
+    Python ints, whose true division rounds once.
     """
     if s <= 0:
         if s % 2 == 0:
             return 0.0 if s else -0.5
         n = (1 - s) // 2
         return (-1) ** n * _tangent_numbers()[n] / (4 ** n * (4 ** n - 1))
-    if s % 2 == 0 and s <= _EXACT_EVEN:
-        n = s // 2
-        return (_tangent_numbers()[n] * _PI_E50 ** s
-                / (2 * (4 ** n - 1) * math.factorial(s - 1) * 10 ** (50 * s)))
     eta = math.fsum(w * (j + 1.0) ** -s for j, w in enumerate(_eta_weights()))
     return eta / (1.0 - 2.0 ** (1 - s))
 
@@ -236,7 +232,9 @@ def _polylog_coefficients(k: int):
 # 40 terms of the series reach a relative 1e-16 for |z| <= 1/2, and 28 of
 # the ln-expansion for |mu| <= ln 2 at every order k: its terms fall like
 # (mu / 2 pi)^m, and for k > 28 they are zeta(k - m) mu^m/m! with zeta near
-# 1, below 1e-30 past the 28th, as is the log term mu^(k-1)/(k-1)!
+# 1, below 1e-30 past the 28th, as is the log term mu^(k-1)/(k-1)!. The
+# alternating sum takes its terms 1/n^k from the series table, so
+# _SERIES_TERMS stays >= _ETA_TERMS
 _SERIES_TERMS = 40
 _LOG_TERMS = 28
 
@@ -252,12 +250,13 @@ def _polylog_li(k: int, x: np.ndarray) -> np.ndarray:
 
     With y = 1 - x, the inversion
     Li_k(y) = -(-1)^k Li_k(1/y) - L^k/k! - 2 sum_j eta(2j) L^(k-2j)/(k-2j)!,
-    L = ln(-y), maps y < -1 to t = 1/y in (-1, 0), and the duplication
-    Li_k(t) = 2^(1-k) Li_k(t^2) - Li_k(-t) maps t < -1/2 into (1/4, 1].
-    That leaves two expansions, each evaluated once on all its points: the
-    power series sum z^n/n^k for |z| <= 1/2, and for z in (1/2, 1]
-    Li_k(z) = sum_m zeta(k - m) mu^m/m! + mu^(k-1) (H_(k-1) - ln(-mu))/(k-1)!
-    in mu = ln z, taken as ln(1 - x) where z = y.
+    L = ln(-y), maps y < -1 to t = 1/y in (-1, 0). That leaves three sums,
+    each evaluated once on all its points: for t in [-1, 0) the alternating
+    series Li_k(t) = -sum_j (-1)^j u^(j+1)/(j+1)^k, u = -t, by Borwein's
+    weights (``_eta_weights``); for t in [0, 1/2] the power series
+    sum t^n/n^k; and for t in (1/2, 1)
+    Li_k(t) = sum_m zeta(k - m) mu^m/m! + mu^(k-1) (H_(k-1) - ln(-mu))/(k-1)!
+    in mu = ln t, taken as ln(1 - x).
     """
     series, log_exp, log_term, orders, log_fact, weights = _polylog_coefficients(k)
     x = np.asarray(x, dtype=float)
@@ -265,29 +264,18 @@ def _polylog_li(k: int, x: np.ndarray) -> np.ndarray:
     low = y < -1.0
     t = y.copy()
     t[low] = 1.0 / y[low]
+    alternating = t < 0.0
     near = t > 0.5
-    dup = t < -0.5
-    plain = ~(near | dup)
-    square_near = t * t > 0.5
-    square_plain = dup & ~square_near
-    square_near &= dup
-
-    z = np.concatenate([t[plain], t[square_plain] ** 2])
-    mu = np.concatenate([np.log1p(-x[near]), np.log(-t[dup]), 2.0 * np.log(-t[square_near])])
-    by_series = _powers(z, _SERIES_TERMS) @ series
-    mu_powers = _powers(mu, len(log_exp) - 1)
-    log_mu = np.zeros_like(mu)
-    np.log(-mu, out=log_mu, where=mu < 0.0)
-    by_log = log_exp[0] + mu_powers @ log_exp[1:] - mu ** (k - 1) * log_mu * log_term
+    plain = ~(alternating | near)
 
     out = np.empty_like(x)
-    n_plain, n_near, n_dup = int(plain.sum()), int(near.sum()), int(dup.sum())
-    out[plain] = by_series[:n_plain]
-    out[near] = by_log[:n_near]
-    square = np.empty(n_dup)
-    square[~square_near[dup]] = by_series[n_plain:]
-    square[square_near[dup]] = by_log[n_near + n_dup:]
-    out[dup] = 2.0 ** (1 - k) * square - by_log[n_near:n_near + n_dup]
+    u = -t[alternating]
+    out[alternating] = -(_powers(u, _ETA_TERMS) @ (series[:_ETA_TERMS] * _eta_weights()))
+    out[plain] = _powers(t[plain], _SERIES_TERMS) @ series
+    # mu < 0 for every x > 0
+    mu = np.log1p(-x[near])
+    out[near] = (log_exp[0] + _powers(mu, len(log_exp) - 1) @ log_exp[1:]
+                 - mu ** (k - 1) * np.log(-mu) * log_term)
 
     # L^m/m! as exp(m ln L - ln m!), which neither overflows nor divides inf by
     # inf. |Li_k(y)| >= eta(k) >= 1/2 for y <= -1, so the orders m >= 2 max L

@@ -126,6 +126,24 @@ def test_poisson_pmf_rejects_tail_tol_outside_unit_interval(tail_tol):
         poisson_pmf(16.0, tail_tol)
 
 
+def test_poisson_pmf_rejects_rates_past_its_cap_before_allocating():
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        # a window of 1e12 atoms would ask for terabytes
+        with pytest.raises(DomainError, match=r"up to 1e\+06"):
+            poisson_pmf(1e12)
+        with pytest.raises(DomainError, match=r"up to 1e\+06"):
+            redundancy_report(PoissonFamily((1e12,), (1.0,)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # the closed form allocates nothing per atom and takes every finite rate
+    assert poisson_kl(1e12, 2e12) > 0.0
+
+
 @pytest.mark.parametrize("lam", [0.0, -1.0, math.nan, math.inf])
 def test_poisson_functions_reject_bad_rates(lam):
     with pytest.raises(DomainError):

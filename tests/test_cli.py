@@ -326,6 +326,14 @@ def test_redundancy_non_finite_rate_exits_1(capsys, rate):
     assert capsys.readouterr().err.startswith("invalid input:")
 
 
+def test_redundancy_rate_past_the_pmf_cap_exits_1(capsys):
+    code = main(["redundancy", "--lambdas", "1e12"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("invalid input:") and "1e+06" in err
+    assert "Traceback" not in err
+
+
 def test_identity_check_infinite_sides_json(tmp_path, capsys):
     # chi^2(P||Q) = inf when Q lacks an atom of P; equal infinities agree exactly
     p = write_dist(tmp_path, "p.json", [0, 1], [0.5, 0.5])

@@ -355,7 +355,7 @@ ROW_REFERENCES = [
     *((DivergenceSpec("RENYI", a), lambda p, q, a=a: _ref_renyi(a, p, q))
       for a in (0.0, 0.5, 2.0, math.inf)),
     *((DivergenceSpec("GV", s), lambda p, q, s=s: _ref_gv(s, p, q))
-      for s in (0.0, 0.3, 1.0)),
+      for s in (0.0, 0.3, 1.0, 1e-100, 1e-170)),
     *((DivergenceSpec("SKEW_K", a), lambda p, q, a=a: _ref_kl(p, (1 - a) * p + a * q))
       for a in (0.4, 1.0)),
     *((DivergenceSpec("SKEW_S", a), lambda p, q, a=a: _ref_skew_s(a, p, q))
@@ -429,6 +429,15 @@ def test_gv_kernel_takes_a_column_of_skews():
     skews = np.array([0.0, 0.3, 1.0, 0.7])
     got = _gv(p.mass[None, :], q.mass, skews[:, None])
     assert got == pytest.approx([gyorfi_vajda(s, p, q) for s in skews], rel=1e-14)
+
+
+@pytest.mark.parametrize("s", [1e-100, 1e-170, 1e-300])
+def test_gv_at_vanishing_skew_is_chi2_of_q_against_p(s):
+    # the s -> 0 limit chi^2(Q||P) = 0.09/0.4 + 0.09/0.6 = 0.375, with no
+    # division by s^2 to cancel or underflow on the way
+    p = make_distribution([0, 1], [0.4, 0.6])
+    q = make_distribution([0, 1], [0.7, 0.3])
+    assert abs(f_divergence(DivergenceSpec("GV", s), p, q) / 0.375 - 1) <= 1e-15
 
 
 def test_zeta_matches_mpmath_at_every_argument_of_the_polylog_tables():

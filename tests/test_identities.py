@@ -169,8 +169,11 @@ def _assert_matches_mpmath(k, xs, rel=1e-13):
 @pytest.mark.parametrize("k", range(2, 7))
 def test_polylog_kernel_matches_mpmath_on_a_log_grid(k):
     # every region of the closed form: ln-expansion (x < 1/2), series
-    # (1/2 <= x <= 3/2), duplication (3/2 < x <= 2) and inversion (x > 2)
-    xs = np.concatenate([np.logspace(-12, 6, 181), [0.5, 1.0, 1.5, 2.0, 2.5, 3.0]])
+    # (1/2 <= x <= 1), the weighted alternating sum (1 < x <= 2) and the
+    # inversion onto it (x > 2); the edges t -> 0- and t -> -1 from each
+    # side, and 1.75, where duplication used to take over
+    xs = np.concatenate([np.logspace(-12, 6, 181), [0.5, 1.0, 1.5, 2.0, 2.5, 3.0],
+                         [1 + 2.0 ** -52, 1.75, 2 - 2.0 ** -52, 2 + 2.0 ** -51]])
     _assert_matches_mpmath(k, xs)
 
 

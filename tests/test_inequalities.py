@@ -24,7 +24,7 @@ from divrel import (
     symmetrized_chi2_bound,
     thirds_bound,
 )
-from divrel.divergences import skew_k
+from divrel.divergences import _skew_k, skew_k
 from divrel.errors import DomainError, EmptySet, ZeroProbabilitySet
 from divrel.inequalities import (
     InequalityReport,
@@ -117,16 +117,33 @@ def test_derivative_checks_reference_pair():
 def test_derivative_checks_evaluates_the_curve_once_per_point(monkeypatch):
     import divrel.inequalities
 
-    calls = []
+    rows = []
 
     def counting(*args):
-        calls.append(args)
-        return skew_k(*args)
+        out = _skew_k(*args)
+        rows.append(out.size)
+        return out
 
-    monkeypatch.setattr(divrel.inequalities, "skew_k", counting)
+    monkeypatch.setattr(divrel.inequalities, "_skew_k", counting)
     derivative_checks(P, Q)
     # per grid point F(lam) and two points for F'(lam); two more for F'(1e-3)
-    assert len(calls) == 3 * len(_LAM_GRID) + 2
+    assert sum(rows) == 3 * len(_LAM_GRID) + 2
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_derivative_checks_match_the_curve_scored_point_by_point(seed):
+    p, q = random_pair(np.random.default_rng(seed), 6)
+    out = derivative_checks(p, q)
+    h = 1e-5
+
+    def slope(lam):
+        return (skew_k(lam + h, p, q) - skew_k(lam - h, p, q)) / (2 * h)
+
+    for row in out["grid"]:
+        lam = row["lam"]
+        assert row["fprime"] == slope(lam)
+        assert row["lower"] == (math.exp(skew_k(lam, p, q)) - 1.0) / lam
+    assert out["small_lam_ratio"] == slope(1e-3) / 1e-3
 
 
 def test_derivative_checks_put_the_pair_on_its_union_support():
