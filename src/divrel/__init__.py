@@ -56,7 +56,6 @@ from .divergences import (
 from .errors import DivrelError
 from .identities import (
     IdentityReport,
-    QuadratureConfig,
     check_chi2_half_identity,
     check_gv_identity,
     check_kl_chi2_identity,

@@ -11,21 +11,18 @@ in nats throughout.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import DiscreteDistribution, _on_union_support, make_distribution
+from .distributions import (DiscreteDistribution, _check_count, _on_union_support,
+                            make_distribution)
 from .divergences import DivergenceSpec, _binary_term, f_divergence_rows
 from .errors import DomainError, NonFinite, PreconditionViolated, QuadratureFailure
-from .identities import QuadratureConfig, integrate
 from .inequalities import _mixture_kl_bound, _validated_weights
 from .moment_bounds import MomentTuple, kl_moment_lower_bound
 
 LN2 = math.log(2.0)
-
-_ENTROPY_CFG = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-14, max_depth=200)
 
 
 def _check_rate(lam: float) -> None:
@@ -65,9 +62,7 @@ class TypeClassProblem:
             raise DomainError("boxes must be non-empty intervals")
         if self.var_box[0] < 0:
             raise DomainError("variance box must be non-negative")
-        k = self.alphabet_size
-        if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 2:
-            raise DomainError(f"alphabet size must be an integer >= 2, got {k!r}")
+        _check_count("alphabet size", self.alphabet_size, 2)
         if not 0.0 < self.epsilon < 1.0:
             raise DomainError("epsilon must lie in (0, 1)")
         # the target mean box must exclude the reference mean, otherwise
@@ -98,26 +93,22 @@ def _poisson_anchor(lam: float) -> tuple[int, float]:
     return a, math.exp(-stirlerr - bd0) / math.sqrt(2.0 * math.pi * a)
 
 
-# the largest rate poisson_pmf takes: its window holds lam + 10 sqrt(lam) + 16
-# atoms, 8 MB at this rate
+# the largest rate of the Poisson pmf and entropy: the window holds
+# lam + 10 sqrt(lam) + 16 atoms, 8 MB at this rate
 _MAX_PMF_RATE = 1e6
 
 
-def poisson_pmf(
-    lam: float, tail_tol: float = 1e-15
-) -> tuple[DiscreteDistribution, float]:
-    """Truncated, renormalized Poisson law and the discarded tail mass.
+def _poisson_window(lam: float, tail_tol: float):
+    """The Poisson pmf on a window {0..size-1} that holds its truncation point.
 
-    The support is {0..N} with N minimal such that the tail beyond N has
-    mass below tail_tol, found in a window of candidates that doubles
-    until it holds one. The pmf is the product of the ratios
-    p_(k+1)/p_k = lam/(k+1) outward from ``_poisson_anchor``, within 4e-15
-    relative of mpmath up to rate 1e4 (the direct exp(k ln lam - ln k! - lam)
-    cancels its large terms: 4e-11 at rate 1e4). The tails are summed
-    backward from the far end in units of the anchor's pmf, where no atom
-    overflows and tails down to 1e-300 stay normal numbers; the discarded
-    tail is the one beyond N, so it is never negative. Rates above
-    _MAX_PMF_RATE raise DomainError, as their window would not fit in memory.
+    Returns p_a and ln p_a at the atom a of ``_poisson_anchor``, the ratios
+    rel = p_k/p_a over the window (products of p_(k+1)/p_k = lam/(k+1)
+    outward from a), the tails (tail[k] is the mass beyond k over p_a, summed
+    backward from the far end, so no atom overflows and tails down to 1e-300
+    stay normal numbers) and N, the least k whose tail is below tail_tol; the
+    window doubles until it holds one. Below rate 16, ln p_a is -lam exactly,
+    as e^-lam may round to 1. Rates above _MAX_PMF_RATE raise DomainError, as
+    their window would not fit in memory.
     """
     _check_rate(lam)
     if lam > _MAX_PMF_RATE:
@@ -131,16 +122,33 @@ def poisson_pmf(
         rel = np.ones(size)
         rel[a + 1:] = np.cumprod(lam / ks[a + 1:])
         rel[:a] = np.cumprod(ks[a:0:-1] / lam)[::-1]
-        # tail[k] is the mass beyond k over p_a; past the window the ratios stay below
-        # rho = lam/size, so the atoms there add at most rel[-1] rho/(1 - rho)
+        # past the window the ratios stay below rho = lam/size, so the atoms
+        # there add at most rel[-1] rho/(1 - rho)
         tail = np.cumsum(rel[:0:-1])[::-1] + rel[-1] * lam / (size - lam)
         below = tail < tail_tol / p_a
         if below.any():
             break
         size *= 2
-    n = int(np.argmax(below))
+    ln_p_a = -lam if a == 0 else math.log(p_a)
+    return p_a, ln_p_a, rel, tail, int(np.argmax(below))
+
+
+def poisson_pmf(
+    lam: float, tail_tol: float = 1e-15
+) -> tuple[DiscreteDistribution, float]:
+    """Truncated, renormalized Poisson law and the discarded tail mass.
+
+    The support is {0..N} with N minimal such that the tail beyond N has
+    mass below tail_tol (``_poisson_window``). The pmf is within 4e-15
+    relative of mpmath up to rate 1e4 (the direct exp(k ln lam - ln k! - lam)
+    cancels its large terms: 4e-11 at rate 1e4). The discarded tail is the
+    one beyond N, so it is never negative. Rates above _MAX_PMF_RATE raise
+    DomainError.
+    """
+    p_a, _, rel, tail, n = _poisson_window(lam, tail_tol)
     mass = p_a * rel[:n + 1]
-    return make_distribution(ks[:n + 1], mass / mass.sum()), float(p_a * tail[n])
+    return (make_distribution(np.arange(n + 1, dtype=float), mass / mass.sum()),
+            float(p_a * tail[n]))
 
 
 def poisson_kl(lam_i: float, lam_j: float) -> float:
@@ -151,35 +159,23 @@ def poisson_kl(lam_i: float, lam_j: float) -> float:
 
 
 def poisson_entropy(lam):
-    """Poisson entropy in nats via its integral representation.
+    """Poisson entropy in nats, -sum p_k ln p_k over the pmf window.
 
-    H = lam (1 - ln lam) + int_0^inf (lam - (1 - e^{-lam t(u)}) / t(u))
-    e^{-u}/u du with t(u) = 1 - e^{-u}. The integrand tends to lam^2/2 at
-    u -> 0 and varies there on the scale 1/lam, against the scale 1 of its
-    tail, so it is integrated in v = u^(1/3), where both scales are close.
-    The upper cutoff is where the envelope lam e^{-u}/u drops below 1e-16
-    for the largest rate. Elementwise over an array of rates, integrated as
-    one quadrature with a column per rate (a float for a scalar rate).
+    With p_k = p_a rel_k (``_poisson_window`` at tail_tol 1e-15), it is
+    -p_a sum rel_k (ln p_a + ln rel_k), a sum of terms -p_k ln p_k >= 0, so
+    nothing cancels: within 2e-15 relative of 40-digit mpmath on rates from
+    1e-12 to 1e6. The window ends past the 1e-15 tail, and the mass beyond it
+    is about 1e-22. Elementwise over an array of rates (a float for a scalar
+    rate); rates above _MAX_PMF_RATE raise DomainError, like the pmf.
     """
     lam = np.asarray(lam, dtype=float)
-    rates = lam.ravel()
-    if not rates.size:
+    if not lam.size:
         raise DomainError("need at least one Poisson rate")
-    for rate in rates:
-        _check_rate(rate)
-
-    def integrand(v):
-        u = (v * v * v)[:, None]
-        t = -np.expm1(-u)
-        # e^{-u}/u du = 3 e^{-u}/v dv
-        return (rates + np.expm1(-rates * t) / t) * (3.0 * np.exp(-u) / v[:, None])
-
-    top = float(rates.max())
-    cutoff = 10.0
-    while top * math.exp(-cutoff) / cutoff > 1e-16:
-        cutoff += 10.0
-    tail = integrate(integrand, 0.0, cutoff ** (1.0 / 3.0), _ENTROPY_CFG)
-    out = (rates * (1.0 - np.log(rates)) + tail).reshape(lam.shape)
+    out = np.empty(lam.shape)
+    for i, rate in enumerate(lam.flat):
+        p_a, ln_p_a, rel, _, _ = _poisson_window(float(rate), 1e-15)
+        rel = rel[rel > 0]
+        out.flat[i] = -p_a * float(rel @ (ln_p_a + np.log(rel)))
     return out if out.ndim else float(out)
 
 
@@ -303,8 +299,7 @@ def n_star(tcp: TypeClassProblem, d: float) -> int:
 
 def sanov_bound(tcp: TypeClassProblem, n: int, d: float | None = None) -> float:
     """Method-of-types tail bound (n+1)^(k-1) exp(-n d*), clipped at 1."""
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
-        raise DomainError(f"sample size n must be an integer >= 1, got {n!r}")
+    _check_count("sample size n", n, 1)
     if d is None:
         d = d_star(tcp)
     elif not d > 0:

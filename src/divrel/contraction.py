@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Channel, DiscreteDistribution, push_forward, validate_mass
+from .distributions import (Channel, DiscreteDistribution, _check_count, push_forward,
+                            validate_mass)
 from .divergences import DivergenceSpec, _gv, f_divergence_rows, kl, skew_k, skew_s
 from .errors import (
     DimensionMismatch,
@@ -398,8 +399,9 @@ def markov_mixing_report(
     n-step law to the stationary law, together with the envelope
     factor * mu^n * (initial divergence), where mu is the chi^2
     contraction of the stationary pair and the factors are the skew
-    family multipliers at Q_min.
+    family multipliers at Q_min. n_max must be an integer >= 0.
     """
+    _check_count("n_max", n_max, 0)
     if w.matrix.shape[0] != w.matrix.shape[1]:
         raise DimensionMismatch("mixing analysis needs a square kernel")
     _check_irreducible(w)
@@ -413,7 +415,7 @@ def markov_mixing_report(
     p0a = DiscreteDistribution(q.support, p0.mass)
     k0 = skew_k(alpha, p0a, q)
     s0 = skew_s(alpha, p0a, q)
-    steps = np.empty((max(n_max, 0), len(q)))
+    steps = np.empty((n_max, len(q)))
     pn = p0a.mass
     for step in steps:
         pn = pn @ w.matrix
@@ -436,7 +438,9 @@ def markov_mixing_report(
 
 
 def chi2_contraction_power(w: Channel, q: DiscreteDistribution, n: int) -> float:
-    """Chi^2 contraction of the n-step kernel at input law q."""
+    """Chi^2 contraction of the n-step kernel at input law q, for an
+    integer n >= 0 (a negative power would invert the kernel)."""
+    _check_count("step count n", n, 0)
     m = np.linalg.matrix_power(w.matrix, n)
     return chi2_contraction(SourceChannelPair(q, Channel(m)))
 
@@ -447,7 +451,9 @@ def max_correlation_path_bound(
     w: Channel,
     n_grid: int = 101,
 ) -> InequalityReport:
-    """Sup of the mixed-input maximal correlation dominates both KL-ratio roots."""
+    """Sup of the maximal correlation over n_grid >= 2 evenly spaced mixed
+    inputs from P to Q dominates both KL-ratio roots."""
+    _check_count("n_grid", n_grid, 2)
     if not np.array_equal(p_x.support, q_x.support) or p_x == q_x:
         raise PreconditionViolated("needs P != Q on a shared support")
     if np.any(p_x.mass <= 0) or np.any(q_x.mass <= 0):

@@ -14,6 +14,7 @@ from their buffers; it is imported by the four codec methods alone.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -43,6 +44,12 @@ def validate_mass(m: np.ndarray) -> None:
     bad = np.abs(sums - 1.0) > INPUT_TOL
     if np.any(bad):
         raise NonStochastic(f"mass sums to {float(sums[bad][0])!r}, not 1")
+
+
+def _check_count(name: str, n, least: int) -> None:
+    """Raise DomainError unless n is an integer >= least (a bool is not)."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < least:
+        raise DomainError(f"{name} must be an integer >= {least}, got {n!r}")
 
 
 def _read_only(x) -> np.ndarray:

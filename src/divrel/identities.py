@@ -13,7 +13,6 @@ one row kernel call. Every check puts P and Q on their union support
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,27 +31,11 @@ from .divergences import (
 from .errors import DomainError, MaxDepthExceeded, QuadratureFailure
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Budget of ``integrate``: the error estimate must reach
-    max(abs_tol, rel_tol |value|) within max_depth panels."""
-
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
-    max_depth: int = 60
-
-    def __post_init__(self):
-        if not (0.0 < self.rel_tol < np.inf and 0.0 < self.abs_tol < np.inf):
-            raise DomainError(
-                f"tolerances must be positive and finite, got rel_tol={self.rel_tol!r}, "
-                f"abs_tol={self.abs_tol!r}"
-            )
-        if (isinstance(self.max_depth, bool)
-                or not isinstance(self.max_depth, numbers.Integral) or self.max_depth < 1):
-            raise DomainError(f"max_depth must be an integer >= 1, got {self.max_depth!r}")
-
-
-DEFAULT_CFG = QuadratureConfig()
+# Budget of ``integrate``: the error estimate must reach
+# max(_ABS_TOL, _REL_TOL |value|) within _MAX_PANELS panels.
+_REL_TOL = 1e-10
+_ABS_TOL = 1e-12
+_MAX_PANELS = 60
 
 # Pass criterion for identity reports; looser than the integrator's own
 # tolerances because the closed-form side carries its own rounding.
@@ -103,13 +86,11 @@ _TINY = np.finfo(float).tiny
 
 
 def _gauss_kronrod(f, lo, hi):
-    """Kronrod values and QUADPACK error estimates, (panels, components),
-    of f on the panels [lo_i, hi_i], all scored in one call of f; and
-    whether f returned one value per node rather than columns."""
+    """Kronrod values and QUADPACK error estimates of f on the panels
+    [lo_i, hi_i], one of each per panel, all scored in one call of f."""
     half = 0.5 * (hi - lo)
-    # node-major order: row j of fx holds node j of every panel and component
+    # node-major order: row j of fx holds node j of every panel
     fx = np.asarray(f((_XK[:, None] * half + (lo + half)).ravel()), dtype=float)
-    scalar = fx.ndim == 1
     fx = fx.reshape(len(_XK), -1)
     # an infinite value of f leaves the error estimate NaN (integrate then
     # stops on the value)
@@ -121,51 +102,47 @@ def _gauss_kronrod(f, lo, hi):
         err = spread * (np.minimum(spread, diff) / np.maximum(spread, _TINY)) ** 1.5
         # at least 50 eps times spread + |kronrod|, a bound on the integral of |f|
         err = np.maximum(err, _EPS50 * (spread + np.abs(kronrod)))
-    half = half[:, None]
-    return kronrod.reshape(len(lo), -1) * half, err.reshape(len(lo), -1) * np.abs(half), scalar
+    return kronrod * half, err * np.abs(half)
 
 
-def integrate(f, a: float, b: float, cfg: QuadratureConfig = DEFAULT_CFG):
+def integrate(f, a: float, b: float) -> float:
     """Adaptive G7/K15 quadrature of f over (a, b]; f must have a limit at a.
 
-    f maps an array of nodes to the array of its values there, or to an
-    array with one column per component. The first round scores four equal
-    panels (fewer if max_depth is smaller); each later round bisects every
-    panel whose error estimate is above its share of the tolerance (the
-    worst over components). A round scores the 15 nodes of all its panels
-    in one call of f. It stops once the summed estimate is within
-    max(abs_tol, rel_tol |value|) for every component. Returns a float, or
-    an array of component values. An infinite value at a node is taken as
-    an infinite integral (divergences are +inf where a law has mass the
-    other lacks). Raises MaxDepthExceeded when convergence needs more than
-    max_depth panels, and QuadratureFailure when f is NaN at a node.
+    f maps an array of nodes to the array of its values there. The first
+    round scores four equal panels; each later round bisects every panel
+    whose error estimate is above its share of the tolerance. A round
+    scores the 15 nodes of all its panels in one call of f. It stops once
+    the summed estimate is within max(1e-12, 1e-10 |value|). An infinite
+    value at a node is taken as an infinite integral (divergences are +inf
+    where a law has mass the other lacks). Raises MaxDepthExceeded when
+    convergence needs more than 60 panels, and QuadratureFailure when f is
+    NaN at a node.
     """
     if a == b:
         return 0.0
     # a round costs far more than its nodes, so the first one scores four panels
-    edges = np.linspace(a, b, min(4, cfg.max_depth) + 1)
+    edges = np.linspace(a, b, 5)
     lo, hi = edges[:-1], edges[1:]
-    value, err, scalar = _gauss_kronrod(f, lo, hi)
+    value, err = _gauss_kronrod(f, lo, hi)
     while True:
-        total = value.sum(axis=0)
-        if np.isnan(total).any():
+        total = float(value.sum())
+        if math.isnan(total):
             raise QuadratureFailure(f"integrand is NaN at a node in [{a}, {b}]")
-        tol = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total))
-        # a component that is infinite at a node has an infinite integral
-        ratio = np.where(np.isinf(total), 0.0, err / tol)
-        spent = ratio.sum(axis=0)
-        if spent.max() <= 1.0:
-            return float(total[0]) if scalar else total
+        if math.isinf(total):
+            return total
+        tol = max(_ABS_TOL, _REL_TOL * abs(total))
+        ratio = err / tol
+        if ratio.sum() <= 1.0:
+            return total
         # a panel's share of the tolerance is its share of the interval
-        share = ratio.max(axis=1) * ((b - a) / (hi - lo))
+        share = ratio * ((b - a) / (hi - lo))
         split = np.flatnonzero(share > 1.0)
-        room = cfg.max_depth - len(lo)
+        room = _MAX_PANELS - len(lo)
         if room <= 0:
-            worst = int(np.argmax(spent))
             raise MaxDepthExceeded(
                 f"quadrature did not converge on [{a}, {b}]: error estimate "
-                f"{err.sum(axis=0)[worst]:.3g} against tolerance {tol[worst]:.3g} "
-                f"after {len(lo)} of max_depth={cfg.max_depth} panels"
+                f"{err.sum():.3g} against tolerance {tol:.3g} "
+                f"after {len(lo)} of {_MAX_PANELS} panels"
             )
         if not len(split):  # rounding: no share is above 1, yet their sum is
             split = np.array([np.argmax(share)])
@@ -176,7 +153,7 @@ def integrate(f, a: float, b: float, cfg: QuadratureConfig = DEFAULT_CFG):
         keep[split] = False
         new_lo = np.concatenate([lo[split], mid])
         new_hi = np.concatenate([mid, hi[split]])
-        new_value, new_err, _ = _gauss_kronrod(f, new_lo, new_hi)
+        new_value, new_err = _gauss_kronrod(f, new_lo, new_hi)
         lo, hi = np.concatenate([lo[keep], new_lo]), np.concatenate([hi[keep], new_hi])
         value = np.concatenate([value[keep], new_value])
         err = np.concatenate([err[keep], new_err])

@@ -21,13 +21,10 @@ from divrel import (
     redundancy_report,
     sanov_bound,
 )
-from divrel.errors import (
-    DomainError, MaxDepthExceeded, NonFinite, PreconditionViolated, QuadratureFailure,
-)
-from divrel.identities import QuadratureConfig
+from divrel.errors import DomainError, NonFinite, PreconditionViolated
 from divrel.moment_bounds import MomentTuple, moment_bound_arrays
 
-from oracles import poisson_entropy_direct
+from oracles import poisson_entropy_direct, poisson_entropy_mpmath
 
 TCP = TypeClassProblem(
     m_q=40, var_q=20, mean_box=(43, 47), var_box=(18, 22),
@@ -136,6 +133,8 @@ def test_poisson_pmf_rejects_rates_past_its_cap_before_allocating():
             poisson_pmf(1e12)
         with pytest.raises(DomainError, match=r"up to 1e\+06"):
             redundancy_report(PoissonFamily((1e12,), (1.0,)))
+        with pytest.raises(DomainError, match=r"up to 1e\+06"):
+            poisson_entropy(2e6)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -184,6 +183,18 @@ def test_poisson_entropy_against_direct_sum():
         )
 
 
+def test_poisson_entropy_against_mpmath_and_the_asymptotic_series():
+    rates = np.geomspace(1e-12, 1e3, 40)
+    for lam, h in zip(rates, poisson_entropy(rates)):
+        ref = poisson_entropy_mpmath(float(lam))
+        assert abs(h - ref) <= 2e-15 * ref, (lam, h, ref)
+    # past rate 1e5 the series is exact to about lam^-4
+    for lam in (1e5, 1e6):
+        ref = (0.5 * math.log(2.0 * math.pi * math.e * lam) - 1.0 / (12.0 * lam)
+               - 1.0 / (24.0 * lam**2) - 19.0 / (360.0 * lam**3))
+        assert poisson_entropy(lam) == pytest.approx(ref, rel=2e-15)
+
+
 def test_poisson_entropy_over_an_array_of_rates():
     rates = np.array([[0.5, 16.0], [32.0, 200.0]])
     got = poisson_entropy(rates)
@@ -194,17 +205,6 @@ def test_poisson_entropy_over_an_array_of_rates():
     for bad in ([], [16.0, math.nan], [16.0, 0.0]):
         with pytest.raises(DomainError):
             poisson_entropy(bad)
-
-
-def test_poisson_entropy_runs_out_of_panels_as_a_quadrature_failure(monkeypatch):
-    import divrel.applications
-
-    monkeypatch.setattr(divrel.applications, "_ENTROPY_CFG", QuadratureConfig(max_depth=1))
-    with pytest.raises(MaxDepthExceeded) as info:
-        poisson_entropy(16.0)
-    assert "after 1 of max_depth=1 panels" in str(info.value)
-    # so that `except QuadratureFailure`, the one numerical failure, catches it
-    assert isinstance(info.value, QuadratureFailure)
 
 
 def test_poisson_entropy_increasing():

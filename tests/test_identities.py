@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from divrel import (
-    QuadratureConfig,
     align,
     check_chi2_half_identity,
     check_gv_identity,
@@ -80,25 +79,6 @@ def test_identities_at_lam_one_with_infinite_sides(check):
     for args in ((p, q, 0.999), (q, p, 1.0)):
         r = check(*args)
         assert math.isfinite(r.rhs) and r.passed
-
-def test_quadrature_config_validation():
-    with pytest.raises(DomainError):
-        QuadratureConfig(rel_tol=0.0)
-
-
-@pytest.mark.parametrize("kwargs", [
-    {"rel_tol": math.nan}, {"rel_tol": math.inf}, {"abs_tol": math.nan},
-    {"abs_tol": math.inf}, {"abs_tol": -1e-12}, {"max_depth": 2.5}, {"max_depth": True},
-    {"max_depth": 0}, {"max_depth": "3"},
-])
-def test_quadrature_config_rejects_non_finite_tolerances_and_non_integer_depth(kwargs):
-    with pytest.raises(DomainError):
-        QuadratureConfig(**kwargs)
-
-
-def test_quadrature_config_accepts_numpy_integer_depth():
-    assert QuadratureConfig(max_depth=np.int64(7)).max_depth == 7
-
 
 def test_kl_chi2_identity_reference_pair():
     for lam in (0.2, 0.5, 1.0):
