@@ -133,6 +133,21 @@ def _poisson_window(lam: float, tail_tol: float):
     return p_a, ln_p_a, rel, tail, int(np.argmax(below))
 
 
+def _window_pmf(window) -> tuple[DiscreteDistribution, float]:
+    """``poisson_pmf`` of a ``_poisson_window``."""
+    p_a, _, rel, tail, n = window
+    mass = p_a * rel[:n + 1]
+    return (make_distribution(np.arange(n + 1, dtype=float), mass / mass.sum()),
+            float(p_a * tail[n]))
+
+
+def _window_entropy(window) -> float:
+    """``poisson_entropy`` of a ``_poisson_window`` at tail_tol 1e-15."""
+    p_a, ln_p_a, rel, _, _ = window
+    rel = rel[rel > 0]
+    return -p_a * float(rel @ (ln_p_a + np.log(rel)))
+
+
 def poisson_pmf(
     lam: float, tail_tol: float = 1e-15
 ) -> tuple[DiscreteDistribution, float]:
@@ -145,10 +160,7 @@ def poisson_pmf(
     one beyond N, so it is never negative. Rates above _MAX_PMF_RATE raise
     DomainError.
     """
-    p_a, _, rel, tail, n = _poisson_window(lam, tail_tol)
-    mass = p_a * rel[:n + 1]
-    return (make_distribution(np.arange(n + 1, dtype=float), mass / mass.sum()),
-            float(p_a * tail[n]))
+    return _window_pmf(_poisson_window(lam, tail_tol))
 
 
 def poisson_kl(lam_i: float, lam_j: float) -> float:
@@ -173,9 +185,7 @@ def poisson_entropy(lam):
         raise DomainError("need at least one Poisson rate")
     out = np.empty(lam.shape)
     for i, rate in enumerate(lam.flat):
-        p_a, ln_p_a, rel, _, _ = _poisson_window(float(rate), 1e-15)
-        rel = rel[rel > 0]
-        out.flat[i] = -p_a * float(rel @ (ln_p_a + np.log(rel)))
+        out.flat[i] = _window_entropy(_poisson_window(float(rate), 1e-15))
     return out if out.ndim else float(out)
 
 
@@ -198,11 +208,13 @@ def redundancy_report(pf: PoissonFamily) -> dict:
     sum_tight = sum(w * tight for w, (tight, _) in zip(pf.weights, bounds))
     sum_convex = sum(w * convex for w, (_, convex) in zip(pf.weights, bounds))
 
-    _, stack = _on_union_support([poisson_pmf(lam)[0] for lam in pf.lambdas])
+    # one window per rate, at the tail_tol of both poisson_pmf and poisson_entropy
+    windows = [_poisson_window(lam, 1e-15) for lam in pf.lambdas]
+    _, stack = _on_union_support([_window_pmf(w)[0] for w in windows])
     weights = np.asarray(pf.weights, dtype=float)
     direct = float(weights @ f_divergence_rows(DivergenceSpec("KL"), stack, weights @ stack))
 
-    avg_entropy = float(weights @ poisson_entropy(np.asarray(pf.lambdas)))
+    avg_entropy = float(weights @ np.array([_window_entropy(w) for w in windows]))
     h_bits = avg_entropy / LN2
     sum_tight_bits = sum_tight / LN2
     sum_convex_bits = sum_convex / LN2

@@ -11,19 +11,20 @@ subcommand), ``formula`` (a one-line description of what was computed),
 ``--format``), then the subcommand's own ``scalars`` and/or ``rows``. Each
 subcommand registers its runner and formula with its parser; a runner
 returns only its ``scalars`` and ``rows``.
+
+A runner imports the modules it calls beyond distributions, divergences and
+errors, so that a subcommand loads only the divrel modules it runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
 
 import numpy as np
 
-from . import applications, contraction, identities, inequalities, moment_bounds
 from .distributions import Channel, DiscreteDistribution
 from .divergences import DivergenceSpec, f_divergence
 from .errors import DivrelError, DomainError, QuadratureFailure
@@ -61,6 +62,8 @@ def _emit(report: dict, fmt: str) -> None:
         return
     rows = report.get("rows")
     if fmt == "csv":
+        import csv
+
         table = rows or [report.get("scalars", {})]
         writer = csv.DictWriter(sys.stdout, fieldnames=list(table[0]))
         writer.writeheader()
@@ -89,28 +92,33 @@ def _cmd_divergence(args) -> dict:
     return {"scalars": {"value_nats": f_divergence(spec, p, q)}}
 
 
-# --which -> (formula, check of the pair P, Q under the parsed arguments a)
+# --which -> (formula, check of the pair P, Q under the parsed arguments a, by
+# the identities module ids)
 _IDENTITIES = {
     "kl-chi2": ("D(P||R_lam) vs integral of chi2(P||R_s)/s over (0,lam]",
-                lambda a, p, q: identities.check_kl_chi2_identity(p, q, a.lam)),
+                lambda ids, a, p, q: ids.check_kl_chi2_identity(p, q, a.lam)),
     "chi2-half": ("chi2(P||Q)/2 vs integral of chi2(sP+(1-s)Q||Q)/s over (0,1]",
-                  lambda a, p, q: identities.check_chi2_half_identity(p, q)),
+                  lambda ids, a, p, q: ids.check_chi2_half_identity(p, q)),
     "gv": ("D(P||R_lam) vs integral of s*D_phi_s(P||Q) over (0,lam]",
-           lambda a, p, q: identities.check_gv_identity(p, q, a.lam)),
+           lambda ids, a, p, q: ids.check_gv_identity(p, q, a.lam)),
     "recursive": ("order-(k+1) polylog divergence vs integral of order-k over (0,lam]",
-                  lambda a, p, q: identities.check_recursive_identity(a.k, p, q, a.lam)),
+                  lambda ids, a, p, q: ids.check_recursive_identity(a.k, p, q, a.lam)),
     "skew-s": ("S_alpha(P||Q) vs weighted integral of the skew-chi2 curve",
-               lambda a, p, q: identities.check_skew_s_integral(a.alpha, p, q)),
+               lambda ids, a, p, q: ids.check_skew_s_integral(a.alpha, p, q)),
 }
 
 
 def _cmd_identity_check(args) -> dict:
+    from . import identities
+
     p, q = (_load(DiscreteDistribution, path) for path in (args.p, args.q))
-    rep = _IDENTITIES[args.which][1](args, p, q)
+    rep = _IDENTITIES[args.which][1](identities, args, p, q)
     return {"scalars": {k: v for k, v in vars(rep).items() if k != "name"}}
 
 
 def _cmd_moment_bound(args) -> dict:
+    from . import moment_bounds
+
     mt = moment_bounds.MomentTuple(args.mp, args.varp, args.mq, args.varq)
     cert = moment_bounds.kl_moment_lower_bound(mt)
     spread = args.varp > 0 and args.varq > 0
@@ -125,15 +133,17 @@ def _cmd_moment_bound(args) -> dict:
 
 
 def _cmd_inequalities(args) -> dict:
+    from . import inequalities
+
     if args.trials < 1:
         raise DomainError(f"trials must be at least 1, got {args.trials}")
     rng = np.random.default_rng(args.seed)
-    # pairs of 2..6 atoms, zero-padded to 6: a padded atom adds 0 to every kernel
-    P, Q = np.zeros((2, args.trials, 6))
-    for p, q in zip(P, Q):
-        n = int(rng.integers(2, 7))
-        p[:n] = rng.dirichlet(np.ones(n))
-        q[:n] = rng.dirichlet(np.ones(n))
+    # pairs of 2..6 atoms, zero-padded to 6: a padded atom adds 0 to every
+    # kernel. Uniform Dirichlet laws on the first n atoms, drawn all at once as
+    # normalized standard exponentials
+    n = rng.integers(2, 7, size=args.trials)
+    draws = rng.standard_exponential((2, args.trials, 6)) * (np.arange(6) < n[:, None])
+    P, Q = draws / draws.sum(axis=-1, keepdims=True)
     return {"rows": [
         {"inequality": name, "trials": args.trials,
          "violations": int(np.count_nonzero(~(slack >= -inequalities.GRACE))),
@@ -142,6 +152,8 @@ def _cmd_inequalities(args) -> dict:
 
 
 def _cmd_contraction(args) -> dict:
+    from . import contraction
+
     w = _load(Channel, args.channel)
     qx = _load(DiscreteDistribution, args.input_law)
     sc = contraction.SourceChannelPair(qx, w)
@@ -160,6 +172,8 @@ def _cmd_contraction(args) -> dict:
 
 
 def _cmd_mixing(args) -> dict:
+    from . import contraction
+
     w = _load(Channel, args.chain)
     p0 = _load(DiscreteDistribution, args.p0)
     rep = contraction.markov_mixing_report(w, p0, args.alpha, args.n_max)
@@ -168,6 +182,8 @@ def _cmd_mixing(args) -> dict:
 
 
 def _cmd_redundancy(args) -> dict:
+    from . import applications
+
     n = len(args.lambdas)
     weights = [1.0 / n] * n if args.weights == ["uniform"] else args.weights
     pf = applications.PoissonFamily(tuple(args.lambdas), tuple(weights))
@@ -179,6 +195,8 @@ def _cmd_redundancy(args) -> dict:
 
 
 def _cmd_sample_size(args) -> dict:
+    from . import applications
+
     tcp = applications.TypeClassProblem(args.mq, args.varq, tuple(args.mean_box),
                                         tuple(args.var_box), args.alphabet, args.epsilon)
     d = applications.d_star(tcp)
@@ -188,6 +206,8 @@ def _cmd_sample_size(args) -> dict:
 
 
 def _cmd_set_divergence(args) -> dict:
+    from . import inequalities
+
     spec = DivergenceSpec.parse(args.spec)
     mu = _load(DiscreteDistribution, args.mu)
     direct, closed = inequalities.conditioned_measure_divergence(spec, mu, args.indices)

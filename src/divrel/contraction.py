@@ -358,14 +358,19 @@ def skew_contraction_sandwich(
 
 
 def stationary_distribution(w: Channel) -> DiscreteDistribution:
-    """Stationary law of a square kernel via the leading left eigenvector."""
+    """Stationary law of an irreducible square kernel: the solution of
+    pi (I - W) = 0 with its last balance equation replaced by sum(pi) = 1,
+    one linear solve. A reducible kernel raises NotIrreducible."""
     m = w.matrix
     if m.shape[0] != m.shape[1]:
         raise DimensionMismatch("stationary law needs a square kernel")
-    vals, vecs = np.linalg.eig(m.T)
-    i = int(np.argmax(vals.real))
-    v = np.abs(vecs[:, i].real)
-    return DiscreteDistribution(np.arange(len(v), dtype=float), v / v.sum())
+    _check_irreducible(w)
+    n = len(m)
+    a = np.eye(n) - m.T
+    a[-1] = 1.0
+    # abs: rounding may leave a tiny pi_i below zero
+    v = np.abs(np.linalg.solve(a, np.eye(n)[-1]))
+    return DiscreteDistribution(np.arange(n, dtype=float), v / v.sum())
 
 
 def _check_irreducible(w: Channel) -> None:
@@ -402,9 +407,6 @@ def markov_mixing_report(
     family multipliers at Q_min. n_max must be an integer >= 0.
     """
     _check_count("n_max", n_max, 0)
-    if w.matrix.shape[0] != w.matrix.shape[1]:
-        raise DimensionMismatch("mixing analysis needs a square kernel")
-    _check_irreducible(w)
     q = stationary_distribution(w)
     _check_reversible(w, q)
     sc = SourceChannelPair(q, w)

@@ -256,6 +256,26 @@ def test_stationary_distribution_two_state():
     assert np.allclose(q.mass, [0.75, 0.25])
 
 
+@pytest.mark.parametrize("n", [4, 65, 200])
+@pytest.mark.parametrize("laziness", [0.0, 0.75, 0.99])
+def test_stationary_distribution_is_the_exact_law_of_reversible_chains(n, laziness):
+    # the walk on symmetric weights s has the law of the row sums of s
+    for seed in range(3):
+        s = np.random.default_rng(seed).random((n, n))
+        s = s + s.T
+        w = make_channel(laziness * np.eye(n) + (1 - laziness) * s / s.sum(axis=1, keepdims=True))
+        exact = s.sum(axis=1) / s.sum()
+        q = stationary_distribution(w)
+        assert np.max(np.abs(q.mass - exact) / exact) < 1e-12
+
+
+@pytest.mark.parametrize("rows", [[[1.0, 0.0], [0.0, 1.0]], [[0.5, 0.5], [0.0, 1.0]]])
+def test_stationary_distribution_rejects_reducible_chains(rows):
+    # a reducible chain makes the balance system singular or its law not unique
+    with pytest.raises(NotIrreducible):
+        stationary_distribution(make_channel(rows))
+
+
 def test_power_identity_reversible():
     rng = np.random.default_rng(5)
     w = random_reversible_chain(rng, 4)
@@ -320,6 +340,11 @@ def test_mixing_rejects_reducible():
     p0 = UNIFORM2
     with pytest.raises(NotIrreducible):
         markov_mixing_report(w, p0, 1.0, 5)
+
+
+def test_mixing_rejects_non_square_kernel():
+    with pytest.raises(DimensionMismatch, match="square kernel"):
+        markov_mixing_report(make_channel([[0.5, 0.5, 0.0], [0.2, 0.3, 0.5]]), UNIFORM2, 1.0, 5)
 
 
 def test_mixing_rejects_one_way_chain():

@@ -1,9 +1,10 @@
-"""Import cost: ``import divrel`` and every CLI subcommand load numpy and no
-scipy, only the subcommands that read a file load orjson, and no code of
-divrel names scipy.
+"""Import cost: ``import divrel`` loads no submodule and each CLI subcommand
+only the divrel modules it runs; ``import divrel`` and every subcommand load
+numpy and no scipy, only the subcommands that read a file load orjson, and
+no code of divrel names scipy.
 
 Every case runs in a fresh interpreter, since the test process itself has
-scipy loaded already.
+scipy and every module of divrel loaded already.
 """
 
 import json
@@ -11,6 +12,8 @@ import os
 import pathlib
 import subprocess
 import sys
+
+import pytest
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -40,16 +43,101 @@ print(json.dumps(steps), file=sys.stderr)
 """
 
 
+def run_fresh(*args) -> str:
+    """The stderr of a fresh interpreter run with the given arguments; it
+    must exit 0."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stderr
+
+
 def loaded_after(tmp_path, calls, package="scipy"):
     """Sets of the package's modules loaded after each step, in one fresh
     interpreter."""
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT, str(tmp_path), json.dumps(calls), package],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    return [set(step) for step in json.loads(proc.stderr.splitlines()[-1])]
+    err = run_fresh("-c", SCRIPT, str(tmp_path), json.dumps(calls), package)
+    return [set(step) for step in json.loads(err.splitlines()[-1])]
+
+
+# the divrel modules that `import divrel.cli` loads, and those that each
+# subcommand adds to them (the contraction module imports identities and
+# inequalities; applications imports inequalities and moment_bounds)
+CLI_MODULES = {"divrel", "divrel.cli", "divrel.distributions", "divrel.divergences",
+               "divrel.errors"}
+SUBCOMMAND_MODULES = {
+    "divergence": (
+        ["divergence", "--spec", "kl", "--p", "{d}/p.json", "--q", "{d}/q.json"], ()),
+    "identity-check": (
+        ["identity-check", "--which", "skew-s", "--p", "{d}/p.json", "--q", "{d}/q.json"],
+        ("identities",)),
+    "moment-bound": (
+        ["moment-bound", "--mp", "45", "--varp", "20", "--mq", "40", "--varq", "20"],
+        ("moment_bounds",)),
+    "inequalities": (["inequalities", "--trials", "5"], ("inequalities",)),
+    "set-divergence": (
+        ["set-divergence", "--spec", "kl", "--mu", "{d}/p.json", "--indices", "0"],
+        ("inequalities",)),
+    "contraction": (
+        ["contraction", "--channel", "{d}/w.json", "--input-law", "{d}/p.json",
+         "--brute-budget", "20"],
+        ("contraction", "identities", "inequalities")),
+    "mixing": (
+        ["mixing", "--chain", "{d}/w.json", "--p0", "{d}/p.json", "--n-max", "3"],
+        ("contraction", "identities", "inequalities")),
+    "redundancy": (
+        ["redundancy", "--lambdas", "2", "3"],
+        ("applications", "inequalities", "moment_bounds")),
+    "sample-size": (
+        ["sample-size", "--mq", "40", "--varq", "20", "--mean-box", "43", "47",
+         "--var-box", "18", "22", "--alphabet", "2", "--epsilon", "1e-10"],
+        ("applications", "inequalities", "moment_bounds")),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_MODULES))
+def test_each_subcommand_loads_only_the_divrel_modules_it_runs(tmp_path, command):
+    argv, own = SUBCOMMAND_MODULES[command]
+    steps = loaded_after(tmp_path, [argv], package="divrel")
+    assert steps == [{"divrel"}, CLI_MODULES, CLI_MODULES | {f"divrel.{m}" for m in own}]
+
+
+def test_submodule_names_resolve_before_any_other_import():
+    run_fresh("-c", """
+import sys
+import divrel
+assert divrel.contraction.check_skew_s_integral is divrel.identities.check_skew_s_integral
+assert issubclass(divrel.errors.MaxDepthExceeded, divrel.errors.DivrelError)
+assert "divrel.applications" not in sys.modules
+""")
+
+
+def test_first_public_name_binds_the_whole_api():
+    run_fresh("-c", """
+import importlib
+from divrel import kl
+import divrel
+assert divrel.kl is kl is divrel.divergences.kl
+for module, names in divrel._API.items():
+    mod = importlib.import_module(f"divrel.{module}")
+    assert all(vars(divrel)[name] is getattr(mod, name) for name in names), module
+""")
+
+
+def test_dir_lists_the_api_and_loads_nothing():
+    run_fresh("-c", """
+import sys
+import divrel
+listed = dir(divrel)
+assert set(divrel.__all__) <= set(listed) and {"contraction", "errors"} <= set(listed)
+assert [m for m in sys.modules if m.startswith("divrel.")] == []
+try:
+    divrel.no_such_name
+except AttributeError:
+    pass
+else:
+    raise AssertionError("an unknown name resolved")
+""")
 
 
 # the polylog kernels see the likelihood ratios 0.6/0.3 = 2 (Li_k at -1)
