@@ -1,11 +1,11 @@
 """Code-redundancy bounds for Poisson mixtures and sample-size planning.
 
 Two pipelines. The first bounds the fractional penalty of a mismatched
-Shannon code over a mixture of Poisson sources, comparing a mixture-KL
-upper bound against the plain convexity bound; it presents bits. The
-second inverts the method-of-types tail bound (n+1)^{k-1} exp(-n d) via
-the secondary Lambert W branch to get the minimal sample size; it works
-in nats throughout.
+Shannon code over a mixture of Poisson sources, one family array with a
+pmf per row, comparing a mixture-KL upper bound against the plain
+convexity bound; it presents bits. The second inverts the method-of-types
+tail bound (n+1)^{k-1} exp(-n d) via the secondary Lambert W branch to get
+the minimal sample size; it works in nats throughout.
 """
 
 from __future__ import annotations
@@ -15,19 +15,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import (DiscreteDistribution, _check_count, _on_union_support,
-                            make_distribution)
-from .divergences import DivergenceSpec, _binary_term, f_divergence_rows
+from .distributions import DiscreteDistribution, _check_count, _in_blocks
+from .divergences import _binary_term, f_divergence_rows
 from .errors import DomainError, NonFinite, PreconditionViolated, QuadratureFailure
-from .inequalities import _mixture_kl_bound, _validated_weights
+from .inequalities import _KL, _mixture_kl_bound, _validated_weights
 from .moment_bounds import MomentTuple, kl_moment_lower_bound
 
 LN2 = math.log(2.0)
 
 
-def _check_rate(lam: float) -> None:
-    if not 0.0 < lam < math.inf:
-        raise DomainError(f"Poisson rate must be positive and finite, got {lam}")
+# the largest rate of the Poisson pmf and entropy: its window holds
+# lam + 10 sqrt(lam) + 16 atoms, 8 MB at this rate
+_MAX_PMF_RATE = 1e6
+
+
+def _rates(lam, cap: float = math.inf) -> np.ndarray:
+    """lam as an array of Poisson rates; DomainError unless it holds one and
+    each is positive, finite and at most cap, checked before any allocation."""
+    lam = np.asarray(lam, dtype=float)
+    if not (lam.size and ((lam > 0.0) & (lam < math.inf)).all()):
+        raise DomainError(f"Poisson rates must be positive and finite, got {lam}")
+    if lam.max() > cap:
+        raise DomainError(f"the Poisson pmf takes rates up to {cap:g}, got {lam.max()}")
+    return lam
 
 
 @dataclass(frozen=True)
@@ -36,10 +46,7 @@ class PoissonFamily:
     weights: tuple[float, ...]
 
     def __post_init__(self):
-        if len(self.lambdas) != len(self.weights) or not self.lambdas:
-            raise DomainError("lambdas and weights must be equal-length, non-empty")
-        for lam in self.lambdas:
-            _check_rate(lam)
+        _rates(self.lambdas)
         _validated_weights(self.lambdas, self.weights)
 
 
@@ -71,81 +78,71 @@ class TypeClassProblem:
             raise PreconditionViolated("reference mean lies inside the mean box")
 
 
-def _poisson_anchor(lam: float) -> tuple[int, float]:
-    """The atom a that the Poisson pmf is built outward from, and its pmf.
+def _window(lam: np.ndarray) -> np.ndarray:
+    """The first window size of each rate; it doubles until it holds N."""
+    return (lam + 10.0 * np.sqrt(lam)).astype(int) + 16
 
-    From rate 16 on, a is the mode floor(lam), so that no atom outweighs it,
-    and its pmf is C. Loader's saddle-point form (Fast and accurate
-    computation of binomial probabilities, 2000),
-    exp(-stirlerr(a) - bd0) / sqrt(2 pi a): the Stirling series of
-    stirlerr(a) = ln a! - (a + 1/2) ln a + a - ln(2 pi)/2 to a^-9, and
-    bd0 = a ln(a/lam) + lam - a by ``_binary_term``'s series, where a - lam
-    is exact; both reach 1e-16 for a >= 16. Below rate 16, a is 0 with pmf
-    e^-lam, and no atom outweighs it by more than e^16.
+
+def _poisson_family(lam: np.ndarray, tail_tol: float):
+    """The Poisson pmfs of the 1-d array of rates lam, as one array.
+
+    Each row is built outward from an atom a. From rate 16 on, a is the mode
+    floor(lam), and p_a is C. Loader's saddle-point form (Fast and accurate
+    computation of binomial probabilities, 2000), exp(-stirlerr(a) - bd0) /
+    sqrt(2 pi a): the Stirling series of stirlerr(a) = ln a! - (a + 1/2) ln a
+    + a - ln(2 pi)/2 to a^-9, and bd0 = a ln(a/lam) + lam - a by
+    ``_binary_term``'s series, where a - lam is exact; both reach 1e-16 for
+    a >= 16. Below rate 16, a is 0 with p_a = e^-lam, no atom outweighs it by
+    more than e^16, and ln p_a is -lam exactly, as e^-lam may round to 1.
+
+    Row i of rel holds p_j/p_a on its own window {0..size_i - 1}, 0 past it:
+    products of the ratios lam/j up from a and (j + 1)/lam down from it. The
+    tail beyond j (over p_a) is summed backward from the end of the window,
+    so tails down to 1e-300 stay normal; past the window the ratios stay
+    below rho = lam/size, so the atoms there add at most
+    rel[size - 1] rho/(1 - rho). N_i is the least j whose tail is below
+    tail_tol; a window without one doubles. Returns p_a, rel, N, the tail
+    beyond N and the entropy -p_a sum rel (ln p_a + ln rel) over the window,
+    each row as if built alone.
     """
-    a = math.floor(lam)
-    if a < 16:
-        return 0, math.exp(-lam)
-    inv2 = 1.0 / (a * a)
+    a = np.floor(lam)
+    big = a >= 16
+    m = a[big]
+    inv2 = 1.0 / (m * m)
     stirlerr = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - inv2 / 1188) * inv2) * inv2)
-                * inv2) / a
-    bd0 = float(_binary_term(a, lam, np.float64(a - lam)))
-    return a, math.exp(-stirlerr - bd0) / math.sqrt(2.0 * math.pi * a)
-
-
-# the largest rate of the Poisson pmf and entropy: the window holds
-# lam + 10 sqrt(lam) + 16 atoms, 8 MB at this rate
-_MAX_PMF_RATE = 1e6
-
-
-def _poisson_window(lam: float, tail_tol: float):
-    """The Poisson pmf on a window {0..size-1} that holds its truncation point.
-
-    Returns p_a and ln p_a at the atom a of ``_poisson_anchor``, the ratios
-    rel = p_k/p_a over the window (products of p_(k+1)/p_k = lam/(k+1)
-    outward from a), the tails (tail[k] is the mass beyond k over p_a, summed
-    backward from the far end, so no atom overflows and tails down to 1e-300
-    stay normal numbers) and N, the least k whose tail is below tail_tol; the
-    window doubles until it holds one. Below rate 16, ln p_a is -lam exactly,
-    as e^-lam may round to 1. Rates above _MAX_PMF_RATE raise DomainError, as
-    their window would not fit in memory.
-    """
-    _check_rate(lam)
-    if lam > _MAX_PMF_RATE:
-        raise DomainError(f"the Poisson pmf takes rates up to {_MAX_PMF_RATE:g}, got {lam}")
-    if not 0.0 < tail_tol < 1.0:
-        raise DomainError(f"tail_tol must lie in (0, 1), got {tail_tol}")
-    a, p_a = _poisson_anchor(lam)
-    size = int(lam + 10.0 * math.sqrt(lam)) + 16
+                * inv2) / m
+    p_a = np.exp(-lam)
+    p_a[big] = (np.exp(-stirlerr - _binary_term(m, lam[big], m - lam[big]))
+                / np.sqrt(2.0 * np.pi * m))
+    a, ln_p_a = np.where(big, a, 0.0), np.where(big, np.log(p_a), -lam)
+    size, rows = _window(lam), np.arange(len(lam))
     while True:
-        ks = np.arange(size, dtype=float)
-        rel = np.ones(size)
-        rel[a + 1:] = np.cumprod(lam / ks[a + 1:])
-        rel[:a] = np.cumprod(ks[a:0:-1] / lam)[::-1]
-        # past the window the ratios stay below rho = lam/size, so the atoms
-        # there add at most rel[-1] rho/(1 - rho)
-        tail = np.cumsum(rel[:0:-1])[::-1] + rel[-1] * lam / (size - lam)
-        below = tail < tail_tol / p_a
-        if below.any():
-            break
-        size *= 2
-    ln_p_a = -lam if a == 0 else math.log(p_a)
-    return p_a, ln_p_a, rel, tail, int(np.argmax(below))
+        j = np.arange(size.max(), dtype=float)
+        rel = (j < size[:, None]).astype(float)
+        np.divide(lam[:, None], j, out=rel, where=(j > a[:, None]) & (rel > 0.0))
+        np.cumprod(rel, axis=1, out=rel)
+        # the downward ratios, then the tails, in one buffer
+        buf = np.ones_like(rel)
+        np.divide(j + 1.0, lam[:, None], out=buf, where=j < a[:, None])
+        rel *= np.cumprod(buf[:, ::-1], axis=1, out=buf[:, ::-1])[:, ::-1]
+        tail = np.cumsum(rel[:, :0:-1], axis=1, out=buf[:, :0:-1])[:, ::-1]
+        tail += (rel[rows, size - 1] * lam / (size - lam))[:, None]
+        below = (tail < (tail_tol / p_a)[:, None]) & (j[1:] < size[:, None])
+        if below.any(axis=1).all():
+            n = below.argmax(axis=1)
+            terms = np.log(rel, out=np.zeros_like(rel), where=rel > 0.0)
+            terms += ln_p_a[:, None]
+            terms *= rel
+            return p_a, rel, n, p_a * tail[rows, n], -p_a * terms.sum(axis=1)
+        size = np.where(below.any(axis=1), size, 2 * size)
 
 
-def _window_pmf(window) -> tuple[DiscreteDistribution, float]:
-    """``poisson_pmf`` of a ``_poisson_window``."""
-    p_a, _, rel, tail, n = window
-    mass = p_a * rel[:n + 1]
-    return (make_distribution(np.arange(n + 1, dtype=float), mass / mass.sum()),
-            float(p_a * tail[n]))
-
-
-def _window_entropy(window) -> float:
-    """``poisson_entropy`` of a ``_poisson_window`` at tail_tol 1e-15."""
-    p_a, ln_p_a, rel, _, _ = window
-    rel = rel[rel > 0]
-    return -p_a * float(rel @ (ln_p_a + np.log(rel)))
+def _pmf_rows(p_a, rel, n) -> np.ndarray:
+    """The renormalized pmfs of a family on {0..max N}, 0 past each row's N."""
+    mass = p_a[:, None] * rel[:, :n.max() + 1]
+    mass[np.arange(mass.shape[1]) > n[:, None]] = 0.0
+    mass /= mass.sum(axis=1, keepdims=True)
+    return mass
 
 
 def poisson_pmf(
@@ -154,79 +151,75 @@ def poisson_pmf(
     """Truncated, renormalized Poisson law and the discarded tail mass.
 
     The support is {0..N} with N minimal such that the tail beyond N has
-    mass below tail_tol (``_poisson_window``). The pmf is within 4e-15
-    relative of mpmath up to rate 1e4 (the direct exp(k ln lam - ln k! - lam)
-    cancels its large terms: 4e-11 at rate 1e4). The discarded tail is the
-    one beyond N, so it is never negative. Rates above _MAX_PMF_RATE raise
-    DomainError.
+    mass below tail_tol: the family of the one rate (``_poisson_family``).
+    The pmf is within 4e-15 relative of mpmath up to rate 1e4 (the direct
+    exp(k ln lam - ln k! - lam) cancels its large terms: 4e-11 at rate 1e4).
+    The discarded tail is never negative. Rates above _MAX_PMF_RATE raise
+    DomainError, as their window would not fit in memory.
     """
-    return _window_pmf(_poisson_window(lam, tail_tol))
+    lam = _rates(lam, _MAX_PMF_RATE).reshape(1)
+    if not 0.0 < tail_tol < 1.0:
+        raise DomainError(f"tail_tol must lie in (0, 1), got {tail_tol}")
+    p_a, rel, n, tail, _ = _poisson_family(lam, tail_tol)
+    return DiscreteDistribution(np.arange(n[0] + 1.0), _pmf_rows(p_a, rel, n)[0]), float(tail[0])
 
 
 def poisson_kl(lam_i: float, lam_j: float) -> float:
-    """Relative entropy between Poisson laws, in nats."""
-    _check_rate(lam_i)
-    _check_rate(lam_j)
-    return lam_i * math.log(lam_i / lam_j) + (lam_j - lam_i)
+    """Relative entropy between Poisson laws in nats, lam_j g((lam_i - lam_j)/lam_j)
+    by ``_binary_term``, which does not cancel as the rates meet."""
+    lam_i, lam_j = _rates((lam_i, lam_j))
+    return float(_binary_term(lam_i, lam_j, lam_i - lam_j))
 
 
 def poisson_entropy(lam):
     """Poisson entropy in nats, -sum p_k ln p_k over the pmf window.
 
-    With p_k = p_a rel_k (``_poisson_window`` at tail_tol 1e-15), it is
+    With p_k = p_a rel_k (``_poisson_family`` at tail_tol 1e-15), it is
     -p_a sum rel_k (ln p_a + ln rel_k), a sum of terms -p_k ln p_k >= 0, so
     nothing cancels: within 2e-15 relative of 40-digit mpmath on rates from
     1e-12 to 1e6. The window ends past the 1e-15 tail, and the mass beyond it
     is about 1e-22. Elementwise over an array of rates (a float for a scalar
-    rate); rates above _MAX_PMF_RATE raise DomainError, like the pmf.
+    rate), built in blocks (``_in_blocks``); rates above _MAX_PMF_RATE raise
+    DomainError, like the pmf.
     """
-    lam = np.asarray(lam, dtype=float)
-    if not lam.size:
-        raise DomainError("need at least one Poisson rate")
-    out = np.empty(lam.shape)
-    for i, rate in enumerate(lam.flat):
-        out.flat[i] = _window_entropy(_poisson_window(float(rate), 1e-15))
-    return out if out.ndim else float(out)
+    lam = _rates(lam, _MAX_PMF_RATE)
+    # the distinct rates, ascending, so that a block holds windows of like size
+    rates, inverse = np.unique(lam, return_inverse=True)
+    h = _in_blocks(lambda r: _poisson_family(r, 1e-15)[4], rates, _window(rates))
+    return h[inverse].reshape(lam.shape) if lam.ndim else float(h[0])
 
 
 def redundancy_report(pf: PoissonFamily) -> dict:
     """Redundancy bounds for a Shannon code built on the Poisson mixture.
 
     All headline numbers are in bits. The direct column evaluates
-    sum_i a_i D(P_i || mixture) on truncated pmfs and must sit below the
-    mixture-KL bound, which in turn must sit below the convexity bound.
-    The fractional-penalty bounds divide through the average source
-    entropy per the mismatched-code sandwich.
+    sum_i a_i D(P_i || mixture) on the rows of the family's pmf array and
+    must sit below the mixture-KL bound, which in turn must sit below the
+    convexity bound. The fractional-penalty bounds divide through the
+    average source entropy per the mismatched-code sandwich.
     """
-    # the bounds from the closed-form KL matrix of the family
-    bounds = [_mixture_kl_bound(i, pf.weights, [poisson_kl(lam, other) for other in pf.lambdas])
-              for i, lam in enumerate(pf.lambdas)]
-    per_source = [
-        {"lam": lam, "weight": w, "kl_upper_bits": tight / LN2, "convexity_bits": convex / LN2}
-        for lam, w, (tight, convex) in zip(pf.lambdas, pf.weights, bounds)
-    ]
-    sum_tight = sum(w * tight for w, (tight, _) in zip(pf.weights, bounds))
-    sum_convex = sum(w * convex for w, (_, convex) in zip(pf.weights, bounds))
-
-    # one window per rate, at the tail_tol of both poisson_pmf and poisson_entropy
-    windows = [_poisson_window(lam, 1e-15) for lam in pf.lambdas]
-    _, stack = _on_union_support([_window_pmf(w)[0] for w in windows])
-    weights = np.asarray(pf.weights, dtype=float)
-    direct = float(weights @ f_divergence_rows(DivergenceSpec("KL"), stack, weights @ stack))
-
-    avg_entropy = float(weights @ np.array([_window_entropy(w) for w in windows]))
-    h_bits = avg_entropy / LN2
-    sum_tight_bits = sum_tight / LN2
-    sum_convex_bits = sum_convex / LN2
-    direct_bits = direct / LN2
+    lam = _rates(pf.lambdas, _MAX_PMF_RATE)
+    w = np.asarray(pf.weights, dtype=float)
+    # the bounds from the family's KL matrix, poisson_kl of each pair
+    d = _binary_term(lam[:, None], lam, lam[:, None] - lam)
+    tight, convex = _mixture_kl_bound(w, d, w)
+    # one family array, at the tail_tol of both poisson_pmf and poisson_entropy;
+    # a source of weight 0 is left out: its law may escape the mixture's support
+    p_a, rel, n, _, h = _poisson_family(lam, 1e-15)
+    stack = _pmf_rows(p_a, rel, n)
+    direct = w[w > 0] @ f_divergence_rows(_KL, stack, w @ stack)[w > 0]
+    sums = np.array([w @ tight, w @ convex, direct, w @ h])
+    tight_bits, convex_bits, direct_bits, h_bits = (sums / LN2).tolist()
     return {
-        "per_source": per_source,
-        "sum_kl_upper_bits": sum_tight_bits,
-        "convexity_upper_bits": sum_convex_bits,
+        "per_source": [{"lam": x, "weight": a, "kl_upper_bits": t, "convexity_bits": c}
+                       for x, a, t, c in zip(pf.lambdas, pf.weights, (tight / LN2).tolist(),
+                                             (convex / LN2).tolist())],
+        "sum_kl_upper_bits": tight_bits,
+        "convexity_upper_bits": convex_bits,
         "direct_sum_bits": direct_bits,
         "avg_entropy_bits": h_bits,
-        "nu_upper_improved": (1.0 + sum_tight_bits) / h_bits,
-        "nu_upper_loose": (1.0 + sum_convex_bits) / h_bits,
+        "nu_upper_improved": (1.0 + tight_bits) / h_bits,
+        "nu_upper_loose": (1.0 + convex_bits) / h_bits,
         "nu_lower_direct": direct_bits / (1.0 + h_bits),
     }
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import (Channel, DiscreteDistribution, _check_count, push_forward,
-                            validate_mass)
+from .distributions import (Channel, DiscreteDistribution, _check_count, _in_blocks,
+                            push_forward, validate_mass)
 from .divergences import DivergenceSpec, _gv, f_divergence_rows, kl, skew_k, skew_s
 from .errors import (
     DimensionMismatch,
@@ -60,20 +60,6 @@ def _normalized_joint(qx: np.ndarray, w: np.ndarray) -> np.ndarray:
     qx[k] of the (m, n) stack; the top singular value of each B[k] is 1."""
     qy = qx @ w
     return np.sqrt(qx)[:, :, None] * w[None] / np.sqrt(qy)[:, None, :]
-
-
-# entries per stacked array: a long stack of large channels is scored in
-# blocks, so the (m, n, k) joint matrices stay near 8 MB
-_STACK_ENTRIES = 1 << 20
-
-
-def _in_blocks(score, rows: np.ndarray, entries: int) -> np.ndarray:
-    """score(rows), taken over blocks of at most _STACK_ENTRIES // entries
-    rows (at least one), where each row spans entries array entries."""
-    block = max(1, _STACK_ENTRIES // entries)
-    if len(rows) <= block:
-        return score(rows)
-    return np.concatenate([score(rows[i:i + block]) for i in range(0, len(rows), block)])
 
 
 def _chi2_contraction_rows(qx: np.ndarray, w: np.ndarray) -> np.ndarray:

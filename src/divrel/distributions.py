@@ -54,6 +54,25 @@ def _check_count(name: str, n, least: int) -> None:
         raise DomainError(f"{name} must be an integer >= {least}, got {n!r}")
 
 
+# entries per stacked array: a long stack of wide rows is built or scored in
+# blocks, so that each array of a block stays near 8 MB
+_STACK_ENTRIES = 1 << 20
+
+
+def _in_blocks(score, rows: np.ndarray, entries) -> np.ndarray:
+    """score(rows), over consecutive blocks of one row or of at most
+    _STACK_ENTRIES entries, each row as wide as the widest of its block: a
+    row spans entries entries, one count for all or non-decreasing per row."""
+    entries = np.full(len(rows), entries)
+    parts, start = [], 0
+    while start < len(rows) or not parts:
+        fits = np.arange(1, len(rows) - start + 1) * entries[start:] <= _STACK_ENTRIES
+        stop = start + max(1, int(np.count_nonzero(fits)))
+        parts.append(score(rows[start:stop]))
+        start = stop
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
 def _read_only(x) -> np.ndarray:
     """A read-only, C-ordered float64 copy of x."""
     a = np.array(x, dtype=float, order="C")

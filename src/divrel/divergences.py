@@ -471,10 +471,11 @@ def _binary_term(x, y, diff):
     every digit as r -> s; g keeps them: by its series where |t| < 1/8, and
     elsewhere directly, where the subtraction loses at most four bits, with
     ln(x/y) = log1p(t) except where t < -1/2 and x/y is the accurate one."""
-    t = diff / y
-    by_series = y * t * t * ((-t)[..., None] ** _G_POWERS @ _G_SERIES)
-    log_ratio = np.where(t < -0.5, np.log(x / y), np.log1p(t))
-    direct = np.where(x > 0, x * log_ratio, 0.0) - diff
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t = diff / y
+        by_series = y * t * t * ((-t)[..., None] ** _G_POWERS @ _G_SERIES)
+        log_ratio = np.where(t < -0.5, np.log(x / y), np.log1p(t))
+        direct = np.where(x > 0, x * log_ratio, 0.0) - diff
     return np.where(np.abs(t) < _G_CUT, by_series, direct)
 
 
@@ -488,8 +489,7 @@ def binary_kl(r, s):
     s = np.asarray(s, dtype=float)
     if not ((r >= 0) & (r <= 1) & (s >= 0) & (s <= 1)).all():
         raise DomainError(f"binary_kl arguments must lie in [0,1], got ({r}, {s})")
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        out = _binary_term(r, s, r - s) + _binary_term(1.0 - r, 1.0 - s, s - r)
+    out = _binary_term(r, s, r - s) + _binary_term(1.0 - r, 1.0 - s, s - r)
     return out if out.ndim else float(out)
 
 

@@ -25,7 +25,7 @@ from .divergences import (
     chi_squared,
     f_divergence_rows,
     f_k_divergence,
-    kl,
+    skew_k,
     skew_s,
 )
 from .errors import DomainError, MaxDepthExceeded, QuadratureFailure
@@ -185,7 +185,7 @@ def check_kl_chi2_identity(p: DiscreteDistribution, q: DiscreteDistribution,
                            lam: float) -> IdentityReport:
     """D(P||R_lam) vs the integral of chi^2(P||R_s)/s over (0, lam]."""
     a, b = (d.mass for d in align(p, q))
-    return _path_check("kl_chi2", kl(p, mixture(p, q, lam)),
+    return _path_check("kl_chi2", skew_k(lam, p, q),
                        lambda s: _chi2(a[None, :], _mixtures(s, a, b)) / s,
                        (0.0, lam), lam == 1.0 and _escapes(a, b))
 
@@ -202,7 +202,7 @@ def check_gv_identity(p: DiscreteDistribution, q: DiscreteDistribution,
     """D(P||R_lam) vs the integral of s * D_{phi_s}(P||Q) over (0, lam]."""
     a, b = (d.mass for d in align(p, q))
     # s D_{phi_s}(P||Q) = chi^2(P||R_s)/s
-    return _path_check("gv", kl(p, mixture(p, q, lam)),
+    return _path_check("gv", skew_k(lam, p, q),
                        lambda s: s * _gv(a[None, :], b, s[:, None]),
                        (0.0, lam), lam == 1.0 and _escapes(a, b))
 

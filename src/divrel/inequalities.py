@@ -192,18 +192,21 @@ def mixture_of(dists, weights) -> DiscreteDistribution:
     return DiscreteDistribution(support, w @ stack)
 
 
-def _mixture_kl_bound(i: int, w, d) -> tuple[float, float]:
-    """(-ln(a + (1-a) exp(-c/(1-a))), c) for source i of a mixture with
-    weights w, where a = w[i], d[j] = D(P_i||P_j) and c = sum_{j != i}
-    w[j] d[j], the convexity bound; both bound D(P_i || mixture) above.
-    A component of weight 0 adds nothing to c."""
-    a = w[i]
-    c = sum(w[j] * d[j] for j in range(len(w)) if j != i and w[j] > 0)
-    if a >= 1.0:
-        return 0.0, c
-    if math.isinf(c):
-        return (math.inf if a == 0.0 else -math.log(a)), c
-    return -math.log(a + (1.0 - a) * math.exp(-c / (1.0 - a))), c
+def _mixture_kl_bound(w, d, a) -> tuple[np.ndarray, np.ndarray]:
+    """(-ln(a + (1-a) exp(-c/(1-a))), c) for sources of a mixture with
+    weights w: row r of d holds D(P_i||P_j) over j for a source i of weight
+    a[r], 0 at j = i, and c = sum_j w[j] d[r, j] is the convexity bound; both
+    bound D(P_i || mixture) above. A component of weight 0 adds nothing to c,
+    not even an infinite d. With x = c/(1-a) the bound is -log1p(-drop),
+    drop = (1-a)(1 - e^-x), up to drop = 1/2, so a small c loses no digits,
+    and -logaddexp(ln a, ln(1-a) - x) past it, where e^-x may underflow."""
+    c = (np.where(w > 0, d, 0.0) * w).sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x = c / (1.0 - a)
+        drop = -(1.0 - a) * np.expm1(-x)
+        tight = np.where(drop <= 0.5, -np.log1p(-drop),
+                         -np.logaddexp(np.log(a), np.log1p(-a) - x))
+    return np.where(a >= 1.0, 0.0, tight), c
 
 
 def _kl_table(rows: np.ndarray, laws: np.ndarray) -> np.ndarray:
@@ -221,7 +224,7 @@ def mixture_kl_upper(
     _, stack = _on_union_support(dists)
     table = _kl_table(stack[i:i + 1], np.vstack([w @ stack, stack]))[0]
     return InequalityReport("mixture_kl_upper", float(table[0]),
-                            _mixture_kl_bound(i, w, table[1:])[0])
+                            float(_mixture_kl_bound(w, table[None, 1:], w[i])[0][0]))
 
 
 def concavity_deficit_bounds(dists, weights) -> dict:
@@ -235,13 +238,11 @@ def concavity_deficit_bounds(dists, weights) -> dict:
     w = _validated_weights(dists, weights)
     support, stack = _on_union_support(dists)
     mix = DiscreteDistribution(support, w @ stack)
-    deficit_entropy = entropy(mix) - float(
-        sum(wi * entropy(d) for wi, d in zip(w, dists))
-    )
+    deficit_entropy = entropy(mix) - float(w @ [entropy(d) for d in dists])
     used = np.flatnonzero(w > 0)
     table = _kl_table(stack, np.vstack([mix.mass, stack]))
     deficit_kl = float(w[used] @ table[used, 0])
-    upper = float(sum(_mixture_kl_bound(i, w, table[i, 1:])[0] * w[i] for i in used))
+    upper = float((w[used] * _mixture_kl_bound(w, table[used, 1:], w[used])[0]).sum())
     classic = float(-sum(wi * math.log(wi) for wi in w if wi > 0))
     return {
         "deficit_entropy_form": deficit_entropy,

@@ -45,6 +45,21 @@ def poisson_entropy_mpmath(lam: float, dps: int = 40) -> float:
         return float(total)
 
 
+def mixture_kl_bound_scalar(i: int, w, d) -> tuple[float, float]:
+    """(-ln(a + (1-a) exp(-c/(1-a))), c) for source i of a mixture with
+    weights w, a = w[i], d[j] = D(P_i||P_j) and c = sum_{j != i, w[j] > 0}
+    w[j] d[j]: the mixture-KL bound written directly, one source at a time.
+    Its log loses digits as c -> 0 (a relative error of about 1e-16/c), and
+    e^(-c/(1-a)) underflows at a = 0 past c = 745, where math.log raises."""
+    a = w[i]
+    c = sum(w[j] * d[j] for j in range(len(w)) if j != i and w[j] > 0)
+    if a >= 1.0:
+        return 0.0, c
+    if math.isinf(c):
+        return (math.inf if a == 0.0 else -math.log(a)), c
+    return -math.log(a + (1.0 - a) * math.exp(-c / (1.0 - a))), c
+
+
 def maximal_correlation_ace(
     sc: SourceChannelPair, iters: int = 10_000, tol: float = 1e-14, seed: int = 0
 ) -> float:

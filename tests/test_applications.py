@@ -21,6 +21,7 @@ from divrel import (
     redundancy_report,
     sanov_bound,
 )
+from divrel import applications, distributions
 from divrel.errors import DomainError, NonFinite, PreconditionViolated
 from divrel.moment_bounds import MomentTuple, moment_bound_arrays
 
@@ -205,6 +206,84 @@ def test_poisson_entropy_over_an_array_of_rates():
     for bad in ([], [16.0, math.nan], [16.0, 0.0]):
         with pytest.raises(DomainError):
             poisson_entropy(bad)
+
+
+def _mp_poisson_kl(lam_i: float, lam_j: float) -> float:
+    # lam_i ln(lam_i/lam_j) + lam_j - lam_i cancels about 30 digits at the
+    # closest pairs below, so the sum is taken at 80
+    with mpmath.workdps(80):
+        a, b = mpmath.mpf(lam_i), mpmath.mpf(lam_j)
+        return float(a * mpmath.log(a / b) + b - a)
+
+
+def test_poisson_kl_is_exact_on_near_equal_rates():
+    for lam_j in np.geomspace(1e-3, 1e6, 37):
+        for gap in (1e-15, 1e-12, 1e-9, 1e-6, 1e-3, 0.05, 0.1):
+            for lam_i in (lam_j * (1.0 + gap), lam_j * (1.0 - gap)):
+                got = poisson_kl(lam_i, lam_j)
+                assert got >= 0.0
+                assert got == pytest.approx(_mp_poisson_kl(lam_i, lam_j), rel=1e-15, abs=0)
+    # lam_i ln(lam_i/lam_j) + lam_j - lam_i in floats gives -3.47e-11 and
+    # misses the second pair by 93%
+    assert poisson_kl(999999.999, 1e6) == pytest.approx(5.0e-13, rel=1e-6)
+    assert poisson_kl(400, 400.000004) == pytest.approx(_mp_poisson_kl(400, 400.000004),
+                                                        rel=1e-15)
+
+
+# the families of the tests above and 20 seeded ones of up to 40 log-uniform rates
+_RNG = np.random.default_rng(21)
+FAMILIES = [np.array(f) for f in ((16.0, 20.0, 24.0, 28.0, 32.0), (16.0,),
+                                  (0.5, 16.0, 32.0, 200.0), (1e-6, 0.1, 16.0, 400.0, 1e4))]
+FAMILIES += [np.exp(_RNG.uniform(math.log(1e-12), math.log(1e4), _RNG.integers(1, 41)))
+             for _ in range(20)]
+
+
+@pytest.mark.parametrize("rates", FAMILIES, ids=range(len(FAMILIES)))
+def test_family_rows_are_the_one_rate_pmfs(rates):
+    p_a, rel, n, tail, _ = applications._poisson_family(rates, 1e-15)
+    rows = applications._pmf_rows(p_a, rel, n)
+    assert rows.shape == (len(rates), n.max() + 1)
+    for lam, row, n_i, tail_i in zip(rates, rows, n, tail):
+        d, delta = poisson_pmf(float(lam))
+        assert n_i == len(d) - 1 and tail_i == delta
+        assert not row[n_i + 1:].any()
+        # a row is renormalized over the family's width, one rate's pmf over its
+        # own: the sums may differ in the last bit
+        np.testing.assert_allclose(row[:n_i + 1], d.mass, rtol=1e-15, atol=sys.float_info.min)
+
+
+@pytest.mark.parametrize("rates", FAMILIES, ids=range(len(FAMILIES)))
+def test_poisson_entropy_of_a_family_is_the_per_rate_entropy(rates, monkeypatch):
+    want = np.array([poisson_entropy(float(lam)) for lam in rates])
+    assert poisson_entropy(rates) == pytest.approx(want, rel=1e-15, abs=0)
+    # in blocks of a few rows, from the rates in another order
+    monkeypatch.setattr(distributions, "_STACK_ENTRIES", 2000)
+    assert poisson_entropy(rates[::-1]) == pytest.approx(want[::-1], rel=1e-15, abs=0)
+
+
+def test_poisson_entropy_memory_stays_bounded_over_a_spread_of_rates():
+    import tracemalloc
+
+    # a family of 200 rows as wide as the widest window would take 1.6 GB
+    tracemalloc.start()
+    try:
+        h = poisson_entropy(np.geomspace(1e-12, 1e6, 200))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 20
+    assert np.all(np.diff(h) > 0)
+
+
+def test_redundancy_with_a_zero_weight_source_far_from_the_others():
+    # c = D(P_2||P_1) is about 2e4 nats, so e^-c underflows: the bound of the
+    # source of weight 0 is c itself, and its law, which escapes the
+    # mixture's support, is left out of the direct column
+    rep = redundancy_report(PoissonFamily((1.0, 3000.0), (1.0, 0.0)))
+    far = rep["per_source"][1]
+    assert far["kl_upper_bits"] == far["convexity_bits"] == poisson_kl(3000.0, 1.0) / math.log(2)
+    assert rep["sum_kl_upper_bits"] == rep["convexity_upper_bits"] == 0.0
+    assert rep["direct_sum_bits"] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_poisson_entropy_increasing():

@@ -319,6 +319,14 @@ def test_redundancy_non_finite_rate_exits_1(capsys, rate):
     assert capsys.readouterr().err.startswith("invalid input:")
 
 
+def test_redundancy_near_equal_rates_print_non_negative_bounds(capsys):
+    # the closed form lam_i ln(lam_i/lam_j) + lam_j - lam_i gave -3.47e-11 nats here
+    code, rep = run_json(capsys, ["redundancy", "--lambdas", "999999.999", "1e6"])
+    assert code == 0
+    assert all(row["kl_upper_bits"] >= 0.0 for row in rep["rows"])
+    assert rep["scalars"]["sum_kl_upper_bits"] >= 0.0
+
+
 def test_redundancy_rate_past_the_pmf_cap_exits_1(capsys):
     code = main(["redundancy", "--lambdas", "1e12"])
     err = capsys.readouterr().err

@@ -475,12 +475,12 @@ def test_brute_force_lower_is_max_of_explicit_ratios():
 def test_chi2_contraction_rows_in_blocks(monkeypatch):
     # a stack longer than one block is scored block by block, with the same
     # values as one SourceChannelPair per law
-    from divrel import contraction
+    from divrel import contraction, distributions
 
     rng = np.random.default_rng(8)
     w = make_channel(rng.dirichlet(np.ones(4), size=3))
     px = rng.dirichlet(np.ones(3), size=50)
-    monkeypatch.setattr(contraction, "_STACK_ENTRIES", 5 * w.matrix.size)
+    monkeypatch.setattr(distributions, "_STACK_ENTRIES", 5 * w.matrix.size)
     got = contraction._chi2_contraction_rows(px, w.matrix)
     want = [chi2_contraction(SourceChannelPair(make_distribution([0, 1, 2], p), w))
             for p in px]

@@ -29,12 +29,14 @@ from divrel.errors import DomainError, EmptySet, ZeroProbabilitySet
 from divrel.inequalities import (
     InequalityReport,
     _LAM_GRID,
+    _mixture_kl_bound,
     _skew_kl_bound,
     pair_slacks,
     skew_kl_convexity_comparison,
 )
 
 from conftest import random_pair
+from oracles import mixture_kl_bound_scalar
 
 P = make_distribution([0, 1, 2], [0.2, 0.5, 0.3])
 Q = make_distribution([0, 1, 2], [0.4, 0.1, 0.5])
@@ -195,6 +197,47 @@ def test_mixture_kl_upper_with_a_zero_weight_component():
     d = kl(dists[0], dists[1])
     assert rep.rhs == pytest.approx(-math.log(0.5 + 0.5 * math.exp(-d)), rel=1e-14)
     assert rep.holds
+
+
+def test_mixture_kl_bound_over_all_rows_matches_the_scalar_oracle():
+    # random weights with zero entries and KL matrices with infinite entries
+    rng = np.random.default_rng(31)
+    for _ in range(400):
+        k = int(rng.integers(1, 7))
+        w = rng.dirichlet(np.ones(k))
+        w[rng.random(k) < 0.25] = 0.0
+        if not w.any():
+            w[rng.integers(k)] = 1.0
+        w /= w.sum()
+        d = rng.exponential(2.0, (k, k))
+        d[rng.random((k, k)) < 0.2] = math.inf
+        np.fill_diagonal(d, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tight, convex = _mixture_kl_bound(w, d, w)
+        for i in range(k):
+            want_tight, want_convex = mixture_kl_bound_scalar(i, w, d[i])
+            assert convex[i] == want_convex
+            # the oracle's own log loses about 1e-16/c relative
+            assert tight[i] == pytest.approx(want_tight, rel=1e-14, abs=0), (w, d[i], i)
+        # a subset of the rows gives the same values
+        rows = np.flatnonzero(w > 0)
+        assert np.array_equal(_mixture_kl_bound(w, d[rows], w[rows])[0], tight[rows])
+
+
+@pytest.mark.parametrize("a, c", [(0.2, 1e-10), (0.5, 1e-6), (0.9, 0.3), (0.3, 3.0),
+                                  (0.0, 0.7), (0.0, 1e3), (1e-300, 800.0), (0.5, 1e4)])
+def test_mixture_kl_bound_against_mpmath(a, c):
+    # the direct -ln(a + (1-a) e^(-c/(1-a))) loses digits as c -> 0 and is
+    # +inf (math.log raises) at a = 0 past c = 745
+    import mpmath
+
+    tight, got_c = _mixture_kl_bound(np.array([a, 1.0 - a]), np.array([[0.0, c / (1.0 - a)]]),
+                                     np.array([a]))
+    with mpmath.workdps(50):
+        a_mp, c_mp = mpmath.mpf(a), mpmath.mpf(float(got_c[0]))
+        want = -mpmath.log(a_mp + (1 - a_mp) * mpmath.exp(-c_mp / (1 - a_mp)))
+    assert tight[0] == pytest.approx(float(want), rel=1e-15, abs=0)
 
 
 def test_concavity_deficit_with_a_zero_weight_component():
