@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import DiscreteDistribution, _check_count, _in_blocks
-from .divergences import _binary_term, f_divergence_rows
+from .divergences import _binary_term, _mixture_kl
 from .errors import DomainError, NonFinite, PreconditionViolated, QuadratureFailure
-from .inequalities import _KL, _mixture_kl_bound, _validated_weights
+from .inequalities import _mixture_kl_bound, _validated_weights
 from .moment_bounds import MomentTuple, kl_moment_lower_bound
 
 LN2 = math.log(2.0)
@@ -206,8 +206,7 @@ def redundancy_report(pf: PoissonFamily) -> dict:
     # one family array, at the tail_tol of both poisson_pmf and poisson_entropy;
     # a source of weight 0 is left out: its law may escape the mixture's support
     p_a, rel, n, _, h = _poisson_family(lam, 1e-15)
-    stack = _pmf_rows(p_a, rel, n)
-    direct = w[w > 0] @ f_divergence_rows(_KL, stack, w @ stack)[w > 0]
+    direct = w[w > 0] @ _mixture_kl(w, _pmf_rows(p_a, rel, n))[0][w > 0]
     sums = np.array([w @ tight, w @ convex, direct, w @ h])
     tight_bits, convex_bits, direct_bits, h_bits = (sums / LN2).tolist()
     return {

@@ -16,7 +16,7 @@ import numpy as np
 
 from .distributions import (Channel, DiscreteDistribution, _check_count, _in_blocks,
                             push_forward, validate_mass)
-from .divergences import DivergenceSpec, _gv, f_divergence_rows, kl, skew_k, skew_s
+from .divergences import DivergenceSpec, _gv, _mixture, f_divergence_rows, kl, skew_k, skew_s
 from .errors import (
     DimensionMismatch,
     DomainError,
@@ -251,27 +251,31 @@ def _pair_sups(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     The sign of the slope at 1/2 tells the half that holds the maximum;
     swapping a and b maps t to 1 - t and brings it into (0, 1/2], where
     the slope sum_y (d / m)^2 (b (1 - t)^2 - a t^2), d = a - b, is
-    bisected. There m >= t |d|, and past the maximum the slope is at least
+    bisected. d / m is 0-homogeneous per atom, so it is taken from the laws
+    scaled per atom (``_mixture``), once for all steps, where m > 0 wherever
+    a or b is. There m >= t |d|, and past the maximum the slope is at least
     -sum_y a = -1, so the curve at the bracket's upper end, never below
     2**-55, falls short of the sup by at most the bracket width, also when
     the sup is the curve's limit at an end of (0, 1).
     """
-    def slope(d, b, t):
-        td = t * d
-        u = d / (b + td)
-        return np.einsum("ij,ij->i", u * u, b - t * (2.0 * b + td))
+    def slope(a, b, scaled, t):
+        u = d / _mixture((t, 1.0 - t), scaled, c)[2]
+        return np.einsum("ij,ij,ij->i", u, u, b * (1.0 - t) ** 2 - a * (t * t))
 
     # an output that neither row reaches adds nothing to the curve or its
     # slope; a 1 in both rows there keeps that and keeps m > 0
     both = (a == 0.0) & (b == 0.0)
     a, b = np.where(both, 1.0, a), np.where(both, 1.0, b)
-    flip = (slope(a - b, b, 0.5) > 0.0)[:, None]
+    c, scaled, _ = _mixture((0.5, 0.5), (a, b))
+    # scaled a - b, whose sign the swap below leaves out of the square
+    d = scaled[0] - scaled[1]
+    flip = (slope(a, b, scaled, 0.5) > 0.0)[:, None]
     a, b = np.where(flip, b, a), np.where(flip, a, b)
-    d = a - b
+    scaled = np.where(flip, scaled[1], scaled[0]), np.where(flip, scaled[0], scaled[1])
     lo, hi = np.zeros(len(a)), np.full(len(a), 0.5)
     for _ in range(_BISECTIONS):
         t = 0.5 * (lo + hi)
-        rising = slope(d, b, t[:, None]) > 0.0
+        rising = slope(a, b, scaled, t[:, None]) > 0.0
         lo, hi = np.where(rising, t, lo), np.where(rising, hi, t)
     return np.column_stack((hi * (1.0 - hi) * _gv(b, a, hi[:, None]), hi - lo))
 

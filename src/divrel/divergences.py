@@ -10,6 +10,13 @@ Each kernel is written once, over an (m, n) stack of rows against one law
 on the same support (``f_divergence_rows``), with masks for the boundary
 conventions; the functions on two distributions are its one-row case, on
 the union of the two supports (``align``).
+
+Every mixture that a divergence divides by is formed in one place,
+``_mixture``, scaled per atom: an atom's masses are divided by c, a power of
+two, and each term, 1-homogeneous in them, is multiplied by c. That rounds
+nothing, so where no value is subnormal every term is bit-identical to the
+unscaled one, and a mixture under a positive mass cannot round to 0 (as
+0.5 * 5e-324 does).
 """
 
 from __future__ import annotations
@@ -60,20 +67,43 @@ class DivergenceSpec:
 
 # -- kernels: a and b broadcast to (m, n), one value per row ----------------
 
-def _kl(a, b, _=None):
+def _mixture(weights, laws, c=None):
+    """(c, laws / c, mixture / c): c is the power of two at or below the
+    largest mass of each atom, at least 2^-1022, so that the largest scaled
+    mass of an atom lies in [2^-52, 2) or is 0. laws is a pair (a, b) that
+    broadcasts, mixed as weights[0] a + weights[1] b (a weight may be a
+    column, one per row), or a (k, n) stack, mixed by a matmul with the k
+    weights. A given c says that the laws are scaled by it already."""
+    pair = isinstance(laws, tuple)
+    if c is None:
+        # the largest mass with its mantissa bits cleared
+        c = np.maximum(*laws) if pair else laws.max(axis=0)
+        np.bitwise_and(c.view(np.int64), 0x7FF0000000000000, out=c.view(np.int64))
+        np.maximum(c, 2.0 ** -1022, out=c)
+        laws = (laws[0] / c, laws[1] / c) if pair else laws / c
+    if pair:
+        return c, laws, weights[0] * laws[0] + weights[1] * laws[1]
+    return c, laws, weights @ laws
+
+
+def _kl(a, b, _=None, c=1.0):
     """Sum a ln(a/b) - a + b, whose terms are individually non-negative:
     identical to sum a ln(a/b) for probability vectors but stable when the
     rows are extremely close (the linear parts cancel per term instead of
-    across the whole sum). A term with a > 0 = b is +inf."""
+    across the whole sum). A term with a > 0 = b is +inf. c scales each term
+    back where a and b are scaled per atom (``_mixture``)."""
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(a > 0, a * np.log(a / b) - a + b, b)
+    terms *= c
     return np.maximum(terms.sum(axis=-1), 0.0)
 
 
-def _chi2(a, b, _=None):
+def _chi2(a, b, _=None, c=1.0):
     d = a - b
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # d * d / b overflows to +inf where b is subnormal
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         terms = np.where(b > 0, d * d / b, np.where(a > 0, INF, 0.0))
+    terms *= c
     return terms.sum(axis=-1)
 
 
@@ -114,26 +144,30 @@ def _gv(a, b, s):
     """Sum (a - b)^2 / ((1 - s) a + s b), +inf where only the denominator
     vanishes. s is one skew, or an (m, 1) column of skews, one for each row;
     s = 0 gives chi^2(b||a) and s = 1 gives chi^2(a||b)."""
+    c, (a, b), m = _mixture((1.0 - s, s), (a, b))
     d = a - b
-    m = (1.0 - s) * a + s * b
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(m > 0, d * d / m, np.where(d != 0, INF, 0.0))
+    terms *= c
     return terms.sum(axis=-1)
 
 
 def _skew_k(a, b, alpha):
     # at alpha = 0 the mixture is a itself, so K_0 = 0 exactly
-    return _kl(a, (1.0 - alpha) * a + alpha * b)
+    c, (a, _), m = _mixture((1.0 - alpha, alpha), (a, b))
+    return _kl(a, m, c=c)
 
 
 def _skew_s(a, b, alpha):
-    # a side whose weight is zero is skipped: its divergence may be +inf
-    total = 0.0
-    if alpha > 0.0:
-        total = total + alpha * _skew_k(a, b, alpha)
-    if alpha < 1.0:
-        total = total + (1.0 - alpha) * _skew_k(b, a, 1.0 - alpha)
-    return total
+    # alpha D(a||M) + (1 - alpha) D(b||M): a side of weight 0 is D(M||M) = 0
+    c, (a, b), m = _mixture((1.0 - alpha, alpha), (a, b))
+    return alpha * _kl(a, m, c=c) + (1.0 - alpha) * _kl(b, m, c=c)
+
+
+def _mixture_kl(w, stack):
+    """D(P_i || M) for each row P_i of the (k, n) stack, and M = w @ stack."""
+    c, stack, m = _mixture(w, stack)
+    return _kl(stack, m, c=c), c * m
 
 
 def _js(a, b, _=None):
@@ -457,8 +491,7 @@ def f_k_divergence(k: int, p: DiscreteDistribution, q: DiscreteDistribution) -> 
 
 
 # g(t)/t^2 = sum_j (-t)^j / ((j + 1)(j + 2)), to 1e-17 relative for |t| < 1/8
-_G_POWERS = np.arange(18.0)
-_G_SERIES = 1.0 / ((_G_POWERS + 1.0) * (_G_POWERS + 2.0))
+_G_SERIES = 1.0 / ((np.arange(18.0) + 1.0) * np.arange(2.0, 20.0))
 _G_CUT = 0.125
 
 
@@ -471,12 +504,16 @@ def _binary_term(x, y, diff):
     every digit as r -> s; g keeps them: by its series where |t| < 1/8, and
     elsewhere directly, where the subtraction loses at most four bits, with
     ln(x/y) = log1p(t) except where t < -1/2 and x/y is the accurate one."""
+    x, y, diff = np.broadcast_arrays(x, y, diff)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        t = diff / y
-        by_series = y * t * t * ((-t)[..., None] ** _G_POWERS @ _G_SERIES)
+        t = np.asarray(diff / y)
         log_ratio = np.where(t < -0.5, np.log(x / y), np.log1p(t))
-        direct = np.where(x > 0, x * log_ratio, 0.0) - diff
-    return np.where(np.abs(t) < _G_CUT, by_series, direct)
+        out = np.asarray(np.where(x > 0, x * log_ratio, 0.0) - diff)
+    near = np.abs(t) < _G_CUT
+    u = t[near]
+    # the series on the near entries only
+    out[near] = y[near] * u * u * (_powers(-u, len(_G_SERIES) - 1) @ _G_SERIES[1:] + _G_SERIES[0])
+    return out
 
 
 def binary_kl(r, s):

@@ -17,17 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import DiscreteDistribution, align, mixture
-from .divergences import (
-    DivergenceSpec,
-    _chi2,
-    _gv,
-    chi_squared,
-    f_divergence_rows,
-    f_k_divergence,
-    skew_k,
-    skew_s,
-)
+from .distributions import DiscreteDistribution, align
+from .divergences import (DivergenceSpec, _chi2, _gv, _mixture, chi_squared, f_divergence_rows,
+                          skew_k, skew_s)
 from .errors import DomainError, MaxDepthExceeded, QuadratureFailure
 
 
@@ -185,9 +177,13 @@ def check_kl_chi2_identity(p: DiscreteDistribution, q: DiscreteDistribution,
                            lam: float) -> IdentityReport:
     """D(P||R_lam) vs the integral of chi^2(P||R_s)/s over (0, lam]."""
     a, b = (d.mass for d in align(p, q))
-    return _path_check("kl_chi2", skew_k(lam, p, q),
-                       lambda s: _chi2(a[None, :], _mixtures(s, a, b)) / s,
-                       (0.0, lam), lam == 1.0 and _escapes(a, b))
+
+    def curve(s):
+        c, (a_c, _), r = _mixture((1.0 - s[:, None], s[:, None]), (a, b))
+        return _chi2(a_c, r, c=c) / s
+
+    return _path_check("kl_chi2", skew_k(lam, p, q), curve, (0.0, lam),
+                       lam == 1.0 and _escapes(a, b))
 
 
 def check_chi2_half_identity(p: DiscreteDistribution, q: DiscreteDistribution) -> IdentityReport:
@@ -210,9 +206,12 @@ def check_gv_identity(p: DiscreteDistribution, q: DiscreteDistribution,
 def check_recursive_identity(k: int, p: DiscreteDistribution, q: DiscreteDistribution,
                              lam: float) -> IdentityReport:
     """D_{f_{k+1}}(R_lam||P) vs the integral of D_{f_k}(R_s||P)/s over (0, lam]."""
-    lhs = f_k_divergence(k + 1, mixture(p, q, lam), p)
+    if not 0.0 <= lam <= 1.0:
+        raise DomainError(f"mixture weight must lie in [0,1], got {lam}")
     a, b = (d.mass for d in align(p, q))
     f_k = DivergenceSpec("POLYLOG_F", k)
+    lhs = float(f_divergence_rows(DivergenceSpec("POLYLOG_F", k + 1),
+                                  _mixtures(np.array([lam]), a, b), a)[0])
     # at k = 0 the curve is chi^2(P||R_s)/s
     return _path_check(f"recursive_k{k}", lhs,
                        lambda s: f_divergence_rows(f_k, _mixtures(s, a, b), a) / s,

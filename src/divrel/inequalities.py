@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .distributions import DiscreteDistribution, _on_union_support, align
-from .divergences import DivergenceSpec, _chi2, _gv, _kl, _skew_k, _tv
+from .divergences import DivergenceSpec, _chi2, _gv, _kl, _mixture, _mixture_kl, _skew_k, _tv
 from .divergences import chi_squared, entropy, f_divergence_rows, kl
 from .errors import DomainError, EmptySet, PreconditionViolated, ZeroProbabilitySet
 
@@ -147,11 +147,10 @@ def derivative_checks(p: DiscreteDistribution, q: DiscreteDistribution) -> dict:
     chi^2(Q||P).
     """
     pa, qa = align(p, q)
-    if pa == qa:
-        raise PreconditionViolated("derivative checks need P != Q")
+    # 0 where P = Q, or where they differ by subnormal masses alone
     chi2_qp = chi_squared(qa, pa)
-    if math.isinf(chi2_qp):
-        raise PreconditionViolated("needs finite chi^2(Q||P)")
+    if not 0.0 < chi2_qp < math.inf:
+        raise PreconditionViolated(f"derivative checks need 0 < chi^2(Q||P) < inf, got {chi2_qp}")
 
     # F at lam + h and at lam - h for each lam, then at each grid point: one
     # column of skews, scored in one call
@@ -183,13 +182,11 @@ def _validated_weights(dists, weights):
     return w
 
 
-_KL = DivergenceSpec("KL")
-
-
 def mixture_of(dists, weights) -> DiscreteDistribution:
     w = _validated_weights(dists, weights)
     support, stack = _on_union_support(dists)
-    return DiscreteDistribution(support, w @ stack)
+    c, _, mix = _mixture(w, stack)
+    return DiscreteDistribution(support, c * mix)
 
 
 def _mixture_kl_bound(w, d, a) -> tuple[np.ndarray, np.ndarray]:
@@ -209,22 +206,14 @@ def _mixture_kl_bound(w, d, a) -> tuple[np.ndarray, np.ndarray]:
     return np.where(a >= 1.0, 0.0, tight), c
 
 
-def _kl_table(rows: np.ndarray, laws: np.ndarray) -> np.ndarray:
-    """D(rows[r] || laws[c]) as an (r, c) array, scored in one kernel call."""
-    r, c = len(rows), len(laws)
-    table = f_divergence_rows(_KL, np.repeat(rows, c, axis=0), np.tile(laws, (r, 1)))
-    return table.reshape(r, c)
-
-
 def mixture_kl_upper(
     i: int, dists: Sequence[DiscreteDistribution], weights
 ) -> InequalityReport:
     """D(P_i || mixture) <= -ln(a_i + (1-a_i) exp(-avg pairwise KL from P_i))."""
     w = _validated_weights(dists, weights)
     _, stack = _on_union_support(dists)
-    table = _kl_table(stack[i:i + 1], np.vstack([w @ stack, stack]))[0]
-    return InequalityReport("mixture_kl_upper", float(table[0]),
-                            float(_mixture_kl_bound(w, table[None, 1:], w[i])[0][0]))
+    bound = _mixture_kl_bound(w, _kl(stack[i:i + 1, None], stack), w[i])[0][0]
+    return InequalityReport("mixture_kl_upper", float(_mixture_kl(w, stack)[0][i]), float(bound))
 
 
 def concavity_deficit_bounds(dists, weights) -> dict:
@@ -237,12 +226,13 @@ def concavity_deficit_bounds(dists, weights) -> dict:
     """
     w = _validated_weights(dists, weights)
     support, stack = _on_union_support(dists)
-    mix = DiscreteDistribution(support, w @ stack)
-    deficit_entropy = entropy(mix) - float(w @ [entropy(d) for d in dists])
+    to_mix, mix = _mixture_kl(w, stack)
+    deficit_entropy = (entropy(DiscreteDistribution(support, mix))
+                       - float(w @ [entropy(d) for d in dists]))
     used = np.flatnonzero(w > 0)
-    table = _kl_table(stack, np.vstack([mix.mass, stack]))
-    deficit_kl = float(w[used] @ table[used, 0])
-    upper = float((w[used] * _mixture_kl_bound(w, table[used, 1:], w[used])[0]).sum())
+    deficit_kl = float(w[used] @ to_mix[used])
+    table = _kl(stack[used, None], stack)
+    upper = float((w[used] * _mixture_kl_bound(w, table, w[used])[0]).sum())
     classic = float(-sum(wi * math.log(wi) for wi in w if wi > 0))
     return {
         "deficit_entropy_form": deficit_entropy,

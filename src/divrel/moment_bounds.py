@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import DiscreteDistribution, make_distribution, mixture, moments
+from .distributions import DiscreteDistribution, make_distribution, moments
 from .divergences import _binary_term
 from .errors import (
     DegenerateVariance,
@@ -54,15 +54,15 @@ class BoundCertificate:
 def hcr_lower_bound(
     p: DiscreteDistribution, q: DiscreteDistribution, lam: float
 ) -> float:
-    """Mean-shift-over-variance lower bound on chi^2(P || (1-lam)P + lam*Q)."""
+    """Mean-shift-over-variance lower bound on chi^2(P || (1-lam)P + lam*Q):
+    lam^2 (m_p - m_q)^2 / ``mixture_variance``, from the moments of P and Q."""
     if not 0.0 <= lam <= 1.0:
         raise DomainError(f"lambda must lie in [0,1], got {lam}")
-    m_p, _ = moments(p)
-    mix = mixture(p, q, lam)
-    m_z, var_z = moments(mix)
+    mt = MomentTuple(*moments(p), *moments(q))
+    var_z = mixture_variance(mt, lam)
     if var_z == 0.0:
         raise DegenerateVariance("mixture has zero variance")
-    return (m_p - m_z) ** 2 / var_z
+    return (lam * (mt.m_p - mt.m_q)) ** 2 / var_z
 
 
 def mixture_variance(mt: MomentTuple, lam: float) -> float:
@@ -231,18 +231,3 @@ def exponential_kl(mt: MomentTuple) -> float:
     if d1 < d2:
         return math.inf
     return math.log(a2 / a1) + (d1 + a1 - d2 - a2) / a2
-
-
-__all__ = [
-    "MomentTuple",
-    "BoundCertificate",
-    "hcr_lower_bound",
-    "mixture_variance",
-    "kl_moment_lower_bound",
-    "moment_bound_arrays",
-    "attaining_pair",
-    "equal_means_sequence",
-    "equal_means_quaternary",
-    "gaussian_kl",
-    "exponential_kl",
-]

@@ -45,6 +45,82 @@ def poisson_entropy_mpmath(lam: float, dps: int = 40) -> float:
         return float(total)
 
 
+# Divergences against a mixture at 40 digits: every float mass is taken
+# exactly, so a subnormal mass and its share of the mixture stay positive.
+
+def _mp_kl(p, m):
+    """sum p ln(p/m) over the atoms with p > 0 (mpf lists); +inf where m = 0 < p."""
+    import mpmath
+
+    total = mpmath.mpf(0)
+    for x, y in zip(p, m):
+        if x > 0:
+            if y == 0:
+                return mpmath.inf
+            total += x * mpmath.log(x / y)
+    return total
+
+
+def _mp_mixture(alpha, a, b):
+    """(a, b, (1 - alpha) a + alpha b) as mpf lists."""
+    import mpmath
+
+    a, b = [mpmath.mpf(float(x)) for x in a], [mpmath.mpf(float(x)) for x in b]
+    return a, b, [(1 - alpha) * x + alpha * y for x, y in zip(a, b)]
+
+
+def skew_k_mpmath(alpha: float, a, b, dps: int = 40) -> float:
+    """K_alpha(P||Q) = D(P || (1 - alpha) P + alpha Q) for mass vectors a, b."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        a, _, m = _mp_mixture(mpmath.mpf(alpha), a, b)
+        return float(_mp_kl(a, m))
+
+
+def skew_s_mpmath(alpha: float, a, b, dps: int = 40) -> float:
+    """S_alpha(P||Q) = alpha D(P||M) + (1 - alpha) D(Q||M), M = (1 - alpha) P
+    + alpha Q; a side of weight 0 is left out."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        alpha = mpmath.mpf(alpha)
+        a, b, m = _mp_mixture(alpha, a, b)
+        total = mpmath.mpf(0)
+        if alpha > 0:
+            total += alpha * _mp_kl(a, m)
+        if alpha < 1:
+            total += (1 - alpha) * _mp_kl(b, m)
+        return float(total)
+
+
+def gv_mpmath(s: float, a, b, dps: int = 40) -> float:
+    """sum (a - b)^2 / ((1 - s) a + s b); +inf where only the denominator is 0."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        a, b, m = _mp_mixture(mpmath.mpf(s), a, b)
+        total = mpmath.mpf(0)
+        for x, y, z in zip(a, b, m):
+            if z == 0:
+                if x != y:
+                    return math.inf
+            else:
+                total += (x - y) ** 2 / z
+        return float(total)
+
+
+def mixture_kl_mpmath(w, stack, dps: int = 40) -> list[float]:
+    """D(P_i || sum_j w_j P_j) for each row P_i of the (k, n) stack."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        rows = [[mpmath.mpf(float(x)) for x in row] for row in stack]
+        w = [mpmath.mpf(float(x)) for x in w]
+        m = [mpmath.fsum(wj * row[i] for wj, row in zip(w, rows)) for i in range(len(rows[0]))]
+        return [float(_mp_kl(row, m)) for row in rows]
+
+
 def mixture_kl_bound_scalar(i: int, w, d) -> tuple[float, float]:
     """(-ln(a + (1-a) exp(-c/(1-a))), c) for source i of a mixture with
     weights w, a = w[i], d[j] = D(P_i||P_j) and c = sum_{j != i, w[j] > 0}

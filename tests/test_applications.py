@@ -25,7 +25,7 @@ from divrel import applications, distributions
 from divrel.errors import DomainError, NonFinite, PreconditionViolated
 from divrel.moment_bounds import MomentTuple, moment_bound_arrays
 
-from oracles import poisson_entropy_direct, poisson_entropy_mpmath
+from oracles import mixture_kl_mpmath, poisson_entropy_direct, poisson_entropy_mpmath
 
 TCP = TypeClassProblem(
     m_q=40, var_q=20, mean_box=(43, 47), var_box=(18, 22),
@@ -308,6 +308,23 @@ def test_redundancy_bound_ordering():
     assert rep["sum_kl_upper_bits"] <= rep["convexity_upper_bits"] + 1e-9
     for row in rep["per_source"]:
         assert row["kl_upper_bits"] <= row["convexity_bits"] + 1e-12
+
+
+def test_redundancy_direct_sum_with_subnormal_masses_matches_mpmath():
+    # the windows start at atom 0, and their lower tails hold subnormal
+    # masses: unscaled, half of 5e-324 rounds to 0 in the mixture and the
+    # sum read +inf
+    rates, w = (5000.0, 5001.0), np.array([0.5, 0.5])
+    laws = [poisson_pmf(x)[0].mass for x in rates]
+    assert all(((law > 0.0) & (law < sys.float_info.min)).any() for law in laws)
+    # the family pads each window with zeros up to the longest
+    stack = np.zeros((2, max(map(len, laws))))
+    for row, law in zip(stack, laws):
+        row[:len(law)] = law
+    want = float(w @ mixture_kl_mpmath(w, stack)) / math.log(2.0)
+    assert want == pytest.approx(3.6062868231363639e-05, rel=1e-15)
+    rep = redundancy_report(PoissonFamily(rates, tuple(w)))
+    assert rep["direct_sum_bits"] == pytest.approx(want, rel=1e-11)
 
 
 def test_redundancy_single_source():

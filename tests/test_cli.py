@@ -327,6 +327,20 @@ def test_redundancy_near_equal_rates_print_non_negative_bounds(capsys):
     assert rep["scalars"]["sum_kl_upper_bits"] >= 0.0
 
 
+def test_redundancy_with_subnormal_masses_in_the_lower_tail(capsys):
+    # both windows start at atom 0, where the masses are subnormal; the value
+    # is an mpmath sum over the same windows (test_applications)
+    code, rep = run_json(capsys, ["redundancy", "--lambdas", "5000", "5001"])
+    assert code == 0
+    assert rep["scalars"]["direct_sum_bits"] == pytest.approx(3.6062868231363639e-05, rel=1e-11)
+
+
+def test_redundancy_of_equal_rates_with_subnormal_masses_is_zero(capsys):
+    code, rep = run_json(capsys, ["redundancy", "--lambdas", "100000", "100000"])
+    assert code == 0
+    assert abs(rep["scalars"]["direct_sum_bits"]) <= 1e-15
+
+
 def test_redundancy_rate_past_the_pmf_cap_exits_1(capsys):
     code = main(["redundancy", "--lambdas", "1e12"])
     err = capsys.readouterr().err

@@ -1,5 +1,6 @@
 import logging
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -485,6 +486,18 @@ def test_chi2_contraction_rows_in_blocks(monkeypatch):
     want = [chi2_contraction(SourceChannelPair(make_distribution([0, 1, 2], p), w))
             for p in px]
     assert got == pytest.approx(want, abs=1e-14)
+
+
+def test_mu_chi2_channel_with_a_subnormal_entry():
+    # unscaled, t * 5e-324 rounds to 0, and the curve read +inf with a
+    # divide-by-zero warning
+    w = make_channel([[5e-324, 0.5, 0.5 - 5e-324], [0.0, 0.3, 0.7]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        mu = mu_chi2_channel(w)
+    assert mu <= 1.0
+    assert mu == pytest.approx(mu_chi2_channel(make_channel([[0.5, 0.5], [0.3, 0.7]])),
+                               rel=1e-14)
 
 
 def test_mu_chi2_channel_rejects_unreachable_output():

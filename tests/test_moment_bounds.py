@@ -108,6 +108,25 @@ def test_hcr_bound_below_chi2():
         assert hcr <= chi_squared(p, mixture(p, q, lam)) + 1e-12
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_hcr_bound_on_different_supports_matches_mpmath(seed):
+    # the bound from the mixture law's own mean and variance, at 40 digits
+    rng = np.random.default_rng(seed)
+    laws = [make_distribution(np.sort(rng.normal(5.0, 3.0, n)), rng.dirichlet(np.ones(n)))
+            for n in (4, 7)]
+    lam = float(rng.uniform(0.05, 0.95))
+    with mpmath.workdps(40):
+        def moment(k, weights):
+            return mpmath.fsum(w * mpmath.mpf(float(x)) ** k * mpmath.mpf(float(m))
+                               for w, d in zip(weights, laws)
+                               for x, m in zip(d.support, d.mass))
+
+        mix = (1 - mpmath.mpf(lam), mpmath.mpf(lam))
+        m_p, m_z, e_z = moment(1, (1, 0)), moment(1, mix), moment(2, mix)
+        want = float((m_p - m_z) ** 2 / (e_z - m_z ** 2))
+    assert hcr_lower_bound(*laws, lam) == pytest.approx(want, rel=1e-13)
+
+
 def test_hcr_degenerate_variance():
     p = make_distribution([1.0], [1.0])
     with pytest.raises(DegenerateVariance):
