@@ -12,11 +12,11 @@ conventions; the functions on two distributions are its one-row case, on
 the union of the two supports (``align``).
 
 Every mixture that a divergence divides by is formed in one place,
-``_mixture``, scaled per atom: an atom's masses are divided by c, a power of
-two, and each term, 1-homogeneous in them, is multiplied by c. That rounds
-nothing, so where no value is subnormal every term is bit-identical to the
-unscaled one, and a mixture under a positive mass cannot round to 0 (as
-0.5 * 5e-324 does).
+``_mixture``, scaled per atom where one of its entries is small: an atom's
+masses are divided by c, a power of two, and each term, 1-homogeneous in
+them, is multiplied by c. That rounds nothing, so a term is bit-identical
+to the unscaled one wherever that one has no subnormal value, and a
+mixture under a positive mass cannot round to 0 (as 0.5 * 5e-324 does).
 """
 
 from __future__ import annotations
@@ -68,33 +68,48 @@ class DivergenceSpec:
 # -- kernels: a and b broadcast to (m, n), one value per row ----------------
 
 def _mixture(weights, laws, c=None):
-    """(c, laws / c, mixture / c): c is the power of two at or below the
-    largest mass of each atom, at least 2^-1022, so that the largest scaled
-    mass of an atom lies in [2^-52, 2) or is 0. laws is a pair (a, b) that
-    broadcasts, mixed as weights[0] a + weights[1] b (a weight may be a
-    column, one per row), or a (k, n) stack, mixed by a matmul with the k
-    weights. A given c says that the laws are scaled by it already."""
+    """(c, laws / c, mixture / c). laws is a pair (a, b) that broadcasts,
+    mixed as weights[0] a + weights[1] b (a weight may be a column, one per
+    row), or a (k, n) stack, mixed by a matmul with the k weights. A given c
+    says that the laws are scaled by it already.
+
+    Where an entry of the unscaled mixture is below 2^-448, or it has none,
+    c is the power of two at or below the largest mass of each atom, at
+    least 2^-1022, so that the largest scaled mass of an atom lies in
+    [2^-52, 2) or is 0. Elsewhere scaling would change no bit, so c is 1 and
+    the laws are returned as they are: each atom holds a mass of at least
+    2^-448, a nonzero difference of two masses there is at least 2^-501 (an
+    ulp of the smaller, or half the larger), and its square and every
+    product and quotient that a kernel term forms from such masses are
+    normal numbers; a mass too small for that adds less than half an ulp of
+    the mixture entry, scaled or not."""
     pair = isinstance(laws, tuple)
+
+    def mix(x):
+        return weights[0] * x[0] + weights[1] * x[1] if pair else weights @ x
+
     if c is None:
+        m = mix(laws)
+        if m.size and m.min() >= 2.0 ** -448:
+            return 1.0, laws, m
         # the largest mass with its mantissa bits cleared
         c = np.maximum(*laws) if pair else laws.max(axis=0)
         np.bitwise_and(c.view(np.int64), 0x7FF0000000000000, out=c.view(np.int64))
         np.maximum(c, 2.0 ** -1022, out=c)
         laws = (laws[0] / c, laws[1] / c) if pair else laws / c
-    if pair:
-        return c, laws, weights[0] * laws[0] + weights[1] * laws[1]
-    return c, laws, weights @ laws
+    return c, laws, mix(laws)
 
 
 def _kl(a, b, _=None, c=1.0):
     """Sum a ln(a/b) - a + b, whose terms are individually non-negative:
     identical to sum a ln(a/b) for probability vectors but stable when the
     rows are extremely close (the linear parts cancel per term instead of
-    across the whole sum). A term with a > 0 = b is +inf. c scales each term
-    back where a and b are scaled per atom (``_mixture``)."""
+    across the whole sum). A term with a > 0 = b is +inf. An array c scales
+    each term back where a and b are scaled per atom (``_mixture``)."""
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(a > 0, a * np.log(a / b) - a + b, b)
-    terms *= c
+    if isinstance(c, np.ndarray):
+        terms *= c
     return np.maximum(terms.sum(axis=-1), 0.0)
 
 
@@ -103,7 +118,8 @@ def _chi2(a, b, _=None, c=1.0):
     # d * d / b overflows to +inf where b is subnormal
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         terms = np.where(b > 0, d * d / b, np.where(a > 0, INF, 0.0))
-    terms *= c
+    if isinstance(c, np.ndarray):
+        terms *= c
     return terms.sum(axis=-1)
 
 
@@ -148,7 +164,8 @@ def _gv(a, b, s):
     d = a - b
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(m > 0, d * d / m, np.where(d != 0, INF, 0.0))
-    terms *= c
+    if isinstance(c, np.ndarray):
+        terms *= c
     return terms.sum(axis=-1)
 
 
@@ -250,7 +267,8 @@ def _polylog_coefficients(k: int):
     series 1/n^k; the expansion in mu = ln z, zeta(k - m)/m! with
     H_(k-1)/(k-1)! at m = k - 1, and 1/(k-1)! of its log term; and the
     orders k, k - 2, ... of the inversion formula, their ln m!, and its
-    weights 1, 2 eta(2), 2 eta(4), ..., eta(2j) = (1 - 2^(1-2j)) zeta(2j)."""
+    weights 1, 2 eta(2), 2 eta(4), ..., eta(2j) = (1 - 2^(1-2j)) zeta(2j);
+    last, the first _ETA_TERMS terms of the series times ``_eta_weights``."""
     series = np.arange(1.0, _SERIES_TERMS + 1.0) ** -float(k)
     log_exp = np.array([
         (math.fsum(1.0 / j for j in range(1, k)) if m == k - 1 else _zeta(k - m))
@@ -260,7 +278,8 @@ def _polylog_coefficients(k: int):
     weights = np.array([1.0] + [2.0 * (1.0 - 2.0 ** (1 - j)) * _zeta(j)
                                 for j in range(2, k + 1, 2)])
     # an int ratio, rounded once: 0 where (k-1)! passes the float range
-    return series, log_exp, 1 / math.factorial(k - 1), orders, log_fact, weights
+    return (series, log_exp, 1 / math.factorial(k - 1), orders, log_fact, weights,
+            series[:_ETA_TERMS] * _eta_weights())
 
 
 # 40 terms of the series reach a relative 1e-16 for |z| <= 1/2, and 28 of
@@ -292,7 +311,7 @@ def _polylog_li(k: int, x: np.ndarray) -> np.ndarray:
     Li_k(t) = sum_m zeta(k - m) mu^m/m! + mu^(k-1) (H_(k-1) - ln(-mu))/(k-1)!
     in mu = ln t, taken as ln(1 - x).
     """
-    series, log_exp, log_term, orders, log_fact, weights = _polylog_coefficients(k)
+    series, log_exp, log_term, orders, log_fact, weights, eta_series = _polylog_coefficients(k)
     x = np.asarray(x, dtype=float)
     y = 1.0 - x
     low = y < -1.0
@@ -304,7 +323,7 @@ def _polylog_li(k: int, x: np.ndarray) -> np.ndarray:
 
     out = np.empty_like(x)
     u = -t[alternating]
-    out[alternating] = -(_powers(u, _ETA_TERMS) @ (series[:_ETA_TERMS] * _eta_weights()))
+    out[alternating] = -(_powers(u, _ETA_TERMS) @ eta_series)
     out[plain] = _powers(t[plain], _SERIES_TERMS) @ series
     # mu < 0 for every x > 0
     mu = np.log1p(-x[near])

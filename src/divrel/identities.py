@@ -97,24 +97,36 @@ def _gauss_kronrod(f, lo, hi):
     return kronrod * half, err * np.abs(half)
 
 
-def integrate(f, a: float, b: float) -> float:
-    """Adaptive G7/K15 quadrature of f over (a, b]; f must have a limit at a.
+# the first round's panels: each interval between edges in four equal parts,
+# at the edges of np.linspace(lo, hi, 5)
+_QUARTERS = np.arange(4.0)
+
+
+def integrate(f, *edges: float) -> float:
+    """Adaptive G7/K15 quadrature of f over (edges[0], edges[-1]]; f must
+    have a limit at edges[0]. An inner edge is a kink of f: no panel
+    straddles it.
 
     f maps an array of nodes to the array of its values there. The first
-    round scores four equal panels; each later round bisects every panel
-    whose error estimate is above its share of the tolerance. A round
-    scores the 15 nodes of all its panels in one call of f. It stops once
-    the summed estimate is within max(1e-12, 1e-10 |value|). An infinite
-    value at a node is taken as an infinite integral (divergences are +inf
-    where a law has mass the other lacks). Raises MaxDepthExceeded when
-    convergence needs more than 60 panels, and QuadratureFailure when f is
-    NaN at a node.
+    round scores four equal panels between each two edges; each later
+    round bisects every panel whose error estimate is above its share of
+    the tolerance. A round scores the 15 nodes of all its panels in one call
+    of f. It stops once the summed estimate is within max(1e-12,
+    1e-10 |value|). An infinite value at a node is taken as an infinite
+    integral (divergences are +inf where a law has mass the other lacks).
+    Raises MaxDepthExceeded when convergence needs more than 60 panels, and
+    QuadratureFailure when f is NaN at a node.
     """
-    if a == b:
+    a, b = edges[0], edges[-1]
+    edges = np.array(edges, dtype=float)
+    # a repeated edge bounds no panel
+    edges = edges[np.append(True, edges[1:] != edges[:-1])]
+    if len(edges) < 2:
         return 0.0
-    # a round costs far more than its nodes, so the first one scores four panels
-    edges = np.linspace(a, b, 5)
-    lo, hi = edges[:-1], edges[1:]
+    # a round costs far more than its nodes, so the first one scores four
+    # panels an interval
+    lo = (edges[:-1, None] + _QUARTERS * ((edges[1:] - edges[:-1]) / 4.0)[:, None]).ravel()
+    hi = np.append(lo[1:], b)
     value, err = _gauss_kronrod(f, lo, hi)
     while True:
         total = float(value.sum())
@@ -165,11 +177,10 @@ def _mixtures(s: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _path_check(name: str, lhs: float, curve, edges, infinite: bool) -> IdentityReport:
-    """lhs against the integral of curve over the panels between edges (an
-    inner edge is a kink of the curve); +inf, with no quadrature, where
+    """lhs against the integral of curve between the first and last of edges
+    (an inner edge is a kink of the curve); +inf, with no quadrature, where
     infinite says that the curve is not integrable."""
-    rhs = math.inf if infinite else sum(
-        integrate(curve, lo, hi) for lo, hi in zip(edges[:-1], edges[1:]))
+    rhs = math.inf if infinite else integrate(curve, *edges)
     return IdentityReport.compare(name, lhs, rhs)
 
 

@@ -44,13 +44,24 @@ class InequalityReport:
         return self.slack >= -GRACE
 
 
+def _neg_log_mixture(a, x):
+    """-ln(a + (1-a) exp(-x)) elementwise, for a in [0, 1] and x in [0, inf]:
+    0 where a >= 1. It is -log1p(-drop), drop = (1-a)(1 - e^-x), up to
+    drop = 1/2, so a small x loses no digits, and -logaddexp(ln a,
+    ln(1-a) - x) past it, where e^-x may underflow."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        drop = -(1.0 - a) * np.expm1(-x)
+        tight = np.where(drop <= 0.5, -np.log1p(-drop),
+                         -np.logaddexp(np.log(a), np.log1p(-a) - x))
+    return np.where(a >= 1.0, 0.0, tight)
+
+
 def _skew_kl_bound(lam: float, d):
     """-ln(1 - lam + lam exp(-d)), the bound on K_lam(P||Q) from d = D(P||Q),
     elementwise over an array d."""
     if not 0.0 <= lam <= 1.0:
         raise DomainError(f"lambda must lie in [0,1], got {lam}")
-    with np.errstate(divide="ignore"):
-        return -np.log((1.0 - lam) + lam * np.exp(-np.asarray(d, dtype=float)))
+    return _neg_log_mixture(1.0 - lam, np.asarray(d, dtype=float))
 
 
 # Each pair inequality once, over (m, n) stacks: name -> (P, Q, t) -> (lhs, rhs), t
@@ -162,7 +173,7 @@ def derivative_checks(p: DiscreteDistribution, q: DiscreteDistribution) -> dict:
 
     grid = []
     for lam, value, slope in zip(_LAM_GRID, curve[2 * n:], slopes):
-        lhs = (math.exp(value) - 1.0) / lam
+        lhs = math.expm1(value) / lam
         grid.append({"lam": lam, "fprime": slope, "lower": lhs, "holds": slope >= lhs - _FD_TOL})
     ratio = slopes[-1] / 1e-3
     return {
@@ -194,16 +205,11 @@ def _mixture_kl_bound(w, d, a) -> tuple[np.ndarray, np.ndarray]:
     weights w: row r of d holds D(P_i||P_j) over j for a source i of weight
     a[r], 0 at j = i, and c = sum_j w[j] d[r, j] is the convexity bound; both
     bound D(P_i || mixture) above. A component of weight 0 adds nothing to c,
-    not even an infinite d. With x = c/(1-a) the bound is -log1p(-drop),
-    drop = (1-a)(1 - e^-x), up to drop = 1/2, so a small c loses no digits,
-    and -logaddexp(ln a, ln(1-a) - x) past it, where e^-x may underflow."""
+    not even an infinite d. The bound is ``_neg_log_mixture`` at x = c/(1-a)."""
     c = (np.where(w > 0, d, 0.0) * w).sum(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
         x = c / (1.0 - a)
-        drop = -(1.0 - a) * np.expm1(-x)
-        tight = np.where(drop <= 0.5, -np.log1p(-drop),
-                         -np.logaddexp(np.log(a), np.log1p(-a) - x))
-    return np.where(a >= 1.0, 0.0, tight), c
+    return _neg_log_mixture(a, x), c
 
 
 def mixture_kl_upper(
@@ -255,17 +261,20 @@ def conditioned_measure_divergence(
     for the Renyi family it is ln(1/t) at every order. Both rows are scored
     in one kernel call, on n + 1 atoms with zero columns as padding.
     """
-    idx = np.unique(np.asarray(c_indices, dtype=int))
+    idx = np.asarray(c_indices, dtype=int)
     if idx.size == 0:
         raise EmptySet("conditioning set is empty")
-    if idx[0] < 0 or idx[-1] >= len(mu):
+    if idx.min() < 0 or idx.max() >= len(mu):
         raise DomainError("conditioning index out of range")
-    mass_c = float(mu.mass[idx].sum())
+    # a mask, not np.unique: its masked-array check imports numpy.ma
+    in_c = np.zeros(len(mu), dtype=bool)
+    in_c[idx] = True
+    mass_c = float(mu.mass[in_c].sum())
     if mass_c <= 0.0:
         raise ZeroProbabilitySet("conditioning set has zero probability")
     # rows mu_C and (1, 0), scored against mu and (mass_c, 1 - mass_c)
     stack = np.zeros((4, len(mu) + 1))
-    stack[0, idx] = mu.mass[idx] / mass_c
+    stack[0, :-1][in_c] = mu.mass[in_c] / mass_c
     stack[1, 0] = 1.0
     stack[2, :-1] = mu.mass
     stack[3, :2] = mass_c, 1.0 - mass_c

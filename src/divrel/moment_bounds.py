@@ -123,21 +123,49 @@ def _scaled_masses(a, b, v, var_p, var_q):
     return np.minimum(np.maximum(np.stack([v_plus_c, v_minus_c, s_up, s_down]), 0.0), 2.0 * v)
 
 
+def _certificate(mt: MomentTuple) -> tuple[BoundCertificate, list[float] | None]:
+    """The certificate of ``moment_bound_arrays`` on one moment tuple, and
+    the scaled masses 2v (r, 1 - r, s, 1 - s) behind it (None where every
+    field is 0). The same operations in the same order, on floats: a numpy
+    call costs far more than the arithmetic of four moments. v is np.hypot,
+    as math.hypot may differ in the last bit."""
+    var_p, var_q = mt.var_p, mt.var_q
+    a = mt.m_p - mt.m_q
+    a2 = a * a
+    if a2 == 0.0:
+        return BoundCertificate(0.0, 0.0, 0.0, 0.0, 0.0, 0.0), None
+    b = a2 + var_q - var_p
+    c = b / (2.0 * a)
+    v = float(np.hypot(math.sqrt(var_p), c))
+    # _scaled_masses
+    big = v + abs(c)
+    small = var_p / big
+    v_plus_c, v_minus_c = (big, small) if c > 0 else (small, big)
+    s_up, s_down = v_plus_c - a, v_minus_c + a
+    larger = max(s_up, s_down)
+    s_up, s_down = (var_q / larger if x < 0.25 * larger else x for x in (s_up, s_down))
+    two_v = 2.0 * v
+    masses = [min(max(x, 0.0), two_v) for x in (v_plus_c, v_minus_c, s_up, s_down)]
+    terms = _binary_term(masses[:2], masses[2:], (a, -a))
+    bound = float(terms[0] + terms[1]) / two_v
+    return BoundCertificate(masses[0] / two_v, masses[2] / two_v, a, b, v, bound), masses
+
+
 def kl_moment_lower_bound(mt: MomentTuple) -> BoundCertificate:
-    """Best binary-KL lower bound on D(P||Q) from the four moments."""
-    fields = moment_bound_arrays(mt.m_p, mt.var_p, mt.m_q, mt.var_q)
-    return BoundCertificate(*(float(x) for x in fields))
+    """Best binary-KL lower bound on D(P||Q) from the four moments: the
+    closed form of ``moment_bound_arrays``, bit for bit."""
+    return _certificate(mt)[0]
 
 
 def attaining_pair(mt: MomentTuple) -> tuple[DiscreteDistribution, DiscreteDistribution]:
     """Two-point pair with the prescribed moments whose KL equals the bound."""
-    if mt.m_p == mt.m_q:
+    cert, masses = _certificate(mt)
+    # equal means, or a gap whose square underflows: the infimum 0 is not attained
+    if masses is None:
         raise PreconditionViolated("attaining pair requires distinct means")
     if mt.var_p <= 0.0:
         raise PreconditionViolated("attaining pair requires var_p > 0")
-    cert = kl_moment_lower_bound(mt)
-    masses = _scaled_masses(cert.a, cert.b, cert.v, mt.var_p, mt.var_q) / (2.0 * cert.v)
-    r, r_comp, s, s_comp = (float(x) for x in masses)
+    r, r_comp, s, s_comp = (x / (2.0 * cert.v) for x in masses)
     u1 = mt.m_p + math.sqrt(r_comp * mt.var_p / r)
     u2 = mt.m_p - math.sqrt(r * mt.var_p / r_comp)
     p = make_distribution([u2, u1], [r_comp, r])

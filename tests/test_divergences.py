@@ -452,3 +452,75 @@ def test_zeta_matches_mpmath_at_every_argument_of_the_polylog_tables():
             assert _zeta(s) == 0.0, s  # the trivial zeros, exactly
         else:
             assert abs(_zeta(s) / want - 1) <= 1e-15, s
+
+
+def _scaled_always(mixture):
+    """divergences._mixture with the per-atom scaling on every input: the
+    laws are divided by c, the power of two at or below each atom's largest
+    mass (at least 2^-1022), before they are mixed."""
+    def scaled(weights, laws, c=None):
+        if c is None:
+            pair = isinstance(laws, tuple)
+            c = np.maximum(*laws) if pair else laws.max(axis=0)
+            np.bitwise_and(c.view(np.int64), 0x7FF0000000000000, out=c.view(np.int64))
+            np.maximum(c, 2.0 ** -1022, out=c)
+            laws = (laws[0] / c, laws[1] / c) if pair else laws / c
+        return mixture(weights, laws, c)
+
+    return scaled
+
+
+def _mixture_values(rng, count, tiny):
+    """Every value formed against a mixture, on count random pairs of 2-8
+    atoms (a third with a zero atom in Q); with tiny, some masses of either
+    law are drawn from 1e-320 to 1e-80."""
+    import divrel.inequalities as ineq
+
+    out = []
+    for i in range(count):
+        n = int(rng.integers(2, 9))
+        a, b = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n))
+        if i % 3 == 0:
+            j = int(rng.integers(n))
+            b[(j + 1) % n] += b[j]
+            b[j] = 0.0
+        if tiny:
+            for law in (a, b):
+                picked = rng.random(n) < 0.4
+                law[picked] = 10.0 ** rng.uniform(-320, -80, picked.sum())
+                law[np.argmax(law)] += 1.0 - law.sum()
+        p, q = make_distribution(np.arange(n), a), make_distribution(np.arange(n), b)
+        alpha = float(rng.choice([0.0, 1e-3, 0.5, 1.0, rng.uniform()]))
+        w = float(rng.uniform(0.05, 0.95))
+        out += [skew_k(alpha, p, q), skew_s(alpha, p, q), jensen_shannon(p, q),
+                gyorfi_vajda(alpha, p, q),
+                *ineq.concavity_deficit_bounds([p, q], [w, 1 - w]).values(),
+                *(ineq.mixture_kl_upper(k, [p, q], [w, 1 - w]).lhs for k in (0, 1))]
+    return out
+
+
+@pytest.mark.parametrize("count, tiny", [(3000, False), (1000, True)])
+def test_unscaled_mixtures_give_the_scaled_values_bit_for_bit(monkeypatch, count, tiny):
+    # a mixture whose entries are all at least 2^-448 is formed unscaled
+    import divrel.divergences as dv
+
+    got = _mixture_values(np.random.default_rng(17), count, tiny)
+    monkeypatch.setattr(dv, "_mixture", _scaled_always(dv._mixture))
+    want = _mixture_values(np.random.default_rng(17), count, tiny)
+    assert np.array_equal(got, want)
+
+
+def test_mixture_is_scaled_only_where_an_entry_is_small():
+    from divrel.divergences import _mixture
+
+    a, b = np.array([[0.2, 0.8, 0.0]]), np.array([0.0, 0.5, 0.5])
+    c, laws, m = _mixture((0.5, 0.5), (a, b))
+    assert c == 1.0 and laws[0] is a and laws[1] is b
+    assert np.array_equal(m, 0.5 * a + 0.5 * b)
+    # an atom that both laws leave empty, a mixture entry below 2^-448 and an
+    # empty stack take the per-atom scaling
+    for weights, laws in (((0.5, 0.5), (a, np.array([0.5, 0.5, 0.0]))),
+                          ((0.5, 0.5), (np.array([[1e-140, 1.0, 0.0]]), b)),
+                          (np.array([0.4, 0.6]), np.array([[1e-140, 1.0, 0.0], [0.0, 0.5, 0.5]])),
+                          ((0.5, 0.5), (np.empty((0, 3)), b))):
+        assert isinstance(_mixture(weights, laws)[0], np.ndarray)

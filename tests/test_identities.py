@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import divrel.identities
 from divrel import (
     align,
     check_chi2_half_identity,
@@ -20,7 +21,7 @@ from divrel import (
 )
 from divrel.divergences import generic_f_divergence
 from divrel.errors import DivrelError, DomainError
-from divrel.identities import IdentityReport, integrate
+from divrel.identities import IdentityReport, check_skew_s_integral, integrate
 
 from conftest import random_pair
 
@@ -38,6 +39,50 @@ FK2_R06_P = 0.0620068362148124858
 def test_integrate_simple():
     assert integrate(lambda s: s * s, 0.0, 1.0) == pytest.approx(1 / 3, rel=1e-12)
     assert integrate(lambda s: 1.0, 2.0, 2.0) == 0.0
+
+
+CHECKS = {
+    "kl_chi2": lambda p, q: check_kl_chi2_identity(p, q, 0.6),
+    "chi2_half": check_chi2_half_identity,
+    "gv": lambda p, q: check_gv_identity(p, q, 0.6),
+    "recursive_k0": lambda p, q: check_recursive_identity(0, p, q, 0.6),
+    "recursive_k2": lambda p, q: check_recursive_identity(2, p, q, 0.6),
+    "skew_s": lambda p, q: check_skew_s_integral(0.35, p, q),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHECKS))
+def test_each_check_makes_one_quadrature_call(monkeypatch, name):
+    calls = []
+
+    def counting(f, *edges):
+        calls.append(edges)
+        return integrate(f, *edges)
+
+    monkeypatch.setattr(divrel.identities, "integrate", counting)
+    assert CHECKS[name](P, Q).passed
+    assert len(calls) == 1
+
+
+def test_skew_s_first_round_has_panels_on_both_sides_of_alpha(monkeypatch):
+    rounds = []
+
+    def recording(f, *edges):
+        def g(s):
+            rounds.append(s.copy())
+            return f(s)
+
+        return integrate(g, *edges)
+
+    monkeypatch.setattr(divrel.identities, "integrate", recording)
+    alpha = 0.35
+    assert check_skew_s_integral(alpha, P, Q).passed
+    # node-major: column j holds the 15 nodes of panel j
+    panels = rounds[0].reshape(15, -1).T
+    below = (panels < alpha).all(axis=1)
+    above = (panels > alpha).all(axis=1)
+    assert (below | above).all()
+    assert below.sum() == above.sum() == 4
 
 
 def test_report_comparison_tolerances():

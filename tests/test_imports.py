@@ -212,6 +212,13 @@ def test_only_subcommands_that_read_a_file_load_orjson(tmp_path):
     assert "orjson" in steps[-1]
 
 
+def test_no_subcommand_loads_numpy_ma(tmp_path):
+    # numpy.ma costs a fresh call about 10 ms; np.unique's masked-array check loads it
+    calls = [argv for argv, _ in SUBCOMMAND_MODULES.values()]
+    steps = loaded_after(tmp_path, calls, package="numpy")
+    assert all("numpy.ma" not in step for step in steps)
+
+
 def test_no_module_of_divrel_names_scipy():
     for path in (SRC / "divrel").glob("*.py"):
         assert "scipy" not in path.read_text(), path.name

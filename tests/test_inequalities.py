@@ -144,7 +144,7 @@ def test_derivative_checks_match_the_curve_scored_point_by_point(seed):
     for row in out["grid"]:
         lam = row["lam"]
         assert row["fprime"] == slope(lam)
-        assert row["lower"] == (math.exp(skew_k(lam, p, q)) - 1.0) / lam
+        assert row["lower"] == math.expm1(skew_k(lam, p, q)) / lam
     assert out["small_lam_ratio"] == slope(1e-3) / 1e-3
 
 
@@ -367,8 +367,19 @@ def test_conditioned_measure_closed_form_every_tag(tag, param, f, to_divergence,
         assert closed == pytest.approx(want, rel=1e-12, abs=1e-15)
         assert direct == pytest.approx(want, rel=1e-10, abs=1e-14)
 
+def test_conditioned_measure_takes_indices_in_any_order_and_repeated():
+    mu = make_distribution([0, 1, 2, 3], [0.1, 0.2, 0.3, 0.4])
+    for tag in ("KL", "CHI2", "TV"):
+        spec = DivergenceSpec(tag)
+        want = conditioned_measure_divergence(spec, mu, [1, 3])
+        for c in ([3, 1], [3, 1, 3, 1], (1, 1, 3), np.array([3, 1])):
+            assert conditioned_measure_divergence(spec, mu, c) == want
+
+
 def test_conditioned_measure_errors():
     mu = make_distribution([0, 1, 2], [0.5, 0.5, 0.0])
+    with pytest.raises(DomainError):
+        conditioned_measure_divergence(DivergenceSpec("KL"), mu, [1, -1])
     with pytest.raises(EmptySet):
         conditioned_measure_divergence(DivergenceSpec("KL"), mu, [])
     with pytest.raises(ZeroProbabilitySet):
@@ -446,6 +457,18 @@ def test_stacked_suite_on_padded_stacks_equals_per_pair_calls(t):
 def test_stacked_suite_rejects_parameter_outside_unit_interval(t):
     with pytest.raises(DomainError):
         pair_slacks(P.mass[None, :], Q.mass[None, :], t)
+
+
+@pytest.mark.parametrize("lam, d", [(0.5, 1e-12), (0.3, 1e-15), (0.9, 1e-8), (0.1, 1e-300),
+                                    (1.0, 1e-10), (0.25, 1e-5), (0.7, 3.0), (0.5, 50.0),
+                                    (0.999, 800.0)])
+def test_skew_kl_bound_against_mpmath(lam, d):
+    # -ln(1 - lam + lam e^-d) taken directly loses every digit as d -> 0
+    import mpmath
+
+    with mpmath.workdps(50):
+        want = -mpmath.log1p(mpmath.mpf(lam) * mpmath.expm1(-mpmath.mpf(d)))
+    assert float(_skew_kl_bound(lam, d)) == pytest.approx(float(want), rel=2e-15, abs=0)
 
 
 def test_skew_kl_bound_over_arrays():

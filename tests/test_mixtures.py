@@ -187,9 +187,12 @@ def test_skew_curve_derivatives_with_a_subnormal_mass(seed, n, atom, odd, q_empt
     out = derivative_checks(p, q)
     for row in out["grid"]:
         _close(row["fprime"], _mp_slope(row["lam"], p.mass, q.mass), rel=1e-9, abs_=1e-10)
-        # exp(F) - 1, which loses digits as F -> 0
-        want = math.expm1(skew_k_mpmath(row["lam"], p.mass, q.mass)) / row["lam"]
-        _close(row["lower"], want, abs_=1e-14)
+        # expm1(F)/lam errs relatively as F does, times F e^F/(e^F - 1) <= 3 for
+        # F <= ln(1/(1 - lam)), plus rounding; (e^F - 1)/lam would lose up to 1e-9
+        lam = row["lam"]
+        f, f_mp = skew_k(lam, p, q), skew_k_mpmath(lam, p.mass, q.mass)
+        _close(row["lower"], math.expm1(f_mp) / lam, rel=3 * abs(f - f_mp) / f_mp + 1e-15,
+               abs_=0.0)
         assert row["holds"]
     assert math.isfinite(out["small_lam_ratio"])
 

@@ -359,3 +359,68 @@ def test_bound_finite_at_tiny_var_p():
     tiny = bound(0.0, 1e-15, 4.0, 1.0)
     assert math.isfinite(tiny)
     assert tiny == pytest.approx(bound(0.0, 0.0, 4.0, 1.0), rel=1e-12)
+
+
+def _moment_tuples(rng, count):
+    """count random (m_p, var_p, m_q, var_q) columns over wide scales, with
+    var_p = 0, var_q = 0, equal means, means a few ulps apart and gaps whose
+    square underflows in turn."""
+    m_p = rng.normal(0.0, 10.0 ** rng.uniform(-3, 3, count))
+    m_q = rng.normal(0.0, 10.0 ** rng.uniform(-3, 3, count))
+    var_p, var_q = 10.0 ** rng.uniform(-8, 8, (2, count))
+    kind = np.arange(count) % 8
+    var_p[kind == 1] = 0.0
+    var_q[kind == 2] = 0.0
+    var_p[kind == 6] = var_q[kind == 6] = 0.0
+    m_q[kind == 3] = m_p[kind == 3]
+    near = kind == 4
+    m_q[near] = m_p[near] + rng.integers(-8, 9, near.sum()) * np.spacing(m_p[near])
+    tiny = kind == 5
+    m_p[tiny] = 0.0
+    m_q[tiny] = rng.choice([-1.0, 1.0], tiny.sum()) * 10.0 ** rng.uniform(-170, -150, tiny.sum())
+    return m_p, var_p, m_q, var_q
+
+
+def test_float_bound_is_the_array_form_bit_for_bit():
+    # the float closed form against the grid form on 24,000 tuples
+    columns = _moment_tuples(np.random.default_rng(23), 24_000)
+    fields = moment_bound_arrays(*columns)
+    gap = columns[0] - columns[2]
+    assert (gap == 0.0).sum() > 2000 and ((gap != 0.0) & (gap * gap == 0.0)).sum() > 1000
+    for i, args in enumerate(zip(*(c.tolist() for c in columns))):
+        cert = kl_moment_lower_bound(MomentTuple(*args))
+        got = (cert.r, cert.s, cert.a, cert.b, cert.v, cert.bound_nats)
+        assert all(g == f[i] for g, f in zip(got, fields)), args
+
+
+# attaining pairs as the array form of the bound gave them: (moments, support,
+# mass of P, mass of Q)
+ATTAINING_PAIRS = [
+    ((45, 20, 40, 20), [37.3765246170202, 47.6234753829798],
+     [0.25602498176286675, 0.7439750182371333], [0.7439750182371334, 0.2560249817628667]),
+    ((50, 10, 35, 20), [33.719116068350544, 50.61421726498279],
+     [0.036354755016514785, 0.9636452449834852], [0.9241860751976568, 0.07581392480234332]),
+    ((3, 2, 1, 5), [-1.0, 3.5], [0.1111111111111111, 0.8888888888888888],
+     [0.5555555555555556, 0.4444444444444444]),
+    ((-2, 0.5, 1, 3), [-2.1262751120218772, 1.9596084453552107],
+     [0.9690947844576024, 0.030905215542397592], [0.23485946965439872, 0.7651405303456014]),
+    ((1, 1e-6, 1.000000001, 2), [0.9999999999999994, 1999998835.5193546],
+     [1.0, 2.5000029137041604e-25], [1.0, 5.000005827408321e-19]),
+    ((2, 1, 0, 0), [0.0, 2.5], [0.2, 0.8], [1.0, 0.0]),
+    ((0, 4, 1e-7, 4), [-1.9999999511501876, 2.0000000488498135],
+     [0.5000000122124533, 0.4999999877875468], [0.49999998721245326, 0.5000000127875468]),
+]
+
+
+@pytest.mark.parametrize("moments_, support, mass_p, mass_q", ATTAINING_PAIRS)
+def test_attaining_pair_is_unchanged(moments_, support, mass_p, mass_q):
+    p, q = attaining_pair(MomentTuple(*moments_))
+    assert p.support.tolist() == q.support.tolist() == support
+    assert p.mass.tolist() == mass_p
+    assert q.mass.tolist() == mass_q
+
+
+def test_attaining_pair_rejects_a_gap_whose_square_underflows():
+    # the bound is 0 there, attained by no pair
+    with pytest.raises(PreconditionViolated):
+        attaining_pair(MomentTuple(1e-170, 1.0, 0.0, 2.0))

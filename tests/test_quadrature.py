@@ -41,6 +41,59 @@ def test_reversed_interval_changes_sign():
     assert integrate(np.exp, 1.0, 0.0) == pytest.approx(1.0 - math.e, rel=1e-14)
 
 
+def _first_round(*edges):
+    """The nodes of the first call of the integrand."""
+    calls = []
+
+    def f(s):
+        calls.append(s.copy())
+        return np.exp(s)
+
+    integrate(f, *edges)
+    return calls[0]
+
+
+def _gauss_kronrod_nodes(lo, hi):
+    half = 0.5 * (hi - lo)
+    return (divrel.identities._XK[:, None] * half + (lo + half)).ravel()
+
+
+@pytest.mark.parametrize("a, b", [(0.0, 1.0), (0.0, 0.7), (0.1, 0.9), (1.0, 0.0), (0.0, 1e-3)])
+def test_first_round_panels_are_those_of_linspace(a, b):
+    edges = np.linspace(a, b, 5)
+    assert np.array_equal(_first_round(a, b), _gauss_kronrod_nodes(edges[:-1], edges[1:]))
+
+
+def test_inner_edges_split_the_first_round():
+    # four panels between each two edges, each edge ending a panel
+    edges = (0.0, 0.3, 0.8, 1.0)
+    quarters = [np.linspace(lo, hi, 5) for lo, hi in zip(edges, edges[1:])]
+    lo = np.concatenate([q[:-1] for q in quarters])
+    hi = np.concatenate([q[1:] for q in quarters])
+    assert np.array_equal(_first_round(*edges), _gauss_kronrod_nodes(lo, hi))
+
+
+def test_a_jump_at_an_edge_takes_one_round():
+    rounds = []
+
+    def step(s):
+        rounds.append(len(s))
+        return np.where(s > 0.3, 1.0, 0.0)
+
+    assert integrate(step, 0.0, 0.3, 1.0) == pytest.approx(0.7, rel=1e-14)
+    assert rounds == [15 * 8]
+    # with no edge there, each round bisects the panel that holds the jump
+    rounds.clear()
+    assert integrate(step, 0.0, 1.0) == pytest.approx(0.7, rel=1e-10)
+    assert len(rounds) > 20
+
+
+def test_repeated_edges_bound_no_panel():
+    assert integrate(np.exp, 0.0, 0.0, 1.0) == integrate(np.exp, 0.0, 1.0, 1.0) \
+        == integrate(np.exp, 0.0, 1.0)
+    assert integrate(np.exp, 0.5, 0.5, 0.5) == 0.0
+
+
 def test_max_depth_exceeded_names_the_budget_spent(monkeypatch):
     monkeypatch.setattr(divrel.identities, "_MAX_PANELS", 4)
     with pytest.raises(MaxDepthExceeded) as info:
