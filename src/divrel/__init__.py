@@ -36,7 +36,8 @@ _API = {
     "errors": ("DivrelError",),
     "identities": (
         "IdentityReport", "check_chi2_half_identity", "check_gv_identity",
-        "check_kl_chi2_identity", "check_recursive_identity",
+        "check_kl_chi2_identity", "check_recursive_identity", "check_skew_s_integral",
+        "g_alpha",
     ),
     "inequalities": (
         "InequalityReport", "concavity_deficit_bounds", "conditioned_measure_divergence",

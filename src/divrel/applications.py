@@ -241,11 +241,17 @@ def d_star(tcp: TypeClassProblem) -> float:
     return kl_moment_lower_bound(mt).bound_nats
 
 
+# Halley steps that lambert_w_minus1 may take before it gives up
+_HALLEY_STEPS = 200
+
+
 def lambert_w_minus1(y: float) -> float:
     """Secondary real branch of the inverse of x e^x, on [-1/e, 0).
 
     Halley iteration from the asymptotic start ln(-y) - ln(-ln(-y));
-    the converged point satisfies |x e^x - y| < 1e-13 * |y|.
+    the converged point satisfies |x e^x - y| < 1e-13 * |y|. A point that
+    does not within _HALLEY_STEPS steps raises QuadratureFailure, naming
+    the residual it reached.
     """
     branch_point = -1.0 / math.e
     if not branch_point - 1e-15 <= y < 0.0:
@@ -255,7 +261,7 @@ def lambert_w_minus1(y: float) -> float:
     x = math.log(-y) - math.log(-math.log(-y))
     x = min(x, -1.0)
     target = 1e-13 * abs(y)
-    for _ in range(200):
+    for _ in range(_HALLEY_STEPS):
         ex = math.exp(x)
         f = x * ex - y
         if abs(f) < target:
@@ -267,9 +273,12 @@ def lambert_w_minus1(y: float) -> float:
         if abs(step) < 1e-17 * abs(x):
             # fixed point at roundoff level; re-check the contract below
             break
-    if abs(x * math.exp(x) - y) < target:
+    residual = abs(x * math.exp(x) - y)
+    if residual < target:
         return x
-    raise QuadratureFailure("Lambert W iteration did not converge")
+    raise QuadratureFailure(
+        f"Lambert W iteration did not converge (budget {_HALLEY_STEPS} Halley steps): "
+        f"|x e^x - y| = {residual:.3g} at x = {x!r}, target {target:.3g} (y = {y!r})")
 
 
 def _log_tail_bound(n: int, k: int, d: float) -> float:

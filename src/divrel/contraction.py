@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import (Channel, DiscreteDistribution, _check_count, _in_blocks,
-                            push_forward, validate_mass)
-from .divergences import DivergenceSpec, _gv, _mixture, f_divergence_rows, kl, skew_k, skew_s
+from .distributions import Channel, DiscreteDistribution, _check_count, _in_blocks, push_forward
+from .divergences import DivergenceSpec, _gv, _kl, _mixture, f_divergence_rows
 from .errors import (
     DimensionMismatch,
     DomainError,
@@ -24,6 +23,7 @@ from .errors import (
     NotReversible,
     PreconditionViolated,
 )
+from .identities import _mixtures
 # the S_alpha integral identity lives in identities; callers also reach it here
 from .identities import check_skew_s_integral, g_alpha  # noqa: F401
 from .inequalities import InequalityReport
@@ -167,7 +167,6 @@ def _sampled_sup(score_rows, n: int, n_samples: int, seed: int):
         raise DomainError(f"the search needs n_samples >= 1, got {n_samples}")
     rng = np.random.default_rng(seed)
     draws = rng.dirichlet(np.ones(n), size=n_samples)
-    validate_mass(draws)
     scores = score_rows(draws)
     i = int(np.argmax(scores))
     best = float(scores[i])
@@ -218,7 +217,7 @@ def brute_force_mu_f(
         d_in = f_divergence_rows(spec, px, qx)
         d_out = f_divergence_rows(spec, px @ w, qy)
         usable = (_RATIO_FLOOR < d_in) & (d_in < math.inf) & (d_out < math.inf)
-        with np.errstate(invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(usable, d_out / d_in, -math.inf)
 
     lower, refined = _sampled_sup(ratios, n, n_samples, seed)
@@ -228,7 +227,6 @@ def brute_force_mu_f(
     line = qx + (np.array([1e-1, 3e-2, 1e-2]) / scale)[:, None] * h
     line = line[np.all(line > 0, axis=1)]
     line /= line.sum(axis=1, keepdims=True)
-    validate_mass(line)
     candidates = np.append(ratios(line), [lower, refined])
     point = float(np.max(candidates, where=np.isfinite(candidates), initial=-math.inf))
     if point == -math.inf:  # e.g. SKEW_K at alpha = 0, which vanishes identically
@@ -259,14 +257,14 @@ def _pair_sups(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     the sup is the curve's limit at an end of (0, 1).
     """
     def slope(a, b, scaled, t):
-        u = d / _mixture((t, 1.0 - t), scaled, c)[2]
+        u = d / (t * scaled[0] + (1.0 - t) * scaled[1])
         return np.einsum("ij,ij,ij->i", u, u, b * (1.0 - t) ** 2 - a * (t * t))
 
     # an output that neither row reaches adds nothing to the curve or its
     # slope; a 1 in both rows there keeps that and keeps m > 0
     both = (a == 0.0) & (b == 0.0)
     a, b = np.where(both, 1.0, a), np.where(both, 1.0, b)
-    c, scaled, _ = _mixture((0.5, 0.5), (a, b))
+    _, scaled, _ = _mixture((0.5, 0.5), (a, b))
     # scaled a - b, whose sign the swap below leaves out of the square
     d = scaled[0] - scaled[1]
     flip = (slope(a, b, scaled, 0.5) > 0.0)[:, None]
@@ -394,28 +392,27 @@ def markov_mixing_report(
     n-step law to the stationary law, together with the envelope
     factor * mu^n * (initial divergence), where mu is the chi^2
     contraction of the stationary pair and the factors are the skew
-    family multipliers at Q_min. n_max must be an integer >= 0.
+    family multipliers at Q_min. n_max must be an integer >= 0. p0 is
+    step 0, one mass per state, scored with the other steps.
     """
     _check_count("n_max", n_max, 0)
     q = stationary_distribution(w)
     _check_reversible(w, q)
-    sc = SourceChannelPair(q, w)
-    mu = chi2_contraction(sc)
+    mu = chi2_contraction(SourceChannelPair(q, w))
     q_min = float(np.min(q.mass))
     fk = skew_k_factor(alpha, q_min)
     fs = skew_s_factor(alpha, q_min)
-    p0a = DiscreteDistribution(q.support, p0.mass)
-    k0 = skew_k(alpha, p0a, q)
-    s0 = skew_s(alpha, p0a, q)
-    steps = np.empty((n_max, len(q)))
-    pn = p0a.mass
-    for step in steps:
+    if len(p0) != len(q):
+        raise DimensionMismatch(f"initial law has {len(p0)} atoms, the kernel {len(q)} states")
+    steps = np.empty((n_max + 1, len(q)))
+    steps[0] = pn = p0.mass
+    for step in steps[1:]:
         pn = pn @ w.matrix
         step[:] = pn / pn.sum()
-    k = f_divergence_rows(DivergenceSpec("SKEW_K", alpha), steps, q.mass)
-    s = f_divergence_rows(DivergenceSpec("SKEW_S", alpha), steps, q.mass)
+    k0, *k = f_divergence_rows(DivergenceSpec("SKEW_K", alpha), steps, q.mass).tolist()
+    s0, *s = f_divergence_rows(DivergenceSpec("SKEW_S", alpha), steps, q.mass).tolist()
     rows = [
-        {"n": n, "k_alpha": float(kn), "s_alpha": float(sn),
+        {"n": n, "k_alpha": kn, "s_alpha": sn,
          "k_envelope": fk * mu**n * k0, "s_envelope": fs * mu**n * s0}
         for n, kn, sn in zip(range(1, n_max + 1), k, s)
     ]
@@ -450,17 +447,17 @@ def max_correlation_path_bound(
         raise PreconditionViolated("needs P != Q on a shared support")
     if np.any(p_x.mass <= 0) or np.any(q_x.mass <= 0):
         raise PreconditionViolated("both input laws must be strictly positive")
-    p_y, q_y = push_forward(p_x, w), push_forward(q_x, w)
-    ratios = []
-    for a, b, ay, by in ((p_x, q_x, p_y, q_y), (q_x, p_x, q_y, p_y)):
-        din = kl(a, b)
-        dout = kl(ay, by)
-        # output divergences below 1e-13 are rounding noise (e.g. a
-        # channel with identical rows maps everything to the same law)
-        ratios.append(math.sqrt(dout / din) if din > 0 and dout > 1e-13 else 0.0)
-    rhs_bound = max(ratios)
-    s = np.linspace(0.0, 1.0, n_grid)[:, None]
-    mixes = (1.0 - s) * p_x.mass + s * q_x.mass
+    if len(p_x) != w.n_inputs:
+        raise DimensionMismatch(f"input support size {len(p_x)} != channel rows {w.n_inputs}")
+    # D(P||Q) and D(Q||P) as rows (P, Q) against (Q, P), at the input and output
+    x = np.stack((p_x.mass, q_x.mass))
+    y = np.stack((p_x.mass @ w.matrix, q_x.mass @ w.matrix))
+    din, dout = _kl(x, x[::-1]), _kl(y, y[::-1])
+    # output divergences below 1e-13 are rounding noise (e.g. a
+    # channel with identical rows maps everything to the same law)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rhs_bound = float(np.where((din > 0) & (dout > 1e-13), np.sqrt(dout / din), 0.0).max())
+    mixes = _mixtures(np.linspace(0.0, 1.0, n_grid), *x)
     if np.any(mixes @ w.matrix <= 0):
         raise PreconditionViolated("output law must be strictly positive")
     sup_rho = float(np.sqrt(_chi2_contraction_rows(mixes, w.matrix)).max(initial=0.0))

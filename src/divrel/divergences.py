@@ -67,11 +67,10 @@ class DivergenceSpec:
 
 # -- kernels: a and b broadcast to (m, n), one value per row ----------------
 
-def _mixture(weights, laws, c=None):
+def _mixture(weights, laws):
     """(c, laws / c, mixture / c). laws is a pair (a, b) that broadcasts,
     mixed as weights[0] a + weights[1] b (a weight may be a column, one per
-    row), or a (k, n) stack, mixed by a matmul with the k weights. A given c
-    says that the laws are scaled by it already.
+    row), or a (k, n) stack, mixed by a matmul with the k weights.
 
     Where an entry of the unscaled mixture is below 2^-448, or it has none,
     c is the power of two at or below the largest mass of each atom, at
@@ -88,16 +87,21 @@ def _mixture(weights, laws, c=None):
     def mix(x):
         return weights[0] * x[0] + weights[1] * x[1] if pair else weights @ x
 
-    if c is None:
-        m = mix(laws)
-        if m.size and m.min() >= 2.0 ** -448:
-            return 1.0, laws, m
-        # the largest mass with its mantissa bits cleared
-        c = np.maximum(*laws) if pair else laws.max(axis=0)
-        np.bitwise_and(c.view(np.int64), 0x7FF0000000000000, out=c.view(np.int64))
-        np.maximum(c, 2.0 ** -1022, out=c)
-        laws = (laws[0] / c, laws[1] / c) if pair else laws / c
+    m = mix(laws)
+    if m.size and m.min() >= 2.0 ** -448:
+        return 1.0, laws, m
+    # the largest mass with its mantissa bits cleared
+    c = np.maximum(*laws) if pair else laws.max(axis=0)
+    np.bitwise_and(c.view(np.int64), 0x7FF0000000000000, out=c.view(np.int64))
+    np.maximum(c, 2.0 ** -1022, out=c)
+    laws = (laws[0] / c, laws[1] / c) if pair else laws / c
     return c, laws, mix(laws)
+
+
+def _rows(picked, *arrays):
+    """The rows that the mask picked selects from the arrays, broadcast
+    together first."""
+    return [x[picked] for x in np.broadcast_arrays(*arrays)]
 
 
 def _kl(a, b, _=None, c=1.0):
@@ -105,12 +109,25 @@ def _kl(a, b, _=None, c=1.0):
     identical to sum a ln(a/b) for probability vectors but stable when the
     rows are extremely close (the linear parts cancel per term instead of
     across the whole sum). A term with a > 0 = b is +inf. An array c scales
-    each term back where a and b are scaled per atom (``_mixture``)."""
-    with np.errstate(divide="ignore", invalid="ignore"):
+    each term back where a and b are scaled per atom (``_mixture``).
+
+    a / b overflows where b is subnormal (0.1 / 5e-324): on a row that came
+    out +inf, such a term takes ln a - ln b instead, so that only a > 0 = b
+    leaves it infinite."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         terms = np.where(a > 0, a * np.log(a / b) - a + b, b)
     if isinstance(c, np.ndarray):
         terms *= c
-    return np.maximum(terms.sum(axis=-1), 0.0)
+    out = np.maximum(terms.sum(axis=-1), 0.0)
+    over = out == INF
+    if over.any():
+        a, b, c = _rows(over, a, b, c)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            ratio = a / b
+            log_ratio = np.where(np.isinf(ratio) & (b > 0), np.log(a) - np.log(b), np.log(ratio))
+            terms = np.where(a > 0, a * log_ratio - a + b, b) * c
+        out[over] = np.maximum(terms.sum(axis=-1), 0.0)
+    return out
 
 
 def _chi2(a, b, _=None, c=1.0):
@@ -131,7 +148,12 @@ def _renyi(a, b, alpha):
     """Renyi divergence. Away from the orders 0, 1 and inf it is taken as
     log1p(sum p expm1((alpha-1) ln(p/q)) - P(q = 0)) / (alpha - 1), which
     keeps full relative precision near alpha = 1, where
-    log(sum p^alpha q^(1-alpha)) / (alpha - 1) cancels."""
+    log(sum p^alpha q^(1-alpha)) / (alpha - 1) cancels.
+
+    Above order 1 the sum, or p/q itself at a subnormal q, may overflow: a
+    row that came out +inf with q > 0 wherever p > 0 is taken in logs, as
+    logsumexp(alpha ln p + (1-alpha) ln q) / (alpha - 1), and at order inf
+    as the largest ln p - ln q."""
     if alpha == 1.0:
         return _kl(a, b)
     pos = a > 0
@@ -141,18 +163,32 @@ def _renyi(a, b, alpha):
             return -np.log(np.where(pos, b, 0.0).sum(axis=-1))
         ratio = a / b
         if math.isinf(alpha):
-            return np.log(np.where(pos, ratio, 0.0).max(axis=-1))
-        z_minus_1 = (
-            np.where(pos & ~off, a * np.expm1((alpha - 1.0) * np.log(ratio)), 0.0)
-            .sum(axis=-1)
-            - np.where(off, a, 0.0).sum(axis=-1)
-        )
-        out = np.log1p(z_minus_1) / (alpha - 1.0)
-    # rows with no atom in common have sum p^alpha q^(1-alpha) = 0 exactly,
-    # however the rounded P(q = 0) falls short of 1
-    out[(z_minus_1 <= -1.0) | ~(pos & ~off).any(axis=-1)] = INF
+            out = np.log(np.where(pos, ratio, 0.0).max(axis=-1))
+        else:
+            z_minus_1 = (
+                np.where(pos & ~off, a * np.expm1((alpha - 1.0) * np.log(ratio)), 0.0)
+                .sum(axis=-1)
+                - np.where(off, a, 0.0).sum(axis=-1)
+            )
+            out = np.log1p(z_minus_1) / (alpha - 1.0)
+            # rows with no atom in common have sum p^alpha q^(1-alpha) = 0
+            # exactly, however the rounded P(q = 0) falls short of 1
+            out[(z_minus_1 <= -1.0) | ~(pos & ~off).any(axis=-1)] = INF
     if alpha > 1.0:
-        out[off.any(axis=-1)] = INF
+        off = off.any(axis=-1)
+        over = (out == INF) & ~off
+        if over.any():
+            a, b = _rows(over, a, b)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                log_a, log_b = np.log(a), np.log(b)
+                if math.isinf(alpha):
+                    out[over] = np.where(a > 0, log_a - log_b, -INF).max(axis=-1)
+                else:
+                    x = np.where(a > 0, alpha * log_a + (1.0 - alpha) * log_b, -INF)
+                    top = x.max(axis=-1)
+                    total = top + np.log(np.exp(x - top[:, None]).sum(axis=-1))
+                    out[over] = total / (alpha - 1.0)
+        out[off] = INF
     return out
 
 
@@ -162,7 +198,8 @@ def _gv(a, b, s):
     s = 0 gives chi^2(b||a) and s = 1 gives chi^2(a||b)."""
     c, (a, b), m = _mixture((1.0 - s, s), (a, b))
     d = a - b
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # d * d / m overflows to +inf where m is subnormal, as in _chi2
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         terms = np.where(m > 0, d * d / m, np.where(d != 0, INF, 0.0))
     if isinstance(c, np.ndarray):
         terms *= c
@@ -549,8 +586,12 @@ def binary_kl(r, s):
     return out if out.ndim else float(out)
 
 
+def _entropy(m: np.ndarray) -> float:
+    """-sum m ln m over the positive entries of the 1-d array m."""
+    m = m[m > 0]
+    return float(-np.sum(m * np.log(m)))
+
+
 def entropy(p: DiscreteDistribution) -> float:
     """Shannon entropy in nats, 0 log 0 = 0."""
-    m = p.mass
-    pos = m > 0
-    return float(-np.sum(m[pos] * np.log(m[pos])))
+    return _entropy(p.mass)

@@ -22,7 +22,7 @@ from divrel import (
     sanov_bound,
 )
 from divrel import applications, distributions
-from divrel.errors import DomainError, NonFinite, PreconditionViolated
+from divrel.errors import DomainError, NonFinite, PreconditionViolated, QuadratureFailure
 from divrel.moment_bounds import MomentTuple, moment_bound_arrays
 
 from oracles import mixture_kl_mpmath, poisson_entropy_direct, poisson_entropy_mpmath
@@ -393,6 +393,34 @@ def test_type_class_problem_validation():
         TypeClassProblem(40, 20, (43, 47), (18, 22), 1, 1e-10)
     with pytest.raises(DomainError):
         TypeClassProblem(40, 20, (43, 47), (18, 22), 2, 1.5)
+
+
+@pytest.mark.parametrize("var_q, var_box", [(-1.0, (18, 22)), (20, (-1.0, 22))])
+def test_type_class_problem_rejects_negative_variances(var_q, var_box):
+    with pytest.raises(DomainError, match="non-negative"):
+        TypeClassProblem(40, var_q, (43, 47), var_box, 2, 1e-10)
+
+
+def test_lambert_w_names_the_budget_it_ran_out_of(monkeypatch):
+    monkeypatch.setattr(applications, "_HALLEY_STEPS", 0)
+    with pytest.raises(QuadratureFailure,
+                       match=r"budget 0 Halley steps\): \|x e\^x - y\| = 0\.0591 .* target 2e-14"):
+        lambert_w_minus1(-0.2)
+
+
+@pytest.mark.parametrize("shift", [1, -1])
+def test_n_star_corrects_a_closed_form_one_step_off(monkeypatch, shift):
+    # W moved by d/(k-1) moves the closed-form n by one the other way (to 137
+    # or 139); the a-posteriori steps bring it back to the threshold
+    d, k = d_star(TCP), TCP.alphabet_size
+    exact = applications.lambert_w_minus1
+    monkeypatch.setattr(applications, "lambert_w_minus1",
+                        lambda y: exact(y) + shift * d / (k - 1))
+    assert n_star(TCP, d) == 138
+
+
+def test_sanov_bound_takes_d_star_when_no_floor_is_given():
+    assert sanov_bound(TCP, 100) == sanov_bound(TCP, 100, d_star(TCP))
 
 
 def test_lambert_branch_point_and_exact_preimages():

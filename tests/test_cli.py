@@ -405,6 +405,7 @@ SAMPLE_SIZE = ["sample-size", "--mq", "40", "--varq", "20", "--mean-box", "43", 
 @pytest.mark.parametrize("flag, values", [
     ("--mq", ["nan"]), ("--varq", ["inf"]), ("--mean-box", ["43", "inf"]),
     ("--var-box", ["18", "inf"]), ("--var-box", ["nan", "22"]), ("--alphabet", ["1"]),
+    ("--varq", ["-1"]), ("--var-box", ["-1", "22"]),
 ])
 def test_sample_size_bad_inputs_exit_1(capsys, flag, values):
     # the alphabet must be an integer >= 2; the parser itself refuses --alphabet 2.5
@@ -414,6 +415,17 @@ def test_sample_size_bad_inputs_exit_1(capsys, flag, values):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert "invalid input" in err and "divergence floor" not in err
+
+
+def test_sample_size_lambert_failure_exits_2(capsys, monkeypatch):
+    import divrel.applications
+
+    monkeypatch.setattr(divrel.applications, "_HALLEY_STEPS", 0)
+    code = main(list(SAMPLE_SIZE))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("numerical failure:") and "budget 0 Halley steps" in err
+    assert "Traceback" not in err
 
 
 def test_sample_size_point_mass_reference(capsys):

@@ -397,6 +397,29 @@ def test_path_bound_random_instances():
         assert rep.holds, rep
 
 
+def test_source_channel_pair_rejects_an_unreachable_output():
+    with pytest.raises(PreconditionViolated, match="output law"):
+        SourceChannelPair(UNIFORM2, make_channel([[0.5, 0.5, 0.0], [0.2, 0.8, 0.0]]))
+
+
+def test_sandwich_rejects_an_unknown_family():
+    with pytest.raises(DomainError, match="'K' or 'S'"):
+        skew_contraction_sandwich(0.5, "X", SourceChannelPair(UNIFORM2, bsc(0.1)))
+
+
+@pytest.mark.parametrize("masses", [[1.0, 0.0], [0.0, 1.0]])
+def test_path_bound_rejects_a_law_with_a_zero_mass(masses):
+    with pytest.raises(PreconditionViolated, match="strictly positive"):
+        max_correlation_path_bound(make_distribution([0, 1], masses), UNIFORM2, bsc(0.1))
+
+
+def test_path_bound_rejects_laws_of_another_size_than_the_channel_inputs():
+    p = make_distribution([0, 1, 2], [0.2, 0.3, 0.5])
+    q = make_distribution([0, 1, 2], [0.5, 0.3, 0.2])
+    with pytest.raises(DimensionMismatch, match="channel rows"):
+        max_correlation_path_bound(p, q, bsc(0.1))
+
+
 def test_path_bound_preconditions():
     p = make_distribution([0, 1], [0.3, 0.7])
     with pytest.raises(PreconditionViolated):

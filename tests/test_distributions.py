@@ -136,6 +136,12 @@ def test_channel_validation():
         make_channel([[1.2, -0.2], [0.5, 0.5]])
 
 
+@pytest.mark.parametrize("rows", [[0.5, 0.5], [[[1.0]]], np.empty((0, 2))])
+def test_channel_must_be_a_non_empty_matrix(rows):
+    with pytest.raises(DimensionMismatch, match="2-d"):
+        make_channel(rows)
+
+
 def test_channel_json_round_trip():
     w = make_channel([[0.9, 0.1], [0.2, 0.8]])
     assert Channel.from_json(w.to_json()) == w

@@ -190,6 +190,10 @@ def test_spec_parse():
             DivergenceSpec.parse(text)
 
 
+def test_spec_rejects_an_unknown_tag():
+    with pytest.raises(DomainError, match="unknown divergence tag 'FOO'"):
+        DivergenceSpec("FOO")
+
 
 def test_spec_domains_come_from_the_registry():
     # every parametric tag takes its endpoints, as its function does
@@ -289,6 +293,70 @@ def test_renyi_near_order_one_mpmath(alpha, q):
                         for x, y in zip(P.mass, q.mass) if y > 0)
         want = float(mpmath.log(z) / (a - 1))
     assert renyi(alpha, P, q) == pytest.approx(want, rel=1e-12)
+
+
+def _renyi_mpmath(alpha, a, b, dps=40):
+    """D_alpha(a||b) at dps digits for alpha > 1 (alpha = 1: KL), with every
+    float mass taken exactly; b > 0 wherever a > 0."""
+    with mpmath.workdps(dps):
+        pairs = [(mpmath.mpf(float(x)), mpmath.mpf(float(y))) for x, y in zip(a, b) if x > 0]
+        if alpha == 1.0:
+            return float(mpmath.fsum(x * mpmath.log(x / y) for x, y in pairs))
+        if math.isinf(alpha):
+            return float(max(mpmath.log(x / y) for x, y in pairs))
+        alpha = mpmath.mpf(alpha)
+        z = mpmath.fsum(x ** alpha * y ** (1 - alpha) for x, y in pairs)
+        return float(mpmath.log(z) / (alpha - 1))
+
+
+# the mass of P_SUB at atom 0 is subnormal, so p/q overflows there in kl and
+# renyi of (Q_SUB, P_SUB); 40-digit values of that pair
+P_SUB = make_distribution([0, 1], [5e-324, 1.0])
+Q_SUB = make_distribution([0, 1], [0.1, 0.9])
+AT_SUBNORMAL = {1.0: 74.11892421874668, 2.0: 739.8349017353932, math.inf: 742.1374868283872}
+
+
+@pytest.mark.parametrize("alpha", sorted(AT_SUBNORMAL))
+def test_kl_and_renyi_at_a_subnormal_denominator_pinned(alpha):
+    want = AT_SUBNORMAL[alpha]
+    assert _renyi_mpmath(alpha, Q_SUB.mass, P_SUB.mass) == pytest.approx(want, rel=1e-15)
+    assert renyi(alpha, Q_SUB, P_SUB) == pytest.approx(want, rel=1e-15)
+    if alpha == 1.0:
+        assert kl(Q_SUB, P_SUB) == pytest.approx(want, rel=1e-15)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.integers(2, 8), st.integers(0, 7),
+       st.sampled_from([5e-324, 1e-320, 2.0 ** -1060, 1e-310]),
+       st.sampled_from([1.0, 1.5, 2.0, 7.0, math.inf]))
+def test_kl_and_renyi_at_a_subnormal_denominator_mpmath(seed, n, atom, tiny, alpha):
+    # q holds a subnormal mass where p holds a normal one
+    rng = np.random.default_rng(seed)
+    p, q = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n))
+    atom %= n
+    q[(atom + 1) % n] += q[atom] - tiny
+    q[atom] = tiny
+    p, q = make_distribution(np.arange(n), p), make_distribution(np.arange(n), q)
+    got = renyi(alpha, p, q)
+    assert math.isfinite(got)
+    assert got == pytest.approx(_renyi_mpmath(alpha, p.mass, q.mass), rel=1e-13)
+
+
+def test_renyi_of_a_large_order_whose_sum_overflows_mpmath():
+    p, q = make_distribution([0, 1], [0.5, 0.5]), make_distribution([0, 1], [1e-3, 1 - 1e-3])
+    assert renyi(500.0, p, q) == pytest.approx(_renyi_mpmath(500.0, p.mass, q.mass), rel=1e-14)
+
+
+def test_rows_that_stay_finite_are_scored_as_alone():
+    # one row overflows at q's subnormal atom, the other does not
+    q = np.array([5e-324, 1.0])
+    stack = np.array([[0.1, 0.9], [0.0, 1.0], [5e-324, 1.0]])
+    for spec in (DivergenceSpec("KL"), DivergenceSpec("RENYI", 2.0),
+                 DivergenceSpec("RENYI", math.inf)):
+        rows = f_divergence_rows(spec, stack, q)
+        assert np.isfinite(rows).all()
+        for row, value in zip(stack, rows):
+            assert f_divergence_rows(spec, row[None, :], q)[0] == value
 
 
 # -- f_divergence_rows against independent per-row formulas ----------------
@@ -454,20 +522,19 @@ def test_zeta_matches_mpmath_at_every_argument_of_the_polylog_tables():
             assert abs(_zeta(s) / want - 1) <= 1e-15, s
 
 
-def _scaled_always(mixture):
+def _scaled_always(weights, laws):
     """divergences._mixture with the per-atom scaling on every input: the
     laws are divided by c, the power of two at or below each atom's largest
-    mass (at least 2^-1022), before they are mixed."""
-    def scaled(weights, laws, c=None):
-        if c is None:
-            pair = isinstance(laws, tuple)
-            c = np.maximum(*laws) if pair else laws.max(axis=0)
-            np.bitwise_and(c.view(np.int64), 0x7FF0000000000000, out=c.view(np.int64))
-            np.maximum(c, 2.0 ** -1022, out=c)
-            laws = (laws[0] / c, laws[1] / c) if pair else laws / c
-        return mixture(weights, laws, c)
-
-    return scaled
+    mass (at least 2^-1022), before they are mixed as _mixture mixes them."""
+    pair = isinstance(laws, tuple)
+    c = np.maximum(*laws) if pair else laws.max(axis=0)
+    np.bitwise_and(c.view(np.int64), 0x7FF0000000000000, out=c.view(np.int64))
+    np.maximum(c, 2.0 ** -1022, out=c)
+    if pair:
+        laws = (laws[0] / c, laws[1] / c)
+        return c, laws, weights[0] * laws[0] + weights[1] * laws[1]
+    laws = laws / c
+    return c, laws, weights @ laws
 
 
 def _mixture_values(rng, count, tiny):
@@ -505,7 +572,7 @@ def test_unscaled_mixtures_give_the_scaled_values_bit_for_bit(monkeypatch, count
     import divrel.divergences as dv
 
     got = _mixture_values(np.random.default_rng(17), count, tiny)
-    monkeypatch.setattr(dv, "_mixture", _scaled_always(dv._mixture))
+    monkeypatch.setattr(dv, "_mixture", _scaled_always)
     want = _mixture_values(np.random.default_rng(17), count, tiny)
     assert np.array_equal(got, want)
 

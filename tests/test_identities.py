@@ -109,6 +109,12 @@ def test_chi2_half_identity_infinite_sides():
     assert (r.abs_err, r.rel_err, r.passed) == (0.0, 0.0, True)
 
 
+@pytest.mark.parametrize("lam", [-0.1, 1.1])
+def test_recursive_identity_needs_a_weight_in_the_unit_interval(lam):
+    with pytest.raises(DomainError, match="mixture weight"):
+        check_recursive_identity(1, P, Q, lam)
+
+
 @pytest.mark.parametrize("check", [
     check_kl_chi2_identity, check_gv_identity,
     lambda p, q, lam: check_recursive_identity(0, p, q, lam),

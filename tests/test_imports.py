@@ -124,6 +124,17 @@ for module, names in divrel._API.items():
 """)
 
 
+def test_every_identity_check_and_g_alpha_resolve_on_the_package():
+    run_fresh("-c", """
+import divrel
+import divrel.identities as ids
+names = [n for n in vars(ids) if n.startswith("check_")] + ["g_alpha"]
+assert len(names) == 6, names
+assert all(getattr(divrel, n) is getattr(ids, n) for n in names), names
+assert {"check_skew_s_integral", "g_alpha"} <= set(divrel.__all__)
+""")
+
+
 def test_dir_lists_the_api_and_loads_nothing():
     run_fresh("-c", """
 import sys

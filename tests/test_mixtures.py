@@ -33,7 +33,8 @@ from divrel import (
 from divrel.errors import PreconditionViolated
 from divrel.identities import check_skew_s_integral
 
-from oracles import gv_mpmath, mixture_kl_mpmath, skew_k_mpmath, skew_s_mpmath
+from oracles import (gv_mpmath, mixture_kl_bound_scalar, mixture_kl_mpmath, skew_k_mpmath,
+                     skew_s_mpmath)
 from test_distributions import ODD_MASSES
 
 # the pair of the defect: P holds 5e-324 where Q holds nothing
@@ -87,6 +88,18 @@ def test_mixture_bounds_hold_on_the_pair():
     assert out["deficit_kl_form"] == pytest.approx(PINNED["js"], rel=1e-14)
     assert out["deficit_entropy_form"] == pytest.approx(PINNED["js"], rel=1e-13)
     assert out["deficit"] <= out["pairwise_upper"] <= out["classic_upper"]
+
+
+def test_pairwise_bound_reads_a_finite_kl_at_a_subnormal_mass():
+    # Q / P overflows at P's subnormal atom, where D(Q||P) is finite (0.08);
+    # an infinite table entry would leave the bound at -ln w_Q = ln 2
+    p = make_distribution([0, 1, 2], [5e-324, 0.5, 0.5 - 5e-324])
+    q = make_distribution([0, 1, 2], [1e-15, 0.3, 0.7 - 1e-15])
+    d_qp = skew_k_mpmath(1.0, q.mass, p.mass)
+    want, _ = mixture_kl_bound_scalar(1, [0.5, 0.5], [d_qp, 0.0])
+    rep = mixture_kl_upper(1, [p, q], [0.5, 0.5])
+    assert rep.rhs == pytest.approx(want, rel=1e-12) and rep.rhs < 0.1
+    assert rep.holds
 
 
 def _odd_pair(seed, n, atom, odd, q_empty):

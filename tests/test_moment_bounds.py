@@ -133,6 +133,13 @@ def test_hcr_degenerate_variance():
         hcr_lower_bound(p, p, 0.5)
 
 
+@pytest.mark.parametrize("lam", [-0.1, 1.5])
+def test_hcr_needs_a_weight_in_the_unit_interval(lam):
+    p = make_distribution([0, 1], [0.5, 0.5])
+    with pytest.raises(DomainError, match="lambda"):
+        hcr_lower_bound(p, make_distribution([0, 1], [0.2, 0.8]), lam)
+
+
 def test_mixture_variance_formula():
     p = make_distribution([0, 1, 4], [0.2, 0.5, 0.3])
     q = make_distribution([0, 1, 4], [0.5, 0.3, 0.2])
@@ -166,6 +173,31 @@ def test_three_point_sequence_rejects_bad_inputs():
         equal_means_sequence(0.0, 1.0, 4.0, 0.0)
     with pytest.raises(EpsilonTooLarge):
         equal_means_sequence(0.0, 1.0, 1.0 + 1e-12, 0.9)
+
+
+def test_three_point_sequence_needs_a_larger_q_variance():
+    # var_q = var_p puts the third atom onto the lower one
+    with pytest.raises(EpsilonTooLarge, match="collapses"):
+        equal_means_sequence(0.0, 1.0, 1.0, 0.1)
+
+
+@pytest.mark.parametrize("var_p, var_q, n, match", [
+    (0.0, 1.0, 10, "positive"), (3.0, -1.0, 10, "positive"),
+    (7.0, 3.0, 2, "n > xi"), (3.0, 7.0, 0, "n > xi"),
+    # after rescaling var_q >= 2, and var_q > 1 otherwise: only a NaN var_p,
+    # which skips the rescaling, leaves var_q = 1
+    (math.nan, 1.0, 10, "differ from 1"),
+])
+def test_quaternary_sequence_rejects_bad_inputs(var_p, var_q, n, match):
+    with pytest.raises(PreconditionViolated, match=match):
+        equal_means_quaternary(var_p, var_q, n)
+
+
+@pytest.mark.parametrize("kl_form", [gaussian_kl, exponential_kl])
+@pytest.mark.parametrize("mt", [MomentTuple(0.0, 0.0, 1.0, 1.0), MomentTuple(0.0, 1.0, 1.0, 0.0)])
+def test_closed_forms_need_positive_variances(kl_form, mt):
+    with pytest.raises(DomainError, match="positive variances"):
+        kl_form(mt)
 
 
 def test_quaternary_sequence_moments_and_decay():
