@@ -14,6 +14,7 @@ from their buffers; it is imported by the four codec methods alone.
 from __future__ import annotations
 
 import functools
+import math
 import numbers
 from dataclasses import dataclass, fields
 
@@ -35,17 +36,25 @@ INPUT_TOL = 1e-9
 def validate_mass(m: np.ndarray) -> None:
     """The one probability check, for a law, the rows of a channel or a
     stack of candidate laws: every vector along the last axis of m has
-    finite, non-negative entries summing to 1 within INPUT_TOL."""
-    if not np.all(np.isfinite(m)):
-        raise NonFinite("mass entries must be finite")
-    if np.any(m < 0):
-        raise NegativeMass(f"negative mass entry: {m.min()}")
+    finite, non-negative entries summing to 1 within INPUT_TOL.
+
+    Entries in [0, 1 + INPUT_TOL], as those of a law are, pass the first two
+    tests at the cost of a minimum and a maximum; the sums of such entries
+    cannot overflow. The one sum of a law is tested as a float."""
+    if not (m.size and 0.0 <= m.min() and m.max() <= 1.0 + INPUT_TOL):
+        if not np.all(np.isfinite(m)):
+            raise NonFinite("mass entries must be finite")
+        if np.any(m < 0):
+            raise NegativeMass(f"negative mass entry: {m.min()}")
     # a matrix-vector product: on short rows several times faster than
     # m.sum(axis=-1) (0.27 against 1.9 ms on a 1e5 x 4 channel), within an ulp
     sums = m @ np.ones(m.shape[-1])
-    bad = np.abs(sums - 1.0) > INPUT_TOL
-    if np.any(bad):
-        raise NonStochastic(f"mass sums to {float(sums[bad][0])!r}, not 1")
+    if m.ndim == 1:
+        bad = [float(sums)] if abs(float(sums) - 1.0) > INPUT_TOL else []
+    else:
+        bad = sums[np.abs(sums - 1.0) > INPUT_TOL]
+    if len(bad):
+        raise NonStochastic(f"mass sums to {float(bad[0])!r}, not 1")
 
 
 def _check_count(name: str, n, least: int) -> None:
@@ -104,9 +113,10 @@ class DiscreteDistribution:
         if u.ndim != 1 or u.shape != m.shape or len(u) == 0:
             raise DimensionMismatch("support and mass must have equal positive length")
         validate_mass(m)
-        if not np.isfinite(u).all():
-            raise NonFinite("support atoms must be finite")
-        if (u[1:] <= u[:-1]).any():
+        # strictly increasing between finite ends: every atom is finite
+        if not ((u[1:] > u[:-1]).all() and math.isfinite(u[0]) and math.isfinite(u[-1])):
+            if not np.isfinite(u).all():
+                raise NonFinite("support atoms must be finite")
             raise DuplicateAtom("support atoms must be strictly increasing and distinct")
         object.__setattr__(self, "support", u)
         object.__setattr__(self, "mass", m)
@@ -184,7 +194,9 @@ def make_distribution(support, mass) -> DiscreteDistribution:
     u, m = np.asarray(support, dtype=float), np.asarray(mass, dtype=float)
     if u.ndim != 1 or u.shape != m.shape:
         raise DimensionMismatch("support and mass must have equal length")
-    # duplicate and NaN atoms take the sorting path too, and raise there
+    # duplicate and NaN atoms take the sorting path too, and raise there. The
+    # class tests the order again; sorting every support instead would cost a
+    # 1e5-atom law about 1 ms against 26 us for this test
     if not (u[1:] > u[:-1]).all():
         order = np.argsort(u, kind="stable")
         u, m = u[order], m[order]

@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .distributions import DiscreteDistribution, align
-from .errors import DimensionMismatch, DomainError, NonFinite
+from .errors import DimensionMismatch, DomainError, NonFinite, QuadratureFailure
 
 INF = math.inf
 
@@ -119,8 +119,9 @@ def _kl(a, b, _=None, c=1.0):
     if isinstance(c, np.ndarray):
         terms *= c
     out = np.maximum(terms.sum(axis=-1), 0.0)
-    over = out == INF
-    if over.any():
+    # probability rows give no NaN row, so the largest row is +inf where any is
+    if out.size and out.max() == INF:
+        over = out == INF
         a, b, c = _rows(over, a, b, c)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             ratio = a / b
@@ -330,8 +331,9 @@ _LOG_TERMS = 28
 
 
 def _powers(z: np.ndarray, count: int) -> np.ndarray:
-    """The (len(z), count) array z, z^2, ..., z^count."""
-    return np.cumprod(np.repeat(z[:, None], count, axis=1), axis=1)
+    """The (len(z), count) array z, z^2, ..., z^count: np.cumprod's
+    products, without its Python wrappers."""
+    return np.multiply.accumulate(z[:, None].repeat(count, axis=1), axis=1)
 
 
 def _polylog_li(k: int, x: np.ndarray) -> np.ndarray:
@@ -348,35 +350,49 @@ def _polylog_li(k: int, x: np.ndarray) -> np.ndarray:
     Li_k(t) = sum_m zeta(k - m) mu^m/m! + mu^(k-1) (H_(k-1) - ln(-mu))/(k-1)!
     in mu = ln t, taken as ln(1 - x).
     """
-    series, log_exp, log_term, orders, log_fact, weights, eta_series = _polylog_coefficients(k)
+    series, log_exp, log_term, _, _, _, eta_series = _polylog_coefficients(k)
     x = np.asarray(x, dtype=float)
     y = 1.0 - x
     low = y < -1.0
+    # a region that holds no point costs no power table and no matmul
+    # (np.count_nonzero is the cheapest test of a mask)
+    any_low = np.count_nonzero(low)
     t = y.copy()
-    t[low] = 1.0 / y[low]
+    if any_low:
+        t[low] = 1.0 / y[low]
     alternating = t < 0.0
     near = t > 0.5
     plain = ~(alternating | near)
 
     out = np.empty_like(x)
-    u = -t[alternating]
-    out[alternating] = -(_powers(u, _ETA_TERMS) @ eta_series)
-    out[plain] = _powers(t[plain], _SERIES_TERMS) @ series
-    # mu < 0 for every x > 0
-    mu = np.log1p(-x[near])
-    out[near] = (log_exp[0] + _powers(mu, len(log_exp) - 1) @ log_exp[1:]
-                 - mu ** (k - 1) * np.log(-mu) * log_term)
+    if np.count_nonzero(alternating):
+        u = -t[alternating]
+        out[alternating] = -(_powers(u, _ETA_TERMS) @ eta_series)
+    if np.count_nonzero(plain):
+        out[plain] = _powers(t[plain], _SERIES_TERMS) @ series
+    if np.count_nonzero(near):
+        # mu < 0 for every x > 0
+        mu = np.log1p(-x[near])
+        out[near] = (log_exp[0] + _powers(mu, len(log_exp) - 1) @ log_exp[1:]
+                     - mu ** (k - 1) * np.log(-mu) * log_term)
+    if any_low:
+        out[low] = _inverted(k, y[low], out[low])
+    return out
 
+
+def _inverted(k: int, y: np.ndarray, li_inverse: np.ndarray) -> np.ndarray:
+    """Li_k(y) at an array y < -1 from li_inverse = Li_k(1/y), by the
+    inversion formula of ``_polylog_li``."""
+    orders, log_fact, weights = _polylog_coefficients(k)[3:6]
     # L^m/m! as exp(m ln L - ln m!), which neither overflows nor divides inf by
     # inf. |Li_k(y)| >= eta(k) >= 1/2 for y <= -1, so the orders m >= 2 max L
     # with (max L)^m/m! < 1e-32 are left out (max L taken as at least 1):
     # together they add below 1e-31
-    log_l = np.log(np.log(-y[low]))[:, None]
+    log_l = np.log(np.log(-y))[:, None]
     top = log_l.max(initial=0.0)
     keep = (orders < 2.0 * np.exp(top)) | (orders * top - log_fact > math.log(1e-32))
     inverted = np.exp(log_l * orders[keep] - log_fact[keep]) @ weights[keep]
-    out[low] = -inverted - (-1) ** k * out[low]
-    return out
+    return -inverted - (-1) ** k * li_inverse
 
 
 def polylog_f(k: int, x):
@@ -404,14 +420,28 @@ def polylog_f(k: int, x):
 def _generic(a, b, f, f_at_zero, slope_at_inf):
     """Sum b f(a/b) per row. f is called once, on the array of likelihood
     ratios, with 1 standing in at atoms where a mass vanishes; those
-    atoms take the boundary limits instead."""
+    atoms take the boundary limits instead.
+
+    a / b overflows where b is subnormal (0.1 / 5e-324), and b f(inf) is
+    then no limit of the term: a row that came out NaN or infinite with such
+    an atom raises QuadratureFailure, which names the atom."""
     inner = (a > 0) & (b > 0)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratio = np.where(inner, a / b, 1.0)
         terms = np.where(
-            inner, b * f(np.where(inner, a / b, 1.0)),
+            inner, b * f(ratio),
             np.where(b > 0, b * f_at_zero, np.where(a > 0, a * slope_at_inf, 0.0)),
         )
-    return terms.sum(axis=-1)
+    out = terms.sum(axis=-1)
+    if not math.isfinite(out.sum()):
+        over = np.isinf(ratio) & ~np.isfinite(out)[..., None]
+        if over.any():
+            row, atom = np.argwhere(over)[0]
+            a, b = np.broadcast_arrays(a, b)
+            raise QuadratureFailure(
+                f"likelihood ratio {float(a[row, atom])!r} / {float(b[row, atom])!r} "
+                f"overflows at atom {atom}, and the divergence came out {float(out[row])!r}")
+    return out
 
 
 def _unit(x) -> bool:
@@ -568,8 +598,13 @@ def _binary_term(x, y, diff):
     near = np.abs(t) < _G_CUT
     u = t[near]
     # the series on the near entries only
-    out[near] = y[near] * u * u * (_powers(-u, len(_G_SERIES) - 1) @ _G_SERIES[1:] + _G_SERIES[0])
+    out[near] = y[near] * u * u * _g_series(u)
     return out
+
+
+def _g_series(u: np.ndarray) -> np.ndarray:
+    """g(t)/t^2 by its series, at an array u of t with |t| < 1/8."""
+    return _powers(-u, len(_G_SERIES) - 1) @ _G_SERIES[1:] + _G_SERIES[0]
 
 
 def binary_kl(r, s):

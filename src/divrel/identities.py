@@ -97,11 +97,6 @@ def _gauss_kronrod(f, lo, hi):
     return kronrod * half, err * np.abs(half)
 
 
-# the first round's panels: each interval between edges in four equal parts,
-# at the edges of np.linspace(lo, hi, 5)
-_QUARTERS = np.arange(4.0)
-
-
 def integrate(f, *edges: float) -> float:
     """Adaptive G7/K15 quadrature of f over (edges[0], edges[-1]]; f must
     have a limit at edges[0]. An inner edge is a kink of f: no panel
@@ -118,15 +113,16 @@ def integrate(f, *edges: float) -> float:
     QuadratureFailure when f is NaN at a node.
     """
     a, b = edges[0], edges[-1]
-    edges = np.array(edges, dtype=float)
     # a repeated edge bounds no panel
-    edges = edges[np.append(True, edges[1:] != edges[:-1])]
+    edges = [float(e) for e in edges]
+    edges = [e for e, before in zip(edges, [None] + edges) if e != before]
     if len(edges) < 2:
         return 0.0
     # a round costs far more than its nodes, so the first one scores four
-    # panels an interval
-    lo = (edges[:-1, None] + _QUARTERS * ((edges[1:] - edges[:-1]) / 4.0)[:, None]).ravel()
-    hi = np.append(lo[1:], b)
+    # panels an interval, at the points of np.linspace(e0, e1, 5): in floats,
+    # as a numpy call costs far more than the arithmetic of three edges
+    lo = [e0 + q * ((e1 - e0) / 4.0) for e0, e1 in zip(edges, edges[1:]) for q in range(4)]
+    lo, hi = np.array(lo), np.array(lo[1:] + [float(b)])
     value, err = _gauss_kronrod(f, lo, hi)
     while True:
         total = float(value.sum())
@@ -140,7 +136,8 @@ def integrate(f, *edges: float) -> float:
             return total
         # a panel's share of the tolerance is its share of the interval
         share = ratio * ((b - a) / (hi - lo))
-        split = np.flatnonzero(share > 1.0)
+        over = share > 1.0
+        split = np.flatnonzero(over)
         room = _MAX_PANELS - len(lo)
         if room <= 0:
             raise MaxDepthExceeded(
@@ -148,13 +145,17 @@ def integrate(f, *edges: float) -> float:
                 f"{err.sum():.3g} against tolerance {tol:.3g} "
                 f"after {len(lo)} of {_MAX_PANELS} panels"
             )
-        if not len(split):  # rounding: no share is above 1, yet their sum is
-            split = np.array([np.argmax(share)])
-        if len(split) > room:
-            split = split[np.argsort(share[split])[-room:]]
+        if not 0 < len(split) <= room:
+            # rounding: no share is above 1, yet their sum is; or more
+            # panels to split than the budget has room for
+            split = (split[np.argsort(share[split])[-room:]] if len(split)
+                     else np.array([np.argmax(share)]))
+            over = np.zeros(len(lo), dtype=bool)
+            over[split] = True
+        # the kept panels first, in order, then the halves of the split ones:
+        # value.sum() adds them in that order
+        keep = ~over
         mid = 0.5 * (lo[split] + hi[split])
-        keep = np.ones(len(lo), dtype=bool)
-        keep[split] = False
         new_lo = np.concatenate([lo[split], mid])
         new_hi = np.concatenate([mid, hi[split]])
         new_value, new_err = _gauss_kronrod(f, new_lo, new_hi)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import DiscreteDistribution, make_distribution, moments
-from .divergences import _binary_term
+from .divergences import _G_CUT, _binary_term, _g_series
 from .errors import (
     DegenerateVariance,
     DomainError,
@@ -146,8 +146,28 @@ def _certificate(mt: MomentTuple) -> tuple[BoundCertificate, list[float] | None]
     s_up, s_down = (var_q / larger if x < 0.25 * larger else x for x in (s_up, s_down))
     two_v = 2.0 * v
     masses = [min(max(x, 0.0), two_v) for x in (v_plus_c, v_minus_c, s_up, s_down)]
-    terms = _binary_term(masses[:2], masses[2:], (a, -a))
-    bound = float(terms[0] + terms[1]) / two_v
+    # _binary_term(masses[:2], masses[2:], (a, -a)), term by term: the logs
+    # from numpy's ufuncs, as math.log and math.log1p may differ from them in
+    # the last bit, and the series of the near terms in one matmul
+    terms, near = [], []
+    for x, y, diff in ((masses[0], masses[2], a), (masses[1], masses[3], -a)):
+        t = diff / y if y else math.copysign(math.inf, diff)
+        if abs(t) < _G_CUT:
+            near.append((len(terms), y, t))
+            terms.append(None)
+        elif not x > 0:
+            terms.append(0.0 - diff)
+        elif t < -0.5:
+            # x / y may overflow or underflow, where np.log gives inf or -inf
+            ratio = x / y if y else math.inf
+            terms.append(x * float(np.log(ratio)) - diff if ratio else -math.inf)
+        else:
+            terms.append(x * float(np.log1p(t)) - diff)
+    if near:
+        series = _g_series(np.array([t for _, _, t in near])).tolist()
+        for (i, y, t), g in zip(near, series):
+            terms[i] = y * t * t * g
+    bound = (terms[0] + terms[1]) / two_v
     return BoundCertificate(masses[0] / two_v, masses[2] / two_v, a, b, v, bound), masses
 
 
@@ -183,9 +203,10 @@ def equal_means_sequence(
     var_q >= var_p; the opposite ordering is served by the quaternary
     construction.
     """
-    if var_q < var_p or var_p <= 0:
+    # written so that NaN fails each test
+    if not 0 < var_p <= var_q:
         raise PreconditionViolated("needs 0 < var_p <= var_q")
-    if eps <= 0:
+    if not eps > 0:
         raise DomainError("eps must be positive")
     sd_p = math.sqrt(var_p)
     s = 0.5 * (1.0 - eps + math.sqrt((var_q / var_p - 1.0 + eps) * eps))
@@ -211,15 +232,15 @@ def equal_means_quaternary(
     built at doubled rescaled variances and then shrunk by sigma/sqrt(2),
     which leaves the KL unchanged.
     """
-    if var_p <= 0 or var_q <= 0:
+    # NaN fails the test. After it var_q - 1 > 0: var_q > 1 where the
+    # rescaling below does not apply, and var_q >= 2 where it does
+    if not (var_p > 0 and var_q > 0):
         raise PreconditionViolated("variances must be positive")
     scale = 1.0
     if min(var_p, var_q) <= 1.0:
         sigma2 = min(var_p, var_q)
         scale = math.sqrt(sigma2 / 2.0)
         var_p, var_q = 2.0 * var_p / sigma2, 2.0 * var_q / sigma2
-    if var_q == 1.0:
-        raise PreconditionViolated("var_q must differ from 1 after rescaling")
     xi = (var_p - 1.0) / (var_q - 1.0)
     if n <= xi or n < 1:
         raise PreconditionViolated(f"need n > xi = {xi}")

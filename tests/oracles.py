@@ -259,3 +259,85 @@ def two_point_chi2_sup(w: np.ndarray) -> float:
                 neg, bounds=(0.0, 1.0), method="bounded", options={"xatol": 1e-12})
             best = max(best, -res.fun)
     return best
+
+
+# -- frozen references: earlier forms of divrel code, kept so that the tests
+# can show a faster form to return the same bits and raise the same errors
+
+
+def validate_mass_reference(m: np.ndarray) -> None:
+    """``distributions.validate_mass`` as four whole-array tests in turn."""
+    from divrel.distributions import INPUT_TOL
+    from divrel.errors import NegativeMass, NonFinite, NonStochastic
+
+    if not np.all(np.isfinite(m)):
+        raise NonFinite("mass entries must be finite")
+    if np.any(m < 0):
+        raise NegativeMass(f"negative mass entry: {m.min()}")
+    sums = m @ np.ones(m.shape[-1])
+    bad = np.abs(sums - 1.0) > INPUT_TOL
+    if np.any(bad):
+        raise NonStochastic(f"mass sums to {float(sums[bad][0])!r}, not 1")
+
+
+def _gauss_kronrod_reference(f, lo, hi):
+    from divrel.identities import _EPS50, _RULES, _TINY, _WK, _XK
+
+    half = 0.5 * (hi - lo)
+    fx = np.asarray(f((_XK[:, None] * half + (lo + half)).ravel()), dtype=float)
+    fx = fx.reshape(len(_XK), -1)
+    with np.errstate(invalid="ignore", over="ignore"):
+        kronrod, gauss = _RULES @ fx
+        diff = 200.0 * np.abs(kronrod - gauss)
+        spread = _WK @ np.abs(fx - 0.5 * kronrod)
+        err = spread * (np.minimum(spread, diff) / np.maximum(spread, _TINY)) ** 1.5
+        err = np.maximum(err, _EPS50 * (spread + np.abs(kronrod)))
+    return kronrod * half, err * np.abs(half)
+
+
+def integrate_reference(f, *edges):
+    """``identities.integrate`` with array panel ends in every round, four
+    arrays that each round masks and concatenates anew."""
+    from divrel.errors import MaxDepthExceeded, QuadratureFailure
+    from divrel.identities import _ABS_TOL, _MAX_PANELS, _REL_TOL
+
+    a, b = edges[0], edges[-1]
+    edges = np.array(edges, dtype=float)
+    edges = edges[np.append(True, edges[1:] != edges[:-1])]
+    if len(edges) < 2:
+        return 0.0
+    lo = (edges[:-1, None] + np.arange(4.0) * ((edges[1:] - edges[:-1]) / 4.0)[:, None]).ravel()
+    hi = np.append(lo[1:], b)
+    value, err = _gauss_kronrod_reference(f, lo, hi)
+    while True:
+        total = float(value.sum())
+        if math.isnan(total):
+            raise QuadratureFailure(f"integrand is NaN at a node in [{a}, {b}]")
+        if math.isinf(total):
+            return total
+        tol = max(_ABS_TOL, _REL_TOL * abs(total))
+        ratio = err / tol
+        if ratio.sum() <= 1.0:
+            return total
+        share = ratio * ((b - a) / (hi - lo))
+        split = np.flatnonzero(share > 1.0)
+        room = _MAX_PANELS - len(lo)
+        if room <= 0:
+            raise MaxDepthExceeded(
+                f"quadrature did not converge on [{a}, {b}]: error estimate "
+                f"{err.sum():.3g} against tolerance {tol:.3g} "
+                f"after {len(lo)} of {_MAX_PANELS} panels"
+            )
+        if not len(split):
+            split = np.array([np.argmax(share)])
+        if len(split) > room:
+            split = split[np.argsort(share[split])[-room:]]
+        mid = 0.5 * (lo[split] + hi[split])
+        keep = np.ones(len(lo), dtype=bool)
+        keep[split] = False
+        new_lo = np.concatenate([lo[split], mid])
+        new_hi = np.concatenate([mid, hi[split]])
+        new_value, new_err = _gauss_kronrod_reference(f, new_lo, new_hi)
+        lo, hi = np.concatenate([lo[keep], new_lo]), np.concatenate([hi[keep], new_hi])
+        value = np.concatenate([value[keep], new_value])
+        err = np.concatenate([err[keep], new_err])

@@ -312,6 +312,16 @@ def test_identity_check_quadrature_failure_exits_2(tmp_path, capsys, monkeypatch
     assert "Traceback" not in err
 
 
+def test_divergence_with_an_overflowing_ratio_exits_2(tmp_path, capsys):
+    # Q / P overflows at the subnormal atom of P: the polylog sum is not finite
+    p = write_dist(tmp_path, "p.json", [0, 1], [5e-324, 1.0])
+    q = write_dist(tmp_path, "q.json", [0, 1], [0.1, 0.9])
+    code = main(["divergence", "--spec", "polylog:2", "--p", q, "--q", p])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("numerical failure:") and "overflows at atom 0" in err
+
+
 @pytest.mark.parametrize("rate", ["nan", "inf"])
 def test_redundancy_non_finite_rate_exits_1(capsys, rate):
     code = main(["redundancy", "--lambdas", rate, "20"])

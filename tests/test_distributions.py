@@ -31,6 +31,8 @@ from divrel.errors import (
 from divrel.identities import check_skew_s_integral
 from divrel.inequalities import skew_kl_convexity_comparison
 
+from oracles import validate_mass_reference
+
 
 def test_valid_distribution():
     d = make_distribution([0.0, 1.0, 2.5], [0.2, 0.3, 0.5])
@@ -184,6 +186,62 @@ def test_validate_mass_checks_whole_stacks():
         stack[1] = row
         with pytest.raises(error):
             validate_mass(stack)
+
+
+def _raised(check, m):
+    """The class and message that check raises on m, or None."""
+    try:
+        check(m)
+    except DivrelError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+# bad laws: each a row, or the middle row of a three-row stack
+BAD_MASSES = [
+    ([0.5, math.nan], NonFinite, "mass entries must be finite"),
+    ([math.inf, 0.0], NonFinite, "mass entries must be finite"),
+    ([-math.inf, 1.0], NonFinite, "mass entries must be finite"),
+    # sums that would overflow beside an infinite entry
+    ([1e308, 1e308, math.inf], NonFinite, "mass entries must be finite"),
+    ([1.5, -0.5], NegativeMass, "negative mass entry: -0.5"),
+    ([0.5, -0.0, 0.6], NonStochastic, "mass sums to 1.1, not 1"),
+    ([2.0, 0.0], NonStochastic, "mass sums to 2.0, not 1"),
+    ([0.25, 0.25], NonStochastic, "mass sums to 0.5, not 1"),
+    ([1e308, 1e308], NonStochastic, "mass sums to inf, not 1"),
+]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
+@pytest.mark.parametrize("row, error, message", BAD_MASSES)
+def test_validate_mass_errors_of_laws_and_stacks(row, error, message):
+    row = np.array(row)
+    stack = np.stack([np.full(len(row), 1.0 / len(row)), row, np.eye(len(row))[0]])
+    for m in (row, stack, stack[None]):
+        assert _raised(validate_mass, m) == (error, message) == _raised(validate_mass_reference, m)
+
+
+@pytest.mark.parametrize("shape, raised", [
+    ((0,), (NonStochastic, "mass sums to 0.0, not 1")),
+    ((0, 3), None),
+    ((3, 0), (NonStochastic, "mass sums to 0.0, not 1")),
+    ((2, 0, 4), None),
+])
+def test_validate_mass_on_empty_laws_and_stacks(shape, raised):
+    m = np.zeros(shape)
+    assert _raised(validate_mass, m) == raised == _raised(validate_mass_reference, m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from([0.0, -0.0, 0.5, 1.0, 1.0 + 2e-9, 1e-300, -1e-300, 0.25,
+                                 math.nan, math.inf, -math.inf, 1e308]) | st.floats(),
+                min_size=1, max_size=6),
+       st.integers(1, 3))
+def test_validate_mass_raises_as_its_reference(entries, rows):
+    m = np.array(entries)
+    m = m[:len(m) - len(m) % rows].reshape(rows, -1) if rows > 1 and len(m) >= rows else m
+    with np.errstate(over="ignore"):
+        assert _raised(validate_mass, m) == _raised(validate_mass_reference, m)
 
 
 # -- the representation: read-only float64 arrays with value equality -------

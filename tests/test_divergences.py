@@ -14,6 +14,7 @@ from divrel import (
     entropy,
     f_divergence,
     f_divergence_rows,
+    f_k_divergence,
     gyorfi_vajda,
     jensen_shannon,
     kl,
@@ -24,7 +25,8 @@ from divrel import (
     skew_s,
     total_variation,
 )
-from divrel.errors import DimensionMismatch, DomainError
+from divrel.divergences import generic_f_divergence
+from divrel.errors import DimensionMismatch, DomainError, QuadratureFailure
 
 from conftest import random_pair
 
@@ -591,3 +593,32 @@ def test_mixture_is_scaled_only_where_an_entry_is_small():
                           (np.array([0.4, 0.6]), np.array([[1e-140, 1.0, 0.0], [0.0, 0.5, 0.5]])),
                           ((0.5, 0.5), (np.empty((0, 3)), b))):
         assert isinstance(_mixture(weights, laws)[0], np.ndarray)
+
+
+# -- a likelihood ratio that overflows: an error, not a silent NaN or inf ----
+
+TINY_P = make_distribution([0, 1], [5e-324, 1.0])
+TINY_Q = make_distribution([0, 1], [0.1, 0.9])
+
+
+@pytest.mark.parametrize("value", [
+    lambda: f_k_divergence(2, TINY_Q, TINY_P),  # NaN before
+    lambda: f_k_divergence(3, TINY_Q, TINY_P),  # -inf before
+    # +inf before, where sum q f(p/q) = 74.1...
+    lambda: generic_f_divergence(lambda t: t * np.log(t), TINY_Q, TINY_P, 0.0, math.inf),
+])
+def test_an_overflowing_ratio_raises_where_the_value_is_not_finite(value):
+    with pytest.raises(QuadratureFailure, match="0.1 / 5e-324 overflows at atom 0"):
+        value()
+
+
+def test_an_overflowing_ratio_leaves_finite_rows_as_they_were():
+    # 5e-324 / 0.1 does not overflow (40-digit mpmath below), and a ratio
+    # overflowing into a finite row (a kernel bounded at inf) keeps its value
+    assert f_k_divergence(2, TINY_P, TINY_Q) == pytest.approx(0.0671420174785132, rel=1e-12)
+    bounded = generic_f_divergence(lambda t: np.minimum(t, 1.0), TINY_Q, TINY_P, 0.0, 0.0)
+    assert bounded == pytest.approx(5e-324 + 0.9, rel=1e-15)
+    # the whole stack raises when one of its rows does
+    rows = np.array([[0.5, 0.5], [0.1, 0.9]])
+    with pytest.raises(QuadratureFailure, match="at atom 0"):
+        f_divergence_rows(DivergenceSpec("POLYLOG_F", 2), rows, TINY_P.mass)

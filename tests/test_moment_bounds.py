@@ -175,6 +175,16 @@ def test_three_point_sequence_rejects_bad_inputs():
         equal_means_sequence(0.0, 1.0, 1.0 + 1e-12, 0.9)
 
 
+@pytest.mark.parametrize("args, error, match", [
+    ((0.0, math.nan, 2.0, 0.1), PreconditionViolated, "0 < var_p <= var_q"),
+    ((0.0, 1.0, math.nan, 0.1), PreconditionViolated, "0 < var_p <= var_q"),
+    ((0.0, 1.0, 2.0, math.nan), DomainError, "eps must be positive"),
+])
+def test_three_point_sequence_rejects_nan(args, error, match):
+    with pytest.raises(error, match=match):
+        equal_means_sequence(*args)
+
+
 def test_three_point_sequence_needs_a_larger_q_variance():
     # var_q = var_p puts the third atom onto the lower one
     with pytest.raises(EpsilonTooLarge, match="collapses"):
@@ -184,9 +194,9 @@ def test_three_point_sequence_needs_a_larger_q_variance():
 @pytest.mark.parametrize("var_p, var_q, n, match", [
     (0.0, 1.0, 10, "positive"), (3.0, -1.0, 10, "positive"),
     (7.0, 3.0, 2, "n > xi"), (3.0, 7.0, 0, "n > xi"),
-    # after rescaling var_q >= 2, and var_q > 1 otherwise: only a NaN var_p,
-    # which skips the rescaling, leaves var_q = 1
-    (math.nan, 1.0, 10, "differ from 1"),
+    # NaN is rejected before the rescaling, which it would skip
+    (math.nan, 1.0, 10, "positive"), (math.nan, 0.5, 10, "positive"),
+    (1.0, math.nan, 10, "positive"), (math.nan, math.nan, 10, "positive"),
 ])
 def test_quaternary_sequence_rejects_bad_inputs(var_p, var_q, n, match):
     with pytest.raises(PreconditionViolated, match=match):
@@ -423,6 +433,28 @@ def test_float_bound_is_the_array_form_bit_for_bit():
         cert = kl_moment_lower_bound(MomentTuple(*args))
         got = (cert.r, cert.s, cert.a, cert.b, cert.v, cert.bound_nats)
         assert all(g == f[i] for g, f in zip(got, fields)), args
+
+
+def test_float_bound_is_the_array_form_on_near_equal_means_bit_for_bit():
+    # near-equal means put one or both terms of d(r||s) on the series of g,
+    # whose matmul may round a row by the number of rows it is batched with:
+    # the reference is each tuple's own array form, one tuple at a time
+    rng = np.random.default_rng(31)
+    count = 3000
+    m_p = rng.normal(0.0, 10.0 ** rng.uniform(-3, 3, count))
+    m_q = m_p * (1.0 + rng.choice([-1.0, 1.0], count) * 10.0 ** rng.uniform(-15, -1, count))
+    var_p, var_q = 10.0 ** rng.uniform(-8, 8, (2, count))
+    var_p[::3] = 0.0
+    close = np.arange(count) % 3 == 1
+    var_q[close] = var_p[close] * (1.0 + 10.0 ** rng.uniform(-15, -1, close.sum()))
+    series = 0
+    for args in zip(m_p.tolist(), var_p.tolist(), m_q.tolist(), var_q.tolist()):
+        cert = kl_moment_lower_bound(MomentTuple(*args))
+        got = (cert.r, cert.s, cert.a, cert.b, cert.v, cert.bound_nats)
+        want = [float(f) for f in moment_bound_arrays(*args)]
+        assert all(g == w for g, w in zip(got, want)), args
+        series += cert.a != 0.0 and cert.s > 0.0 and abs(cert.a / (2.0 * cert.v * cert.s)) < 0.125
+    assert series > 1000
 
 
 # attaining pairs as the array form of the bound gave them: (moments, support,

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import divrel.identities
 from divrel import (
@@ -20,10 +22,11 @@ from divrel import (
     poisson_entropy,
 )
 from divrel.contraction import check_skew_s_integral
-from divrel.errors import MaxDepthExceeded, QuadratureFailure
+from divrel.errors import DivrelError, MaxDepthExceeded, QuadratureFailure
 from divrel.identities import integrate
 
 from conftest import random_pair
+from oracles import integrate_reference
 
 
 def test_integrand_gets_all_nodes_of_a_round_in_one_call():
@@ -134,6 +137,74 @@ def test_chi2_half_identity_with_an_infinite_curve():
     q = make_distribution([0, 1], [1.0, 0.0])
     rep = check_chi2_half_identity(p, q)
     assert rep.lhs == rep.rhs == math.inf
+
+
+# -- the loop against its earlier array form: the same bits, nodes and errors --
+
+@st.composite
+def rational_curves(draw):
+    """A polynomial over (s - c)^2 + w^2: a spike at c that takes a few
+    rounds, many, or the whole panel budget as w falls; at w = 0 a pole,
+    where a node on it gives an infinite value or 0/0 = NaN."""
+    num = draw(st.lists(st.floats(-4.0, 4.0, allow_subnormal=False), min_size=1, max_size=4))
+    center = draw(st.floats(-0.5, 1.5))
+    width = draw(st.sampled_from([0.0, 0.5]) | st.floats(1e-3, 1.0))
+
+    def curve(s):
+        with np.errstate(all="ignore"):
+            return np.polyval(num, s) / ((s - center) ** 2 + width ** 2)
+
+    return curve
+
+
+# repeated, signed-zero and reversed edges among them
+_EDGE_POOL = [0.0, -0.0, 0.3, 0.5, 1.0, 1e-3, -1.0]
+edge_sets = st.lists(st.sampled_from(_EDGE_POOL) | st.floats(-2.0, 2.0, allow_subnormal=False),
+                     min_size=2, max_size=4)
+
+
+def _outcome(integrator, curve, edges):
+    """(value bits, or error class and message; the nodes of every call)."""
+    calls = []
+
+    def f(s):
+        calls.append(s.copy())
+        return curve(s)
+
+    try:
+        result = float(integrator(f, *edges)).hex()
+    # the suite turns a RuntimeWarning into an error, as inf - inf in a sum
+    except (DivrelError, RuntimeWarning) as exc:
+        result = (type(exc), str(exc))
+    return result, calls
+
+
+@settings(max_examples=400, deadline=None)
+@given(rational_curves(), edge_sets)
+def test_integrate_matches_its_array_form_bit_for_bit(curve, edges):
+    got, got_calls = _outcome(integrate, curve, edges)
+    want, want_calls = _outcome(integrate_reference, curve, edges)
+    assert got == want
+    assert len(got_calls) == len(want_calls)
+    assert all(np.array_equal(g, w) for g, w in zip(got_calls, want_calls))
+
+
+def test_integrate_matches_its_array_form_on_the_identity_curves():
+    # the kl-chi2 and skew-S curves of random pairs, split rounds included
+    rng = np.random.default_rng(25)
+    for _ in range(60):
+        p, q = random_pair(rng, int(rng.integers(2, 9)), strict=False)
+        a, b = p.mass, q.mass
+        lam, alpha = float(rng.uniform(0.05, 1.0)), float(rng.uniform(0.05, 0.95))
+        for curve, edges in [
+            (lambda s: divrel.divergences._gv(a[None, :], b, s[:, None]) * s, (0.0, lam)),
+            (lambda s: divrel.identities.g_alpha(alpha, s)
+             * divrel.divergences._gv(a[None, :], b, s[:, None]), (0.0, alpha, 1.0)),
+        ]:
+            got, got_calls = _outcome(integrate, curve, edges)
+            want, want_calls = _outcome(integrate_reference, curve, edges)
+            assert got == want
+            assert [len(c) for c in got_calls] == [len(c) for c in want_calls]
 
 
 # -- oracle: each rhs against scipy quad (epsrel 1e-13) on the same integrand ----
