@@ -23,7 +23,6 @@ from .errors import (
     NotReversible,
     PreconditionViolated,
 )
-from .identities import _mixtures
 # the S_alpha integral identity lives in identities; callers also reach it here
 from .identities import check_skew_s_integral, g_alpha  # noqa: F401
 from .inequalities import InequalityReport
@@ -457,7 +456,8 @@ def max_correlation_path_bound(
     # channel with identical rows maps everything to the same law)
     with np.errstate(divide="ignore", invalid="ignore"):
         rhs_bound = float(np.where((din > 0) & (dout > 1e-13), np.sqrt(dout / din), 0.0).max())
-    mixes = _mixtures(np.linspace(0.0, 1.0, n_grid), *x)
+    s = np.linspace(0.0, 1.0, n_grid)[:, None]
+    mixes = (1.0 - s) * x[0] + s * x[1]
     if np.any(mixes @ w.matrix <= 0):
         raise PreconditionViolated("output law must be strictly positive")
     sup_rho = float(np.sqrt(_chi2_contraction_rows(mixes, w.matrix)).max(initial=0.0))

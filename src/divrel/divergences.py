@@ -98,6 +98,13 @@ def _mixture(weights, laws):
     return c, laws, mix(laws)
 
 
+def _log_ratio(a, b):
+    """ln(a/b), as ln a - ln b where a/b overflowed at b > 0 (0.1 / 5e-324)."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratio = a / b
+        return np.where(np.isinf(ratio) & (b > 0), np.log(a) - np.log(b), np.log(ratio))
+
+
 def _rows(picked, *arrays):
     """The rows that the mask picked selects from the arrays, broadcast
     together first."""
@@ -111,8 +118,8 @@ def _kl(a, b, _=None, c=1.0):
     across the whole sum). A term with a > 0 = b is +inf. An array c scales
     each term back where a and b are scaled per atom (``_mixture``).
 
-    a / b overflows where b is subnormal (0.1 / 5e-324): on a row that came
-    out +inf, such a term takes ln a - ln b instead, so that only a > 0 = b
+    a / b overflows where b is subnormal (0.1 / 5e-324): a row that came out
+    +inf is taken once more with ``_log_ratio``, so that only a > 0 = b
     leaves it infinite."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         terms = np.where(a > 0, a * np.log(a / b) - a + b, b)
@@ -123,10 +130,8 @@ def _kl(a, b, _=None, c=1.0):
     if out.size and out.max() == INF:
         over = out == INF
         a, b, c = _rows(over, a, b, c)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            ratio = a / b
-            log_ratio = np.where(np.isinf(ratio) & (b > 0), np.log(a) - np.log(b), np.log(ratio))
-            terms = np.where(a > 0, a * log_ratio - a + b, b) * c
+        with np.errstate(invalid="ignore"):
+            terms = np.where(a > 0, a * _log_ratio(a, b) - a + b, b) * c
         out[over] = np.maximum(terms.sum(axis=-1), 0.0)
     return out
 
@@ -154,7 +159,7 @@ def _renyi(a, b, alpha):
     Above order 1 the sum, or p/q itself at a subnormal q, may overflow: a
     row that came out +inf with q > 0 wherever p > 0 is taken in logs, as
     logsumexp(alpha ln p + (1-alpha) ln q) / (alpha - 1), and at order inf
-    as the largest ln p - ln q."""
+    as the largest ``_log_ratio``."""
     if alpha == 1.0:
         return _kl(a, b)
     pos = a > 0
@@ -180,12 +185,11 @@ def _renyi(a, b, alpha):
         over = (out == INF) & ~off
         if over.any():
             a, b = _rows(over, a, b)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                log_a, log_b = np.log(a), np.log(b)
-                if math.isinf(alpha):
-                    out[over] = np.where(a > 0, log_a - log_b, -INF).max(axis=-1)
-                else:
-                    x = np.where(a > 0, alpha * log_a + (1.0 - alpha) * log_b, -INF)
+            if math.isinf(alpha):
+                out[over] = np.where(a > 0, _log_ratio(a, b), -INF).max(axis=-1)
+            else:
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    x = np.where(a > 0, alpha * np.log(a) + (1.0 - alpha) * np.log(b), -INF)
                     top = x.max(axis=-1)
                     total = top + np.log(np.exp(x - top[:, None]).sum(axis=-1))
                     out[over] = total / (alpha - 1.0)
@@ -229,16 +233,18 @@ def _js(a, b, _=None):
     return _skew_s(a, b, 0.5)
 
 
-def _polylog(a, b, k):
+def _polylog(a, b, k, c=1.0):
     k = int(k)
     # Li_0(1 - t) = 1/t - 1 and Li_1(1 - t) = -ln t: chi^2(b||a) and D(b||a)
     if k == 0:
-        return _chi2(b, a)
+        return _chi2(b, a, c=c)
     if k == 1:
-        return _kl(b, a)
-    # f(0) = Li_k(1) = zeta(k), the constant term of the ln-expansion
+        return _kl(b, a, c=c)
+    # f(0) = Li_k(1) = zeta(k), the constant term of the ln-expansion; at an overflowed
+    # t, Li_k(1 - t) is the inversion at L = ln t, where |Li_k(1/(1-t))| < 1e-300 drops
     zeta_k = _polylog_coefficients(k)[1][0]
-    return _generic(a, b, lambda t: _polylog_li(k, t), zeta_k, 0.0)
+    return _generic(a, b, lambda t: _polylog_li(k, t), zeta_k, 0.0,
+                    lambda log_t: _inverted(k, log_t, 0.0), c)
 
 
 # terms of Borwein's eta series: for s >= 2 the error of zeta is below
@@ -376,19 +382,19 @@ def _polylog_li(k: int, x: np.ndarray) -> np.ndarray:
         out[near] = (log_exp[0] + _powers(mu, len(log_exp) - 1) @ log_exp[1:]
                      - mu ** (k - 1) * np.log(-mu) * log_term)
     if any_low:
-        out[low] = _inverted(k, y[low], out[low])
+        out[low] = _inverted(k, np.log(-y[low]), out[low])
     return out
 
 
-def _inverted(k: int, y: np.ndarray, li_inverse: np.ndarray) -> np.ndarray:
-    """Li_k(y) at an array y < -1 from li_inverse = Li_k(1/y), by the
-    inversion formula of ``_polylog_li``."""
+def _inverted(k: int, big_l: np.ndarray, li_inverse) -> np.ndarray:
+    """Li_k(y) at y < -1 from the array big_l of L = ln(-y) and li_inverse =
+    Li_k(1/y), by the inversion formula of ``_polylog_li``."""
     orders, log_fact, weights = _polylog_coefficients(k)[3:6]
     # L^m/m! as exp(m ln L - ln m!), which neither overflows nor divides inf by
     # inf. |Li_k(y)| >= eta(k) >= 1/2 for y <= -1, so the orders m >= 2 max L
     # with (max L)^m/m! < 1e-32 are left out (max L taken as at least 1):
     # together they add below 1e-31
-    log_l = np.log(np.log(-y))[:, None]
+    log_l = np.log(big_l)[:, None]
     top = log_l.max(initial=0.0)
     keep = (orders < 2.0 * np.exp(top)) | (orders * top - log_fact > math.log(1e-32))
     inverted = np.exp(log_l * orders[keep] - log_fact[keep]) @ weights[keep]
@@ -417,14 +423,16 @@ def polylog_f(k: int, x):
     return out if out.ndim else float(out)
 
 
-def _generic(a, b, f, f_at_zero, slope_at_inf):
+def _generic(a, b, f, f_at_zero, slope_at_inf, f_of_log=None, c=1.0):
     """Sum b f(a/b) per row. f is called once, on the array of likelihood
     ratios, with 1 standing in at atoms where a mass vanishes; those
-    atoms take the boundary limits instead.
+    atoms take the boundary limits instead. An array c scales each term
+    back where a and b are scaled per atom (``_mixture``).
 
     a / b overflows where b is subnormal (0.1 / 5e-324), and b f(inf) is
-    then no limit of the term: a row that came out NaN or infinite with such
-    an atom raises QuadratureFailure, which names the atom."""
+    then no limit of the term: on a row that came out NaN or infinite, it is
+    b f_of_log(``_log_ratio``) with the caller's f of ln t, and without one
+    the row raises QuadratureFailure, which names the atom."""
     inner = (a > 0) & (b > 0)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ratio = np.where(inner, a / b, 1.0)
@@ -432,15 +440,20 @@ def _generic(a, b, f, f_at_zero, slope_at_inf):
             inner, b * f(ratio),
             np.where(b > 0, b * f_at_zero, np.where(a > 0, a * slope_at_inf, 0.0)),
         )
+    if isinstance(c, np.ndarray):
+        terms *= c
     out = terms.sum(axis=-1)
     if not math.isfinite(out.sum()):
         over = np.isinf(ratio) & ~np.isfinite(out)[..., None]
         if over.any():
-            row, atom = np.argwhere(over)[0]
-            a, b = np.broadcast_arrays(a, b)
-            raise QuadratureFailure(
-                f"likelihood ratio {float(a[row, atom])!r} / {float(b[row, atom])!r} "
-                f"overflows at atom {atom}, and the divergence came out {float(out[row])!r}")
+            a, b, c = np.broadcast_arrays(a, b, c)
+            if f_of_log is None:
+                row, atom = np.argwhere(over)[0]
+                raise QuadratureFailure(
+                    f"likelihood ratio {float(a[row, atom])!r} / {float(b[row, atom])!r} "
+                    f"overflows at atom {atom}, and the divergence came out {float(out[row])!r}")
+            terms[over] = b[over] * f_of_log(_log_ratio(a[over], b[over])) * c[over]
+            out = terms.sum(axis=-1)
     return out
 
 

@@ -3,8 +3,9 @@
 Each check evaluates the same quantity along two independent numerical
 paths (a closed-form divergence vs an adaptive quadrature of a divergence
 curve, ``_path_check``) and reports the discrepancy. Every integrand here
-has a finite limit at s -> 0 (chi^2(P||R_s) ~ s^2 chi^2(Q||P)), so the
-open interval (0, lambda] needs no singularity handling. An integrand takes
+has a finite limit at s -> 0 (chi^2(P||R_s) ~ s^2 chi^2(Q||P)). Along
+R_s = (1-s)P + sQ a curve has a pole at s_j = p_j/(p_j - q_j) for each
+p_j > q_j, past lambda but near it where q_j << p_j. An integrand takes
 the array of quadrature nodes and scores the stack of laws they select in
 one row kernel call. Every check puts P and Q on their union support
 (``align``), so either law may lack atoms of the other.
@@ -18,8 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import DiscreteDistribution, align
-from .divergences import (DivergenceSpec, _chi2, _gv, _mixture, chi_squared, f_divergence_rows,
-                          skew_k, skew_s)
+from .divergences import _chi2, _gv, _mixture, _polylog, chi_squared, skew_k, skew_s
 from .errors import DomainError, MaxDepthExceeded, QuadratureFailure
 
 
@@ -171,38 +171,49 @@ def _escapes(a: np.ndarray, b: np.ndarray) -> bool:
     return bool(((a > 0) & (b == 0)).any())
 
 
-def _mixtures(s: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The (m, n) stack of laws (1 - s) a + s b, one row per node s."""
-    s = s[:, None]
-    return (1.0 - s) * a + s * b
-
-
-def _path_check(name: str, lhs: float, curve, edges, infinite: bool) -> IdentityReport:
+def _path_check(name: str, lhs: float, curve, edges, infinite: bool, path=None) -> IdentityReport:
     """lhs against the integral of curve between the first and last of edges
     (an inner edge is a kink of the curve); +inf, with no quadrature, where
-    infinite says that the curve is not integrable."""
-    rhs = math.inf if infinite else integrate(curve, *edges)
+    infinite says that the curve is not integrable. A curve along R_s names
+    its nearest pole when out of panels, from path, the masses of P and Q."""
+    try:
+        rhs = math.inf if infinite else integrate(curve, *edges)
+    except MaxDepthExceeded as exc:
+        if path is None:
+            raise
+        (a, b), lam = path, edges[-1]
+        # the distance from lam, not s_j - lam: p/(p - q) rounds to 1 at q < 1e-16 p
+        gap = ((a * (1.0 - lam) + lam * b)[a > b] / (a - b)[a > b]).min(initial=math.inf)
+        raise MaxDepthExceeded(
+            f"{exc}; the nearest pole of the curve lies {gap:.3g} past lambda = {lam:g}") from None
     return IdentityReport.compare(name, lhs, rhs)
+
+
+def _polylog_path(k: int, s: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """D_{f_k}(R_s||P) for each node s, on the masses a of P and b of Q; at
+    k = 0 it is chi^2(P||R_s)."""
+    c, (a_c, _), r = _mixture((1.0 - s[:, None], s[:, None]), (a, b))
+    return _polylog(r, a_c, k, c)
 
 
 def check_kl_chi2_identity(p: DiscreteDistribution, q: DiscreteDistribution,
                            lam: float) -> IdentityReport:
     """D(P||R_lam) vs the integral of chi^2(P||R_s)/s over (0, lam]."""
     a, b = (d.mass for d in align(p, q))
-
-    def curve(s):
-        c, (a_c, _), r = _mixture((1.0 - s[:, None], s[:, None]), (a, b))
-        return _chi2(a_c, r, c=c) / s
-
-    return _path_check("kl_chi2", skew_k(lam, p, q), curve, (0.0, lam),
-                       lam == 1.0 and _escapes(a, b))
+    return _path_check("kl_chi2", skew_k(lam, p, q), lambda s: _polylog_path(0, s, a, b) / s,
+                       (0.0, lam), lam == 1.0 and _escapes(a, b), (a, b))
 
 
 def check_chi2_half_identity(p: DiscreteDistribution, q: DiscreteDistribution) -> IdentityReport:
     """chi^2(P||Q)/2 vs the integral of chi^2(sP+(1-s)Q||Q)/s."""
     a, b = (d.mass for d in align(p, q))
-    return _path_check("chi2_half", 0.5 * chi_squared(p, q),
-                       lambda s: _chi2(_mixtures(s, b, a), b) / s, (0.0, 1.0), False)
+
+    def curve(s):
+        # the mixture is the numerator only; /s overflows only where chi^2(P||Q) does
+        with np.errstate(over="ignore"):
+            return _chi2((1.0 - s[:, None]) * b + s[:, None] * a, b) / s
+
+    return _path_check("chi2_half", 0.5 * chi_squared(p, q), curve, (0.0, 1.0), False)
 
 
 def check_gv_identity(p: DiscreteDistribution, q: DiscreteDistribution,
@@ -212,7 +223,7 @@ def check_gv_identity(p: DiscreteDistribution, q: DiscreteDistribution,
     # s D_{phi_s}(P||Q) = chi^2(P||R_s)/s
     return _path_check("gv", skew_k(lam, p, q),
                        lambda s: s * _gv(a[None, :], b, s[:, None]),
-                       (0.0, lam), lam == 1.0 and _escapes(a, b))
+                       (0.0, lam), lam == 1.0 and _escapes(a, b), (a, b))
 
 
 def check_recursive_identity(k: int, p: DiscreteDistribution, q: DiscreteDistribution,
@@ -221,13 +232,9 @@ def check_recursive_identity(k: int, p: DiscreteDistribution, q: DiscreteDistrib
     if not 0.0 <= lam <= 1.0:
         raise DomainError(f"mixture weight must lie in [0,1], got {lam}")
     a, b = (d.mass for d in align(p, q))
-    f_k = DivergenceSpec("POLYLOG_F", k)
-    lhs = float(f_divergence_rows(DivergenceSpec("POLYLOG_F", k + 1),
-                                  _mixtures(np.array([lam]), a, b), a)[0])
-    # at k = 0 the curve is chi^2(P||R_s)/s
-    return _path_check(f"recursive_k{k}", lhs,
-                       lambda s: f_divergence_rows(f_k, _mixtures(s, a, b), a) / s,
-                       (0.0, lam), k == 0 and lam == 1.0 and _escapes(a, b))
+    lhs = float(_polylog_path(k + 1, np.array([lam]), a, b)[0])
+    return _path_check(f"recursive_k{k}", lhs, lambda s: _polylog_path(k, s, a, b) / s,
+                       (0.0, lam), k == 0 and lam == 1.0 and _escapes(a, b), (a, b))
 
 
 def g_alpha(alpha: float, s):

@@ -110,6 +110,25 @@ def gv_mpmath(s: float, a, b, dps: int = 40) -> float:
         return float(total)
 
 
+def polylog_path_mpmath(k: int, lam: float, a, b, dps: int = 40) -> float:
+    """D_{f_k}(R_lam||P) = sum p Li_k(1 - r/p), R_lam = (1 - lam) P + lam Q, for
+    an order k >= 1 and mass vectors a of P and b of Q: an atom with p = 0
+    adds 0 (Li_k(1 - u)/u -> 0), and one with r = 0 < p adds p zeta(k),
+    +inf at k = 1."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        a, _, r = _mp_mixture(mpmath.mpf(lam), a, b)
+        total = mpmath.mpf(0)
+        for x, y in zip(a, r):
+            if x > 0:
+                if y == 0 and k == 1:
+                    return math.inf
+                li = mpmath.zeta(k) if y == 0 else mpmath.re(mpmath.polylog(k, 1 - y / x))
+                total += x * li
+        return float(total)
+
+
 def mixture_kl_mpmath(w, stack, dps: int = 40) -> list[float]:
     """D(P_i || sum_j w_j P_j) for each row P_i of the (k, n) stack."""
     import mpmath

@@ -1,16 +1,19 @@
 """Budgets of numpy work on pair-sized calls, as counts: each holds on any
 host, where a timing would not."""
 
+import math
+
 import numpy as np
 import pytest
 
 import divrel.distributions
 import divrel.divergences
+import divrel.identities
 import divrel.moment_bounds
-from divrel import (MomentTuple, check_kl_chi2_identity, kl_moment_lower_bound,
-                    make_channel, make_distribution, mixture)
+from divrel import (MomentTuple, check_kl_chi2_identity, check_recursive_identity,
+                    kl_moment_lower_bound, make_channel, make_distribution, mixture)
 from divrel.distributions import DiscreteDistribution
-from divrel.divergences import _polylog_li
+from divrel.divergences import DivergenceSpec, _polylog_li, f_divergence_rows
 from divrel.identities import integrate
 
 
@@ -24,6 +27,18 @@ def _counting(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, wrapper)
     return calls
+
+
+def _results(monkeypatch, module, name):
+    """Wrap module.name so that each call appends its result to a list."""
+    results, real = [], getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        results.append(real(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(module, name, wrapper)
+    return results
 
 
 @pytest.fixture
@@ -111,3 +126,48 @@ def test_an_identity_check_validates_no_law(monkeypatch):
     calls = _counting(monkeypatch, divrel.distributions, "validate_mass")
     check_kl_chi2_identity(p, q, 0.6)
     assert calls == []
+
+
+# -- the subnormal-mass guards run only where a value needs them -------------
+
+def test_finite_pairs_take_neither_guard(monkeypatch):
+    ratios = _counting(monkeypatch, divrel.divergences, "_log_ratio")
+    mixtures = _results(monkeypatch, divrel.identities, "_mixture")
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        n = int(rng.integers(2, 9))
+        a, b = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n))
+        for spec in (DivergenceSpec("KL"), DivergenceSpec("RENYI", 2.0),
+                     DivergenceSpec("RENYI", math.inf), DivergenceSpec("POLYLOG_F", 2),
+                     DivergenceSpec("POLYLOG_F", 3)):
+            assert np.isfinite(f_divergence_rows(spec, np.stack([a, b]), b)).all()
+        support = np.arange(float(n))
+        p, q = make_distribution(support, a), make_distribution(support, b)
+        for k in (0, 1, 2):
+            check_recursive_identity(k, p, q, float(rng.uniform(0.1, 1.0)))
+    assert ratios == []
+    # a float c = 1, not an array of per-atom scales: the unscaled branch
+    assert mixtures and all(isinstance(c, float) for c, _, _ in mixtures)
+
+
+TINY_P = np.array([5e-324, 1.0])
+TINY_Q = np.array([0.1, 0.9])
+
+
+@pytest.mark.parametrize("spec", [DivergenceSpec("KL"), DivergenceSpec("RENYI", math.inf),
+                                  *(DivergenceSpec("POLYLOG_F", k) for k in range(2, 7))])
+def test_a_mended_kernel_call_takes_one_log_ratio(monkeypatch, spec):
+    # Q / P overflows at P's subnormal atom
+    ratios = _counting(monkeypatch, divrel.divergences, "_log_ratio")
+    assert math.isfinite(f_divergence_rows(spec, TINY_Q[None, :], TINY_P)[0])
+    assert len(ratios) == 1
+
+
+def test_a_mended_recursive_curve_takes_one_log_ratio_a_call(monkeypatch):
+    ratios = _counting(monkeypatch, divrel.divergences, "_log_ratio")
+    kernel = _counting(monkeypatch, divrel.identities, "_polylog")
+    p = make_distribution([0, 1, 2], [5e-324, 0.5, 0.5 - 5e-324])
+    q = make_distribution([0, 1, 2], [0.1, 0.3, 0.6])
+    assert check_recursive_identity(2, p, q, 0.7).passed
+    # R_s / P overflows at atom 0 on the lhs and in every round of the curve
+    assert len(kernel) > 1 and len(ratios) == len(kernel)

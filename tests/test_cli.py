@@ -312,14 +312,36 @@ def test_identity_check_quadrature_failure_exits_2(tmp_path, capsys, monkeypatch
     assert "Traceback" not in err
 
 
-def test_divergence_with_an_overflowing_ratio_exits_2(tmp_path, capsys):
-    # Q / P overflows at the subnormal atom of P: the polylog sum is not finite
+def test_divergence_with_an_overflowing_ratio(tmp_path, capsys):
+    # Q / P overflows at the subnormal atom of P: the polylog term is taken in
+    # logs (40-digit mpmath: 0.10262)
     p = write_dist(tmp_path, "p.json", [0, 1], [5e-324, 1.0])
     q = write_dist(tmp_path, "q.json", [0, 1], [0.1, 0.9])
-    code = main(["divergence", "--spec", "polylog:2", "--p", q, "--q", p])
+    code, rep = run_json(capsys, ["divergence", "--spec", "polylog:2", "--p", q, "--q", p])
+    assert code == 0
+    assert rep["scalars"]["value_nats"] == pytest.approx(0.1026177910993911, rel=1e-13)
+
+
+def test_recursive_identity_check_with_a_subnormal_mass(tmp_path, capsys):
+    # R_s / P overflows at P's subnormal atom, where the check raised
+    p = write_dist(tmp_path, "p.json", [0, 1, 2], [5e-324, 0.5, 0.5 - 5e-324])
+    q = write_dist(tmp_path, "q.json", [0, 1, 2], [0.1, 0.3, 0.6])
+    code, rep = run_json(capsys, ["identity-check", "--which", "recursive", "--p", p, "--q", q,
+                                  "--k", "1", "--lam", "0.7"])
+    assert code == 0
+    assert rep["scalars"]["passed"] is True
+
+
+@pytest.mark.parametrize("which", ["kl-chi2", "gv", "recursive"])
+def test_identity_check_out_of_panels_names_the_pole(tmp_path, capsys, which):
+    # R_s vanishes at s = 0.5 / (0.5 - 1e-8), 2e-8 past lam = 1
+    p = write_dist(tmp_path, "p.json", [0, 1], [0.5, 0.5])
+    q = write_dist(tmp_path, "q.json", [0, 1], [1e-8, 1 - 1e-8])
+    code = main(["identity-check", "--which", which, "--p", p, "--q", q, "--k", "0"])
     err = capsys.readouterr().err
     assert code == 2
-    assert err.startswith("numerical failure:") and "overflows at atom 0" in err
+    assert err.startswith("numerical failure:") and "after 60 of 60 panels" in err
+    assert "the nearest pole of the curve lies 2e-08 past lambda = 1" in err
 
 
 @pytest.mark.parametrize("rate", ["nan", "inf"])

@@ -595,21 +595,24 @@ def test_mixture_is_scaled_only_where_an_entry_is_small():
         assert isinstance(_mixture(weights, laws)[0], np.ndarray)
 
 
-# -- a likelihood ratio that overflows: an error, not a silent NaN or inf ----
+# -- a likelihood ratio that overflows: a value in logs, or an error --------
 
 TINY_P = make_distribution([0, 1], [5e-324, 1.0])
 TINY_Q = make_distribution([0, 1], [0.1, 0.9])
 
 
-@pytest.mark.parametrize("value", [
-    lambda: f_k_divergence(2, TINY_Q, TINY_P),  # NaN before
-    lambda: f_k_divergence(3, TINY_Q, TINY_P),  # -inf before
-    # +inf before, where sum q f(p/q) = 74.1...
-    lambda: generic_f_divergence(lambda t: t * np.log(t), TINY_Q, TINY_P, 0.0, math.inf),
-])
-def test_an_overflowing_ratio_raises_where_the_value_is_not_finite(value):
+# NaN at k = 2 and -inf at k = 3 once, then QuadratureFailure
+@pytest.mark.parametrize("k, rounded", [(2, 0.10262), (3, 0.10129)])
+def test_an_overflowing_ratio_gives_the_polylog_value(k, rounded):
+    want = _ref_polylog(k, TINY_Q.mass, TINY_P.mass)
+    assert want == pytest.approx(rounded, rel=1e-4)
+    assert f_k_divergence(k, TINY_Q, TINY_P) == pytest.approx(want, rel=1e-13)
+
+
+def test_an_overflowing_ratio_raises_for_a_generic_kernel():
+    # +inf before, where sum q f(p/q) = 74.1...: f is known only on t
     with pytest.raises(QuadratureFailure, match="0.1 / 5e-324 overflows at atom 0"):
-        value()
+        generic_f_divergence(lambda t: t * np.log(t), TINY_Q, TINY_P, 0.0, math.inf)
 
 
 def test_an_overflowing_ratio_leaves_finite_rows_as_they_were():
@@ -618,7 +621,23 @@ def test_an_overflowing_ratio_leaves_finite_rows_as_they_were():
     assert f_k_divergence(2, TINY_P, TINY_Q) == pytest.approx(0.0671420174785132, rel=1e-12)
     bounded = generic_f_divergence(lambda t: np.minimum(t, 1.0), TINY_Q, TINY_P, 0.0, 0.0)
     assert bounded == pytest.approx(5e-324 + 0.9, rel=1e-15)
-    # the whole stack raises when one of its rows does
+    # a stack with an overflowed row returns every row (the matmuls of the
+    # polylog series round a point by the number of points they take)
     rows = np.array([[0.5, 0.5], [0.1, 0.9]])
-    with pytest.raises(QuadratureFailure, match="at atom 0"):
-        f_divergence_rows(DivergenceSpec("POLYLOG_F", 2), rows, TINY_P.mass)
+    got = f_divergence_rows(DivergenceSpec("POLYLOG_F", 2), rows, TINY_P.mass)
+    assert got == pytest.approx([_ref_polylog(2, row, TINY_P.mass) for row in rows], rel=1e-13)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), n=st.integers(2, 6), atom=st.integers(0, 5),
+       tiny=st.sampled_from([5e-324, 1.5e-320, 2.2250738585072e-310, 1e-300]),
+       k=st.integers(2, 6))
+def test_polylog_rows_at_a_subnormal_mass_match_mpmath(seed, n, atom, tiny, k):
+    # q / p overflows at P's tiny atom: the term is taken in logs
+    rng = np.random.default_rng(seed)
+    p, q = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n))
+    atom %= n
+    p[(atom + 1) % n] += p[atom] - tiny
+    p[atom] = tiny
+    got = f_divergence_rows(DivergenceSpec("POLYLOG_F", k), q[None, :], p)[0]
+    assert got == pytest.approx(_ref_polylog(k, q, p), rel=1e-13)

@@ -14,8 +14,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from divrel import (
+    check_chi2_half_identity,
     check_gv_identity,
     check_kl_chi2_identity,
+    check_recursive_identity,
     concavity_deficit_bounds,
     derivative_checks,
     gv_lower_bound,
@@ -33,8 +35,8 @@ from divrel import (
 from divrel.errors import PreconditionViolated
 from divrel.identities import check_skew_s_integral
 
-from oracles import (gv_mpmath, mixture_kl_bound_scalar, mixture_kl_mpmath, skew_k_mpmath,
-                     skew_s_mpmath)
+from oracles import (gv_mpmath, mixture_kl_bound_scalar, mixture_kl_mpmath,
+                     polylog_path_mpmath, skew_k_mpmath, skew_s_mpmath)
 from test_distributions import ODD_MASSES
 
 # the pair of the defect: P holds 5e-324 where Q holds nothing
@@ -169,17 +171,56 @@ def test_divergences_against_a_mixture_with_a_subnormal_mass(seed, n, atom, odd,
     _close(out["deficit_entropy_form"], float(w @ want), abs_=1e-14)
 
 
+# the draws of ODD_PAIRS as one (P, Q) pair, so that a fixed pair can be an example
+ODD_PAIR = st.builds(lambda seed, n, atom, odd, q_empty: _odd_pair(seed, n, atom % n, odd,
+                                                                   q_empty),
+                     **{name: draw for name, draw in ODD_PAIRS.items() if name != "alpha"})
+
+
 @settings(max_examples=20, deadline=None)
-@given(**ODD_PAIRS)
-@ROUNDS_TO_ZERO
-def test_identity_checks_with_a_subnormal_mass(seed, n, atom, odd, q_empty, alpha):
-    p, q = _odd_pair(seed, n, atom % n, odd, q_empty)
+@given(pair=ODD_PAIR, alpha=ODD_PAIRS["alpha"])
+@example(pair=_odd_pair(0, 4, 1, 5e-324, True), alpha=0.5)
+# the recursive check at k = 0 read lhs = +inf, at k = 1 rhs = +inf
+@example(pair=(P, Q), alpha=0.5)
+@example(pair=(P, Q), alpha=0.7)
+# Q / P overflows at P's subnormal atom: the recursive check at k = 1, 2 raised
+@example(pair=(P, make_distribution([0, 1, 2], [0.1, 0.3, 0.6])), alpha=0.7)
+def test_identity_checks_with_a_subnormal_mass(pair, alpha):
+    p, q = pair
     a, b = p.mass, q.mass
-    for rep, want in ((check_kl_chi2_identity(p, q, alpha), skew_k_mpmath(alpha, a, b)),
-                      (check_gv_identity(p, q, alpha), skew_k_mpmath(alpha, a, b)),
-                      (check_skew_s_integral(alpha, p, q), skew_s_mpmath(alpha, a, b))):
+    checks = [(check_kl_chi2_identity(p, q, alpha), skew_k_mpmath(alpha, a, b)),
+              (check_gv_identity(p, q, alpha), skew_k_mpmath(alpha, a, b)),
+              (check_skew_s_integral(alpha, p, q), skew_s_mpmath(alpha, a, b))]
+    for x, y in ((p, q), (q, p)):
+        # D_{f_{k+1}}(R_alpha||P) on the lhs
+        checks += [(check_recursive_identity(k, x, y, alpha),
+                    polylog_path_mpmath(k + 1, alpha, x.mass, y.mass)) for k in (0, 1, 2)]
+        rep, want = check_chi2_half_identity(x, y), 0.5 * gv_mpmath(1.0, x.mass, y.mass)
+        if math.isinf(want):
+            # P has mass where Q has none, or chi^2 passes the float range
+            # (0.5^2 / 5e-324): no finite side is right
+            assert rep.lhs == rep.rhs == math.inf and rep.passed
+        elif want < HALF_MAX / 2:
+            # (above, see test_chi2_half_near_the_top_of_the_float_range)
+            checks.append((rep, want))
+    for rep, want in checks:
         _close(rep.lhs, want)
-        assert math.isfinite(rep.rhs) and rep.passed
+        assert math.isfinite(rep.rhs) and rep.passed, rep
+
+
+HALF_MAX = np.finfo(float).max / 2
+
+
+@pytest.mark.xfail(strict=True, reason="integrate sums its rule over [-1, 1] before scaling "
+                                       "by the half-width, which overflows above max/2")
+def test_chi2_half_near_the_top_of_the_float_range():
+    # chi^2(P||Q) = 0.15^2 / 2.2e-310 + ... = 1.0e308 lies in the float range,
+    # and so does every value of the curve s chi^2(P||Q)
+    p = make_distribution([0, 1], [0.15, 0.85])
+    q = make_distribution([0, 1], [2.2250738585072e-310, 1.0])
+    rep = check_chi2_half_identity(p, q)
+    assert HALF_MAX / 2 < rep.lhs < math.inf
+    assert rep.rhs == pytest.approx(rep.lhs, rel=1e-8) and rep.passed
 
 
 def test_skew_curve_derivatives_need_a_positive_chi2():
