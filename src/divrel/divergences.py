@@ -354,13 +354,15 @@ def _polylog_li(k: int, x: np.ndarray) -> np.ndarray:
     weights (``_eta_weights``); for t in [0, 1/2] the power series
     sum t^n/n^k; and for t in (1/2, 1)
     Li_k(t) = sum_m zeta(k - m) mu^m/m! + mu^(k-1) (H_(k-1) - ln(-mu))/(k-1)!
-    in mu = ln t, taken as ln(1 - x).
+    in mu = ln t, taken as ln(1 - x). Each sum, and the inversion's, is a
+    row sum per point, so that no point's value depends on the points
+    beside it (a matmul would round it by their number).
     """
     series, log_exp, log_term, _, _, _, eta_series = _polylog_coefficients(k)
     x = np.asarray(x, dtype=float)
     y = 1.0 - x
     low = y < -1.0
-    # a region that holds no point costs no power table and no matmul
+    # a region that holds no point costs no power table and no sum
     # (np.count_nonzero is the cheapest test of a mask)
     any_low = np.count_nonzero(low)
     t = y.copy()
@@ -373,13 +375,13 @@ def _polylog_li(k: int, x: np.ndarray) -> np.ndarray:
     out = np.empty_like(x)
     if np.count_nonzero(alternating):
         u = -t[alternating]
-        out[alternating] = -(_powers(u, _ETA_TERMS) @ eta_series)
+        out[alternating] = -(_powers(u, _ETA_TERMS) * eta_series).sum(axis=1)
     if np.count_nonzero(plain):
-        out[plain] = _powers(t[plain], _SERIES_TERMS) @ series
+        out[plain] = (_powers(t[plain], _SERIES_TERMS) * series).sum(axis=1)
     if np.count_nonzero(near):
         # mu < 0 for every x > 0
         mu = np.log1p(-x[near])
-        out[near] = (log_exp[0] + _powers(mu, len(log_exp) - 1) @ log_exp[1:]
+        out[near] = (log_exp[0] + (_powers(mu, len(log_exp) - 1) * log_exp[1:]).sum(axis=1)
                      - mu ** (k - 1) * np.log(-mu) * log_term)
     if any_low:
         out[low] = _inverted(k, np.log(-y[low]), out[low])
@@ -397,7 +399,7 @@ def _inverted(k: int, big_l: np.ndarray, li_inverse) -> np.ndarray:
     log_l = np.log(big_l)[:, None]
     top = log_l.max(initial=0.0)
     keep = (orders < 2.0 * np.exp(top)) | (orders * top - log_fact > math.log(1e-32))
-    inverted = np.exp(log_l * orders[keep] - log_fact[keep]) @ weights[keep]
+    inverted = (np.exp(log_l * orders[keep] - log_fact[keep]) * weights[keep]).sum(axis=1)
     return -inverted - (-1) ** k * li_inverse
 
 
@@ -616,8 +618,9 @@ def _binary_term(x, y, diff):
 
 
 def _g_series(u: np.ndarray) -> np.ndarray:
-    """g(t)/t^2 by its series, at an array u of t with |t| < 1/8."""
-    return _powers(-u, len(_G_SERIES) - 1) @ _G_SERIES[1:] + _G_SERIES[0]
+    """g(t)/t^2 by its series, at an array u of t with |t| < 1/8; a row sum
+    per point, which a matmul would round by the number of points."""
+    return (_powers(-u, len(_G_SERIES) - 1) * _G_SERIES[1:]).sum(axis=1) + _G_SERIES[0]
 
 
 def binary_kl(r, s):

@@ -77,6 +77,18 @@ _EPS50 = 50.0 * np.finfo(float).eps
 _TINY = np.finfo(float).tiny
 
 
+def _rules(fx):
+    """Kronrod sums and QUADPACK error estimates of the node-major values fx
+    on [-1, 1], one of each per column; both are 1-homogeneous in fx."""
+    kronrod, gauss = _RULES @ fx
+    diff = 200.0 * np.abs(kronrod - gauss)
+    # the mean absolute deviation from the panel mean, scaled as in QUADPACK
+    spread = _WK @ np.abs(fx - 0.5 * kronrod)
+    err = spread * (np.minimum(spread, diff) / np.maximum(spread, _TINY)) ** 1.5
+    # at least 50 eps times spread + |kronrod|, a bound on the integral of |f|
+    return kronrod, np.maximum(err, _EPS50 * (spread + np.abs(kronrod)))
+
+
 def _gauss_kronrod(f, lo, hi):
     """Kronrod values and QUADPACK error estimates of f on the panels
     [lo_i, hi_i], one of each per panel, all scored in one call of f."""
@@ -87,13 +99,11 @@ def _gauss_kronrod(f, lo, hi):
     # an infinite value of f leaves the error estimate NaN (integrate then
     # stops on the value)
     with np.errstate(invalid="ignore", over="ignore"):
-        kronrod, gauss = _RULES @ fx
-        diff = 200.0 * np.abs(kronrod - gauss)
-        # the mean absolute deviation from the panel mean, scaled as in QUADPACK
-        spread = _WK @ np.abs(fx - 0.5 * kronrod)
-        err = spread * (np.minimum(spread, diff) / np.maximum(spread, _TINY)) ** 1.5
-        # at least 50 eps times spread + |kronrod|, a bound on the integral of |f|
-        err = np.maximum(err, _EPS50 * (spread + np.abs(kronrod)))
+        kronrod, err = _rules(fx)
+        if not np.isfinite(err).all() and np.isfinite(fx).all():
+            # finite values above max/2 overflow the weights, which sum to 2:
+            # the round takes them scaled by each half-width instead
+            return _rules(fx * half)
     return kronrod * half, err * np.abs(half)
 
 

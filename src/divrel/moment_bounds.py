@@ -148,13 +148,12 @@ def _certificate(mt: MomentTuple) -> tuple[BoundCertificate, list[float] | None]
     masses = [min(max(x, 0.0), two_v) for x in (v_plus_c, v_minus_c, s_up, s_down)]
     # _binary_term(masses[:2], masses[2:], (a, -a)), term by term: the logs
     # from numpy's ufuncs, as math.log and math.log1p may differ from them in
-    # the last bit, and the series of the near terms in one matmul
-    terms, near = [], []
+    # the last bit, and the series of a near term from _g_series
+    terms = []
     for x, y, diff in ((masses[0], masses[2], a), (masses[1], masses[3], -a)):
         t = diff / y if y else math.copysign(math.inf, diff)
         if abs(t) < _G_CUT:
-            near.append((len(terms), y, t))
-            terms.append(None)
+            terms.append(y * t * t * float(_g_series(np.array([t]))[0]))
         elif not x > 0:
             terms.append(0.0 - diff)
         elif t < -0.5:
@@ -163,10 +162,6 @@ def _certificate(mt: MomentTuple) -> tuple[BoundCertificate, list[float] | None]
             terms.append(x * float(np.log(ratio)) - diff if ratio else -math.inf)
         else:
             terms.append(x * float(np.log1p(t)) - diff)
-    if near:
-        series = _g_series(np.array([t for _, _, t in near])).tolist()
-        for (i, y, t), g in zip(near, series):
-            terms[i] = y * t * t * g
     bound = (terms[0] + terms[1]) / two_v
     return BoundCertificate(masses[0] / two_v, masses[2] / two_v, a, b, v, bound), masses
 

@@ -199,10 +199,12 @@ CHANNEL_NM = {"xatol": 1e-12, "fatol": 1e-14, "maxiter": 5000}
 def nelder_mead_sup(nm_options: dict):
     """A stand-in for divrel.contraction._sampled_sup that refines the best
     Dirichlet draw by scipy's Nelder-Mead in softmax logits, one law per
-    evaluation; oracle for the batched refinement (same draws, same lower)."""
+    evaluation; oracle for the batched refinement (same draws, same lower).
+    It ignores the anchor, so that the comparison stays the refinement of
+    the best draws against Nelder-Mead from the best draw."""
     import scipy.optimize
 
-    def sampled_sup(score_rows, n, n_samples, seed):
+    def sampled_sup(score_rows, n, n_samples, seed, anchor=None):
         rng = np.random.default_rng(seed)
         draws = rng.dirichlet(np.ones(n), size=n_samples)
         validate_mass(draws)

@@ -10,8 +10,10 @@ import divrel.distributions
 import divrel.divergences
 import divrel.identities
 import divrel.moment_bounds
-from divrel import (MomentTuple, check_kl_chi2_identity, check_recursive_identity,
-                    kl_moment_lower_bound, make_channel, make_distribution, mixture)
+from divrel import (MomentTuple, SourceChannelPair, brute_force_mu_f, check_kl_chi2_identity,
+                    check_recursive_identity, kl_moment_lower_bound, make_channel,
+                    make_distribution, markov_mixing_report, mixture, mu_chi2_channel,
+                    skew_contraction_sandwich)
 from divrel.distributions import DiscreteDistribution
 from divrel.divergences import DivergenceSpec, _polylog_li, f_divergence_rows
 from divrel.identities import integrate
@@ -89,7 +91,8 @@ def test_moment_bound_calls_no_array_kernel(monkeypatch, moments, near_terms):
     series = _counting(monkeypatch, divrel.moment_bounds, "_g_series")
     kl_moment_lower_bound(MomentTuple(*moments))
     assert binary == []
-    assert [len(args[0]) for args in series] == ([near_terms] if near_terms else [])
+    # one 1-point call per near term: a row's series does not depend on its batch
+    assert [len(args[0]) for args in series] == [1] * near_terms
 
 
 def test_a_law_is_validated_once_a_build(monkeypatch):
@@ -99,6 +102,22 @@ def test_a_law_is_validated_once_a_build(monkeypatch):
     make_channel([[0.9, 0.1], [0.2, 0.8]])
     mixture(p, p, 0.5)
     assert len(calls) == 4
+
+
+def test_contraction_routines_take_no_svd(monkeypatch):
+    # every spectral quantity comes from the eigvalsh of the chi^2 contraction
+    def svd(*args, **kwargs):
+        raise AssertionError("np.linalg.svd called")
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    w = make_channel([[0.6, 0.3, 0.1], [0.3, 0.4, 0.3], [0.1, 0.3, 0.6]])
+    sc = SourceChannelPair(make_distribution([0, 1, 2], [0.2, 0.3, 0.5]), w)
+    for spec in (DivergenceSpec("KL"), DivergenceSpec("SKEW_K", 0.5)):
+        brute_force_mu_f(spec, sc, n_samples=100, seed=1)
+    skew_contraction_sandwich(0.5, "S", sc)
+    mu_chi2_channel(w)
+    # w is symmetric, so reversible at its uniform stationary law
+    markov_mixing_report(w, make_distribution([0, 1, 2], [1.0, 0.0, 0.0]), 0.5, 3)
 
 
 @pytest.mark.parametrize("x, tables, inverted", [

@@ -650,6 +650,21 @@ def test_refinement_stays_within_its_round_budget(monkeypatch):
     assert est.point_estimate >= 0.5076155482146442 - 1e-10
 
 
+@pytest.mark.parametrize("spec", [DivergenceSpec("KL"), DivergenceSpec("SKEW_K", 0.5),
+                                  DivergenceSpec("SKEW_S", 0.5), DivergenceSpec("GV", 0.3)])
+def test_search_reaches_the_chi2_contraction(spec):
+    # f''(1) > 0: the ratio tends to the chi^2 contraction as P -> Qx, which
+    # the refinement's start at Qx reaches within the input-divergence floor;
+    # the best draws alone leave the KL point 1.2e-5 short on channel 33
+    for k in range(60):
+        rng = np.random.default_rng([9090, k])
+        n_in, n_out = rng.integers(2, 7, size=2)
+        w = make_channel(rng.dirichlet(np.ones(n_out), size=n_in))
+        sc = SourceChannelPair(make_distribution(range(n_in), rng.dirichlet(np.ones(n_in))), w)
+        est = brute_force_mu_f(spec, sc, n_samples=300, seed=int(rng.integers(1 << 30)))
+        assert est.point_estimate >= chi2_contraction(sc) - 1e-5, k
+
+
 def test_searches_log_their_budget(caplog):
     caplog.set_level(logging.DEBUG, logger="divrel.contraction")
     sc = SourceChannelPair(UNIFORM2, bsc(0.1))

@@ -71,6 +71,15 @@ def test_rejects_length_mismatch():
         make_distribution([0, 1, 2], [0.5, 0.5])
 
 
+@pytest.mark.parametrize("support, mass", [
+    ([0.0, 1.0, 2.0], [0.5, 0.5]), ([[0.0, 1.0]], [[0.5, 0.5]]), ([], []),
+])
+def test_direct_construction_needs_equal_positive_lengths(support, mass):
+    # make_distribution checks its own lengths first; this is the class's check
+    with pytest.raises(DimensionMismatch, match="equal positive length"):
+        DiscreteDistribution(support, mass)
+
+
 def test_no_silent_renormalization():
     # off by 1e-6 must be rejected, not fixed up
     with pytest.raises(NonStochastic):

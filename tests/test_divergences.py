@@ -524,6 +524,22 @@ def test_zeta_matches_mpmath_at_every_argument_of_the_polylog_tables():
             assert abs(_zeta(s) / want - 1) <= 1e-15, s
 
 
+@pytest.mark.parametrize("k", [2, 3, 7])
+def test_series_round_each_point_as_alone(k):
+    # every region of Li_k(1 - x), the inversion included, and g's series:
+    # a point's value does not depend on the points it is summed beside
+    from divrel.divergences import _g_series, _polylog_li
+
+    rng = np.random.default_rng(k)
+    x = np.concatenate([rng.uniform(0.0, 3.0, 400), 10.0 ** rng.uniform(-3, 6, 400)])
+    for series, points in ((lambda x: _polylog_li(k, x), x),
+                           (_g_series, rng.uniform(-0.125, 0.125, 400))):
+        alone = [series(points[i:i + 1])[0] for i in range(len(points))]
+        assert series(points).tolist() == alone
+        assert np.concatenate([series(points[i:i + 3])
+                               for i in range(0, len(points), 3)]).tolist() == alone
+
+
 def _scaled_always(weights, laws):
     """divergences._mixture with the per-atom scaling on every input: the
     laws are divided by c, the power of two at or below each atom's largest
@@ -621,11 +637,13 @@ def test_an_overflowing_ratio_leaves_finite_rows_as_they_were():
     assert f_k_divergence(2, TINY_P, TINY_Q) == pytest.approx(0.0671420174785132, rel=1e-12)
     bounded = generic_f_divergence(lambda t: np.minimum(t, 1.0), TINY_Q, TINY_P, 0.0, 0.0)
     assert bounded == pytest.approx(5e-324 + 0.9, rel=1e-15)
-    # a stack with an overflowed row returns every row (the matmuls of the
-    # polylog series round a point by the number of points they take)
+    # a stack with an overflowed row returns every row, and its finite row
+    # bit for bit as that row alone (the polylog series sum each point alone)
     rows = np.array([[0.5, 0.5], [0.1, 0.9]])
-    got = f_divergence_rows(DivergenceSpec("POLYLOG_F", 2), rows, TINY_P.mass)
+    spec = DivergenceSpec("POLYLOG_F", 2)
+    got = f_divergence_rows(spec, rows, TINY_P.mass)
     assert got == pytest.approx([_ref_polylog(2, row, TINY_P.mass) for row in rows], rel=1e-13)
+    assert got[0] == f_divergence_rows(spec, rows[:1], TINY_P.mass)[0] == 0.5822405264650121
 
 
 @settings(max_examples=40, deadline=None)

@@ -20,7 +20,7 @@ from divrel import (
     polylog_f,
 )
 from divrel.divergences import generic_f_divergence
-from divrel.errors import DivrelError, DomainError
+from divrel.errors import DivrelError, DomainError, MaxDepthExceeded
 from divrel.identities import IdentityReport, check_skew_s_integral, integrate
 
 from conftest import random_pair
@@ -107,6 +107,19 @@ def test_chi2_half_identity_infinite_sides():
     r = check_chi2_half_identity(p, q)
     assert r.lhs == r.rhs == math.inf
     assert (r.abs_err, r.rel_err, r.passed) == (0.0, 0.0, True)
+
+
+def test_a_curve_off_the_mixture_path_names_no_pole_when_out_of_panels(monkeypatch):
+    # the skew-s curve is not taken along R_s, so it has no pole to name; its
+    # first round has 8 panels and no room for a second, where P's small atom
+    # puts a sharp bend near s = 1 (the chi^2-half curve, s chi^2(P||Q), is
+    # linear and never needs a second round)
+    monkeypatch.setattr(divrel.identities, "_MAX_PANELS", 4)
+    p = make_distribution([0, 1], [1e-6, 1.0 - 1e-6])
+    q = make_distribution([0, 1], [0.5, 0.5])
+    with pytest.raises(MaxDepthExceeded, match="after 8 of 4 panels") as info:
+        check_skew_s_integral(0.5, p, q)
+    assert "pole" not in str(info.value)
 
 
 @pytest.mark.parametrize("lam", [-0.1, 1.1])
