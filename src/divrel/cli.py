@@ -9,8 +9,11 @@ Every report has one layout, assembled in ``main``: ``command`` (the
 subcommand), ``formula`` (a one-line description of what was computed),
 ``inputs`` (every argument of the subcommand, defaults included, except
 ``--format``), then the subcommand's own ``scalars`` and/or ``rows``. Each
-subcommand registers its runner and formula with its parser; a runner
-returns only its ``scalars`` and ``rows``.
+subcommand registers its runner and formula with its parser. A runner
+returns its ``scalars`` and/or ``rows``, and may return a ``formula`` too,
+which replaces the registered one where the formula depends on the
+arguments (``identity-check`` registers None and returns the formula of its
+``--which``).
 
 A runner imports the modules it calls beyond distributions, divergences and
 errors, so that a subcommand loads only the divrel modules it runs.
@@ -112,8 +115,9 @@ def _cmd_identity_check(args) -> dict:
     from . import identities
 
     p, q = (_load(DiscreteDistribution, path) for path in (args.p, args.q))
-    rep = _IDENTITIES[args.which][1](identities, args, p, q)
-    return {"scalars": {k: v for k, v in vars(rep).items() if k != "name"}}
+    formula, check = _IDENTITIES[args.which]
+    rep = check(identities, args, p, q)
+    return {"formula": formula, "scalars": {k: v for k, v in vars(rep).items() if k != "name"}}
 
 
 def _cmd_moment_bound(args) -> dict:
@@ -254,9 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("--p", "--q"):
         p.add_argument(name, required=True, help="JSON file {support, mass}")
 
-    # the formula depends on --which, so it is looked up once the line is parsed
-    p = command("identity-check", _cmd_identity_check,
-                lambda args: _IDENTITIES[args.which][0],
+    # the formula depends on --which: the runner returns it
+    p = command("identity-check", _cmd_identity_check, None,
                 "two-path integral identity check")
     p.add_argument("--which", required=True, choices=tuple(_IDENTITIES))
     p.add_argument("--p", required=True)
@@ -337,9 +340,8 @@ def main(argv=None) -> int:
     except (DivrelError, ValueError, OSError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 1
-    formula = args.formula(args) if callable(args.formula) else args.formula
     inputs = {k: v for k, v in vars(args).items() if k not in _NOT_INPUTS}
-    _emit({"command": args.command, "formula": formula, "inputs": inputs, **parts},
+    _emit({"command": args.command, "formula": args.formula, "inputs": inputs, **parts},
           args.format)
     return 0
 

@@ -229,10 +229,6 @@ def _mixture_kl(w, stack):
     return _kl(stack, m, c=c), c * m
 
 
-def _js(a, b, _=None):
-    return _skew_s(a, b, 0.5)
-
-
 def _polylog(a, b, k, c=1.0):
     k = int(k)
     # Li_0(1 - t) = 1/t - 1 and Li_1(1 - t) = -ln t: chi^2(b||a) and D(b||a)
@@ -473,7 +469,7 @@ _REGISTRY = {
     "GV": (_gv, _unit, "a skew s in [0, 1]"),
     "SKEW_K": (_skew_k, _unit, "a skew alpha in [0, 1]"),
     "SKEW_S": (_skew_s, _unit, "a skew alpha in [0, 1]"),
-    "JS": (_js, None, ""),
+    "JS": (lambda a, b, _=None: _skew_s(a, b, 0.5), None, ""),
     # the coefficient tables of Li_k grow linearly in k
     "POLYLOG_F": (_polylog, lambda k: not isinstance(k, bool) and float(k).is_integer()
                   and 0 <= k <= 1000, "an integer order k in [0, 1000]"),
@@ -482,18 +478,17 @@ _REGISTRY = {
 _NAMES = {tag.lower(): tag for tag in _REGISTRY} | {"polylog": "POLYLOG_F"}
 
 
-def _check_param(tag: str, param) -> Callable:
-    """The row kernel of tag; raises DomainError unless param lies in the
+def _check_param(tag: str, param) -> None:
+    """Raises DomainError unless tag is registered and param lies in the
     domain of its parameter."""
     if tag not in _REGISTRY:
         raise DomainError(f"unknown divergence tag {tag!r}")
-    rows, domain, needs = _REGISTRY[tag]
+    _, domain, needs = _REGISTRY[tag]
     if domain is None:
         if param is not None:
             raise DomainError(f"{tag} takes no parameter, got {param!r}")
     elif param is None or not domain(param):
         raise DomainError(f"{tag} requires {needs}, got {param!r}")
-    return rows
 
 
 def f_divergence_rows(spec: DivergenceSpec, P, q) -> np.ndarray:
@@ -545,45 +540,41 @@ def generic_f_divergence(
 
 def kl(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
     """Relative entropy D(P||Q) in nats."""
-    return _one_row(_kl, p, q)
+    return f_divergence(DivergenceSpec("KL"), p, q)
 
 
 def chi_squared(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
     """Pearson chi-squared divergence chi^2(P||Q)."""
-    return _one_row(_chi2, p, q)
+    return f_divergence(DivergenceSpec("CHI2"), p, q)
 
 
 def total_variation(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
     """Total variation |P-Q| = sum |p_i - q_i|, always in [0, 2]."""
-    return _one_row(_tv, p, q)
-
-
-def _parametric(tag: str, param, p: DiscreteDistribution, q: DiscreteDistribution) -> float:
-    return _one_row(_check_param(tag, param), p, q, param)
+    return f_divergence(DivergenceSpec("TV"), p, q)
 
 
 def renyi(alpha: float, p: DiscreteDistribution, q: DiscreteDistribution) -> float:
     """Renyi divergence of order alpha in [0, inf], with continuous extensions."""
-    return _parametric("RENYI", alpha, p, q)
+    return f_divergence(DivergenceSpec("RENYI", alpha), p, q)
 
 
 def gyorfi_vajda(s: float, p: DiscreteDistribution, q: DiscreteDistribution) -> float:
     """Divergence with kernel (t-1)^2 / (s + (1-s)t); scaled chi^2 vs the s-mixture."""
-    return _parametric("GV", s, p, q)
+    return f_divergence(DivergenceSpec("GV", s), p, q)
 
 
 def skew_k(alpha: float, p: DiscreteDistribution, q: DiscreteDistribution) -> float:
     """K_alpha(P||Q) = D(P || (1-alpha)P + alpha*Q); K_0 = 0 by continuity."""
-    return _parametric("SKEW_K", alpha, p, q)
+    return f_divergence(DivergenceSpec("SKEW_K", alpha), p, q)
 
 
 def skew_s(alpha: float, p: DiscreteDistribution, q: DiscreteDistribution) -> float:
     """S_alpha(P||Q) = alpha*K_alpha(P||Q) + (1-alpha)*K_{1-alpha}(Q||P)."""
-    return _parametric("SKEW_S", alpha, p, q)
+    return f_divergence(DivergenceSpec("SKEW_S", alpha), p, q)
 
 
 def jensen_shannon(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
-    return _one_row(_js, p, q)
+    return f_divergence(DivergenceSpec("JS"), p, q)
 
 
 def f_k_divergence(k: int, p: DiscreteDistribution, q: DiscreteDistribution) -> float:

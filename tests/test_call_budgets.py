@@ -10,10 +10,10 @@ import divrel.distributions
 import divrel.divergences
 import divrel.identities
 import divrel.moment_bounds
-from divrel import (MomentTuple, SourceChannelPair, brute_force_mu_f, check_kl_chi2_identity,
-                    check_recursive_identity, kl_moment_lower_bound, make_channel,
-                    make_distribution, markov_mixing_report, mixture, mu_chi2_channel,
-                    skew_contraction_sandwich)
+from divrel import (MomentTuple, SourceChannelPair, brute_force_mu_f, check_chi2_half_identity,
+                    check_kl_chi2_identity, check_recursive_identity, kl_moment_lower_bound,
+                    make_channel, make_distribution, markov_mixing_report, mixture,
+                    mu_chi2_channel, skew_contraction_sandwich)
 from divrel.distributions import DiscreteDistribution
 from divrel.divergences import DivergenceSpec, _polylog_li, f_divergence_rows
 from divrel.identities import integrate
@@ -145,6 +145,27 @@ def test_an_identity_check_validates_no_law(monkeypatch):
     calls = _counting(monkeypatch, divrel.distributions, "validate_mass")
     check_kl_chi2_identity(p, q, 0.6)
     assert calls == []
+
+
+def test_chi2_half_integrates_its_line_in_one_round(monkeypatch):
+    # the curve chi^2((1-s)Q + sP||Q)/s is the line s chi^2(P||Q), which the
+    # first round's four G7/K15 panels integrate exactly, whatever the pair
+    curves = _counting(monkeypatch, divrel.identities, "_chi2")
+    rng = np.random.default_rng(11)
+    for i in range(60):
+        n = int(rng.integers(2, 9))
+        a, b = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n))
+        if i % 3 == 0:
+            a[0] = 0.0
+        if i % 5 == 0:
+            b[-1] *= 10.0 ** -rng.uniform(3, 12)
+        if i % 7 == 0:
+            b[0] = 0.0
+        support = np.arange(n, dtype=float)
+        p, q = (make_distribution(support, x / x.sum()) for x in (a, b))
+        curves.clear()
+        check_chi2_half_identity(p, q)
+        assert [args[0].shape[0] for args in curves] == [60]
 
 
 # -- the subnormal-mass guards run only where a value needs them -------------

@@ -593,6 +593,20 @@ def test_identity_check_formula_per_identity(files, capsys):
     assert len(formulas) == 5
 
 
+def test_kl_chi2_prints_the_scalars_of_recursive_at_k_zero(files, capsys):
+    pair = ["--p", files["p"], "--q", files["q"]]
+    for lam in ("0.3", "1.0"):
+        _, kl_chi2 = run_json(capsys, ["identity-check", "--which", "kl-chi2", *pair,
+                                       "--lam", lam])
+        _, recursive = run_json(capsys, ["identity-check", "--which", "recursive", *pair,
+                                         "--k", "0", "--lam", lam])
+        assert kl_chi2["scalars"] == recursive["scalars"]
+    # and it checks its weight as recursive does
+    code = main(["identity-check", "--which", "kl-chi2", *pair, "--lam", "1.5"])
+    assert code == 1
+    assert "mixture weight must lie in [0,1], got 1.5" in capsys.readouterr().err
+
+
 def test_redundancy_echoes_weights_as_numbers(capsys):
     code, rep = run_json(capsys, ["redundancy", "--lambdas", "16", "20", "--weights", "0.3", "0.7"])
     assert code == 0

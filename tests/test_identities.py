@@ -1,8 +1,9 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import divrel.identities
@@ -18,6 +19,7 @@ from divrel import (
     make_distribution,
     mixture,
     polylog_f,
+    skew_k,
 )
 from divrel.divergences import generic_f_divergence
 from divrel.errors import DivrelError, DomainError, MaxDepthExceeded
@@ -120,6 +122,67 @@ def test_a_curve_off_the_mixture_path_names_no_pole_when_out_of_panels(monkeypat
     with pytest.raises(MaxDepthExceeded, match="after 8 of 4 panels") as info:
         check_skew_s_integral(0.5, p, q)
     assert "pole" not in str(info.value)
+
+
+def test_out_of_panels_names_a_singular_point_below_zero():
+    # atom 0's singular point s_0 = p_0/(p_0 - q_0) lies 2e-10 below 0, atom
+    # 1's lies 1 past lam: the curve climbs from 0.0014 at s = 1e-12 to 0.46
+    # at 1e-8, a knee at the start of (0, 1] that 60 panels do not resolve
+    p = make_distribution([0, 1], [1e-10, 1 - 1e-10])
+    q = make_distribution([0, 1], [0.5, 0.5])
+    with pytest.raises(MaxDepthExceeded,
+                       match=r"; the nearest pole of the curve lies 2e-10 below s = 0$"):
+        check_recursive_identity(1, p, q, 1.0)
+
+
+# masses that make a pair odd: zero, subnormal, or far below the others
+_ODD = st.sampled_from([0.0, 5e-324, 2.2250738585072e-310, 1e-300, 1e-12, 1e-3])
+
+
+@st.composite
+def _odd_laws(draw, n):
+    """An n-atom law whose first atoms hold odd masses, still summing to 1."""
+    mass = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
+    mass /= mass.sum()
+    odd = draw(st.lists(_ODD, max_size=n - 1))
+    mass[-1] += mass[:len(odd)].sum() - sum(odd)
+    mass[:len(odd)] = odd
+    return make_distribution(range(n), mass)
+
+
+@st.composite
+def _odd_pairs(draw):
+    n = draw(st.integers(2, 6))
+    return draw(_odd_laws(n)), draw(_odd_laws(n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_odd_pairs(), st.one_of(st.just(1.0), st.floats(0.0, 1.0)), st.booleans())
+# out of panels on a pair with an atom that both laws lack
+@example((make_distribution(range(4), [0.0, 0.25, 0.25, 0.5]),
+          make_distribution(range(4), [0.0, 5e-324, 0.25, 0.75])), 1.0, False)
+def test_kl_chi2_is_the_recursive_identity_at_k_zero(pair, lam, swap):
+    p, q = pair[::-1] if swap else pair
+    try:
+        want = replace(check_recursive_identity(0, p, q, lam), name="kl_chi2")
+    except DivrelError as exc:
+        with pytest.raises(type(exc)):
+            check_kl_chi2_identity(p, q, lam)
+        return
+    got = check_kl_chi2_identity(p, q, lam)
+    assert got == want
+    # the lhs is the closed form K_lam(P||Q) = D(P||R_lam)
+    assert got.lhs == skew_k(lam, p, q)
+
+
+@pytest.mark.parametrize("lam", [5e-324, 1e-322])
+def test_recursive_identities_at_a_subnormal_weight(lam):
+    # a node of the first round rounds onto s = 0, where D_{f_k}(R_s||P)/s is
+    # 0/0; the quadrature takes it one ulp inside
+    for k in (0, 1, 2):
+        for p, q in ((P, Q), (Q, P)):
+            assert check_recursive_identity(k, p, q, lam).passed
+    assert check_kl_chi2_identity(P, Q, lam).passed
 
 
 @pytest.mark.parametrize("lam", [-0.1, 1.1])

@@ -44,6 +44,21 @@ def test_reversed_interval_changes_sign():
     assert integrate(np.exp, 1.0, 0.0) == pytest.approx(1.0 - math.e, rel=1e-14)
 
 
+@pytest.mark.parametrize("edges", [(0.0, 5e-324), (0.0, 1e-322), (0.0, -1e-322),
+                                   (1.0, 1.0 + 2.0 ** -50)])
+def test_no_node_falls_on_the_left_end(edges):
+    # f need only have a limit at edges[0]; on panels of a few ulps the nodes
+    # round onto it, and are taken one ulp inside
+    nodes = []
+
+    def f(s):
+        nodes.append(s.copy())
+        return np.ones_like(s)
+
+    integrate(f, *edges)
+    assert nodes and not any((s == edges[0]).any() for s in nodes)
+
+
 def _first_round(*edges):
     """The nodes of the first call of the integrand."""
     calls = []
