@@ -5,6 +5,15 @@ squared second-largest singular value of the normalized joint matrix
 B[x, y] = sqrt(Qx(x)) W(y|x) / sqrt(Qy(y)); its square root is the maximal
 correlation. Contraction coefficients of the skew divergence families are
 sandwiched between this spectral value and explicit multiples of it.
+
+That squared singular value is lambda_2, the second eigenvalue of the
+smaller Gram matrix of B, B B^T or B^T B, whose top eigenpair is known:
+eigenvalue 1, eigenvector sqrt(Qx) or sqrt(Qy). Below _LANCZOS_SIZE (400)
+rows, one batched eigvalsh of the Gram stack gives lambda_2. From there on,
+each Gram matrix goes alone to Lanczos with full reorthogonalization on
+the complement of that eigenvector, which stops once the residual bound of
+its top Ritz value, tested every 16 steps, is at most 1e-14, at a
+breakdown, or after n - 1 steps, where the Krylov space is exhausted.
 """
 
 from __future__ import annotations
@@ -61,17 +70,97 @@ def _normalized_joint(qx: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.sqrt(qx)[:, :, None] * w[None] / np.sqrt(qy)[:, None, :]
 
 
+# Gram matrices of at least this many rows take their second eigenvalue from
+# _deflated_lanczos, smaller ones from one batched eigvalsh: the smallest
+# size at which no class below is slower by more than the run-to-run noise.
+# Dense / Lanczos ms, median of 3 draws, 1 BLAS thread, 2-core Xeon; tall
+# and wide channels are 2n x n and n x 2n, chains reversible at laziness
+# 0, 0.5, 0.9 (Lanczos takes 32-64 steps on channels, 48-144 on chains):
+#   n     square     tall       wide       chain 0    chain .5   chain .9
+#   200   1.8/1.0    2.6/1.8    2.3/1.3    1.9/1.6    2.1/3.3    2.0/3.1
+#   300   4.6/3.0    7.2/3.7    6.9/3.6    5.0/3.4    5.1/4.7    5.0/5.7
+#   400   10.6/5.4   15.0/9.1   12.6/6.6   10.7/6.1   11.2/10.3  10.7/9.9
+#   600   28.0/14.6  40.3/24.0  38.4/20.9  28.6/20.4  31.3/30.6  30.2/31.6
+#   1000  114/41     155/74     148/69     127/60     131/93     128/86
+_LANCZOS_SIZE = 400
+# the Lanczos run tests its residual bound every _LANCZOS_CHECK steps (every
+# 8 left the lazy chains up to 50% slower than eigvalsh at 400-600 rows, by
+# the eigh of the growing tridiagonal) and stops once the bound is at most
+# _LANCZOS_TOL; the spectrum lies in [0, 1]
+_LANCZOS_CHECK = 16
+_LANCZOS_TOL = 1e-14
+
+
+def _deflated_lanczos(gram: np.ndarray, top: np.ndarray) -> float:
+    """Second-largest eigenvalue of the Gram matrix gram, whose top
+    eigenpair is (1, top), clipped to [0, 1].
+
+    Lanczos with full reorthogonalization on the complement of top, from a
+    seeded Gaussian start: a fixed vector such as all ones can be collinear
+    with top. Row 0 of the basis is top, and each of the two Gram-Schmidt
+    passes of a step projects it out: gram amplifies any component along
+    top that rounding leaves, as its eigenvalue 1 tops the spectrum. Every
+    _LANCZOS_CHECK steps,
+    and at a breakdown (beta at most _LANCZOS_TOL), the top Ritz value of
+    the tridiagonal T is tested: beta |s|, s the last entry of its unit
+    eigenvector of T, bounds its distance to an eigenvalue of gram, and the
+    run stops once that is at most _LANCZOS_TOL. After n - 1 steps the
+    Krylov space is the whole complement, and the Ritz value exact.
+    """
+    n = len(gram)
+    basis = np.empty((n, n))
+    basis[0] = top / math.sqrt(top @ top)
+    v = np.random.default_rng(0).standard_normal(n)
+    v -= (basis[0] @ v) * basis[0]
+    basis[1] = v / math.sqrt(v @ v)
+    alpha, beta = [], []
+    k = 0
+    while True:
+        k += 1
+        head = basis[:k + 1]
+        u = gram @ basis[k]
+        h = head @ u
+        u -= h @ head
+        h2 = head @ u
+        u -= h2 @ head
+        alpha.append(h[k] + h2[k])
+        b = math.sqrt(u @ u)
+        if k % _LANCZOS_CHECK == 0 or b <= _LANCZOS_TOL or k == n - 1:
+            # eigh reads the lower triangle
+            ritz, vectors = np.linalg.eigh(np.diag(alpha) + np.diag(beta, -1))
+            bound = b * abs(vectors[-1, -1])
+            if bound <= _LANCZOS_TOL or k == n - 1:
+                break
+        beta.append(b)
+        basis[k + 1] = u / b
+    # imported here, so that only the Lanczos route pays for it
+    import logging
+
+    logging.getLogger(__name__).debug(
+        "chi2 contraction of a %d-row Gram matrix by Lanczos: %d steps, "
+        "residual bound %.3g, %s",
+        n, k, bound, "Krylov space exhausted" if k == n - 1 else "converged",
+    )
+    return min(max(float(ritz[-1]), 0.0), 1.0)
+
+
 def _chi2_contraction_rows(qx: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Chi-squared contraction of W at each positive input law of the stack
     qx: the second-largest eigenvalue of the smaller Gram matrix of each
-    B[k], 0 for a 1x1 Gram, clamped to [0, 1]."""
+    B[k], 0 for a 1x1 Gram, clamped to [0, 1]. A Gram matrix of at least
+    _LANCZOS_SIZE rows goes to _deflated_lanczos, one at a time, with its
+    top eigenvector sqrt(Qx[k]) for B B^T or sqrt(Qy[k]) for B^T B."""
 
     def second_eigenvalues(block: np.ndarray) -> np.ndarray:
         b = _normalized_joint(block, w)
         bt = b.transpose(0, 2, 1)
-        gram = b @ bt if b.shape[1] <= b.shape[2] else bt @ b
+        wide = b.shape[1] <= b.shape[2]
+        gram = b @ bt if wide else bt @ b
         if gram.shape[1] < 2:
             return np.zeros(len(block))
+        if gram.shape[1] >= _LANCZOS_SIZE:
+            tops = np.sqrt(block if wide else block @ w)
+            return np.array([_deflated_lanczos(g, top) for g, top in zip(gram, tops)])
         return np.clip(np.linalg.eigvalsh(gram)[:, -2], 0.0, 1.0)
 
     return _in_blocks(second_eigenvalues, qx, w.size)

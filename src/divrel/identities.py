@@ -25,7 +25,7 @@ not resolve. A check along R_s that runs out of panels names the nearer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -201,18 +201,20 @@ def _path_check(name: str, lhs: float, curve, edges, infinite: bool, path=None) 
     (an inner edge is a kink of the curve); +inf, with no quadrature, where
     infinite says that the curve is not integrable. A curve along R_s names
     its nearest singular point when out of panels, past lam or below 0, from
-    path, the masses of P and Q."""
+    path: the masses of P and Q, and the k of its D_{f_k}(R_s||P), which has
+    a pole there at k = 0 only."""
     try:
         rhs = math.inf if infinite else integrate(curve, *edges)
     except MaxDepthExceeded as exc:
         if path is None:
             raise
-        (a, b), lam = path, edges[-1]
+        (a, b, k), lam = path, edges[-1]
         # the distance from lam, not s_j - lam: p/(p - q) rounds to 1 at q < 1e-16 p
         past = ((a * (1.0 - lam) + lam * b)[a > b] / (a - b)[a > b]).min(initial=math.inf)
         below = (a[(0 < a) & (a < b)] / (b - a)[(0 < a) & (a < b)]).min(initial=math.inf)
         side = f"{past:.3g} past lambda = {lam:g}" if past <= below else f"{below:.3g} below s = 0"
-        raise MaxDepthExceeded(f"{exc}; the nearest pole of the curve lies {side}") from None
+        what = "pole" if k == 0 else "singular point"
+        raise MaxDepthExceeded(f"{exc}; the nearest {what} of the curve lies {side}") from None
     return IdentityReport.compare(name, lhs, rhs)
 
 
@@ -226,7 +228,7 @@ def _polylog_path(k: int, s: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.nda
 def check_kl_chi2_identity(p: DiscreteDistribution, q: DiscreteDistribution,
                            lam: float) -> IdentityReport:
     """D(P||R_lam) vs the integral of chi^2(P||R_s)/s over (0, lam]: recursive at k = 0."""
-    return replace(check_recursive_identity(0, p, q, lam), name="kl_chi2")
+    return _recursive_check("kl_chi2", 0, p, q, lam)
 
 
 def check_chi2_half_identity(p: DiscreteDistribution, q: DiscreteDistribution) -> IdentityReport:
@@ -252,18 +254,24 @@ def check_gv_identity(p: DiscreteDistribution, q: DiscreteDistribution,
     # s D_{phi_s}(P||Q) = chi^2(P||R_s)/s
     return _path_check("gv", skew_k(lam, p, q),
                        lambda s: s * _gv(a[None, :], b, s[:, None]),
-                       (0.0, lam), lam == 1.0 and _escapes(a, b), (a, b))
+                       (0.0, lam), lam == 1.0 and _escapes(a, b), (a, b, 0))
 
 
 def check_recursive_identity(k: int, p: DiscreteDistribution, q: DiscreteDistribution,
                              lam: float) -> IdentityReport:
     """D_{f_{k+1}}(R_lam||P) vs the integral of D_{f_k}(R_s||P)/s over (0, lam]."""
+    return _recursive_check(f"recursive_k{k}", k, p, q, lam)
+
+
+def _recursive_check(name: str, k: int, p: DiscreteDistribution, q: DiscreteDistribution,
+                     lam: float) -> IdentityReport:
+    """The recursive identity at k, reported under name."""
     if not 0.0 <= lam <= 1.0:
         raise DomainError(f"mixture weight must lie in [0,1], got {lam}")
     a, b = (d.mass for d in align(p, q))
     lhs = float(_polylog_path(k + 1, np.array([lam]), a, b)[0])
-    return _path_check(f"recursive_k{k}", lhs, lambda s: _polylog_path(k, s, a, b) / s,
-                       (0.0, lam), k == 0 and lam == 1.0 and _escapes(a, b), (a, b))
+    return _path_check(name, lhs, lambda s: _polylog_path(k, s, a, b) / s,
+                       (0.0, lam), k == 0 and lam == 1.0 and _escapes(a, b), (a, b, k))
 
 
 def g_alpha(alpha: float, s):

@@ -6,14 +6,16 @@ import math
 import numpy as np
 import pytest
 
+import divrel.contraction
 import divrel.distributions
 import divrel.divergences
 import divrel.identities
 import divrel.moment_bounds
 from divrel import (MomentTuple, SourceChannelPair, brute_force_mu_f, check_chi2_half_identity,
-                    check_kl_chi2_identity, check_recursive_identity, kl_moment_lower_bound,
-                    make_channel, make_distribution, markov_mixing_report, mixture,
-                    mu_chi2_channel, skew_contraction_sandwich)
+                    check_kl_chi2_identity, check_recursive_identity, chi2_contraction,
+                    kl_moment_lower_bound, make_channel, make_distribution, markov_mixing_report,
+                    max_correlation_path_bound, mixture, mu_chi2_channel,
+                    skew_contraction_sandwich)
 from divrel.distributions import DiscreteDistribution
 from divrel.divergences import DivergenceSpec, _polylog_li, f_divergence_rows
 from divrel.identities import integrate
@@ -118,6 +120,29 @@ def test_contraction_routines_take_no_svd(monkeypatch):
     mu_chi2_channel(w)
     # w is symmetric, so reversible at its uniform stationary law
     markov_mixing_report(w, make_distribution([0, 1, 2], [1.0, 0.0, 0.0]), 0.5, 3)
+    # a Gram matrix above the Lanczos size
+    n = divrel.contraction._LANCZOS_SIZE + 1
+    rng = np.random.default_rng(6)
+    big = make_channel(rng.dirichlet(np.ones(n), size=n))
+    chi2_contraction(SourceChannelPair(make_distribution(range(n), rng.dirichlet(np.ones(n))), big))
+
+
+def test_eigvalsh_never_gets_a_gram_matrix_at_the_lanczos_size(monkeypatch):
+    calls = _counting(monkeypatch, np.linalg, "eigvalsh")
+    size = divrel.contraction._LANCZOS_SIZE
+    rng = np.random.default_rng(7)
+
+    def law(n):
+        return make_distribution(range(n), rng.dirichlet(np.ones(n)))
+
+    # square, wide and tall channels; the first below the size
+    for n_in, n_out in ((size - 1, size - 1), (size, size), (size, 2 * size), (2 * size, size)):
+        w = make_channel(rng.dirichlet(np.ones(n_out), size=n_in))
+        chi2_contraction(SourceChannelPair(law(n_in), w))
+    # a stack of three input laws
+    w = make_channel(rng.dirichlet(np.ones(size), size=size))
+    max_correlation_path_bound(law(size), law(size), w, n_grid=3)
+    assert [args[0].shape for args in calls] == [(1, size - 1, size - 1)]
 
 
 @pytest.mark.parametrize("x, tables, inverted", [

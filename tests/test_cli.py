@@ -344,6 +344,18 @@ def test_identity_check_out_of_panels_names_the_pole(tmp_path, capsys, which):
     assert "the nearest pole of the curve lies 2e-08 past lambda = 1" in err
 
 
+def test_recursive_out_of_panels_at_k_one_names_a_singular_point(tmp_path, capsys):
+    # D_{f_1}(R_s||P) has a logarithmic singularity, not a pole, at
+    # s_0 = p_0/(p_0 - q_0), 2e-10 below s = 0
+    p = write_dist(tmp_path, "p.json", [0, 1], [1e-10, 1 - 1e-10])
+    q = write_dist(tmp_path, "q.json", [0, 1], [0.5, 0.5])
+    code = main(["identity-check", "--which", "recursive", "--p", p, "--q", q, "--k", "1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.rstrip().endswith("; the nearest singular point of the curve lies 2e-10 below s = 0")
+    assert "pole" not in err
+
+
 @pytest.mark.parametrize("rate", ["nan", "inf"])
 def test_redundancy_non_finite_rate_exits_1(capsys, rate):
     code = main(["redundancy", "--lambdas", rate, "20"])

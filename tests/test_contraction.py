@@ -457,6 +457,76 @@ def test_large_alphabet_power_iteration_path():
         assert mu == pytest.approx(float(sv[1]) ** 2, abs=1e-10), w.matrix.shape
 
 
+LANCZOS = divrel.contraction._LANCZOS_SIZE
+
+
+def _gram(qx, w):
+    """The smaller Gram matrix of B, as one stack, and its top eigenvector."""
+    b = divrel.contraction._normalized_joint(qx[None], w)
+    bt = b.transpose(0, 2, 1)
+    if b.shape[1] <= b.shape[2]:
+        return b @ bt, np.sqrt(qx)
+    return bt @ b, np.sqrt(qx @ w)
+
+
+def _gram_cases(n, rng):
+    """(qx, W) whose smaller Gram matrix has n rows: square, tall and wide
+    Dirichlet channels, reversible chains of laziness 0, 0.5 and 0.9 at
+    their stationary laws, and W = aI + (1 - a)J/n at the uniform law, whose
+    deflated Gram matrix is a^2 I."""
+    for n_in, n_out in ((n, n), (n + n // 2, n), (n, n + n // 2)):
+        yield rng.dirichlet(np.ones(n_in)), rng.dirichlet(np.ones(n_out), size=n_in)
+    for laziness in (0.0, 0.5, 0.9):
+        w = random_reversible_chain(rng, n, laziness)
+        yield stationary_distribution(w).mass, w.matrix
+    yield np.full(n, 1.0 / n), 0.3 * np.eye(n) + 0.7 / n
+
+
+@pytest.mark.parametrize("n", [LANCZOS - 1, LANCZOS, 1000])
+def test_lanczos_matches_eigvalsh(n):
+    for i, (qx, w) in enumerate(_gram_cases(n, np.random.default_rng([11, n]))):
+        gram, top = _gram(qx, w)
+        want = min(max(float(np.linalg.eigvalsh(gram[0])[-2]), 0.0), 1.0)
+        assert abs(divrel.contraction._deflated_lanczos(gram[0], top) - want) <= 1e-13, (n, i)
+
+
+@pytest.mark.parametrize("n_in, n_out", [
+    (2, 2), (3, 7), (7, 3), (64, 64), (65, 65), (200, 200),
+    (LANCZOS - 1, LANCZOS - 1), (LANCZOS - 1, 2 * LANCZOS), (2 * LANCZOS, LANCZOS - 1),
+])
+def test_below_the_lanczos_size_the_contraction_is_the_dense_eigenvalue(n_in, n_out):
+    # bit for bit the batched eigvalsh of the Gram stack
+    rng = np.random.default_rng([12, n_in, n_out])
+    qx, w = rng.dirichlet(np.ones(n_in)), rng.dirichlet(np.ones(n_out), size=n_in)
+    want = float(np.clip(np.linalg.eigvalsh(_gram(qx, w)[0])[:, -2], 0.0, 1.0)[0])
+    sc = SourceChannelPair(make_distribution(range(n_in), qx), make_channel(w))
+    assert chi2_contraction(sc) == want
+
+
+def test_lanczos_logs_its_run_and_the_dense_route_logs_nothing(caplog, monkeypatch):
+    caplog.set_level(logging.DEBUG, logger="divrel.contraction")
+    rng = np.random.default_rng(13)
+    for n in (LANCZOS - 1, LANCZOS):
+        w = make_channel(rng.dirichlet(np.ones(n), size=n))
+        chi2_contraction(SourceChannelPair(make_distribution(range(n), rng.dirichlet(np.ones(n))), w))
+    uniform = make_distribution(range(LANCZOS), np.full(LANCZOS, 1.0 / LANCZOS))
+    chi2_contraction(SourceChannelPair(uniform, make_channel(0.3 * np.eye(LANCZOS) + 0.7 / LANCZOS)))
+    # a 3-row Gram matrix ends at n - 1 = 2 steps, before its first test
+    monkeypatch.setattr(divrel.contraction, "_LANCZOS_SIZE", 3)
+    chi2_contraction(SourceChannelPair(make_distribution([0, 1, 2], [0.2, 0.3, 0.5]),
+                                       make_channel(rng.dirichlet(np.ones(3), size=3))))
+    records = [r for r in caplog.records if r.name == "divrel.contraction"]
+    assert [r.levelno for r in records] == [logging.DEBUG] * 3
+    # (Gram rows, steps, final residual bound, how the run ended)
+    (size, steps, bound, end), breakdown, exhausted = (r.args for r in records)
+    tol = divrel.contraction._LANCZOS_TOL
+    assert size == LANCZOS and 0 < steps < LANCZOS - 1 and bound <= tol and end == "converged"
+    # aI + (1 - a)J/n: the first step leaves nothing to orthogonalize
+    assert breakdown[:2] == (LANCZOS, 1) and breakdown[2] <= tol and breakdown[3] == "converged"
+    assert exhausted[:2] == (3, 2) and exhausted[3] == "Krylov space exhausted"
+    assert "by Lanczos" in records[0].getMessage()
+
+
 def test_empty_search_budget_rejected():
     sc = SourceChannelPair(UNIFORM2, bsc(0.1))
     with pytest.raises(DomainError):

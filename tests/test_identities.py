@@ -131,7 +131,7 @@ def test_out_of_panels_names_a_singular_point_below_zero():
     p = make_distribution([0, 1], [1e-10, 1 - 1e-10])
     q = make_distribution([0, 1], [0.5, 0.5])
     with pytest.raises(MaxDepthExceeded,
-                       match=r"; the nearest pole of the curve lies 2e-10 below s = 0$"):
+                       match=r"; the nearest singular point of the curve lies 2e-10 below s = 0$"):
         check_recursive_identity(1, p, q, 1.0)
 
 
