@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import DiscreteDistribution, _check_count, _in_blocks
+from .distributions import DiscreteDistribution, _check_count, _check_reals, _in_blocks, _reals
 from .divergences import _binary_term, _mixture_kl
-from .errors import DomainError, NonFinite, PreconditionViolated, QuadratureFailure
+from .errors import DomainError, PreconditionViolated, QuadratureFailure
 from .inequalities import _mixture_kl_bound, _validated_weights
 from .moment_bounds import MomentTuple, kl_moment_lower_bound
 
@@ -32,7 +32,7 @@ _MAX_PMF_RATE = 1e6
 def _rates(lam, cap: float = math.inf) -> np.ndarray:
     """lam as an array of Poisson rates; DomainError unless it holds one and
     each is positive, finite and at most cap, checked before any allocation."""
-    lam = np.asarray(lam, dtype=float)
+    lam = _reals(lam)
     if not (lam.size and ((lam > 0.0) & (lam < math.inf)).all()):
         raise DomainError(f"Poisson rates must be positive and finite, got {lam}")
     if lam.max() > cap:
@@ -60,9 +60,8 @@ class TypeClassProblem:
     epsilon: float
 
     def __post_init__(self):
-        values = (self.m_q, self.var_q, *self.mean_box, *self.var_box)
-        if not all(math.isfinite(x) for x in values):
-            raise NonFinite(f"m_q, var_q and the box edges must be finite, got {values}")
+        _check_reals("m_q, var_q and the box edges",
+                     (self.m_q, self.var_q, *self.mean_box, *self.var_box))
         if self.var_q < 0:
             raise DomainError("var_q must be non-negative")
         if self.mean_box[0] > self.mean_box[1] or self.var_box[0] > self.var_box[1]:

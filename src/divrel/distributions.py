@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import reprlib
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -82,9 +83,35 @@ def _in_blocks(score, rows: np.ndarray, entries) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
+def _reals(x) -> np.ndarray:
+    """x as a float64 array: DimensionMismatch for ragged rows, DomainError
+    for an entry that is not a real number (a string, a complex number)."""
+    try:
+        a = np.asarray(x)
+    except ValueError:  # numpy's answer to rows of unequal length
+        raise DimensionMismatch(f"rows of unequal length in {reprlib.repr(x)}") from None
+    if a.dtype.kind in "biufO":
+        try:
+            return a.astype(float, copy=False)
+        except (TypeError, ValueError):
+            pass
+    raise DomainError(f"entries must be real numbers, got {reprlib.repr(x)}")
+
+
+def _check_reals(what: str, values) -> None:
+    """Raise DomainError unless every one of values is a real number, and
+    NonFinite unless every one is finite."""
+    try:
+        finite = all(map(math.isfinite, values))
+    except TypeError:
+        raise DomainError(f"{what} must be real numbers, got {values}") from None
+    if not finite:
+        raise NonFinite(f"{what} must be finite, got {values}")
+
+
 def _read_only(x) -> np.ndarray:
-    """A read-only, C-ordered float64 copy of x."""
-    a = np.array(x, dtype=float, order="C")
+    """A read-only, C-ordered float64 copy of x (see ``_reals``)."""
+    a = np.array(_reals(x), order="C")
     a.setflags(write=False)
     return a
 
@@ -191,7 +218,7 @@ def _json_arrays(text: str, *keys: str) -> list[np.ndarray]:
 
 def make_distribution(support, mass) -> DiscreteDistribution:
     """Validate and build a distribution; no silent renormalization."""
-    u, m = np.asarray(support, dtype=float), np.asarray(mass, dtype=float)
+    u, m = _reals(support), _reals(mass)
     if u.ndim != 1 or u.shape != m.shape:
         raise DimensionMismatch("support and mass must have equal length")
     # duplicate and NaN atoms take the sorting path too, and raise there. The

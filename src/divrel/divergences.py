@@ -24,6 +24,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -479,15 +480,15 @@ _NAMES = {tag.lower(): tag for tag in _REGISTRY} | {"polylog": "POLYLOG_F"}
 
 
 def _check_param(tag: str, param) -> None:
-    """Raises DomainError unless tag is registered and param lies in the
-    domain of its parameter."""
+    """Raises DomainError unless tag is registered and param is a real
+    number in the domain of its parameter."""
     if tag not in _REGISTRY:
         raise DomainError(f"unknown divergence tag {tag!r}")
     _, domain, needs = _REGISTRY[tag]
     if domain is None:
         if param is not None:
             raise DomainError(f"{tag} takes no parameter, got {param!r}")
-    elif param is None or not domain(param):
+    elif not isinstance(param, numbers.Real) or not domain(param):
         raise DomainError(f"{tag} requires {needs}, got {param!r}")
 
 

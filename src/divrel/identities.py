@@ -10,7 +10,8 @@ support (``align``), so either law may lack atoms of the other.
 
 The paper's D(P||R_lam) = int_0^lam chi^2(P||R_s)/s ds is the recursive
 identity at k = 0: Li_1(1 - t) = -ln t and Li_0(1 - t) = 1/t - 1 make
-D_{f_1}(R||P) = D(P||R) and D_{f_0}(R||P) = chi^2(P||R).
+D_{f_1}(R||P) = D(P||R) and D_{f_0}(R||P) = chi^2(P||R). Its Gyorfi-Vajda
+form, the gv check, integrates the same curve: s D_{phi_s}(P||Q) = chi^2(P||R_s)/s.
 
 Singular points. Along R_s = (1-s)P + sQ, r_j/p_j = 1 - s/s_j with
 s_j = p_j/(p_j - q_j), so D_{f_k}(R_s||P) = sum_j p_j Li_k(s/s_j). At
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import DiscreteDistribution, align
-from .divergences import _chi2, _gv, _mixture, _polylog, chi_squared, skew_k, skew_s
+from .divergences import _chi2, _gv, _mixture, _polylog, chi_squared, skew_s
 from .errors import DomainError, MaxDepthExceeded, QuadratureFailure
 
 
@@ -249,12 +250,8 @@ def check_chi2_half_identity(p: DiscreteDistribution, q: DiscreteDistribution) -
 
 def check_gv_identity(p: DiscreteDistribution, q: DiscreteDistribution,
                       lam: float) -> IdentityReport:
-    """D(P||R_lam) vs the integral of s * D_{phi_s}(P||Q) over (0, lam]."""
-    a, b = (d.mass for d in align(p, q))
-    # s D_{phi_s}(P||Q) = chi^2(P||R_s)/s
-    return _path_check("gv", skew_k(lam, p, q),
-                       lambda s: s * _gv(a[None, :], b, s[:, None]),
-                       (0.0, lam), lam == 1.0 and _escapes(a, b), (a, b, 0))
+    """D(P||R_lam) vs the integral of s * D_{phi_s}(P||Q) over (0, lam]: recursive at k = 0."""
+    return _recursive_check("gv", 0, p, q, lam)
 
 
 def check_recursive_identity(k: int, p: DiscreteDistribution, q: DiscreteDistribution,

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .distributions import DiscreteDistribution, _on_union_support, align
+from .distributions import DiscreteDistribution, _on_union_support, _reals, align
 from .divergences import (DivergenceSpec, _chi2, _entropy, _gv, _kl, _mixture, _mixture_kl,
                           _skew_k, _tv, f_divergence_rows, kl)
 from .errors import DomainError, EmptySet, PreconditionViolated, ZeroProbabilitySet
@@ -186,7 +186,7 @@ def derivative_checks(p: DiscreteDistribution, q: DiscreteDistribution) -> dict:
 
 def _validated_weights(dists, weights):
     """weights as an array: finite, non-negative, one per component, summing to 1."""
-    w = np.asarray(weights, dtype=float)
+    w = _reals(weights)
     if (len(dists) != len(w) or not np.isfinite(w).all() or np.any(w < 0)
             or abs(w.sum() - 1.0) > 1e-9):
         raise DomainError("weights must be a probability vector over the components")

@@ -14,13 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import DiscreteDistribution, make_distribution, moments
+from .distributions import DiscreteDistribution, _check_reals, make_distribution, moments
 from .divergences import _G_CUT, _binary_term, _g_series
 from .errors import (
     DegenerateVariance,
     DomainError,
     EpsilonTooLarge,
-    NonFinite,
     PreconditionViolated,
 )
 
@@ -33,8 +32,7 @@ class MomentTuple:
     var_q: float
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.m_p, self.var_p, self.m_q, self.var_q))):
-            raise NonFinite(f"means and variances must be finite, got {self}")
+        _check_reals("means and variances", (self.m_p, self.var_p, self.m_q, self.var_q))
         if self.var_p < 0 or self.var_q < 0:
             raise DomainError("variances must be non-negative")
 

@@ -6,6 +6,8 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from divrel import (
     PoissonFamily,
@@ -440,6 +442,30 @@ def test_lambert_residual_and_scipy_agreement():
         assert abs(x * math.exp(x) - y) < 1e-13 * abs(y)
         ref = float(scipy.special.lambertw(y, -1).real)
         assert x == pytest.approx(ref, rel=1e-12)
+
+
+# y = -1/e + 10^u near the branch point, where W'(y) = 1/(e^W (W + 1)) is
+# unbounded, and y = -10^u down to the smallest normal magnitudes
+_LAMBERT_ARGS = st.one_of(
+    st.floats(-16.0, -0.45).map(lambda u: -1.0 / math.e + 10.0 ** u),
+    st.floats(-300.0, -0.44).map(lambda u: -(10.0 ** u)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_LAMBERT_ARGS)
+def test_lambert_against_mpmath(y):
+    # the documented residual, in floats as the iteration takes it
+    x = lambert_w_minus1(y)
+    assert abs(x * math.exp(x) - y) < 1e-13 * abs(y)
+    # so x lies within that residual over |(x e^x)'| at W, to first order, of
+    # 40-digit W at the same float y: three times that, and 4 ulp of W
+    with mpmath.workdps(40):
+        w = mpmath.lambertw(y, -1).real
+        slope = abs(mpmath.exp(w) * (w + 1))
+        err = float(abs(mpmath.mpf(x) - w))
+        bound = float(3e-13 * abs(y) / slope) + 4 * math.ulp(float(w))
+    assert err <= bound
 
 
 def test_lambert_domain():

@@ -546,6 +546,23 @@ def test_brute_force_rejects_a_divergence_that_vanishes_identically():
     with pytest.raises(PreconditionViolated):
         brute_force_mu_f(DivergenceSpec("SKEW_K", 0.0), sc, n_samples=50)
 
+
+def test_search_takes_only_its_draws_from_the_generator(monkeypatch):
+    # the refinement draws nothing at random: a generator that can make the
+    # Dirichlet draws and nothing else serves the whole search
+    generator = np.random.default_rng
+
+    class DrawsOnly:
+        def __init__(self, seed):
+            self.dirichlet = generator(seed).dirichlet
+
+    monkeypatch.setattr(np.random, "default_rng", DrawsOnly)
+    w = make_channel([[0.7, 0.2, 0.1], [0.1, 0.6, 0.3], [0.2, 0.2, 0.6]])
+    sc = SourceChannelPair(make_distribution([0, 1, 2], [0.2, 0.3, 0.5]), w)
+    est = brute_force_mu_f(DivergenceSpec("KL"), sc, n_samples=200, seed=4)
+    assert est.lower <= est.point_estimate <= mu_chi2_channel(w)
+
+
 def test_brute_force_lower_is_max_of_explicit_ratios():
     # the batched search against one validated distribution per draw, scored
     # by the two-distribution kernels, on the same seeded Dirichlet draws

@@ -56,6 +56,29 @@ def test_rejects_negative_mass():
         make_distribution([0, 1], [1.1, -0.1])
 
 
+@pytest.mark.parametrize("build, error", [
+    pytest.param(lambda: DiscreteDistribution([0, 1], ["a", 1]), DomainError, id="str-mass"),
+    pytest.param(lambda: make_distribution([0, 1], [0.5, 1j]), DomainError, id="complex-mass"),
+    pytest.param(lambda: make_distribution([0, 1], np.array([0.5, 0.5 + 0j])), DomainError,
+                 id="complex-array"),
+    pytest.param(lambda: make_distribution([[0], [1, 2]], [0.5, 0.5]), DimensionMismatch,
+                 id="ragged-support"),
+    pytest.param(lambda: make_channel([[0.5, 0.5], [1.0]]), DimensionMismatch,
+                 id="ragged-channel"),
+    pytest.param(lambda: Channel([[0.5, "x"]]), DomainError, id="str-channel"),
+    pytest.param(lambda: D.DivergenceSpec("RENYI", "2"), DomainError, id="str-param"),
+    pytest.param(lambda: D.DivergenceSpec("GV", [0.5]), DomainError, id="list-param"),
+    pytest.param(lambda: D.MomentTuple("a", 1, 2, 3), DomainError, id="str-moment"),
+    pytest.param(lambda: D.TypeClassProblem(40, 20, ("a", 47), (18, 22), 2, 1e-10),
+                 DomainError, id="str-box-edge"),
+    pytest.param(lambda: D.PoissonFamily(("a",), (1.0,)), DomainError, id="str-rate"),
+])
+def test_input_that_is_no_array_of_real_numbers_raises_a_divrel_error(build, error):
+    # a value that is not a real number, or rows of unequal length
+    with pytest.raises(error):
+        build()
+
+
 def test_rejects_bad_sum():
     with pytest.raises(NonStochastic):
         make_distribution([0, 1], [0.5, 0.6])

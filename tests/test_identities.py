@@ -162,27 +162,36 @@ def _odd_pairs(draw):
 @example((make_distribution(range(4), [0.0, 0.25, 0.25, 0.5]),
           make_distribution(range(4), [0.0, 5e-324, 0.25, 0.75])), 1.0, False)
 def test_kl_chi2_is_the_recursive_identity_at_k_zero(pair, lam, swap):
+    # and so is gv: s D_{phi_s}(P||Q) = chi^2(P||R_s)/s is the same curve
     p, q = pair[::-1] if swap else pair
-    try:
-        want = replace(check_recursive_identity(0, p, q, lam), name="kl_chi2")
-    except DivrelError as exc:
-        with pytest.raises(type(exc)):
-            check_kl_chi2_identity(p, q, lam)
-        return
-    got = check_kl_chi2_identity(p, q, lam)
-    assert got == want
-    # the lhs is the closed form K_lam(P||Q) = D(P||R_lam)
-    assert got.lhs == skew_k(lam, p, q)
+    for check, name in ((check_kl_chi2_identity, "kl_chi2"), (check_gv_identity, "gv")):
+        try:
+            want = replace(check_recursive_identity(0, p, q, lam), name=name)
+        except DivrelError as exc:
+            with pytest.raises(type(exc)):
+                check(p, q, lam)
+            continue
+        got = check(p, q, lam)
+        assert got == want
+        # the lhs is the closed form K_lam(P||Q) = D(P||R_lam)
+        assert got.lhs == skew_k(lam, p, q)
 
 
-@pytest.mark.parametrize("lam", [5e-324, 1e-322])
+@pytest.mark.parametrize("lam", [5e-324, 1e-322, 1e-310])
 def test_recursive_identities_at_a_subnormal_weight(lam):
     # a node of the first round rounds onto s = 0, where D_{f_k}(R_s||P)/s is
     # 0/0; the quadrature takes it one ulp inside
     for k in (0, 1, 2):
         for p, q in ((P, Q), (Q, P)):
             assert check_recursive_identity(k, p, q, lam).passed
-    assert check_kl_chi2_identity(P, Q, lam).passed
+    # P lacks an atom of Q, where (1 - s)p + sq underflows to 0 unless the
+    # laws are scaled per atom; the scaled curve's integral underflows to 0
+    lacking = make_distribution([0, 1, 2], [0.5, 0.5, 0.0])
+    mixed = make_distribution([0, 1, 2], [0.2, 0.3, 0.5])
+    for check in (check_kl_chi2_identity, check_gv_identity):
+        assert check(P, Q, lam).passed
+        rep = check(lacking, mixed, lam)
+        assert rep.passed and rep.rhs == 0.0, rep
 
 
 @pytest.mark.parametrize("lam", [-0.1, 1.1])
