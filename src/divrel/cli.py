@@ -22,6 +22,7 @@ errors, so that a subcommand loads only the divrel modules it runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -232,7 +233,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"invalid input: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process: its nine
+    subparsers cost most of an in-process ``main`` call, and parsing leaves
+    them as they were."""
     parser = _Parser(
         prog="divrel",
         description="Divergence relations toolkit: f-divergences, integral identities, "

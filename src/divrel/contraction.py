@@ -32,9 +32,19 @@ from .errors import (
     NotReversible,
     PreconditionViolated,
 )
-# the S_alpha integral identity lives in identities; callers also reach it here
-from .identities import check_skew_s_integral, g_alpha  # noqa: F401
 from .inequalities import InequalityReport
+
+# the S_alpha integral identity lives in identities; callers also reach it
+# here, and only they import identities for it (PEP 562)
+_FROM_IDENTITIES = ("check_skew_s_integral", "g_alpha")
+
+
+def __getattr__(name):
+    if name in _FROM_IDENTITIES:
+        from . import identities
+
+        return getattr(identities, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,10 @@ renormalizing.
 Laws and channels hold read-only, C-ordered float64 arrays, copied from the
 input and validated once, at construction; they compare by value and are
 unhashable. Their JSON codec is orjson, which writes the arrays straight
-from their buffers; it is imported by the four codec methods alone.
+from their buffers; it is imported by the four codec methods alone. An array
+of integral floats within +-2^53 is written as integers ([0,2], not
+[0.0,2.0]), which orjson prints several times faster and reads back to the
+same floats.
 """
 
 from __future__ import annotations
@@ -124,6 +127,26 @@ def _equal_fields(self, other) -> bool:
                for f in fields(self))
 
 
+# RFC 8259's interoperable integers: every integer of at most this magnitude
+# is a double, so any JSON reader gets back the float that was written
+_JSON_INT_BOUND = 2.0 ** 53
+
+
+def _json_array(a: np.ndarray) -> np.ndarray:
+    """What the codec hands orjson for a non-empty finite array a: a as int64
+    where every entry is integral, within +-_JSON_INT_BOUND and not -0.0;
+    else a itself. Either way orjson's text reads back to a bit for bit."""
+    # the first entry settles most arrays of masses at once; the bound is
+    # tested before the cast, since a cast out of the int64 range warns
+    if (float(a.flat[0]).is_integer()
+            and -_JSON_INT_BOUND <= a.min() and a.max() <= _JSON_INT_BOUND):
+        ints = a.astype(np.int64)
+        # a fraction is truncated and -0.0 comes back as 0.0: both change bits
+        if np.array_equal(ints.astype(np.float64).view(np.int64), a.view(np.int64)):
+            return ints
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class DiscreteDistribution:
     """Probability mass function on a strictly increasing real support.
@@ -155,10 +178,12 @@ class DiscreteDistribution:
 
     def to_json(self) -> str:
         """{"support": [...], "mass": [...]} with shortest round-trip digits,
-        so that ``from_json`` gives back every float bit for bit."""
+        or as integers (``_json_array``), so that ``from_json`` gives back
+        every float bit for bit."""
         import orjson
 
-        return orjson.dumps({"support": self.support, "mass": self.mass},
+        return orjson.dumps({"support": _json_array(self.support),
+                             "mass": _json_array(self.mass)},
                             option=orjson.OPT_SERIALIZE_NUMPY).decode()
 
     @classmethod
@@ -193,7 +218,8 @@ class Channel:
         """{"rows": [[...], ...]}, written like ``DiscreteDistribution.to_json``."""
         import orjson
 
-        return orjson.dumps({"rows": self.matrix}, option=orjson.OPT_SERIALIZE_NUMPY).decode()
+        return orjson.dumps({"rows": _json_array(self.matrix)},
+                            option=orjson.OPT_SERIALIZE_NUMPY).decode()
 
     @classmethod
     def from_json(cls, text: str) -> "Channel":

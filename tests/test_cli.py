@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -627,3 +631,20 @@ def test_redundancy_echoes_weights_as_numbers(capsys):
     code, rep = run_json(capsys, ["redundancy", "--lambdas", "16", "20"])
     assert rep["inputs"]["weights"] == ["uniform"]
     assert [row["weight"] for row in rep["rows"]] == [0.5, 0.5]
+
+
+def test_main_prints_in_every_call_what_a_fresh_process_prints(tmp_path, capsys):
+    p = write_dist(tmp_path, "p.json", [0, 1], [0.4, 0.6])
+    q = write_dist(tmp_path, "q.json", [0, 1], [0.7, 0.3])
+    # the second redundancy call takes the default weights the first overrode
+    calls = [["redundancy", "--lambdas", "2", "3", "--weights", "0.25", "0.75"],
+             ["divergence", "--spec", "renyi:2", "--p", p, "--q", q, "--format", "csv"],
+             ["redundancy", "--lambdas", "2", "3", "--format", "json"]]
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).resolve().parent.parent / "src"))
+    # bytes, not text: the csv lines end in \r\n
+    fresh = [subprocess.run([sys.executable, "-m", "divrel.cli", *argv], env=env,
+                            capture_output=True, check=True, timeout=120).stdout.decode()
+             for argv in calls]
+    for argv, out in zip(calls + calls, fresh + fresh):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == out

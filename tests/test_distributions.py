@@ -1,6 +1,8 @@
 import math
+import warnings
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -477,10 +479,76 @@ def test_json_round_trip_is_bit_exact_on_a_channel():
 
 def test_json_file_format_is_compact_and_reads_integers():
     d = make_distribution([0, 2], [0.25, 0.75])
-    assert d.to_json() == '{"support":[0.0,2.0],"mass":[0.25,0.75]}'
-    assert make_channel([[1, 0]]).to_json() == '{"rows":[[1.0,0.0]]}'
+    assert d.to_json() == '{"support":[0,2],"mass":[0.25,0.75]}'
+    assert make_channel([[1, 0]]).to_json() == '{"rows":[[1,0]]}'
     # a file may write its atoms as integers
     assert DiscreteDistribution.from_json('{"support": [0, 2], "mass": [0.25, 0.75]}') == d
+
+
+# integral floats up to 2^53 are written as integers; past it, negative zero
+# and every fraction keep their float text
+JSON_INTEGERS = st.integers(-2**53, 2**53).map(float)
+JSON_INTEGRAL = st.one_of(JSON_INTEGERS,
+                          st.sampled_from([2.0**53 + 2, 1e16, -1e16, 1e300, -1e300, -0.0]))
+JSON_REALS = st.one_of(JSON_INTEGRAL, st.just(5e-324),
+                       st.floats(-1e3, 1e3).filter(lambda x: not x.is_integer()))
+
+
+def _writes_integers(values) -> bool:
+    """The codec's rule, entry by entry: every value integral, within 2^53
+    in magnitude, and no negative zero."""
+    return all(v.is_integer() and abs(v) <= 2**53
+               and not (v == 0 and math.copysign(1.0, v) < 0) for v in map(float, values))
+
+
+@st.composite
+def codec_masses(draw, n):
+    """n masses summing to 1: one atom of mass 1 among (signed) zeros, or a
+    spread that may hold the least subnormal."""
+    if draw(st.booleans()):
+        zeros = draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=n, max_size=n))
+        zeros[draw(st.integers(0, n - 1))] = 1.0
+        return np.array(zeros)
+    w = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n)))
+    w /= w.sum()
+    if n > 1 and draw(st.booleans()):
+        w[1] += w[0]
+        w[0] = 5e-324
+    return w
+
+
+@st.composite
+def codec_laws(draw):
+    support = draw(st.one_of(*(st.lists(values, min_size=1, max_size=6, unique=True)
+                               for values in (JSON_INTEGERS, JSON_INTEGRAL, JSON_REALS))))
+    return make_distribution(support, draw(codec_masses(len(support))))
+
+
+def _written(text, key):
+    """The values under key in text, as Python ints and floats."""
+    return np.ravel(np.array(orjson.loads(text)[key], dtype=object)).tolist()
+
+
+def _to_json(x) -> str:
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return x.to_json()
+
+
+@settings(max_examples=150, deadline=None)
+@given(codec_laws(), st.integers(1, 4).flatmap(
+    lambda k: st.lists(codec_masses(k), min_size=1, max_size=4)))
+def test_json_writes_integers_exactly_where_the_round_trip_keeps_every_bit(d, rows):
+    w = make_channel(rows)
+    # each JSON key and the field it holds
+    for x, keys in ((d, {"support": "support", "mass": "mass"}), (w, {"rows": "matrix"})):
+        text = _to_json(x)
+        back = type(x).from_json(text)
+        for key, field in keys.items():
+            a = getattr(x, field)
+            assert np.array_equal(_bits(getattr(back, field)), _bits(a))
+            kinds = {type(v) for v in _written(text, key)}
+            assert kinds == ({int} if _writes_integers(a.ravel()) else {float}), (key, text)
 
 
 def test_fortran_ordered_and_strided_inputs_round_trip():

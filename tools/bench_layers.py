@@ -1,0 +1,165 @@
+"""Per-layer times of a tree's code, as one row of a BENCH file.
+
+    python3 tools/bench_layers.py TREE OUT
+
+TREE is a checkout of this repository. Each group of timings runs the code
+of TREE/src in a fresh interpreter with one BLAS thread. Every time is in
+seconds, the minimum over REPEATS repeats of a timeit loop long enough to
+take 0.2 s. The row holds
+
+- ``build``: ``make_distribution`` of a law at n = 4, 100, 1e4 and 1e5
+  atoms, validation included;
+- ``kernels``: ``f_divergence`` of each tag of the divergence registry
+  (``_REGISTRY``), with the parameter of PARAMS, on two laws at the same n;
+- ``codec``: ``to_json`` and ``from_json``, timed apart, of a law at 1e4
+  and 1e5 atoms and of a 1e5 x 4 channel; ``from_json`` reads the text that
+  the tree's ``to_json`` writes;
+- the versions of Python, numpy and orjson, the line count of
+  TREE/src/divrel (``wc -l`` of its modules), TREE's commit, and whether
+  TREE/src differs from that commit.
+
+The row is appended to the JSON list in OUT, which is created if missing,
+so that one file holds the rows of a parent and of a head.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import timeit
+from pathlib import Path
+
+# set before numpy loads BLAS, and inherited by the group processes
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
+
+SIZES = (4, 100, 10_000, 100_000)
+CODEC_SIZES = (10_000, 100_000)
+CHANNEL_SHAPE = (100_000, 4)
+# a parameter inside the domain of each tag that takes one
+PARAMS = {"RENYI": 2.0, "GV": 0.5, "SKEW_K": 0.5, "SKEW_S": 0.5, "POLYLOG_F": 2}
+REPEATS = 5
+
+
+def best(fn) -> float:
+    """The timeit minimum of fn(), in seconds per call."""
+    timer = timeit.Timer(fn)
+    number, _ = timer.autorange()
+    return min(timer.repeat(REPEATS, number)) / number
+
+
+def laws(n: int):
+    """Support 0..n-1 and two Dirichlet mass vectors on it, seeded by n."""
+    rng = np.random.default_rng(n)
+    return np.arange(n, dtype=float), rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n))
+
+
+def group_build() -> dict:
+    import divrel as D
+
+    out = {}
+    for n in SIZES:
+        support, a, _ = laws(n)
+        out[str(n)] = best(lambda: D.make_distribution(support, a))
+    return out
+
+
+def group_kernels() -> dict:
+    import divrel as D
+    from divrel.divergences import _REGISTRY
+
+    out = {}
+    for tag in _REGISTRY:
+        spec = D.DivergenceSpec(tag, PARAMS.get(tag))
+        out[tag] = {}
+        for n in SIZES:
+            support, a, b = laws(n)
+            p, q = D.make_distribution(support, a), D.make_distribution(support, b)
+            out[tag][str(n)] = best(lambda: D.f_divergence(spec, p, q))
+    return out
+
+
+def group_codec() -> dict:
+    import divrel as D
+
+    cases = {}
+    for n in CODEC_SIZES:
+        support, a, _ = laws(n)
+        cases[f"law.{n}"] = D.make_distribution(support, a)
+    rows = np.random.default_rng(CHANNEL_SHAPE[0]).dirichlet(np.ones(CHANNEL_SHAPE[1]),
+                                                            size=CHANNEL_SHAPE[0])
+    cases["channel.{}x{}".format(*CHANNEL_SHAPE)] = D.make_channel(rows)
+    out = {}
+    for name, x in cases.items():
+        text = x.to_json()
+        out[name] = {"to_json": best(x.to_json),
+                     "from_json": best(lambda: type(x).from_json(text))}
+    return out
+
+
+def group_versions() -> dict:
+    import orjson
+
+    return {"python": sys.version.split()[0], "numpy": np.__version__,
+            "orjson": orjson.__version__}
+
+
+GROUPS = {"versions": group_versions, "build": group_build, "kernels": group_kernels,
+          "codec": group_codec}
+
+
+def run_group(tree: Path, name: str):
+    """The result of one group, timed in a fresh interpreter."""
+    proc = subprocess.run([sys.executable, __file__, str(tree), "--group", name],
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+def source_lines(tree: Path) -> int:
+    return sum(path.read_bytes().count(b"\n")
+               for path in sorted((tree / "src" / "divrel").glob("*.py")))
+
+
+def commit(tree: Path) -> dict:
+    """TREE's commit, and whether TREE/src differs from it; None outside git."""
+    def git(*args):
+        return subprocess.run(["git", "-C", str(tree), *args], capture_output=True,
+                              text=True).stdout.strip()
+
+    sha = git("rev-parse", "HEAD")
+    return {"commit": sha or None,
+            "src_changed": bool(git("status", "--porcelain", "--", "src")) if sha else None}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("tree", type=Path, help="checkout whose code to time")
+    parser.add_argument("out", type=Path, nargs="?", help="JSON list to append the row to")
+    parser.add_argument("--group", choices=tuple(GROUPS), help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    tree = args.tree.resolve()
+    if args.group:
+        sys.path.insert(0, str(tree / "src"))
+        print(json.dumps(GROUPS[args.group]()))
+        return 0
+    if args.out is None:
+        parser.error("OUT is required")
+
+    row = {**commit(tree), "src_divrel_lines": source_lines(tree)}
+    row.update((name, run_group(tree, name)) for name in GROUPS)
+    rows = json.loads(args.out.read_text()) if args.out.exists() else []
+    args.out.write_text(json.dumps(rows + [row], indent=1) + "\n")
+    codec = row["codec"]
+    for name, times in codec.items():
+        print(f"{name}: to_json {times['to_json'] * 1e3:.3f} ms, "
+              f"from_json {times['from_json'] * 1e3:.3f} ms")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
