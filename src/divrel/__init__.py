@@ -42,8 +42,8 @@ _API = {
     "inequalities": (
         "InequalityReport", "concavity_deficit_bounds", "conditioned_measure_divergence",
         "derivative_checks", "gv_lower_bound", "half_chi2_plus_quarter_tv",
-        "mixture_kl_upper", "mixture_of", "pinsker", "skew_kl_upper",
-        "symmetrized_chi2_bound", "thirds_bound",
+        "mixture_kl_upper", "mixture_of", "pinsker", "skew_kl_convexity_comparison",
+        "skew_kl_upper", "symmetrized_chi2_bound", "thirds_bound",
     ),
     "moment_bounds": (
         "BoundCertificate", "MomentTuple", "attaining_pair", "equal_means_quaternary",

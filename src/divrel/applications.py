@@ -198,7 +198,7 @@ def redundancy_report(pf: PoissonFamily) -> dict:
     average source entropy per the mismatched-code sandwich.
     """
     lam = _rates(pf.lambdas, _MAX_PMF_RATE)
-    w = np.asarray(pf.weights, dtype=float)
+    w = _reals(pf.weights)
     # the bounds from the family's KL matrix, poisson_kl of each pair
     d = _binary_term(lam[:, None], lam, lam[:, None] - lam)
     tight, convex = _mixture_kl_bound(w, d, w)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import Channel, DiscreteDistribution, _check_count, _in_blocks, push_forward
-from .divergences import DivergenceSpec, _gv, _kl, _mixture, f_divergence_rows
+from .divergences import _REGISTRY, DivergenceSpec, _gv, _kl, _mixture
 from .errors import (
     DimensionMismatch,
     DomainError,
@@ -303,11 +303,13 @@ def brute_force_mu_f(
         raise PreconditionViolated("brute-force search needs >= 2 input atoms")
     qx, w = sc.qx.mass, sc.w.matrix
     qy = qx @ w
+    # the kernel, not its door f_divergence_rows: every candidate is a law
+    kernel = _REGISTRY[spec.tag][0]
 
     def ratios(px: np.ndarray) -> np.ndarray:
         """Output/input divergence ratio of each candidate input law."""
-        d_in = f_divergence_rows(spec, px, qx)
-        d_out = f_divergence_rows(spec, px @ w, qy)
+        d_in = kernel(px, qx, spec.param)
+        d_out = kernel(px @ w, qy, spec.param)
         usable = (_RATIO_FLOOR < d_in) & (d_in < math.inf) & (d_out < math.inf)
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(usable, d_out / d_in, -math.inf)
@@ -494,8 +496,8 @@ def markov_mixing_report(
     for step in steps[1:]:
         pn = pn @ w.matrix
         step[:] = pn / pn.sum()
-    k0, *k = f_divergence_rows(DivergenceSpec("SKEW_K", alpha), steps, q.mass).tolist()
-    s0, *s = f_divergence_rows(DivergenceSpec("SKEW_S", alpha), steps, q.mass).tolist()
+    k0, *k = _REGISTRY["SKEW_K"][0](steps, q.mass, alpha).tolist()
+    s0, *s = _REGISTRY["SKEW_S"][0](steps, q.mass, alpha).tolist()
     rows = [
         {"n": n, "k_alpha": kn, "s_alpha": sn,
          "k_envelope": fk * mu**n * k0, "s_envelope": fs * mu**n * s0}

@@ -61,10 +61,11 @@ def validate_mass(m: np.ndarray) -> None:
         raise NonStochastic(f"mass sums to {float(bad[0])!r}, not 1")
 
 
-def _check_count(name: str, n, least: int) -> None:
-    """Raise DomainError unless n is an integer >= least (a bool is not)."""
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < least:
-        raise DomainError(f"{name} must be an integer >= {least}, got {n!r}")
+def _check_count(name: str, n, least: int, below: float = math.inf) -> None:
+    """Raise DomainError unless n is an integer in [least, below) (a bool is not)."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or not least <= n < below:
+        upper = f" and < {below}" if below < math.inf else ""
+        raise DomainError(f"{name} must be an integer >= {least}{upper}, got {n!r}")
 
 
 # entries per stacked array: a long stack of wide rows is built or scored in

@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .distributions import DiscreteDistribution, align
+from .distributions import DiscreteDistribution, _reals, align, validate_mass
 from .errors import DimensionMismatch, DomainError, NonFinite, QuadratureFailure
 
 INF = math.inf
@@ -408,7 +408,7 @@ def polylog_f(k: int, x):
     are closed forms, higher orders the array Li_k of ``_polylog_li``.
     """
     _check_param("POLYLOG_F", k)
-    x = np.asarray(x, dtype=float)
+    x = _reals(x)
     if not np.isfinite(x).all():
         raise NonFinite(f"polylog kernel needs finite x, got {x}")
     if not (x > 0).all():
@@ -497,16 +497,17 @@ def f_divergence_rows(spec: DivergenceSpec, P, q) -> np.ndarray:
     against the n-atom law q, or against the matching row of an (m, n)
     stack q, in nats (+inf where a row's value is infinite).
 
-    The rows and q share one support and are taken to be probability
-    vectors already checked (see ``distributions.validate_mass``).
+    The rows and q share one support, and each must be a probability vector
+    (``distributions.validate_mass``, run here once).
     """
-    P = np.asarray(P, dtype=float)
-    q = np.asarray(q, dtype=float)
+    P, q = _reals(P), _reals(q)
     if P.ndim != 2 or q.shape not in ((P.shape[1],), P.shape):
         raise DimensionMismatch(
             f"need an (m, n) stack and an n-atom law or (m, n) stack, "
             f"got {P.shape} and {q.shape}"
         )
+    validate_mass(P)
+    validate_mass(q)
     return _REGISTRY[spec.tag][0](P, q, spec.param)
 
 
@@ -621,8 +622,7 @@ def binary_kl(r, s):
     Elementwise over broadcast arrays; a float for scalar arguments. The sum
     of two non-negative terms (``_binary_term``), accurate as r -> s.
     """
-    r = np.asarray(r, dtype=float)
-    s = np.asarray(s, dtype=float)
+    r, s = _reals(r), _reals(s)
     if not ((r >= 0) & (r <= 1) & (s >= 0) & (s <= 1)).all():
         raise DomainError(f"binary_kl arguments must lie in [0,1], got ({r}, {s})")
     out = _binary_term(r, s, r - s) + _binary_term(1.0 - r, 1.0 - s, s - r)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import DiscreteDistribution, align
+from .distributions import DiscreteDistribution, _reals, align
 from .divergences import _chi2, _gv, _mixture, _polylog, chi_squared, skew_s
 from .errors import DomainError, MaxDepthExceeded, QuadratureFailure
 
@@ -275,12 +275,17 @@ def g_alpha(alpha: float, s):
     """Weight of the skew-chi^2 curve in the S_alpha integral: alpha s on
     (0, alpha] plus (1 - alpha)(1 - s) on [alpha, 1); both at s = alpha.
     Elementwise over an array s (a float for a scalar s)."""
-    s = np.asarray(s, dtype=float)
+    s = _reals(s)
     if math.isnan(alpha) or np.isnan(s).any():
         raise DomainError(f"g_alpha needs alpha and s that are not NaN, got {alpha}, {s}")
-    out = (np.where((0.0 < s) & (s <= alpha), alpha * s, 0.0)
-           + np.where((alpha <= s) & (s < 1.0), (1.0 - alpha) * (1.0 - s), 0.0))
+    out = _g_alpha(alpha, s)
     return out if out.ndim else float(out)
+
+
+def _g_alpha(alpha: float, s: np.ndarray) -> np.ndarray:
+    """``g_alpha`` at an array s of nodes, unchecked: the quadrature's own."""
+    return (np.where((0.0 < s) & (s <= alpha), alpha * s, 0.0)
+            + np.where((alpha <= s) & (s < 1.0), (1.0 - alpha) * (1.0 - s), 0.0))
 
 
 def check_skew_s_integral(alpha: float, p: DiscreteDistribution,
@@ -292,6 +297,6 @@ def check_skew_s_integral(alpha: float, p: DiscreteDistribution,
     # not integrable, like the lhs is +inf: at alpha = 1 the curve is chi^2(P||R_s)/s
     # and P has mass where Q has none; at alpha = 0 it is >= (1 - s) Q(P = 0)/s
     return _path_check(f"skew_s_integral_a{alpha}", lhs,
-                       lambda s: g_alpha(alpha, s) * _gv(a[None, :], b, s[:, None]),
+                       lambda s: _g_alpha(alpha, s) * _gv(a[None, :], b, s[:, None]),
                        (0.0, alpha, 1.0),
                        (alpha == 1.0 and _escapes(a, b)) or (alpha == 0.0 and _escapes(b, a)))

@@ -14,10 +14,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .distributions import DiscreteDistribution, _on_union_support, _reals, align
-from .divergences import (DivergenceSpec, _chi2, _entropy, _gv, _kl, _mixture, _mixture_kl,
-                          _skew_k, _tv, f_divergence_rows, kl)
-from .errors import DomainError, EmptySet, PreconditionViolated, ZeroProbabilitySet
+from .distributions import (DiscreteDistribution, _check_count, _on_union_support, _reals,
+                            align, validate_mass)
+from .divergences import (_REGISTRY, DivergenceSpec, _chi2, _entropy, _gv, _kl, _mixture,
+                          _mixture_kl, _skew_k, _tv, kl)
+from .errors import (DimensionMismatch, DivrelError, DomainError, EmptySet, PreconditionViolated,
+                     ZeroProbabilitySet)
 
 GRACE = 1e-10
 
@@ -91,7 +93,11 @@ def pair_slacks(P, Q, t: float) -> dict[str, np.ndarray]:
     P and Q (probability rows on one support), at theta = lambda = t."""
     if not 0.0 < t < 1.0:
         raise DomainError(f"theta and lambda must lie in (0,1), got {t}")
-    P, Q = np.asarray(P, dtype=float), np.asarray(Q, dtype=float)
+    P, Q = _reals(P), _reals(Q)
+    if P.ndim != 2 or P.shape != Q.shape:
+        raise DimensionMismatch(f"need two (m, n) stacks of one shape, not {P.shape}, {Q.shape}")
+    validate_mass(P)
+    validate_mass(Q)
     return {name: _slack(*check(P, Q, t)) for name, check in _PAIRS.items()}
 
 
@@ -185,12 +191,15 @@ def derivative_checks(p: DiscreteDistribution, q: DiscreteDistribution) -> dict:
 
 
 def _validated_weights(dists, weights):
-    """weights as an array: finite, non-negative, one per component, summing to 1."""
+    """weights as an array: one per component, a probability vector."""
     w = _reals(weights)
-    if (len(dists) != len(w) or not np.isfinite(w).all() or np.any(w < 0)
-            or abs(w.sum() - 1.0) > 1e-9):
-        raise DomainError("weights must be a probability vector over the components")
-    return w
+    if w.shape == (len(dists),):
+        try:
+            validate_mass(w)
+            return w
+        except DivrelError:
+            pass
+    raise DomainError("weights must be a probability vector over the components")
 
 
 def mixture_of(dists, weights) -> DiscreteDistribution:
@@ -217,6 +226,7 @@ def mixture_kl_upper(
 ) -> InequalityReport:
     """D(P_i || mixture) <= -ln(a_i + (1-a_i) exp(-avg pairwise KL from P_i))."""
     w = _validated_weights(dists, weights)
+    _check_count("component index i", i, 0, len(w))
     _, stack = _on_union_support(dists)
     bound = _mixture_kl_bound(w, _kl(stack[i:i + 1, None], stack), w[i])[0][0]
     return InequalityReport("mixture_kl_upper", float(_mixture_kl(w, stack)[0][i]), float(bound))
@@ -261,11 +271,12 @@ def conditioned_measure_divergence(
     for the Renyi family it is ln(1/t) at every order. Both rows are scored
     in one kernel call, on n + 1 atoms with zero columns as padding.
     """
-    idx = np.asarray(c_indices, dtype=int)
+    idx = np.asarray(c_indices)
     if idx.size == 0:
         raise EmptySet("conditioning set is empty")
-    if idx.min() < 0 or idx.max() >= len(mu):
-        raise DomainError("conditioning index out of range")
+    # an integer dtype: a bool or a fraction is no index
+    if idx.dtype.kind not in "iu" or idx.min() < 0 or idx.max() >= len(mu):
+        raise DomainError(f"conditioning indices must be integers in [0, {len(mu)})")
     # a mask, not np.unique: its masked-array check imports numpy.ma
     in_c = np.zeros(len(mu), dtype=bool)
     in_c[idx] = True
@@ -278,4 +289,4 @@ def conditioned_measure_divergence(
     stack[1, 0] = 1.0
     stack[2, :-1] = mu.mass
     stack[3, :2] = mass_c, 1.0 - mass_c
-    return tuple(f_divergence_rows(spec, stack[:2], stack[2:]).tolist())
+    return tuple(_REGISTRY[spec.tag][0](stack[:2], stack[2:], spec.param).tolist())

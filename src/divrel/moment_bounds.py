@@ -14,12 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import DiscreteDistribution, _check_reals, make_distribution, moments
+from .distributions import DiscreteDistribution, _check_reals, _reals, make_distribution, moments
 from .divergences import _G_CUT, _binary_term, _g_series
 from .errors import (
     DegenerateVariance,
     DomainError,
     EpsilonTooLarge,
+    NonFinite,
     PreconditionViolated,
 )
 
@@ -74,7 +75,7 @@ def mixture_variance(mt: MomentTuple, lam: float) -> float:
 
 def moment_bound_arrays(m_p, var_p, m_q, var_q) -> tuple[np.ndarray, ...]:
     """(r, s, a, b, v, bound_nats) of the binary-KL lower bound on D(P||Q),
-    elementwise over the broadcast moment arrays (variances non-negative).
+    elementwise over the broadcast moment arrays, checked as ``MomentTuple``.
 
     a = m_p - m_q and b = a^2 + var_q - var_p. With a^2 = 0 (equal means,
     or a gap so small that a^2 underflows) the infimum over compatible
@@ -82,8 +83,12 @@ def moment_bound_arrays(m_p, var_p, m_q, var_q) -> tuple[np.ndarray, ...]:
     is 0 or 1; with var_q = 0, Q is a point mass, s is 0 or 1 and the bound
     is +inf.
     """
-    var_p, var_q = np.asarray(var_p, dtype=float), np.asarray(var_q, dtype=float)
-    a = np.asarray(m_p, dtype=float) - m_q
+    m_p, var_p, m_q, var_q = given = [_reals(x) for x in (m_p, var_p, m_q, var_q)]
+    if not all(np.isfinite(x).all() for x in given):
+        raise NonFinite("means and variances must be finite")
+    if (var_p < 0).any() or (var_q < 0).any():
+        raise DomainError("variances must be non-negative")
+    a = m_p - m_q
     a2 = a * a
     b = a2 + var_q - var_p
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

@@ -720,15 +720,16 @@ def test_refinement_matches_nelder_mead_on_random_channels(monkeypatch, which):
 
 def test_refinement_stays_within_its_round_budget(monkeypatch):
     # Nelder-Mead spent 7,865 single-law evaluations on this input, at its
-    # iteration cap; the batched search makes two kernel calls per round
+    # iteration cap; the batched search makes two kernel calls per round, each
+    # of the registry kernel itself
     calls = [0]
-    rows = divrel.contraction.f_divergence_rows
+    kernel, *domain = divrel.divergences._REGISTRY["SKEW_S"]
 
     def counted(*args):
         calls[0] += 1
-        return rows(*args)
+        return kernel(*args)
 
-    monkeypatch.setattr(divrel.contraction, "f_divergence_rows", counted)
+    monkeypatch.setitem(divrel.divergences._REGISTRY, "SKEW_S", (counted, *domain))
     sc = SourceChannelPair(UNIFORM2, bsc(0.14376407702030392))
     est = brute_force_mu_f(DivergenceSpec("SKEW_S", 0.5), sc, n_samples=1500, seed=628404696)
     assert calls[0] <= 2 * (divrel.contraction._MAX_ROUNDS + 2)

@@ -136,6 +136,15 @@ assert {"check_skew_s_integral", "g_alpha"} <= set(divrel.__all__)
 """)
 
 
+def test_skew_kl_convexity_comparison_resolves_on_the_package():
+    run_fresh("-c", """
+import divrel
+from divrel import skew_kl_convexity_comparison
+assert skew_kl_convexity_comparison is divrel.inequalities.skew_kl_convexity_comparison
+assert "skew_kl_convexity_comparison" in divrel.__all__
+""")
+
+
 def test_dir_lists_the_api_and_loads_nothing():
     run_fresh("-c", """
 import sys

@@ -187,6 +187,16 @@ def test_mixture_weights_must_not_be_nan(weights):
             call()
 
 
+@pytest.mark.parametrize("i", [2, -1, 1.5, True, None])
+def test_mixture_kl_upper_needs_a_component_index(i):
+    # 2 once raised a bare IndexError, and -1 sliced an empty row
+    dists = [make_distribution([0, 1], [0.3, 0.7]), make_distribution([0, 1], [0.6, 0.4])]
+    with pytest.raises(DomainError, match="component index"):
+        mixture_kl_upper(i, dists, [0.5, 0.5])
+    one = mixture_kl_upper(1, dists, [0.5, 0.5])
+    assert mixture_kl_upper(np.int64(1), dists, [0.5, 0.5]) == one
+
+
 def test_mixture_kl_upper_with_a_zero_weight_component():
     dists, w = ZERO_WEIGHT
     # the zero-weight law is off the mixture's support: both sides are +inf
@@ -386,6 +396,10 @@ def test_conditioned_measure_errors():
         conditioned_measure_divergence(DivergenceSpec("KL"), mu, [2])
     with pytest.raises(DomainError):
         conditioned_measure_divergence(DivergenceSpec("KL"), mu, [9])
+    # a fraction or a bool once conditioned on atom 1 without a word
+    for indices in ([1.7], [True], [0, 1.0], np.array([False, True]), ["1"]):
+        with pytest.raises(DomainError, match="integers"):
+            conditioned_measure_divergence(DivergenceSpec("KL"), mu, indices)
 
 
 @settings(max_examples=200, deadline=None)

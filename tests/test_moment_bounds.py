@@ -423,6 +423,27 @@ def _moment_tuples(rng, count):
     return m_p, var_p, m_q, var_q
 
 
+# finite moments, and the values MomentTuple refuses
+_moment_or_not = st.one_of(st.floats(-50, 50), st.sampled_from([math.nan, math.inf, -math.inf]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_moment_or_not, _moment_or_not, _moment_or_not, _moment_or_not)
+def test_array_form_raises_where_moment_tuple_does(m_p, var_p, m_q, var_q):
+    try:
+        cert = kl_moment_lower_bound(MomentTuple(m_p, var_p, m_q, var_q))
+    except (NonFinite, DomainError) as exc:
+        with pytest.raises(type(exc)):
+            moment_bound_arrays(m_p, var_p, m_q, var_q)
+        # elementwise: one bad tuple in a column of good ones
+        with pytest.raises(type(exc)):
+            moment_bound_arrays([1.0, m_p], [1.0, var_p], [0.0, m_q], [2.0, var_q])
+    else:
+        fields = moment_bound_arrays(m_p, var_p, m_q, var_q)
+        assert [float(f) for f in fields] == [cert.r, cert.s, cert.a, cert.b, cert.v,
+                                              cert.bound_nats]
+
+
 def test_float_bound_is_the_array_form_bit_for_bit():
     # the float closed form against the grid form on 24,000 tuples
     columns = _moment_tuples(np.random.default_rng(23), 24_000)

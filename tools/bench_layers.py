@@ -14,6 +14,13 @@ take 0.2 s. The row holds
 - ``codec``: ``to_json`` and ``from_json``, timed apart, of a law at 1e4
   and 1e5 atoms and of a 1e5 x 4 channel; ``from_json`` reads the text that
   the tree's ``to_json`` writes;
+- ``loops``: calls that run a search or a quadrature loop, and one door
+  call of the size of a search round: ``brute_force_mu_f`` on BSC(0.1) with
+  uniform input at 1,500 draws for each spec of BRUTE_SPECS (the
+  benchmark's), ``check_skew_s_integral`` at alpha = 1/2 on the 5-atom pair
+  of ``laws(5)``, and ``f_divergence_rows`` of KL on a 144 x 2 stack of
+  Dirichlet laws (one refinement round of the search on two input letters)
+  against the uniform law;
 - the versions of Python, numpy and orjson, the line count of
   TREE/src/divrel (``wc -l`` of its modules), TREE's commit, and whether
   TREE/src differs from that commit.
@@ -43,6 +50,8 @@ CODEC_SIZES = (10_000, 100_000)
 CHANNEL_SHAPE = (100_000, 4)
 # a parameter inside the domain of each tag that takes one
 PARAMS = {"RENYI": 2.0, "GV": 0.5, "SKEW_K": 0.5, "SKEW_S": 0.5, "POLYLOG_F": 2}
+# the specs of the benchmark's brute-force operations
+BRUTE_SPECS = (("SKEW_K", 1.0), ("SKEW_K", 0.5), ("SKEW_S", 0.5))
 REPEATS = 5
 
 
@@ -102,6 +111,25 @@ def group_codec() -> dict:
     return out
 
 
+def group_loops() -> dict:
+    import divrel as D
+
+    sc = D.SourceChannelPair(D.make_distribution([0, 1], [0.5, 0.5]),
+                             D.make_channel([[0.9, 0.1], [0.1, 0.9]]))
+    out = {}
+    for tag, param in BRUTE_SPECS:
+        spec = D.DivergenceSpec(tag, param)
+        out[f"brute_force_mu_f.{tag}:{param}"] = best(
+            lambda: D.brute_force_mu_f(spec, sc, n_samples=1500, seed=0))
+    support, a, b = laws(5)
+    p, q = D.make_distribution(support, a), D.make_distribution(support, b)
+    out["check_skew_s_integral"] = best(lambda: D.check_skew_s_integral(0.5, p, q))
+    rows = np.random.default_rng(144).dirichlet(np.ones(2), size=144)
+    kl = D.DivergenceSpec("KL")
+    out["f_divergence_rows.144x2"] = best(lambda: D.f_divergence_rows(kl, rows, [0.5, 0.5]))
+    return out
+
+
 def group_versions() -> dict:
     import orjson
 
@@ -110,7 +138,7 @@ def group_versions() -> dict:
 
 
 GROUPS = {"versions": group_versions, "build": group_build, "kernels": group_kernels,
-          "codec": group_codec}
+          "codec": group_codec, "loops": group_loops}
 
 
 def run_group(tree: Path, name: str):
@@ -158,6 +186,8 @@ def main(argv=None) -> int:
     for name, times in codec.items():
         print(f"{name}: to_json {times['to_json'] * 1e3:.3f} ms, "
               f"from_json {times['from_json'] * 1e3:.3f} ms")
+    for name, time in row["loops"].items():
+        print(f"{name}: {time * 1e3:.3f} ms")
     return 0
 
 
