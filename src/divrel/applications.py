@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import DiscreteDistribution, _check_count, _check_reals, _in_blocks, _reals
+from .distributions import (DiscreteDistribution, _check_count, _check_real, _check_reals,
+                            _in_blocks, _reals)
 from .divergences import _binary_term, _mixture_kl
 from .errors import DomainError, PreconditionViolated, QuadratureFailure
 from .inequalities import _mixture_kl_bound, _validated_weights
@@ -62,15 +63,12 @@ class TypeClassProblem:
     def __post_init__(self):
         _check_reals("m_q, var_q and the box edges",
                      (self.m_q, self.var_q, *self.mean_box, *self.var_box))
-        if self.var_q < 0:
-            raise DomainError("var_q must be non-negative")
-        if self.mean_box[0] > self.mean_box[1] or self.var_box[0] > self.var_box[1]:
-            raise DomainError("boxes must be non-empty intervals")
-        if self.var_box[0] < 0:
-            raise DomainError("variance box must be non-negative")
+        _check_real("var_q", self.var_q, 0.0)
+        _check_real("upper mean edge", self.mean_box[1], self.mean_box[0])
+        _check_real("upper variance edge", self.var_box[1], self.var_box[0])
+        _check_real("variance box", self.var_box[0], 0.0)
         _check_count("alphabet size", self.alphabet_size, 2)
-        if not 0.0 < self.epsilon < 1.0:
-            raise DomainError("epsilon must lie in (0, 1)")
+        _check_real("epsilon", self.epsilon, 0.0, 1.0, lo_open=True, hi_open=True)
         # the target mean box must exclude the reference mean, otherwise
         # the infimum of the moment bound is zero and no finite n works
         if self.mean_box[0] <= self.m_q <= self.mean_box[1]:
@@ -157,8 +155,7 @@ def poisson_pmf(
     DomainError, as their window would not fit in memory.
     """
     lam = _rates(lam, _MAX_PMF_RATE).reshape(1)
-    if not 0.0 < tail_tol < 1.0:
-        raise DomainError(f"tail_tol must lie in (0, 1), got {tail_tol}")
+    _check_real("tail_tol", tail_tol, 0.0, 1.0, lo_open=True, hi_open=True)
     p_a, rel, n, tail, _ = _poisson_family(lam, tail_tol)
     return DiscreteDistribution(np.arange(n[0] + 1.0), _pmf_rows(p_a, rel, n)[0]), float(tail[0])
 
@@ -253,8 +250,7 @@ def lambert_w_minus1(y: float) -> float:
     the residual it reached.
     """
     branch_point = -1.0 / math.e
-    if not branch_point - 1e-15 <= y < 0.0:
-        raise DomainError(f"argument must lie in [-1/e, 0), got {y}")
+    _check_real("y", y, branch_point - 1e-15, 0.0, hi_open=True)
     if y <= branch_point:
         return -1.0
     x = math.log(-y) - math.log(-math.log(-y))
@@ -291,8 +287,7 @@ def n_star(tcp: TypeClassProblem, d: float) -> int:
     epsilon at the returned n and must exceed it one step earlier
     (unless the returned n is 1).
     """
-    if not d > 0:
-        raise DomainError(f"the divergence floor d must be positive, got {d}")
+    _check_real("the divergence floor d", d, 0.0, lo_open=True)
     if math.isinf(d):
         # exp(-n d) = 0 at every n >= 1
         return 1
@@ -314,6 +309,6 @@ def sanov_bound(tcp: TypeClassProblem, n: int, d: float | None = None) -> float:
     _check_count("sample size n", n, 1)
     if d is None:
         d = d_star(tcp)
-    elif not d > 0:
-        raise DomainError(f"the divergence floor d must be positive, got {d}")
+    else:
+        _check_real("the divergence floor d", d, 0.0, lo_open=True)
     return min(math.exp(_log_tail_bound(n, tcp.alphabet_size, d)), 1.0)

@@ -29,9 +29,9 @@ import sys
 
 import numpy as np
 
-from .distributions import Channel, DiscreteDistribution
+from .distributions import Channel, DiscreteDistribution, _check_count
 from .divergences import DivergenceSpec, f_divergence
-from .errors import DivrelError, DomainError, QuadratureFailure
+from .errors import DivrelError, QuadratureFailure
 
 # parsed attributes that are not inputs of the computation
 _NOT_INPUTS = ("command", "fn", "formula", "format")
@@ -140,8 +140,7 @@ def _cmd_moment_bound(args) -> dict:
 def _cmd_inequalities(args) -> dict:
     from . import inequalities
 
-    if args.trials < 1:
-        raise DomainError(f"trials must be at least 1, got {args.trials}")
+    _check_count("trials", args.trials, 1)
     rng = np.random.default_rng(args.seed)
     # pairs of 2..6 atoms, zero-padded to 6: a padded atom adds 0 to every
     # kernel. Uniform Dirichlet laws on the first n atoms, drawn all at once as

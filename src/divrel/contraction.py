@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Channel, DiscreteDistribution, _check_count, _in_blocks, push_forward
+from .distributions import (Channel, DiscreteDistribution, _check_count, _check_real, _in_blocks,
+                            push_forward)
 from .divergences import _REGISTRY, DivergenceSpec, _gv, _kl, _mixture
 from .errors import (
     DimensionMismatch,
@@ -255,8 +256,6 @@ def _sampled_sup(score_rows, n: int, n_samples: int, seed: int, anchor: np.ndarr
     seed makes the draws and nothing else, so a seed always gives the same
     pair.
     """
-    if n_samples < 1:
-        raise DomainError(f"the search needs n_samples >= 1, got {n_samples}")
     draws = np.random.default_rng(seed).dirichlet(np.ones(n), size=n_samples)
     scores = score_rows(draws)
     best = float(scores.max())
@@ -294,8 +293,11 @@ def brute_force_mu_f(
     near which the ratio of every f-divergence with f''(1) > 0 tends to the
     chi^2 contraction (Raginsky, arXiv 1411.3575). lower is the best draw,
     the point estimate the best of it and the refinement. The result is a
-    valid lower estimate only; the upper field is +inf.
+    valid lower estimate only; the upper field is +inf. n_samples is an
+    integer >= 1, and seed an integer >= 0 that seeds the draws alone.
     """
+    _check_count("n_samples", n_samples, 1)
+    _check_count("seed", seed, 0)
     n = len(sc.qx)
     if n > 6:
         raise PreconditionViolated("brute-force search is limited to <= 6 atoms")
@@ -401,15 +403,15 @@ def mu_chi2_channel(w: Channel) -> float:
 
 def skew_k_factor(alpha: float, q_min: float) -> float:
     """Upper-bound multiplier for the K-family contraction coefficient."""
-    if not 0.0 < alpha <= 1.0:
-        raise DomainError(f"alpha must lie in (0,1], got {alpha}")
+    _check_real("alpha", alpha, 0.0, 1.0, lo_open=True)
+    _check_real("q_min", q_min, 0.0, 1.0, lo_open=True)
     return 1.0 / (alpha * q_min)
 
 
 def skew_s_factor(alpha: float, q_min: float) -> float:
     """Upper-bound multiplier for the S-family contraction coefficient."""
-    if not 0.0 < alpha <= 1.0:
-        raise DomainError(f"alpha must lie in (0,1], got {alpha}")
+    _check_real("alpha", alpha, 0.0, 1.0, lo_open=True)
+    _check_real("q_min", q_min, 0.0, 1.0, lo_open=True)
     num = (1.0 - alpha) * math.log(1.0 / alpha) + 2.0 * alpha - 1.0
     den = (1.0 - 3.0 * alpha + 3.0 * alpha * alpha) * q_min
     return num / den

@@ -68,6 +68,19 @@ def _check_count(name: str, n, least: int, below: float = math.inf) -> None:
         raise DomainError(f"{name} must be an integer >= {least}{upper}, got {n!r}")
 
 
+def _check_real(name: str, x, lo: float = -math.inf, hi: float = math.inf,
+                lo_open: bool = False, hi_open: bool = False, whole: bool = False) -> None:
+    """Raise DomainError, naming x and its interval, unless x is a real number
+    (a bool is not) from lo to hi, open at an end where told so, and integral
+    (2.0 too) where whole is set. NaN lies in no interval."""
+    if (isinstance(x, bool) or not isinstance(x, numbers.Real)
+            or not (lo < x if lo_open else lo <= x) or not (x < hi if hi_open else x <= hi)
+            or whole and not float(x).is_integer()):
+        ends = f"{'[('[lo_open]}{lo:g},{hi:g}{'])'[hi_open]}"
+        rule = {"[0,inf]": "be non-negative", "(0,inf]": "be positive"}.get(ends, f"lie in {ends}")
+        raise DomainError(f"{name} must {rule}{' as an integer' if whole else ''}, got {x!r}")
+
+
 # entries per stacked array: a long stack of wide rows is built or scored in
 # blocks, so that each array of a block stays near 8 MB
 _STACK_ENTRIES = 1 << 20
@@ -286,8 +299,7 @@ def align(p: DiscreteDistribution, q: DiscreteDistribution):
 
 def mixture(p: DiscreteDistribution, q: DiscreteDistribution, lam: float) -> DiscreteDistribution:
     """Convex combination (1-lam)*P + lam*Q on the common support."""
-    if not 0.0 <= lam <= 1.0:
-        raise DomainError(f"mixture weight must lie in [0,1], got {lam}")
+    _check_real("mixture weight", lam, 0.0, 1.0)
     support, (pm, qm) = _on_union_support((p, q))
     return DiscreteDistribution(support, (1.0 - lam) * pm + lam * qm)
 

@@ -24,13 +24,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .distributions import DiscreteDistribution, _reals, align, validate_mass
+from .distributions import DiscreteDistribution, _check_real, _reals, align, validate_mass
 from .errors import DimensionMismatch, DomainError, NonFinite, QuadratureFailure
 
 INF = math.inf
@@ -456,40 +455,35 @@ def _generic(a, b, f, f_at_zero, slope_at_inf, f_of_log=None, c=1.0):
     return out
 
 
-def _unit(x) -> bool:
-    return 0.0 <= x <= 1.0
-
-
-# One entry per tag: its row kernel, and the domain of its parameter as a
-# predicate (None: the tag takes no parameter) and as text for the error.
+# One entry per tag: its row kernel, and the domain of its parameter (None: the
+# tag takes none) as the name, ends and integrality that ``_check_real`` checks.
 _REGISTRY = {
-    "KL": (_kl, None, ""),
-    "CHI2": (_chi2, None, ""),
-    "TV": (_tv, None, ""),
-    "RENYI": (_renyi, lambda alpha: alpha >= 0, "an order alpha in [0, inf]"),
-    "GV": (_gv, _unit, "a skew s in [0, 1]"),
-    "SKEW_K": (_skew_k, _unit, "a skew alpha in [0, 1]"),
-    "SKEW_S": (_skew_s, _unit, "a skew alpha in [0, 1]"),
-    "JS": (lambda a, b, _=None: _skew_s(a, b, 0.5), None, ""),
+    "KL": (_kl, None),
+    "CHI2": (_chi2, None),
+    "TV": (_tv, None),
+    "RENYI": (_renyi, ("order alpha", 0.0, INF, False)),
+    "GV": (_gv, ("skew s", 0.0, 1.0, False)),
+    "SKEW_K": (_skew_k, ("skew alpha", 0.0, 1.0, False)),
+    "SKEW_S": (_skew_s, ("skew alpha", 0.0, 1.0, False)),
+    "JS": (lambda a, b, _=None: _skew_s(a, b, 0.5), None),
     # the coefficient tables of Li_k grow linearly in k
-    "POLYLOG_F": (_polylog, lambda k: not isinstance(k, bool) and float(k).is_integer()
-                  and 0 <= k <= 1000, "an integer order k in [0, 1000]"),
+    "POLYLOG_F": (_polylog, ("order k", 0, 1000, True)),
 }
 # CLI names: the lower-case tag, and 'polylog' for POLYLOG_F
 _NAMES = {tag.lower(): tag for tag in _REGISTRY} | {"polylog": "POLYLOG_F"}
 
 
 def _check_param(tag: str, param) -> None:
-    """Raises DomainError unless tag is registered and param is a real
-    number in the domain of its parameter."""
+    """Raises DomainError unless tag is registered and param lies in the
+    domain of its parameter."""
     if tag not in _REGISTRY:
         raise DomainError(f"unknown divergence tag {tag!r}")
-    _, domain, needs = _REGISTRY[tag]
-    if domain is None:
-        if param is not None:
-            raise DomainError(f"{tag} takes no parameter, got {param!r}")
-    elif not isinstance(param, numbers.Real) or not domain(param):
-        raise DomainError(f"{tag} requires {needs}, got {param!r}")
+    domain = _REGISTRY[tag][1]
+    if domain is not None:
+        name, lo, hi, whole = domain
+        _check_real(f"{tag} {name}", param, lo, hi, whole=whole)
+    elif param is not None:
+        raise DomainError(f"{tag} takes no parameter, got {param!r}")
 
 
 def f_divergence_rows(spec: DivergenceSpec, P, q) -> np.ndarray:
@@ -623,7 +617,11 @@ def binary_kl(r, s):
     of two non-negative terms (``_binary_term``), accurate as r -> s.
     """
     r, s = _reals(r), _reals(s)
-    if not ((r >= 0) & (r <= 1) & (s >= 0) & (s <= 1)).all():
+    try:
+        inside = ((r >= 0) & (r <= 1) & (s >= 0) & (s <= 1)).all()
+    except ValueError:  # numpy's answer to shapes that do not broadcast
+        raise DimensionMismatch(f"shapes {r.shape} and {s.shape} do not broadcast") from None
+    if not inside:
         raise DomainError(f"binary_kl arguments must lie in [0,1], got ({r}, {s})")
     out = _binary_term(r, s, r - s) + _binary_term(1.0 - r, 1.0 - s, s - r)
     return out if out.ndim else float(out)

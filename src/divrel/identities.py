@@ -30,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import DiscreteDistribution, _reals, align
-from .divergences import _chi2, _gv, _mixture, _polylog, chi_squared, skew_s
+from .distributions import DiscreteDistribution, _check_real, _reals, align
+from .divergences import _REGISTRY, _chi2, _gv, _mixture, _polylog, chi_squared, skew_s
 from .errors import DomainError, MaxDepthExceeded, QuadratureFailure
 
 
@@ -256,15 +256,17 @@ def check_gv_identity(p: DiscreteDistribution, q: DiscreteDistribution,
 
 def check_recursive_identity(k: int, p: DiscreteDistribution, q: DiscreteDistribution,
                              lam: float) -> IdentityReport:
-    """D_{f_{k+1}}(R_lam||P) vs the integral of D_{f_k}(R_s||P)/s over (0, lam]."""
+    """D_{f_{k+1}}(R_lam||P) vs the integral of D_{f_k}(R_s||P)/s over (0, lam],
+    for k a POLYLOG_F order whose k + 1 is one too."""
+    _, lo, hi, whole = _REGISTRY["POLYLOG_F"][1]
+    _check_real("order k", k, lo, hi - 1, whole=whole)
     return _recursive_check(f"recursive_k{k}", k, p, q, lam)
 
 
 def _recursive_check(name: str, k: int, p: DiscreteDistribution, q: DiscreteDistribution,
                      lam: float) -> IdentityReport:
     """The recursive identity at k, reported under name."""
-    if not 0.0 <= lam <= 1.0:
-        raise DomainError(f"mixture weight must lie in [0,1], got {lam}")
+    _check_real("mixture weight", lam, 0.0, 1.0)
     a, b = (d.mass for d in align(p, q))
     lhs = float(_polylog_path(k + 1, np.array([lam]), a, b)[0])
     return _path_check(name, lhs, lambda s: _polylog_path(k, s, a, b) / s,
@@ -274,10 +276,11 @@ def _recursive_check(name: str, k: int, p: DiscreteDistribution, q: DiscreteDist
 def g_alpha(alpha: float, s):
     """Weight of the skew-chi^2 curve in the S_alpha integral: alpha s on
     (0, alpha] plus (1 - alpha)(1 - s) on [alpha, 1); both at s = alpha.
-    Elementwise over an array s (a float for a scalar s)."""
+    alpha in [0, 1]; elementwise over an array s, not NaN (a float for a scalar s)."""
+    _check_real("skew alpha", alpha, 0.0, 1.0)
     s = _reals(s)
-    if math.isnan(alpha) or np.isnan(s).any():
-        raise DomainError(f"g_alpha needs alpha and s that are not NaN, got {alpha}, {s}")
+    if np.isnan(s).any():
+        raise DomainError(f"g_alpha needs s that is not NaN, got {s}")
     out = _g_alpha(alpha, s)
     return out if out.ndim else float(out)
 

@@ -14,8 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .distributions import (DiscreteDistribution, _check_count, _on_union_support, _reals,
-                            align, validate_mass)
+from .distributions import (DiscreteDistribution, _check_count, _check_real, _on_union_support,
+                            _reals, align, validate_mass)
 from .divergences import (_REGISTRY, DivergenceSpec, _chi2, _entropy, _gv, _kl, _mixture,
                           _mixture_kl, _skew_k, _tv, kl)
 from .errors import (DimensionMismatch, DivrelError, DomainError, EmptySet, PreconditionViolated,
@@ -60,9 +60,7 @@ def _neg_log_mixture(a, x):
 
 def _skew_kl_bound(lam: float, d):
     """-ln(1 - lam + lam exp(-d)), the bound on K_lam(P||Q) from d = D(P||Q),
-    elementwise over an array d."""
-    if not 0.0 <= lam <= 1.0:
-        raise DomainError(f"lambda must lie in [0,1], got {lam}")
+    elementwise over an array d, for a lam that its caller checked."""
     return _neg_log_mixture(1.0 - lam, np.asarray(d, dtype=float))
 
 
@@ -91,8 +89,7 @@ def _pair_report(name: str, p: DiscreteDistribution, q: DiscreteDistribution,
 def pair_slacks(P, Q, t: float) -> dict[str, np.ndarray]:
     """Slack of each pair inequality on every row pair of the (m, n) stacks
     P and Q (probability rows on one support), at theta = lambda = t."""
-    if not 0.0 < t < 1.0:
-        raise DomainError(f"theta and lambda must lie in (0,1), got {t}")
+    _check_real("theta = lambda", t, 0.0, 1.0, lo_open=True, hi_open=True)
     P, Q = _reals(P), _reals(Q)
     if P.ndim != 2 or P.shape != Q.shape:
         raise DimensionMismatch(f"need two (m, n) stacks of one shape, not {P.shape}, {Q.shape}")
@@ -122,8 +119,7 @@ def gv_lower_bound(
     theta: float, p: DiscreteDistribution, q: DiscreteDistribution
 ) -> InequalityReport:
     """D(P||Q) >= (1-theta) ln(1/(1-theta)) * D_{phi_theta}(P||Q)."""
-    if not 0.0 < theta < 1.0:
-        raise DomainError(f"theta must lie in (0,1), got {theta}")
+    _check_real("theta", theta, 0.0, 1.0, lo_open=True, hi_open=True)
     return _pair_report("gv_lower", p, q, theta)
 
 
@@ -138,6 +134,7 @@ def skew_kl_upper(
     p: DiscreteDistribution, q: DiscreteDistribution, lam: float
 ) -> InequalityReport:
     """K_lam(P||Q) <= -ln(1 - lam + lam exp(-D(P||Q))); equality at lam in {0,1}."""
+    _check_real("lambda", lam, 0.0, 1.0)
     return _pair_report("skew_kl_upper", p, q, lam)
 
 
@@ -145,6 +142,7 @@ def skew_kl_convexity_comparison(
     p: DiscreteDistribution, q: DiscreteDistribution, lam: float
 ) -> InequalityReport:
     """The mixture-based bound dominates the convexity bound lam * D(P||Q)."""
+    _check_real("lambda", lam, 0.0, 1.0)
     d = kl(p, q)
     return InequalityReport("skew_kl_vs_convexity", float(_skew_kl_bound(lam, d)), lam * d)
 
@@ -271,12 +269,16 @@ def conditioned_measure_divergence(
     for the Renyi family it is ln(1/t) at every order. Both rows are scored
     in one kernel call, on n + 1 atoms with zero columns as padding.
     """
-    idx = np.asarray(c_indices)
+    try:
+        idx = np.asarray(c_indices)
+    except ValueError:  # numpy's answer to ragged rows: an object array fails below
+        idx = np.array([None])
     if idx.size == 0:
         raise EmptySet("conditioning set is empty")
-    # an integer dtype: a bool or a fraction is no index
-    if idx.dtype.kind not in "iu" or idx.min() < 0 or idx.max() >= len(mu):
-        raise DomainError(f"conditioning indices must be integers in [0, {len(mu)})")
+    # a flat integer dtype: a bool, a fraction or a nested list is no index
+    if idx.ndim > 1 or idx.dtype.kind not in "iu" or idx.min() < 0 or idx.max() >= len(mu):
+        raise DomainError(f"conditioning indices must be one flat list of integers in "
+                          f"[0, {len(mu)})")
     # a mask, not np.unique: its masked-array check imports numpy.ma
     in_c = np.zeros(len(mu), dtype=bool)
     in_c[idx] = True

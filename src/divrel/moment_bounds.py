@@ -14,10 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import DiscreteDistribution, _check_reals, _reals, make_distribution, moments
+from .distributions import (DiscreteDistribution, _check_real, _check_reals, _reals,
+                            make_distribution, moments)
 from .divergences import _G_CUT, _binary_term, _g_series
 from .errors import (
     DegenerateVariance,
+    DimensionMismatch,
     DomainError,
     EpsilonTooLarge,
     NonFinite,
@@ -34,8 +36,7 @@ class MomentTuple:
 
     def __post_init__(self):
         _check_reals("means and variances", (self.m_p, self.var_p, self.m_q, self.var_q))
-        if self.var_p < 0 or self.var_q < 0:
-            raise DomainError("variances must be non-negative")
+        _check_real("variances", min(self.var_p, self.var_q), 0.0)
 
 
 @dataclass(frozen=True)
@@ -55,8 +56,6 @@ def hcr_lower_bound(
 ) -> float:
     """Mean-shift-over-variance lower bound on chi^2(P || (1-lam)P + lam*Q):
     lam^2 (m_p - m_q)^2 / ``mixture_variance``, from the moments of P and Q."""
-    if not 0.0 <= lam <= 1.0:
-        raise DomainError(f"lambda must lie in [0,1], got {lam}")
     mt = MomentTuple(*moments(p), *moments(q))
     var_z = mixture_variance(mt, lam)
     if var_z == 0.0:
@@ -65,7 +64,8 @@ def hcr_lower_bound(
 
 
 def mixture_variance(mt: MomentTuple, lam: float) -> float:
-    """Variance of the lam-mixture from the component moments alone."""
+    """Variance of the lam-mixture, lam in [0, 1], from the component moments alone."""
+    _check_real("lambda", lam, 0.0, 1.0)
     return (
         (1.0 - lam) * mt.var_p
         + lam * mt.var_q
@@ -81,20 +81,26 @@ def moment_bound_arrays(m_p, var_p, m_q, var_q) -> tuple[np.ndarray, ...]:
     or a gap so small that a^2 underflows) the infimum over compatible
     pairs is zero and every field is 0. With var_p = 0, v = |b/(2a)| and r
     is 0 or 1; with var_q = 0, Q is a point mass, s is 0 or 1 and the bound
-    is +inf.
+    is +inf. DomainError where b/(2a) overflows (a gap above 1.34e154).
     """
     m_p, var_p, m_q, var_q = given = [_reals(x) for x in (m_p, var_p, m_q, var_q)]
+    try:
+        np.broadcast_shapes(*(x.shape for x in given))
+    except ValueError:
+        raise DimensionMismatch(f"shapes {[x.shape for x in given]} do not broadcast") from None
     if not all(np.isfinite(x).all() for x in given):
         raise NonFinite("means and variances must be finite")
     if (var_p < 0).any() or (var_q < 0).any():
         raise DomainError("variances must be non-negative")
-    a = m_p - m_q
-    a2 = a * a
-    b = a2 + var_q - var_p
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a = m_p - m_q
+        a2 = a * a
+        b = a2 + var_q - var_p
         # |b/(2a)| at var_p = 0; hypot, as b^2/(4a^2) overflows for a gap far
         # below the standard deviations
         v = np.hypot(np.sqrt(var_p), b / (2.0 * a))
+        if not (np.isfinite(v) | (a2 == 0.0)).all():  # fields at a^2 = 0 are 0
+            raise DomainError(_OVERFLOW)
         # 2v times (r, 1 - r, s, 1 - s), which do not underflow where such a
         # gap puts a mass below 1e-308
         masses = _scaled_masses(a, b, v, var_p, var_q)
@@ -105,6 +111,10 @@ def moment_bound_arrays(m_p, var_p, m_q, var_q) -> tuple[np.ndarray, ...]:
         bound = terms.sum(axis=0) / (2.0 * v)
     zero = a2 == 0.0
     return tuple(np.broadcast_arrays(*(np.where(zero, 0.0, x) for x in (r, s, a, b, v, bound))))
+
+
+# b/(2a) overflows: at a gap above 1.34e154, or a tiny one against a variance gap
+_OVERFLOW = "mean gap too large for the bound in floats, or too small against the variances"
 
 
 def _scaled_masses(a, b, v, var_p, var_q):
@@ -140,6 +150,8 @@ def _certificate(mt: MomentTuple) -> tuple[BoundCertificate, list[float] | None]
     b = a2 + var_q - var_p
     c = b / (2.0 * a)
     v = float(np.hypot(math.sqrt(var_p), c))
+    if not math.isfinite(v):
+        raise DomainError(_OVERFLOW)
     # _scaled_masses
     big = v + abs(c)
     small = var_p / big
@@ -201,11 +213,12 @@ def equal_means_sequence(
     var_q >= var_p; the opposite ordering is served by the quaternary
     construction.
     """
-    # written so that NaN fails each test
+    # real numbers; NaN is left to the checks below, which raise as before
+    for name, x in (("m", m), ("var_p", var_p), ("var_q", var_q)):
+        _check_real(name, 0.0 if isinstance(x, float) and math.isnan(x) else x)
     if not 0 < var_p <= var_q:
         raise PreconditionViolated("needs 0 < var_p <= var_q")
-    if not eps > 0:
-        raise DomainError("eps must be positive")
+    _check_real("eps", eps, 0.0, lo_open=True)
     sd_p = math.sqrt(var_p)
     s = 0.5 * (1.0 - eps + math.sqrt((var_q / var_p - 1.0 + eps) * eps))
     if not 0.0 < s < 1.0 - eps:
@@ -230,6 +243,9 @@ def equal_means_quaternary(
     built at doubled rescaled variances and then shrunk by sigma/sqrt(2),
     which leaves the KL unchanged.
     """
+    # real numbers; NaN is left to the checks below, which raise as before
+    for name, x in (("var_p", var_p), ("var_q", var_q), ("n", n)):
+        _check_real(name, 0.0 if isinstance(x, float) and math.isnan(x) else x)
     # NaN fails the test. After it var_q - 1 > 0: var_q > 1 where the
     # rescaling below does not apply, and var_q >= 2 where it does
     if not (var_p > 0 and var_q > 0):
@@ -258,10 +274,12 @@ def gaussian_kl(mt: MomentTuple) -> float:
     """KL between Gaussians with the given means and variances, in nats."""
     if mt.var_p <= 0 or mt.var_q <= 0:
         raise DomainError("Gaussian KL needs positive variances")
-    return (
-        0.5 * math.log(mt.var_q / mt.var_p)
-        + 0.5 * (((mt.m_p - mt.m_q) ** 2 + mt.var_p) / mt.var_q - 1.0)
-    )
+    try:
+        # not gap * gap, which rounds differently from libm's pow in the last bit
+        shift = (mt.m_p - mt.m_q) ** 2
+    except OverflowError:
+        shift = math.inf
+    return 0.5 * math.log(mt.var_q / mt.var_p) + 0.5 * ((shift + mt.var_p) / mt.var_q - 1.0)
 
 
 def exponential_kl(mt: MomentTuple) -> float:

@@ -2,6 +2,7 @@
 checks a probability vector there with ``validate_mass``; the search and
 quadrature loops behind those doors call none of them again."""
 
+import json
 import math
 
 import numpy as np
@@ -10,19 +11,52 @@ import pytest
 import divrel
 from divrel import (
     DivergenceSpec,
+    MomentTuple,
+    PoissonFamily,
     SourceChannelPair,
+    TypeClassProblem,
     binary_kl,
     brute_force_mu_f,
+    check_gv_identity,
+    check_kl_chi2_identity,
+    check_recursive_identity,
     check_skew_s_integral,
+    equal_means_quaternary,
+    equal_means_sequence,
     f_divergence_rows,
+    f_k_divergence,
     g_alpha,
+    gaussian_kl,
+    gv_lower_bound,
+    gyorfi_vajda,
+    hcr_lower_bound,
+    kl_moment_lower_bound,
+    lambert_w_minus1,
     make_channel,
     make_distribution,
+    markov_mixing_report,
+    max_correlation_path_bound,
+    mixture,
+    mixture_kl_upper,
+    mixture_variance,
     moment_bound_arrays,
+    n_star,
+    poisson_entropy,
+    poisson_kl,
+    poisson_pmf,
     polylog_f,
+    renyi,
+    sanov_bound,
+    skew_contraction_sandwich,
+    skew_k,
+    skew_kl_convexity_comparison,
+    skew_kl_upper,
+    skew_s,
 )
-from divrel.errors import DivrelError, NonFinite
-from divrel.inequalities import pair_slacks
+from divrel.cli import main
+from divrel.contraction import chi2_contraction_power, skew_k_factor, skew_s_factor
+from divrel.errors import DimensionMismatch, DivrelError, DomainError, NonFinite
+from divrel.inequalities import conditioned_measure_divergence, pair_slacks
 
 # each door, called with one bad stack x in the place of an array argument
 DOORS = {
@@ -88,3 +122,182 @@ def test_no_door_runs_inside_a_search_or_a_quadrature(monkeypatch):
     # the wrappers count a call through a module's binding
     divrel.divergences.f_divergence_rows(DivergenceSpec("KL"), [[0.5, 0.5]], [0.5, 0.5])
     assert calls == ["f_divergence_rows", "validate_mass", "validate_mass"]
+
+
+# Scalar doors: every public scalar parameter, as a call with x in its place;
+# the other arguments are valid
+P = make_distribution([0, 1, 2], [0.2, 0.5, 0.3])
+Q = make_distribution([0, 1, 2], [0.5, 0.3, 0.2])
+MT = MomentTuple(0.0, 1.0, 1.0, 2.0)
+BSC = SourceChannelPair(make_distribution([0, 1], [0.5, 0.5]),
+                        make_channel([[0.9, 0.1], [0.1, 0.9]]))
+TCP = dict(m_q=40.0, var_q=20.0, mean_box=(43.0, 47.0), var_box=(18.0, 22.0),
+           alphabet_size=2, epsilon=1e-10)
+
+
+def _spec(tag):
+    return lambda x: DivergenceSpec(tag, x)
+
+
+def _tcp(field, index=None):
+    def build(x):
+        value = x if index is None else tuple(x if i == index else v
+                                              for i, v in enumerate(TCP[field]))
+        return TypeClassProblem(**{**TCP, field: value})
+    return build
+
+
+SCALAR_DOORS = {
+    "mixture.lam": lambda x: mixture(P, Q, x),
+    "DivergenceSpec.RENYI": _spec("RENYI"),
+    "DivergenceSpec.GV": _spec("GV"),
+    "DivergenceSpec.SKEW_K": _spec("SKEW_K"),
+    "DivergenceSpec.SKEW_S": _spec("SKEW_S"),
+    "DivergenceSpec.POLYLOG_F": _spec("POLYLOG_F"),
+    "renyi.alpha": lambda x: renyi(x, P, Q),
+    "gyorfi_vajda.s": lambda x: gyorfi_vajda(x, P, Q),
+    "skew_k.alpha": lambda x: skew_k(x, P, Q),
+    "skew_s.alpha": lambda x: skew_s(x, P, Q),
+    "f_k_divergence.k": lambda x: f_k_divergence(x, P, Q),
+    "polylog_f.k": lambda x: polylog_f(x, 0.5),
+    "polylog_f.x": lambda x: polylog_f(2, x),
+    "binary_kl.r": lambda x: binary_kl(x, 0.5),
+    "binary_kl.s": lambda x: binary_kl(0.5, x),
+    "check_kl_chi2_identity.lam": lambda x: check_kl_chi2_identity(P, Q, x),
+    "check_gv_identity.lam": lambda x: check_gv_identity(P, Q, x),
+    "check_recursive_identity.k": lambda x: check_recursive_identity(x, P, Q, 0.5),
+    "check_recursive_identity.lam": lambda x: check_recursive_identity(1, P, Q, x),
+    "check_skew_s_integral.alpha": lambda x: check_skew_s_integral(x, P, Q),
+    "g_alpha.alpha": lambda x: g_alpha(x, 0.5),
+    "g_alpha.s": lambda x: g_alpha(0.5, x),
+    "gv_lower_bound.theta": lambda x: gv_lower_bound(x, P, Q),
+    "skew_kl_upper.lam": lambda x: skew_kl_upper(P, Q, x),
+    "skew_kl_convexity_comparison.lam": lambda x: skew_kl_convexity_comparison(P, Q, x),
+    "mixture_kl_upper.i": lambda x: mixture_kl_upper(x, [P, Q], [0.5, 0.5]),
+    "pair_slacks.t": lambda x: pair_slacks([[0.5, 0.5]], [[0.2, 0.8]], x),
+    "MomentTuple.m_p": lambda x: MomentTuple(x, 1.0, 0.0, 1.0),
+    "MomentTuple.var_p": lambda x: MomentTuple(1.0, x, 0.0, 1.0),
+    "MomentTuple.m_q": lambda x: MomentTuple(1.0, 1.0, x, 1.0),
+    "MomentTuple.var_q": lambda x: MomentTuple(1.0, 1.0, 0.0, x),
+    "hcr_lower_bound.lam": lambda x: hcr_lower_bound(P, Q, x),
+    "mixture_variance.lam": lambda x: mixture_variance(MT, x),
+    "moment_bound_arrays.m_p": lambda x: moment_bound_arrays(x, 1.0, 0.0, 1.0),
+    "moment_bound_arrays.var_q": lambda x: moment_bound_arrays(1.0, 1.0, 0.0, x),
+    "equal_means_sequence.m": lambda x: equal_means_sequence(x, 1.0, 4.0, 1e-3),
+    "equal_means_sequence.var_p": lambda x: equal_means_sequence(0.0, x, 4.0, 1e-3),
+    "equal_means_sequence.var_q": lambda x: equal_means_sequence(0.0, 1.0, x, 1e-3),
+    "equal_means_sequence.eps": lambda x: equal_means_sequence(0.0, 1.0, 4.0, x),
+    "equal_means_quaternary.var_p": lambda x: equal_means_quaternary(x, 3.0, 10),
+    "equal_means_quaternary.var_q": lambda x: equal_means_quaternary(3.0, x, 10),
+    "equal_means_quaternary.n": lambda x: equal_means_quaternary(3.0, 7.0, x),
+    "brute_force_mu_f.n_samples": lambda x: brute_force_mu_f(DivergenceSpec("KL"), BSC, x),
+    "brute_force_mu_f.seed": lambda x: brute_force_mu_f(DivergenceSpec("KL"), BSC, 10, x),
+    "markov_mixing_report.alpha": lambda x: markov_mixing_report(BSC.w, BSC.qx, x, 3),
+    "markov_mixing_report.n_max": lambda x: markov_mixing_report(BSC.w, BSC.qx, 0.5, x),
+    "max_correlation_path_bound.n_grid": lambda x: max_correlation_path_bound(P, Q, make_channel(
+        [[0.9, 0.1], [0.1, 0.9], [0.5, 0.5]]), x),
+    "skew_contraction_sandwich.alpha": lambda x: skew_contraction_sandwich(x, "K", BSC),
+    "skew_k_factor.alpha": lambda x: skew_k_factor(x, 0.5),
+    "skew_k_factor.q_min": lambda x: skew_k_factor(0.5, x),
+    "skew_s_factor.alpha": lambda x: skew_s_factor(x, 0.5),
+    "skew_s_factor.q_min": lambda x: skew_s_factor(0.5, x),
+    "chi2_contraction_power.n": lambda x: chi2_contraction_power(BSC.w, BSC.qx, x),
+    "poisson_pmf.lam": lambda x: poisson_pmf(x),
+    "poisson_pmf.tail_tol": lambda x: poisson_pmf(3.0, x),
+    "poisson_kl.lam_i": lambda x: poisson_kl(x, 3.0),
+    "poisson_entropy.lam": lambda x: poisson_entropy(x),
+    "PoissonFamily.lambdas": lambda x: PoissonFamily((x, 3.0), (0.5, 0.5)),
+    "lambert_w_minus1.y": lambda x: lambert_w_minus1(x),
+    "n_star.d": lambda x: n_star(TypeClassProblem(**TCP), x),
+    "sanov_bound.n": lambda x: sanov_bound(TypeClassProblem(**TCP), x, 0.1),
+    "sanov_bound.d": lambda x: sanov_bound(TypeClassProblem(**TCP), 10, x),
+    "TypeClassProblem.m_q": _tcp("m_q"),
+    "TypeClassProblem.var_q": _tcp("var_q"),
+    "TypeClassProblem.mean_box": _tcp("mean_box", 1),
+    "TypeClassProblem.var_box": _tcp("var_box", 0),
+    "TypeClassProblem.alphabet_size": _tcp("alphabet_size"),
+    "TypeClassProblem.epsilon": _tcp("epsilon"),
+}
+NOT_REAL = {"string": "a", "complex": 1j, "none": None, "nan": math.nan}
+# None is the default of these, and a valid choice: sanov_bound takes d* then
+NONE_IS_VALID = {"sanov_bound.d"}
+
+
+@pytest.mark.parametrize("door, bad", [
+    (door, bad) for door in sorted(SCALAR_DOORS) for bad in sorted(NOT_REAL)
+    if not (bad == "none" and door in NONE_IS_VALID)])
+def test_every_scalar_door_rejects_what_is_not_a_real_number(door, bad):
+    with pytest.raises(DivrelError):
+        SCALAR_DOORS[door](NOT_REAL[bad])
+
+
+@pytest.mark.parametrize("k", [-1, 2.5, True, 1000])
+def test_the_recursive_order_is_a_polylog_order_below_its_successor(k):
+    # -1 once raised IndexError, 2.5 ran k = 2, and 1000 ran order 1001
+    with pytest.raises(DomainError, match="order k"):
+        check_recursive_identity(k, P, Q, 0.5)
+
+
+def test_a_whole_float_order_is_still_an_order():
+    whole, k2 = (check_recursive_identity(k, P, Q, 0.5) for k in (2.0, 2))
+    assert (whole.lhs, whole.rhs, whole.passed) == (k2.lhs, k2.rhs, True)
+    assert DivergenceSpec("POLYLOG_F", 2.0).param == 2.0
+    with pytest.raises(DomainError):
+        DivergenceSpec("POLYLOG_F", True)
+
+
+@pytest.mark.parametrize("args", [
+    (1.35e154, 1.0, 0.0, 1.0), (1e160, 1.0, 0.0, 1.0), (1e200, 1.0, 0.0, 1.0),
+    (1e300, 1.0, -1e300, 1.0), (1e308, 1.0, 0.0, 1.0), (1e308, 1.0, -1e308, 1.0),
+    # a gap tiny against the variance gap: b/(2a) overflows too
+    (1e-160, 1.0, 0.0, 1e150),
+])
+def test_a_bound_that_overflows_floats_raises_in_both_forms(args):
+    with pytest.raises(DomainError, match="mean gap too large for the bound in floats"):
+        kl_moment_lower_bound(MomentTuple(*args))
+    with pytest.raises(DomainError, match="mean gap too large for the bound in floats"):
+        moment_bound_arrays(*args)
+    with pytest.raises(DomainError, match="mean gap too large"):
+        moment_bound_arrays([0.0, args[0]], 1.0, [0.5, args[2]], [1.0, args[3]])
+
+
+def test_the_largest_gaps_in_floats_keep_their_bound():
+    for gap in (1e154, 1.3e154):
+        cert = kl_moment_lower_bound(MomentTuple(gap, 1.0, 0.0, 1.0))
+        assert math.isfinite(cert.bound_nats) and cert.r == 1.0
+        assert moment_bound_arrays(gap, 1.0, 0.0, 1.0)[5] == cert.bound_nats
+
+
+def test_the_gaussian_kl_of_an_overflowing_gap_is_infinite():
+    assert gaussian_kl(MomentTuple(1e200, 1.0, 0.0, 1.0)) == math.inf
+    assert gaussian_kl(MomentTuple(1e308, 1.0, -1e308, 1.0)) == math.inf
+
+
+@pytest.mark.parametrize("call", [
+    lambda: binary_kl([0.1, 0.2], [0.1, 0.2, 0.3]),
+    lambda: moment_bound_arrays([1.0, 2.0], 1.0, [0.0, 1.0, 2.0], 1.0),
+    lambda: moment_bound_arrays(1.0, [1.0, 2.0], 0.0, [1.0, 2.0, 3.0]),
+])
+def test_shapes_that_do_not_broadcast_are_a_dimension_mismatch(call):
+    with pytest.raises(DimensionMismatch, match="do not broadcast"):
+        call()
+
+
+@pytest.mark.parametrize("indices", [[[0], [0, 1]], [[0], [1]], [[0, 1], 2]])
+def test_conditioning_indices_are_one_flat_list(indices):
+    with pytest.raises(DomainError, match="flat list of integers"):
+        conditioned_measure_divergence(DivergenceSpec("KL"), P, indices)
+
+
+@pytest.mark.parametrize("argv", [
+    ["identity-check", "--which", "recursive", "--k", "-1"],
+    ["moment-bound", "--mp", "1e200", "--varp", "1", "--mq", "0", "--varq", "1"],
+])
+def test_the_cli_calls_that_once_ended_in_a_traceback_exit_1(tmp_path, capsys, argv):
+    if argv[0] == "identity-check":
+        for name, mass in (("p", [0.4, 0.6]), ("q", [0.7, 0.3])):
+            (tmp_path / f"{name}.json").write_text(json.dumps({"support": [0, 1], "mass": mass}))
+            argv = argv + [f"--{name}", str(tmp_path / f"{name}.json")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input:") and "Traceback" not in err

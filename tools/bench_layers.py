@@ -21,6 +21,10 @@ take 0.2 s. The row holds
   of ``laws(5)``, and ``f_divergence_rows`` of KL on a 144 x 2 stack of
   Dirichlet laws (one refinement round of the search on two input letters)
   against the uniform law;
+- ``identities``: each of the seven identity checks of the benchmark's pair
+  suite (kl-chi2, chi2-half, gv, recursive at k = 0, 1 and 2, and skew-s),
+  as the time of one pass over the IDENTITY_PAIRS seeded pairs of 2-8
+  atoms of ``identity_pairs`` divided by their number: seconds per check;
 - the versions of Python, numpy and orjson, the line count of
   TREE/src/divrel (``wc -l`` of its modules), TREE's commit, and whether
   TREE/src differs from that commit.
@@ -53,6 +57,7 @@ PARAMS = {"RENYI": 2.0, "GV": 0.5, "SKEW_K": 0.5, "SKEW_S": 0.5, "POLYLOG_F": 2}
 # the specs of the benchmark's brute-force operations
 BRUTE_SPECS = (("SKEW_K", 1.0), ("SKEW_K", 0.5), ("SKEW_S", 0.5))
 REPEATS = 5
+IDENTITY_PAIRS = 16
 
 
 def best(fn) -> float:
@@ -130,6 +135,35 @@ def group_loops() -> dict:
     return out
 
 
+def identity_pairs(D) -> list:
+    """IDENTITY_PAIRS seeded (p, q, lam, alpha) of Dirichlet laws on 2-8 atoms,
+    lam in [0.1, 1] and alpha in [0.05, 0.95], drawn as the benchmark draws its
+    sweep pairs."""
+    rng = np.random.default_rng(IDENTITY_PAIRS)
+    pairs = []
+    for _ in range(IDENTITY_PAIRS):
+        n = int(rng.integers(2, 9))
+        p, q = (D.make_distribution(range(n), rng.dirichlet(np.ones(n))) for _ in range(2))
+        pairs.append((p, q, float(rng.uniform(0.1, 1.0)), float(rng.uniform(0.05, 0.95))))
+    return pairs
+
+
+def group_identities() -> dict:
+    import divrel as D
+
+    checks = {
+        "kl-chi2": lambda p, q, lam, _: D.check_kl_chi2_identity(p, q, lam),
+        "chi2-half": lambda p, q, *_: D.check_chi2_half_identity(p, q),
+        "gv": lambda p, q, lam, _: D.check_gv_identity(p, q, lam),
+        **{f"recursive.k{k}": lambda p, q, lam, _, k=k: D.check_recursive_identity(k, p, q, lam)
+           for k in (0, 1, 2)},
+        "skew-s": lambda p, q, _, alpha: D.check_skew_s_integral(alpha, p, q),
+    }
+    pairs = identity_pairs(D)
+    return {name: best(lambda: [check(*pair) for pair in pairs]) / len(pairs)
+            for name, check in checks.items()}
+
+
 def group_versions() -> dict:
     import orjson
 
@@ -138,7 +172,7 @@ def group_versions() -> dict:
 
 
 GROUPS = {"versions": group_versions, "build": group_build, "kernels": group_kernels,
-          "codec": group_codec, "loops": group_loops}
+          "codec": group_codec, "loops": group_loops, "identities": group_identities}
 
 
 def run_group(tree: Path, name: str):
@@ -188,6 +222,8 @@ def main(argv=None) -> int:
               f"from_json {times['from_json'] * 1e3:.3f} ms")
     for name, time in row["loops"].items():
         print(f"{name}: {time * 1e3:.3f} ms")
+    for name, time in row["identities"].items():
+        print(f"identity {name}: {time * 1e6:.1f} us per pair")
     return 0
 
 
