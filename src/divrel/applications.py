@@ -61,6 +61,11 @@ class TypeClassProblem:
     epsilon: float
 
     def __post_init__(self):
+        for name, box in (("mean box", self.mean_box), ("variance box", self.var_box)):
+            try:
+                _, _ = box
+            except (TypeError, ValueError):
+                raise DomainError(f"the {name} must be two edges (lo, hi), got {box!r}") from None
         _check_reals("m_q, var_q and the box edges",
                      (self.m_q, self.var_q, *self.mean_box, *self.var_box))
         _check_real("var_q", self.var_q, 0.0)
@@ -237,43 +242,56 @@ def d_star(tcp: TypeClassProblem) -> float:
     return kl_moment_lower_bound(mt).bound_nats
 
 
-# Halley steps that lambert_w_minus1 may take before it gives up
+# Halley steps that the Lambert W iteration may take before it gives up
 _HALLEY_STEPS = 200
+# ln 2 as a head with 21 trailing zero bits, so that e * head is exact for
+# every binary exponent e of a float, and the rest (fdlibm's ln2_hi, ln2_lo)
+_LN2_HEAD, _LN2_TAIL = 6.93147180369123816490e-01, 1.90821492927058770002e-10
 
 
 def lambert_w_minus1(y: float) -> float:
     """Secondary real branch of the inverse of x e^x, on [-1/e, 0).
 
-    Halley iteration from the asymptotic start ln(-y) - ln(-ln(-y));
-    the converged point satisfies |x e^x - y| < 1e-13 * |y|. A point that
-    does not within _HALLEY_STEPS steps raises QuadratureFailure, naming
-    the residual it reached.
+    The root of x + ln(-x) = ln(-y) (``_w_minus1_of_log``), whose residual
+    has no floor at a subnormal y, with ln(-y) = e ln 2 + ln m from
+    -y = m 2^e carried in two parts: the converged point satisfies
+    |x e^x - y| < 1e-13 |y| at every y down to -5e-324.
     """
     branch_point = -1.0 / math.e
     _check_real("y", y, branch_point - 1e-15, 0.0, hi_open=True)
     if y <= branch_point:
         return -1.0
-    x = math.log(-y) - math.log(-math.log(-y))
-    x = min(x, -1.0)
-    target = 1e-13 * abs(y)
+    m, e = math.frexp(-y)
+    return _w_minus1_of_log(e * _LN2_HEAD, e * _LN2_TAIL + math.log(m))
+
+
+def _w_minus1_of_log(head: float, tail: float = 0.0) -> float:
+    """The x <= -1 with x + ln(-x) = head + tail = ln(-y) < -1: W_-1(y) in
+    the logarithmic form of Corless et al. (On the Lambert W function, 1996,
+    sec. 4). Halley steps on F(x) = ((x - head) + ln(-x)) - tail, from the
+    asymptotic start ln(-y) - ln(-ln(-y)); x - head is exact where the two
+    lie within a factor 2. As x e^x = y e^F, |x e^x - y| = |y expm1(F)|, and
+    x is returned one step after that is below 1e-13 |y|, or once a step no
+    longer moves x (as at ln(-y) = -1e300, where no float lies nearer the
+    root); QuadratureFailure, naming that residual, where neither comes
+    within _HALLEY_STEPS steps."""
+    log_y = head + tail
+    if log_y >= -1.0:
+        return -1.0
+    x = log_y - math.log(-log_y)
     for _ in range(_HALLEY_STEPS):
-        ex = math.exp(x)
-        f = x * ex - y
-        if abs(f) < target:
-            return x
-        fp = ex * (x + 1.0)
-        denom = fp - (x + 2.0) * f / (2.0 * (x + 1.0))
-        step = f / denom
+        f = ((x - head) + math.log(-x)) - tail
+        # F/F' = f x/(x + 1), and F F''/(2 F'^2) = -f/(2 (x + 1)^2)
+        u = f / (x + 1.0)
+        step = u * x / (1.0 + 0.5 * u / (x + 1.0))
+        if abs(math.expm1(f)) < 1e-13 or x - step == x:
+            return x - step
         x -= step
-        if abs(step) < 1e-17 * abs(x):
-            # fixed point at roundoff level; re-check the contract below
-            break
-    residual = abs(x * math.exp(x) - y)
-    if residual < target:
-        return x
+    y, f = -math.exp(log_y), ((x - head) + math.log(-x)) - tail
     raise QuadratureFailure(
         f"Lambert W iteration did not converge (budget {_HALLEY_STEPS} Halley steps): "
-        f"|x e^x - y| = {residual:.3g} at x = {x!r}, target {target:.3g} (y = {y!r})")
+        f"|x e^x - y| = {abs(y * math.expm1(f)):.3g} at x = {x!r}, "
+        f"target {1e-13 * abs(y):.3g} (ln(-y) = {log_y!r})")
 
 
 def _log_tail_bound(n: int, k: int, d: float) -> float:
@@ -283,25 +301,42 @@ def _log_tail_bound(n: int, k: int, d: float) -> float:
 def n_star(tcp: TypeClassProblem, d: float) -> int:
     """Minimal n with (n+1)^(k-1) exp(-n d) <= epsilon, via Lambert W.
 
-    The closed form is checked a posteriori: the bound must not exceed
-    epsilon at the returned n and must exceed it one step earlier
-    (unless the returned n is 1).
+    The closed form n = -(k-1) W_-1(eta)/d, eta = -x e^-x eps^(1/(k-1)) with
+    x = d/(k-1), is taken from ln(-eta), which does not underflow; then a
+    bracket around it, by doubling steps, and a bisection find the least n
+    whose bound is at most epsilon in floats, in O(log n) evaluations of the
+    bound. Above 2^53, where n d is not exact, n* is known only to about
+    1e-16 relative. DomainError where n* would lie past 2^1023, near the end
+    of the float range (d = 1e-310 at k = 2).
     """
     _check_real("the divergence floor d", d, 0.0, lo_open=True)
     if math.isinf(d):
         # exp(-n d) = 0 at every n >= 1
         return 1
     k = tcp.alphabet_size
-    eps = tcp.epsilon
-    # with x = d/(k-1), eta = -x e^(-x) eps^(1/(k-1)) > -1/e for eps in (0, 1)
-    eta = -d * (eps * math.exp(-d)) ** (1.0 / (k - 1)) / (k - 1)
-    n = max(math.ceil(-(k - 1) * lambert_w_minus1(eta) / d) - 1, 1)
-    log_eps = math.log(eps)
-    while _log_tail_bound(n, k, d) > log_eps:
-        n += 1
-    while n > 1 and _log_tail_bound(n - 1, k, d) <= log_eps:
-        n -= 1
-    return n
+    log_eps = math.log(tcp.epsilon)
+    # eta = -x e^(-x) eps^(1/(k-1)) > -1/e for eps in (0, 1)
+    log_eta = math.log(d) - math.log(k - 1) - d / (k - 1) + log_eps / (k - 1)
+    start = -(k - 1) * _w_minus1_of_log(log_eta) / d
+    if not start < 2.0 ** 1023:
+        raise DomainError(f"the divergence floor d = {d!r} puts n* past 2^1023, "
+                          "near the end of the float range")
+
+    def over(n: int) -> bool:
+        return _log_tail_bound(n, k, d) > log_eps
+
+    # a bracket with over(lo), or lo = 0 (whose bound is 1), and not over(hi)
+    hi = max(math.ceil(start) - 1, 1)
+    lo, step = hi - 1, 1
+    while over(hi):
+        lo, hi, step = hi, hi + step, 2 * step
+    step = 1
+    while lo > 0 and not over(lo):
+        lo, hi, step = max(lo - step, 0), lo, 2 * step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if over(mid) else (lo, mid)
+    return hi
 
 
 def sanov_bound(tcp: TypeClassProblem, n: int, d: float | None = None) -> float:

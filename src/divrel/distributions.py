@@ -314,8 +314,17 @@ def push_forward(p: DiscreteDistribution, w: Channel) -> DiscreteDistribution:
 
 
 def moments(p: DiscreteDistribution) -> tuple[float, float]:
-    """(mean, variance) of the atom values under the mass vector."""
+    """(mean, variance) of the atom values under the mass vector; the
+    variance is +inf where it overflows. Where a square overflows (an atom
+    above about 1.34e154), the sums are taken again on the atoms over the
+    power of two 2^e above the largest |atom|, and the variance scaled back."""
     u = p.support
     mean = float(np.dot(p.mass, u))
-    var = float(np.dot(p.mass, u * u) - mean * mean)
+    with np.errstate(over="ignore", invalid="ignore"):
+        var = float(np.dot(p.mass, u * u) - mean * mean)
+        if not math.isfinite(var):
+            e = math.frexp(float(np.abs(u).max()))[1]
+            v = np.ldexp(u, -e)
+            mean_v = float(np.dot(p.mass, v))
+            var = float(np.ldexp(np.dot(p.mass, v * v) - mean_v * mean_v, 2 * e))
     return mean, max(var, 0.0)

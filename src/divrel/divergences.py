@@ -591,11 +591,16 @@ def _binary_term(x, y, diff):
     cancel. Written as x ln(x/y) each term is about +-diff and the sum loses
     every digit as r -> s; g keeps them: by its series where |t| < 1/8, and
     elsewhere directly, where the subtraction loses at most four bits, with
-    ln(x/y) = log1p(t) except where t < -1/2 and x/y is the accurate one."""
+    ln(x/y) = log1p(t) except where t < -1/2 and x/y is the accurate one.
+    Where that log is infinite at x, y > 0 (t overflows at a tiny y, x/y
+    underflows at a tiny x), it is ln x - ln y, as in ``_log_ratio``."""
     x, y, diff = np.broadcast_arrays(x, y, diff)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         t = np.asarray(diff / y)
         log_ratio = np.where(t < -0.5, np.log(x / y), np.log1p(t))
+        odd = np.isinf(log_ratio) & (x > 0) & (y > 0)
+        if odd.any():
+            log_ratio[odd] = np.log(x[odd]) - np.log(y[odd])
         out = np.asarray(np.where(x > 0, x * log_ratio, 0.0) - diff)
     near = np.abs(t) < _G_CUT
     u = t[near]

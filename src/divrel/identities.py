@@ -2,7 +2,7 @@
 
 Each check evaluates the same quantity along two independent numerical
 paths (a closed-form divergence vs an adaptive quadrature of a divergence
-curve, ``_path_check``) and reports the discrepancy. Every integrand here
+curve, ``integrate``) and reports the discrepancy. Every integrand here
 has a finite limit at s -> 0 (chi^2(P||R_s) ~ s^2 chi^2(Q||P)). An
 integrand takes the array of quadrature nodes and scores the stack of laws
 they select in one row kernel call. Every check puts P and Q on their union
@@ -13,14 +13,13 @@ identity at k = 0: Li_1(1 - t) = -ln t and Li_0(1 - t) = 1/t - 1 make
 D_{f_1}(R||P) = D(P||R) and D_{f_0}(R||P) = chi^2(P||R). Its Gyorfi-Vajda
 form, the gv check, integrates the same curve: s D_{phi_s}(P||Q) = chi^2(P||R_s)/s.
 
-Singular points. Along R_s = (1-s)P + sQ, r_j/p_j = 1 - s/s_j with
-s_j = p_j/(p_j - q_j), so D_{f_k}(R_s||P) = sum_j p_j Li_k(s/s_j). At
-s = s_j this has a pole for k = 0, a logarithmic singularity for k = 1,
-and for k >= 2 a finite value with a singular derivative. Where p_j > q_j,
-s_j lies g_j = (p_j(1-lam) + lam q_j)/(p_j - q_j) past lam; where
-0 < p_j < q_j, it lies p_j/(q_j - p_j) below 0. A small mass puts one of
-them next to (0, lam]: a peak at its end or a knee at 0 that 60 panels may
-not resolve. A check along R_s that runs out of panels names the nearer.
+Singular points. Along R_s = (1-s)P + sQ (``_MixturePath``), r_j/p_j =
+1 - s/s_j with s_j = p_j/(p_j - q_j), so D_{f_k}(R_s||P) = sum_j p_j
+Li_k(s/s_j): at s = s_j a pole for k = 0 (as in the skew-s curve
+g_alpha(s) chi^2(P||R_s)/s^2), a logarithmic singularity for k = 1, and for
+k >= 2 a finite value with a singular derivative. A small mass puts an s_j
+next to the interval: a peak at its end or a knee at 0 that 60 panels may
+not resolve. A check along R_s that runs out of panels names the nearest.
 """
 
 from __future__ import annotations
@@ -190,40 +189,47 @@ def integrate(f, *edges: float) -> float:
         err = np.concatenate([err[keep], new_err])
 
 
-def _escapes(a: np.ndarray, b: np.ndarray) -> bool:
-    """Whether a has mass where b has none, so D(a||b) = +inf. The curve
-    chi^2(a||R_s)/s, R_s = (1 - s) a + s b, is then at least
-    s a(b = 0)/(1 - s): its integral up to s = 1 is +inf too."""
-    return bool(((a > 0) & (b == 0)).any())
+class _MixturePath:
+    """R_s = (1 - s)P + sQ, on the masses a of P and b of Q on their union support."""
 
+    def __init__(self, p: DiscreteDistribution, q: DiscreteDistribution):
+        self.a, self.b = (d.mass for d in align(p, q))
 
-def _path_check(name: str, lhs: float, curve, edges, infinite: bool, path=None) -> IdentityReport:
-    """lhs against the integral of curve between the first and last of edges
-    (an inner edge is a kink of the curve); +inf, with no quadrature, where
-    infinite says that the curve is not integrable. A curve along R_s names
-    its nearest singular point when out of panels, past lam or below 0, from
-    path: the masses of P and Q, and the k of its D_{f_k}(R_s||P), which has
-    a pole there at k = 0 only."""
-    try:
-        rhs = math.inf if infinite else integrate(curve, *edges)
-    except MaxDepthExceeded as exc:
-        if path is None:
-            raise
-        (a, b, k), lam = path, edges[-1]
-        # the distance from lam, not s_j - lam: p/(p - q) rounds to 1 at q < 1e-16 p
-        past = ((a * (1.0 - lam) + lam * b)[a > b] / (a - b)[a > b]).min(initial=math.inf)
-        below = (a[(0 < a) & (a < b)] / (b - a)[(0 < a) & (a < b)]).min(initial=math.inf)
-        side = f"{past:.3g} past lambda = {lam:g}" if past <= below else f"{below:.3g} below s = 0"
-        what = "pole" if k == 0 else "singular point"
-        raise MaxDepthExceeded(f"{exc}; the nearest {what} of the curve lies {side}") from None
-    return IdentityReport.compare(name, lhs, rhs)
+    def escapes(self, end: float) -> bool:
+        """Whether a curve along R_s is not integrable up to s = end, 1 or 0: P
+        has mass where Q has none (s_j = 1), so chi^2(P||R_s)/s >= s P(Q = 0)/(1 - s),
+        or Q where P has none (s_j = 0), so g_0(s) D_{phi_s}(P||Q) >= (1 - s) Q(P = 0)/s."""
+        a, b = (self.a, self.b) if end == 1.0 else (self.b, self.a)
+        return bool(((a > 0) & (b == 0)).any())
 
+    def polylog(self, k: int, s: np.ndarray) -> np.ndarray:
+        """D_{f_k}(R_s||P) at each node s; at k = 0 it is chi^2(P||R_s)."""
+        c, (a_c, _), r = _mixture((1.0 - s[:, None], s[:, None]), (self.a, self.b))
+        return _polylog(r, a_c, k, c)
 
-def _polylog_path(k: int, s: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """D_{f_k}(R_s||P) for each node s, on the masses a of P and b of Q; at
-    k = 0 it is chi^2(P||R_s)."""
-    c, (a_c, _), r = _mixture((1.0 - s[:, None], s[:, None]), (a, b))
-    return _polylog(r, a_c, k, c)
+    def gv(self, s: np.ndarray) -> np.ndarray:
+        """D_{phi_s}(P||Q) = chi^2(P||R_s)/s^2 at each node s."""
+        return _gv(self.a[None, :], self.b, s[:, None])
+
+    def check(self, name: str, lhs: float, curve, edges, infinite: bool, k: int,
+              end: str) -> IdentityReport:
+        """lhs against the integral of curve between the first and last of edges
+        (an inner edge is a kink of the curve); +inf, with no quadrature, where
+        infinite says that it is not integrable. Out of panels, it names the
+        nearest s_j of an atom with p_j > 0, a pole of a k = 0 curve: past the
+        last edge u (named end) by (p_j(1 - u) + u q_j)/(p_j - q_j), or below 0
+        by p_j/(q_j - p_j)."""
+        try:
+            rhs = math.inf if infinite else integrate(curve, *edges)
+        except MaxDepthExceeded as exc:
+            a, b, u = self.a, self.b, edges[-1]
+            # the distance from u, not s_j - u: p/(p - q) rounds to 1 at q < 1e-16 p
+            past = ((a * (1.0 - u) + u * b)[a > b] / (a - b)[a > b]).min(initial=math.inf)
+            below = (a[(0 < a) & (a < b)] / (b - a)[(0 < a) & (a < b)]).min(initial=math.inf)
+            side = f"{past:.3g} past {end}" if past <= below else f"{below:.3g} below s = 0"
+            what = "singular point" if k else "pole"
+            raise MaxDepthExceeded(f"{exc}; the nearest {what} of the curve lies {side}") from None
+        return IdentityReport.compare(name, lhs, rhs)
 
 
 def check_kl_chi2_identity(p: DiscreteDistribution, q: DiscreteDistribution,
@@ -245,7 +251,7 @@ def check_chi2_half_identity(p: DiscreteDistribution, q: DiscreteDistribution) -
         with np.errstate(over="ignore"):
             return _chi2((1.0 - s[:, None]) * b + s[:, None] * a, b) / s
 
-    return _path_check("chi2_half", 0.5 * chi_squared(p, q), curve, (0.0, 1.0), False)
+    return IdentityReport.compare("chi2_half", 0.5 * chi_squared(p, q), integrate(curve, 0.0, 1.0))
 
 
 def check_gv_identity(p: DiscreteDistribution, q: DiscreteDistribution,
@@ -267,10 +273,10 @@ def _recursive_check(name: str, k: int, p: DiscreteDistribution, q: DiscreteDist
                      lam: float) -> IdentityReport:
     """The recursive identity at k, reported under name."""
     _check_real("mixture weight", lam, 0.0, 1.0)
-    a, b = (d.mass for d in align(p, q))
-    lhs = float(_polylog_path(k + 1, np.array([lam]), a, b)[0])
-    return _path_check(name, lhs, lambda s: _polylog_path(k, s, a, b) / s,
-                       (0.0, lam), k == 0 and lam == 1.0 and _escapes(a, b), (a, b, k))
+    path = _MixturePath(p, q)
+    lhs = float(path.polylog(k + 1, np.array([lam]))[0])
+    return path.check(name, lhs, lambda s: path.polylog(k, s) / s, (0.0, lam),
+                      k == 0 and lam == 1.0 and path.escapes(1.0), k, f"lambda = {lam:g}")
 
 
 def g_alpha(alpha: float, s):
@@ -296,10 +302,8 @@ def check_skew_s_integral(alpha: float, p: DiscreteDistribution,
     """S_alpha(P||Q) vs the integral of g_alpha(s) D_{phi_s}(P||Q) over (0, 1),
     split at the kink of g_alpha at s = alpha."""
     lhs = skew_s(alpha, p, q)
-    a, b = (d.mass for d in align(p, q))
-    # not integrable, like the lhs is +inf: at alpha = 1 the curve is chi^2(P||R_s)/s
-    # and P has mass where Q has none; at alpha = 0 it is >= (1 - s) Q(P = 0)/s
-    return _path_check(f"skew_s_integral_a{alpha}", lhs,
-                       lambda s: _g_alpha(alpha, s) * _gv(a[None, :], b, s[:, None]),
-                       (0.0, alpha, 1.0),
-                       (alpha == 1.0 and _escapes(a, b)) or (alpha == 0.0 and _escapes(b, a)))
+    path = _MixturePath(p, q)
+    # not integrable, like the lhs is +inf, where an end of (0, 1) with weight 1 escapes
+    return path.check(f"skew_s_integral_a{alpha}", lhs,
+                      lambda s: _g_alpha(alpha, s) * path.gv(s), (0.0, alpha, 1.0),
+                      alpha in (0.0, 1.0) and path.escapes(alpha), 0, "s = 1")

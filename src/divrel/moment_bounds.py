@@ -55,22 +55,40 @@ def hcr_lower_bound(
     p: DiscreteDistribution, q: DiscreteDistribution, lam: float
 ) -> float:
     """Mean-shift-over-variance lower bound on chi^2(P || (1-lam)P + lam*Q):
-    lam^2 (m_p - m_q)^2 / ``mixture_variance``, from the moments of P and Q."""
-    mt = MomentTuple(*moments(p), *moments(q))
+    lam^2 (m_p - m_q)^2 / ``mixture_variance``, from the moments of P and Q.
+    DomainError where the variance of P or Q overflows floats; where the
+    square of the gap does, the same ratio with both sides over it."""
+    given = [moments(p), moments(q)]
+    for name, (_, var) in zip("PQ", given):
+        if math.isinf(var):
+            raise DomainError(f"the variance of {name} overflows floats")
+    mt = MomentTuple(*given[0], *given[1])
     var_z = mixture_variance(mt, lam)
     if var_z == 0.0:
         raise DegenerateVariance("mixture has zero variance")
-    return (lam * (mt.m_p - mt.m_q)) ** 2 / var_z
+    gap = mt.m_p - mt.m_q
+    try:
+        if var_z < math.inf:
+            return (lam * gap) ** 2 / var_z
+    except OverflowError:
+        pass
+    # the square of the gap overflows: both sides over (lam gap) gap
+    rest = ((1.0 - lam) * mt.var_p + lam * mt.var_q) / gap / (lam * gap) + (1.0 - lam)
+    return lam / rest if rest else math.inf
 
 
 def mixture_variance(mt: MomentTuple, lam: float) -> float:
-    """Variance of the lam-mixture, lam in [0, 1], from the component moments alone."""
+    """Variance of the lam-mixture, lam in [0, 1], from the component moments
+    alone; +inf where it overflows floats."""
     _check_real("lambda", lam, 0.0, 1.0)
-    return (
-        (1.0 - lam) * mt.var_p
-        + lam * mt.var_q
-        + lam * (1.0 - lam) * (mt.m_p - mt.m_q) ** 2
-    )
+    gap, spread = mt.m_p - mt.m_q, lam * (1.0 - lam)
+    try:
+        # not gap * gap, which rounds differently from libm's pow in the last bit
+        shift = spread * gap ** 2
+    except OverflowError:
+        # the square overflows; its product with spread does only where it is inf
+        shift = spread * gap * gap
+    return (1.0 - lam) * mt.var_p + lam * mt.var_q + shift
 
 
 def moment_bound_arrays(m_p, var_p, m_q, var_q) -> tuple[np.ndarray, ...]:
@@ -103,18 +121,37 @@ def moment_bound_arrays(m_p, var_p, m_q, var_q) -> tuple[np.ndarray, ...]:
             raise DomainError(_OVERFLOW)
         # 2v times (r, 1 - r, s, 1 - s), which do not underflow where such a
         # gap puts a mass below 1e-308
-        masses = _scaled_masses(a, b, v, var_p, var_q)
+        masses, bound = _masses_and_bound(a, b, v, var_p, var_q)
         r, s = masses[0] / (2.0 * v), masses[2] / (2.0 * v)
-        # d(r||s) as two non-negative terms, with 2v (r - s) = a
-        diff = np.broadcast_to(a, v.shape)
-        terms = _binary_term(masses[:2], masses[2:], np.stack([diff, -diff]))
-        bound = terms.sum(axis=0) / (2.0 * v)
+        lost = (((masses[:2] < _TINY).any(axis=0) & (var_p > 0.0))
+                | ((masses[2:] < _TINY).any(axis=0) & (var_q > 0.0))) & (a2 != 0.0)
+        if lost.any():
+            bound = np.array(bound)
+            f = np.ldexp(1.0, np.clip(500 - np.frexp(2.0 * v[lost])[1], 0, 511))
+            a, b, v, var_p, var_q = np.broadcast_arrays(a, b, v, var_p, var_q)
+            bound[lost] = _masses_and_bound(a[lost] * f, b[lost] * (f * f), v[lost] * f,
+                                            var_p[lost] * (f * f), var_q[lost] * (f * f))[1]
     zero = a2 == 0.0
     return tuple(np.broadcast_arrays(*(np.where(zero, 0.0, x) for x in (r, s, a, b, v, bound))))
 
 
 # b/(2a) overflows: at a gap above 1.34e154, or a tiny one against a variance gap
 _OVERFLOW = "mean gap too large for the bound in floats, or too small against the variances"
+_TINY = np.finfo(float).tiny
+
+
+def _masses_and_bound(a, b, v, var_p, var_q):
+    """The scaled masses (``_scaled_masses``) and d(r||s) as two non-negative
+    terms over 2v, with 2v (r - s) = a. Both are 1-homogeneous in (a, v) at
+    (b, var_p, var_q) of degree 2, so a row with a mass of a positive
+    variance below 2^-1022, which has lost bits of it or all of them, is
+    taken again from (a, b, v, var_p, var_q) scaled by (f, f^2, f, f^2, f^2),
+    with f = 2^k putting 2v near 2^500 where that is up: the bound is the
+    same in exact arithmetic, and no such mass is subnormal unless s < 2^-1574."""
+    masses = _scaled_masses(a, b, v, var_p, var_q)
+    diff = np.broadcast_to(a, v.shape)
+    terms = _binary_term(masses[:2], masses[2:], np.stack([diff, -diff]))
+    return masses, terms.sum(axis=0) / (2.0 * v)
 
 
 def _scaled_masses(a, b, v, var_p, var_q):
@@ -152,7 +189,20 @@ def _certificate(mt: MomentTuple) -> tuple[BoundCertificate, list[float] | None]
     v = float(np.hypot(math.sqrt(var_p), c))
     if not math.isfinite(v):
         raise DomainError(_OVERFLOW)
+    masses, bound = _float_masses_and_bound(a, b, v, var_p, var_q)
+    if (any(x < _TINY for x in masses[:2]) and var_p > 0.0
+            or any(x < _TINY for x in masses[2:]) and var_q > 0.0):
+        f = math.ldexp(1.0, min(max(500 - math.frexp(2.0 * v)[1], 0), 511))
+        bound = _float_masses_and_bound(a * f, b * (f * f), v * f,
+                                        var_p * (f * f), var_q * (f * f))[1]
+    two_v = 2.0 * v
+    return BoundCertificate(masses[0] / two_v, masses[2] / two_v, a, b, v, bound), masses
+
+
+def _float_masses_and_bound(a, b, v, var_p, var_q) -> tuple[list[float], float]:
+    """``_masses_and_bound`` of one row, on floats."""
     # _scaled_masses
+    c = b / (2.0 * a)
     big = v + abs(c)
     small = var_p / big
     v_plus_c, v_minus_c = (big, small) if c > 0 else (small, big)
@@ -171,14 +221,15 @@ def _certificate(mt: MomentTuple) -> tuple[BoundCertificate, list[float] | None]
             terms.append(y * t * t * float(_g_series(np.array([t]))[0]))
         elif not x > 0:
             terms.append(0.0 - diff)
-        elif t < -0.5:
-            # x / y may overflow or underflow, where np.log gives inf or -inf
-            ratio = x / y if y else math.inf
-            terms.append(x * float(np.log(ratio)) - diff if ratio else -math.inf)
         else:
-            terms.append(x * float(np.log1p(t)) - diff)
-    bound = (terms[0] + terms[1]) / two_v
-    return BoundCertificate(masses[0] / two_v, masses[2] / two_v, a, b, v, bound), masses
+            ratio = x / y if y else math.inf
+            # where the log of the ratio would be infinite at y > 0: ln x - ln y
+            if y and (ratio in (0.0, math.inf) if t < -0.5 else math.isinf(t)):
+                log_ratio = float(np.log(x)) - float(np.log(y))
+            else:
+                log_ratio = float(np.log(ratio) if t < -0.5 else np.log1p(t))
+            terms.append(x * log_ratio - diff)
+    return masses, (terms[0] + terms[1]) / two_v
 
 
 def kl_moment_lower_bound(mt: MomentTuple) -> BoundCertificate:

@@ -413,11 +413,11 @@ def test_lambert_w_names_the_budget_it_ran_out_of(monkeypatch):
 @pytest.mark.parametrize("shift", [1, -1])
 def test_n_star_corrects_a_closed_form_one_step_off(monkeypatch, shift):
     # W moved by d/(k-1) moves the closed-form n by one the other way (to 137
-    # or 139); the a-posteriori steps bring it back to the threshold
+    # or 139); the bracket and the bisection bring it back to the threshold
     d, k = d_star(TCP), TCP.alphabet_size
-    exact = applications.lambert_w_minus1
-    monkeypatch.setattr(applications, "lambert_w_minus1",
-                        lambda y: exact(y) + shift * d / (k - 1))
+    exact = applications._w_minus1_of_log
+    monkeypatch.setattr(applications, "_w_minus1_of_log",
+                        lambda head, tail=0.0: exact(head, tail) + shift * d / (k - 1))
     assert n_star(TCP, d) == 138
 
 

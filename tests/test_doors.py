@@ -1,10 +1,15 @@
 """Each public array function converts its arguments once, at entry, and
 checks a probability vector there with ``validate_mass``; the search and
-quadrature loops behind those doors call none of them again."""
+quadrature loops behind those doors call none of them again. At the valid
+ends of its domain, a public function returns its value or raises a
+DivrelError that names the caller's parameter."""
 
 import json
 import math
+import sys
+import time
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -40,11 +45,13 @@ from divrel import (
     mixture_kl_upper,
     mixture_variance,
     moment_bound_arrays,
+    moments,
     n_star,
     poisson_entropy,
     poisson_kl,
     poisson_pmf,
     polylog_f,
+    redundancy_report,
     renyi,
     sanov_bound,
     skew_contraction_sandwich,
@@ -57,6 +64,8 @@ from divrel.cli import main
 from divrel.contraction import chi2_contraction_power, skew_k_factor, skew_s_factor
 from divrel.errors import DimensionMismatch, DivrelError, DomainError, NonFinite
 from divrel.inequalities import conditioned_measure_divergence, pair_slacks
+from oracles import (binary_kl_mpmath, moment_bound_mpmath, n_star_crossing_mpmath,
+                     poisson_kl_mpmath)
 
 # each door, called with one bad stack x in the place of an array argument
 DOORS = {
@@ -301,3 +310,177 @@ def test_the_cli_calls_that_once_ended_in_a_traceback_exit_1(tmp_path, capsys, a
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("invalid input:") and "Traceback" not in err
+
+
+# Valid extremes: calls at the ends of each domain, and seeded draws
+# log-uniform across it (the probes of the moment and Lambert W rows run down
+# to subnormal masses, variances and arguments), each with its exact value as
+# an mpf from an mpmath oracle, or the DivrelError it must raise and words of
+# its message that name the caller's parameter
+_RNG = np.random.default_rng(2020)
+_PAIRS = 10.0 ** _RNG.uniform(-320.0, 0.0, (40, 2))
+_RATES = 10.0 ** _RNG.uniform(-300.0, 300.0, (40, 2))
+_TUPLES = np.column_stack([_RNG.standard_normal((30, 2)) * 10.0 ** _RNG.uniform(-5, 5, (30, 2)),
+                           10.0 ** _RNG.uniform(-320.0, 10.0, (30, 2))])[:, [0, 2, 1, 3]]
+_W_ARGS = -(10.0 ** _RNG.uniform(-323.3, -300.0, 40))
+_MAX = sys.float_info.max
+_REFERENCE_PAIR = (2057.2405520276566, 1.0354122601793056e-245, -1353.4166495572242,
+                   1.2902736587e-314)
+_TCP_HALF = dict(m_q=40.0, var_q=20.0, mean_box=(43.0, 47.0), var_box=(18.0, 22.0),
+                 alphabet_size=2, epsilon=0.5)
+
+
+def _x_exp_x(x):
+    """x e^x of a float x, as an mpf: the image that W must give back y of."""
+    with mpmath.workdps(40):
+        return mpmath.mpf(x) * mpmath.exp(mpmath.mpf(x))
+
+
+def _mp_moments(support, mass, dps=50):
+    with mpmath.workdps(dps):
+        u, m = [mpmath.mpf(x) for x in support], [mpmath.mpf(x) for x in mass]
+        mean = mpmath.fsum(a * x for a, x in zip(m, u))
+        return +mpmath.fsum(a * (x - mean) ** 2 for a, x in zip(m, u))
+
+
+def _mp_hcr(gap, var_p, var_q, lam, dps=50):
+    with mpmath.workdps(dps):
+        gap, lam = mpmath.mpf(gap), mpmath.mpf(lam)
+        return +(lam * gap) ** 2 / ((1 - lam) * var_p + lam * var_q + lam * (1 - lam) * gap ** 2)
+
+
+def _convexity_bits(rates, weights):
+    """sum_i w_i sum_j w_j D(P_i||P_j) in bits, from the exact Poisson KL."""
+    with mpmath.workdps(60):
+        return +mpmath.fsum(a * b * poisson_kl_mpmath(x, y) for x, a in zip(rates, weights)
+                            for y, b in zip(rates, weights)) / mpmath.log(2)
+
+
+def _n_star(d, **tcp):
+    return n_star(TypeClassProblem(**{**_TCP_HALF, **tcp}), d)
+
+
+def _crossing(d, **tcp):
+    t = {**_TCP_HALF, **tcp}
+    return n_star_crossing_mpmath(t["alphabet_size"], t["epsilon"], d)
+
+
+EXTREMES = {
+    "binary_kl.tiny_s": (lambda: binary_kl(0.018639775369780384, 1.183248132927e-312),
+                         binary_kl_mpmath(0.018639775369780384, 1.183248132927e-312)),
+    **{f"binary_kl.ends.{r!r}.{s!r}": (lambda r=r, s=s: binary_kl(r, s), binary_kl_mpmath(r, s))
+       for r, s in ((0.0, 0.0), (1.0, 1.0), (0.0, 1.0), (1.0, 0.0), (5e-324, 0.5),
+                    (0.5, 5e-324), (1.0 - 2.0 ** -53, 5e-324), (5e-324, 1.0 - 2.0 ** -53),
+                    (1e-300, 1e-310), (1e-310, 1e-300))},
+    **{f"binary_kl.probe.{i}": (lambda r=r, s=s: binary_kl(r, s), binary_kl_mpmath(r, s))
+       for i, (r, s) in enumerate(_PAIRS)},
+    **{f"poisson_kl.ends.{x!r}.{y!r}": (lambda x=x, y=y: poisson_kl(x, y), poisson_kl_mpmath(x, y))
+       for x, y in ((1e-300, 1e300), (1e300, 1e-300), (5e-324, _MAX), (_MAX, 5e-324),
+                    (_MAX, _MAX), (5e-324, 5e-324), (5e-324, 1.0), (1.0, 5e-324))},
+    **{f"poisson_kl.probe.{i}": (lambda x=x, y=y: poisson_kl(x, y), poisson_kl_mpmath(x, y))
+       for i, (x, y) in enumerate(_RATES)},
+    "redundancy_report.tiny_rate": (
+        lambda: redundancy_report(PoissonFamily((1e-320, 100.0), (0.5, 0.5)))[
+            "convexity_upper_bits"],
+        _convexity_bits((1e-320, 100.0), (0.5, 0.5))),
+    "kl_moment_lower_bound.reference": (
+        lambda: kl_moment_lower_bound(MomentTuple(*_REFERENCE_PAIR)).bound_nats,
+        moment_bound_mpmath(*_REFERENCE_PAIR)),
+    **{f"kl_moment_lower_bound.probe.{i}": (
+        lambda t=t: kl_moment_lower_bound(MomentTuple(*map(float, t))).bound_nats,
+        moment_bound_mpmath(*t)) for i, t in enumerate(_TUPLES)},
+    **{f"lambert_w_minus1.{y!r}": (lambda y=y: _x_exp_x(lambert_w_minus1(y)), mpmath.mpf(y))
+       for y in (-1.0 / math.e + 1e-12, -2.2250738585072014e-308, -1e-308, -1e-309, -1e-310,
+                 -1e-315, -1e-320, -1e-323, -5e-324)},
+    **{f"lambert_w_minus1.probe.{i}": (lambda y=y: _x_exp_x(lambert_w_minus1(y)), mpmath.mpf(y))
+       for i, y in enumerate(map(float, _W_ARGS))},
+    **{f"n_star.{d!r}.{tcp}": (lambda d=d, tcp=tcp: _n_star(d, **tcp), _crossing(d, **tcp))
+       for d, tcp in ((1e-20, {}), (1e-22, {}), (1e-40, {}), (1e-100, {}), (1e-305, {}),
+                      (1e-20, {"alphabet_size": 100}), (1e-3, {}), (1e300, {}), (_MAX, {}),
+                      (1e-300, {"epsilon": 1e-300}), (1e-12, {"alphabet_size": 10 ** 6}))},
+    "n_star.past_the_float_range": (lambda: _n_star(1e-310), (DomainError, "divergence floor d")),
+    "n_star.eta_below_the_floats": (lambda: _n_star(5e-324, alphabet_size=3),
+                                    (DomainError, "divergence floor d")),
+    **{f"TypeClassProblem.{field}.{box!r}": (
+        lambda field=field, box=box: TypeClassProblem(**{**TCP, field: box}),
+        (DomainError, words)) for field, box, words in (
+            ("mean_box", (43.0,), "mean box"), ("mean_box", 43.0, "mean box"),
+            ("mean_box", (43.0, 45.0, 47.0), "mean box"), ("var_box", (18.0,), "variance box"),
+            ("mean_box", (47.0, 43.0), "upper mean edge"),
+            ("var_box", (22.0, 18.0), "upper variance edge"))},
+    **{f"moments.{support!r}": (lambda support=support: moments(make_distribution(
+        support, [1.0 / len(support)] * len(support)))[1],
+        _mp_moments(support, [1.0 / len(support)] * len(support)))
+       for support in ([0.0, 1e200], [1e154, 2e154], [-_MAX, _MAX], [1.3e154, -1.3e154],
+                       [_MAX], [0.0, 1.0])},
+    **{f"mixture_variance.{gap!r}.{lam!r}": (
+        lambda gap=gap, lam=lam: mixture_variance(MomentTuple(gap, 1.0, 0.0, 1.0), lam),
+        1 - mpmath.mpf(lam) + lam + lam * (1 - mpmath.mpf(lam)) * mpmath.mpf(gap) ** 2)
+       for gap in (1e200, 1.3e154, _MAX) for lam in (0.0, 0.5, 1.0, 1e-300)},
+    "hcr_lower_bound.overflowing_P": (
+        lambda: hcr_lower_bound(make_distribution([0.0, 1e200], [0.5, 0.5]), Q, 0.5),
+        (DomainError, "variance of P")),
+    "hcr_lower_bound.overflowing_Q": (
+        lambda: hcr_lower_bound(P, make_distribution([0.0, 1e200], [0.5, 0.5]), 0.5),
+        (DomainError, "variance of Q")),
+    **{f"hcr_lower_bound.gap.{lam!r}": (
+        lambda lam=lam: hcr_lower_bound(make_distribution([1e200], [1.0]),
+                                        make_distribution([0.0, 1.0], [0.5, 0.5]), lam),
+        _mp_hcr(1e200 - 0.5, 0.0, 0.25, lam)) for lam in (1e-300, 0.5, 1.0 - 2.0 ** -53, 1.0)},
+}
+# tail-bound evaluations that one n_star call may take: twice log2 of the
+# largest n in floats, and a few for the bracket
+_TAIL_BOUND_BUDGET = 2 * 1024 + 8
+
+
+def _exact_enough(value, exact, rel=1e-13) -> bool:
+    """value within rel of the mpf exact, give or take a few units of the
+    smallest subnormal, which a subnormal result rounds to; +inf only where
+    the exact value is above the largest float."""
+    if isinstance(value, float) and math.isinf(value):
+        return value > 0 and exact > _MAX
+    return abs(mpmath.mpf(value) - exact) <= rel * abs(exact) + 2.0 ** -1072
+
+
+@pytest.mark.parametrize("case", sorted(EXTREMES))
+def test_every_valid_extreme_returns_its_value_or_names_its_parameter(case, monkeypatch):
+    call, exact = EXTREMES[case]
+    calls = []
+    tail_bound = divrel.applications._log_tail_bound
+
+    def counted(n, k, d):
+        calls.append(n)
+        # a loop that would not end fails here, rather than hanging the run
+        assert len(calls) <= _TAIL_BOUND_BUDGET, f"n_star past {_TAIL_BOUND_BUDGET} evaluations"
+        return tail_bound(n, k, d)
+
+    monkeypatch.setattr(divrel.applications, "_log_tail_bound", counted)
+    if isinstance(exact, tuple):
+        error, words = exact
+        with pytest.raises(error, match=words):
+            call()
+        return
+    value = call()
+    if case.startswith("n_star."):
+        # the least n past the crossing, which above 2^53 floats know to 1e-16 relative
+        assert value >= 1 and abs(value - exact) <= 1e-15 * exact + 1.0
+        assert len(calls) <= 2 * max(math.log2(value), 1.0) + 6
+    else:
+        assert _exact_enough(value, exact), (value, exact)
+
+
+def test_a_moment_bound_probe_gives_the_same_bits_in_both_forms():
+    arrays = moment_bound_arrays(*_TUPLES.T)[5]
+    floats = [kl_moment_lower_bound(MomentTuple(*map(float, t))).bound_nats for t in _TUPLES]
+    assert arrays.tolist() == floats
+
+
+def test_the_sample_size_call_that_once_hung_returns_at_once(capsys):
+    argv = ["sample-size", "--mq", "44", "--varq", "1", "--mean-box", "44.00000000001", "46",
+            "--var-box", "1", "2", "--alphabet", "2", "--epsilon", "0.5", "--format", "json"]
+    start = time.perf_counter()
+    assert main(argv) == 0
+    assert time.perf_counter() - start < 1.0
+    n = json.loads(capsys.readouterr().out)["scalars"]["n_star"]
+    # the crossing at d* = 3.86e-23; the closed form alone is 3.4e-17 off
+    assert abs(n - mpmath.mpf("1.459068951898444162e24")) <= 1e-15 * n

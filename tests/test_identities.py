@@ -111,17 +111,32 @@ def test_chi2_half_identity_infinite_sides():
     assert (r.abs_err, r.rel_err, r.passed) == (0.0, 0.0, True)
 
 
-def test_a_curve_off_the_mixture_path_names_no_pole_when_out_of_panels(monkeypatch):
-    # the skew-s curve is not taken along R_s, so it has no pole to name; its
-    # first round has 8 panels and no room for a second, where P's small atom
-    # puts a sharp bend near s = 1 (the chi^2-half curve, s chi^2(P||Q), is
-    # linear and never needs a second round)
+def test_the_skew_s_curve_names_its_pole_when_out_of_panels(monkeypatch):
+    # the skew-s curve g_alpha(s) chi^2(P||R_s)/s^2 lies along R_s, with a
+    # pole at each s_j; its first round has 8 panels and no room for a
+    # second, where P's small atom puts s_0 = p_0/(p_0 - q_0) 2e-6 below 0
+    # (the chi^2-half curve, s chi^2(P||Q), is linear and never needs a
+    # second round)
     monkeypatch.setattr(divrel.identities, "_MAX_PANELS", 4)
     p = make_distribution([0, 1], [1e-6, 1.0 - 1e-6])
     q = make_distribution([0, 1], [0.5, 0.5])
     with pytest.raises(MaxDepthExceeded, match="after 8 of 4 panels") as info:
         check_skew_s_integral(0.5, p, q)
-    assert "pole" not in str(info.value)
+    assert str(info.value).endswith("; the nearest pole of the curve lies 2e-06 below s = 0")
+
+
+@pytest.mark.parametrize("alpha, swap, side", [(1.0, False, "past s = 1"),
+                                               (0.0, True, "below s = 0")])
+def test_skew_s_at_an_end_weight_names_its_nearest_pole(alpha, swap, side):
+    # at alpha = 1 the curve is chi^2(P||R_s)/s, and Q's small atom puts s_0
+    # 2e-8 past s = 1; at alpha = 0, with P and Q swapped, it lies 2e-8 below 0
+    p = make_distribution([0, 1], [0.5, 0.5])
+    q = make_distribution([0, 1], [1e-8, 1 - 1e-8])
+    if swap:
+        p, q = q, p
+    with pytest.raises(MaxDepthExceeded, match="after 60 of 60 panels") as info:
+        check_skew_s_integral(alpha, p, q)
+    assert str(info.value).endswith(f"; the nearest pole of the curve lies 2e-08 {side}")
 
 
 def test_out_of_panels_names_a_singular_point_below_zero():

@@ -25,6 +25,9 @@ take 0.2 s. The row holds
   suite (kl-chi2, chi2-half, gv, recursive at k = 0, 1 and 2, and skew-s),
   as the time of one pass over the IDENTITY_PAIRS seeded pairs of 2-8
   atoms of ``identity_pairs`` divided by their number: seconds per check;
+- ``sample_size``: ``d_star`` on the paper's reference box (REFERENCE_TCP),
+  ``n_star`` at that d for k = 2 and k = 100 and at d = 1e-20 for k = 2, and
+  ``lambert_w_minus1`` at y = -1e-300 and at -1/e + 1e-12;
 - the versions of Python, numpy and orjson, the line count of
   TREE/src/divrel (``wc -l`` of its modules), TREE's commit, and whether
   TREE/src differs from that commit.
@@ -58,6 +61,9 @@ PARAMS = {"RENYI": 2.0, "GV": 0.5, "SKEW_K": 0.5, "SKEW_S": 0.5, "POLYLOG_F": 2}
 BRUTE_SPECS = (("SKEW_K", 1.0), ("SKEW_K", 0.5), ("SKEW_S", 0.5))
 REPEATS = 5
 IDENTITY_PAIRS = 16
+# the paper's sample-size example: reference law, mean and variance box, epsilon
+REFERENCE_TCP = dict(m_q=40.0, var_q=20.0, mean_box=(43.0, 47.0), var_box=(18.0, 22.0),
+                     epsilon=1e-10)
 
 
 def best(fn) -> float:
@@ -164,6 +170,21 @@ def group_identities() -> dict:
             for name, check in checks.items()}
 
 
+def group_sample_size() -> dict:
+    import math
+
+    import divrel as D
+
+    tcp = {k: D.TypeClassProblem(**REFERENCE_TCP, alphabet_size=k) for k in (2, 100)}
+    d = D.d_star(tcp[2])
+    return {"d_star": best(lambda: D.d_star(tcp[2])),
+            "n_star.k2": best(lambda: D.n_star(tcp[2], d)),
+            "n_star.k100": best(lambda: D.n_star(tcp[100], d)),
+            "n_star.k2.d1e-20": best(lambda: D.n_star(tcp[2], 1e-20)),
+            "lambert_w_minus1.-1e-300": best(lambda: D.lambert_w_minus1(-1e-300)),
+            "lambert_w_minus1.branch+1e-12": best(lambda: D.lambert_w_minus1(-1 / math.e + 1e-12))}
+
+
 def group_versions() -> dict:
     import orjson
 
@@ -172,7 +193,8 @@ def group_versions() -> dict:
 
 
 GROUPS = {"versions": group_versions, "build": group_build, "kernels": group_kernels,
-          "codec": group_codec, "loops": group_loops, "identities": group_identities}
+          "codec": group_codec, "loops": group_loops, "identities": group_identities,
+          "sample_size": group_sample_size}
 
 
 def run_group(tree: Path, name: str):
@@ -224,6 +246,8 @@ def main(argv=None) -> int:
         print(f"{name}: {time * 1e3:.3f} ms")
     for name, time in row["identities"].items():
         print(f"identity {name}: {time * 1e6:.1f} us per pair")
+    for name, time in row["sample_size"].items():
+        print(f"{name}: {time * 1e6:.2f} us")
     return 0
 
 
