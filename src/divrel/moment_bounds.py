@@ -10,6 +10,7 @@ four-point sequences with exact moments and vanishing KL.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,7 +100,8 @@ def moment_bound_arrays(m_p, var_p, m_q, var_q) -> tuple[np.ndarray, ...]:
     or a gap so small that a^2 underflows) the infimum over compatible
     pairs is zero and every field is 0. With var_p = 0, v = |b/(2a)| and r
     is 0 or 1; with var_q = 0, Q is a point mass, s is 0 or 1 and the bound
-    is +inf. DomainError where b/(2a) overflows (a gap above 1.34e154).
+    is +inf. DomainError where 2v overflows: at a gap above 1.34e154, or
+    where b/(2a) is above half the largest float.
     """
     m_p, var_p, m_q, var_q = given = [_reals(x) for x in (m_p, var_p, m_q, var_q)]
     try:
@@ -117,41 +119,46 @@ def moment_bound_arrays(m_p, var_p, m_q, var_q) -> tuple[np.ndarray, ...]:
         # |b/(2a)| at var_p = 0; hypot, as b^2/(4a^2) overflows for a gap far
         # below the standard deviations
         v = np.hypot(np.sqrt(var_p), b / (2.0 * a))
-        if not (np.isfinite(v) | (a2 == 0.0)).all():  # fields at a^2 = 0 are 0
+        if not (np.isfinite(2.0 * v) | (a2 == 0.0)).all():  # fields at a^2 = 0 are 0
             raise DomainError(_OVERFLOW)
-        # 2v times (r, 1 - r, s, 1 - s), which do not underflow where such a
-        # gap puts a mass below 1e-308
-        masses, bound = _masses_and_bound(a, b, v, var_p, var_q)
-        r, s = masses[0] / (2.0 * v), masses[2] / (2.0 * v)
-        lost = (((masses[:2] < _TINY).any(axis=0) & (var_p > 0.0))
-                | ((masses[2:] < _TINY).any(axis=0) & (var_q > 0.0))) & (a2 != 0.0)
-        if lost.any():
-            bound = np.array(bound)
-            f = np.ldexp(1.0, np.clip(500 - np.frexp(2.0 * v[lost])[1], 0, 511))
-            a, b, v, var_p, var_q = np.broadcast_arrays(a, b, v, var_p, var_q)
-            bound[lost] = _masses_and_bound(a[lost] * f, b[lost] * (f * f), v[lost] * f,
-                                            var_p[lost] * (f * f), var_q[lost] * (f * f))[1]
+        # every value at the scale f = 2^k of _masses_and_bound
+        k = np.clip(499 - np.frexp(v)[1], 0, 511)
+        fractions, bound = _masses_and_bound(
+            np.ldexp(a, k), np.ldexp(b, 2 * k), np.ldexp(v, k), np.ldexp(var_p, 2 * k),
+            np.ldexp(var_q, 2 * k))
+        r, s = fractions[0], fractions[2]
     zero = a2 == 0.0
     return tuple(np.broadcast_arrays(*(np.where(zero, 0.0, x) for x in (r, s, a, b, v, bound))))
 
 
-# b/(2a) overflows: at a gap above 1.34e154, or a tiny one against a variance gap
+# 2v overflows: at a gap above 1.34e154, or a tiny one against a variance gap
 _OVERFLOW = "mean gap too large for the bound in floats, or too small against the variances"
-_TINY = np.finfo(float).tiny
+# the least normal float: a smaller mass keeps only some of its bits, or none
+_NORMAL = sys.float_info.min
 
 
 def _masses_and_bound(a, b, v, var_p, var_q):
-    """The scaled masses (``_scaled_masses``) and d(r||s) as two non-negative
-    terms over 2v, with 2v (r - s) = a. Both are 1-homogeneous in (a, v) at
-    (b, var_p, var_q) of degree 2, so a row with a mass of a positive
-    variance below 2^-1022, which has lost bits of it or all of them, is
-    taken again from (a, b, v, var_p, var_q) scaled by (f, f^2, f, f^2, f^2),
-    with f = 2^k putting 2v near 2^500 where that is up: the bound is the
-    same in exact arithmetic, and no such mass is subnormal unless s < 2^-1574."""
+    """(r, 1 - r, s, 1 - s) from the scaled masses (``_scaled_masses``), and
+    d(r||s) as two non-negative terms over 2v, with 2v (r - s) = a.
+
+    Both are the same at (a, b, v, var_p, var_q) scaled by (f, f^2, f, f^2,
+    f^2), f > 0. The callers take f = 2^k, k in [0, 511], putting 2v near
+    2^500 where that is up: a power of two scales exactly where no
+    intermediate is subnormal, and there a mass is subnormal only where its
+    fraction is below 2^-1521. As the masses of Q multiply to var_q, such a
+    mass of a positive var_q takes ln var_q - ln(the other) for its log, and
+    not the log of its rounded value, +inf at 0."""
     masses = _scaled_masses(a, b, v, var_p, var_q)
+    x, y = masses[:2], masses[2:]
     diff = np.broadcast_to(a, v.shape)
-    terms = _binary_term(masses[:2], masses[2:], np.stack([diff, -diff]))
-    return masses, terms.sum(axis=0) / (2.0 * v)
+    diff = np.stack([diff, -diff])
+    terms = _binary_term(x, y, diff)
+    under = (y < _NORMAL) & (x > 0.0) & (var_q > 0.0)
+    if under.any():
+        log_y = np.log(np.broadcast_to(var_q, y.shape)[under]) - np.log(y[::-1][under])
+        terms[under] = x[under] * (np.log(x[under]) - log_y) - diff[under]
+    two_v = 2.0 * v
+    return masses / two_v, terms.sum(axis=0) / two_v
 
 
 def _scaled_masses(a, b, v, var_p, var_q):
@@ -160,7 +167,7 @@ def _scaled_masses(a, b, v, var_p, var_q):
     rounding of 0 or 1, where 1 - r would lose every digit, so the smaller
     of v + c and v - c is taken as var_p over the larger, their product.
     Likewise (v + c - a)(v - c + a) = var_q: a factor below a quarter of the
-    other, where the difference may have lost digits, is taken as var_q
+    other, where the difference may have shed digits, is taken as var_q
     over the other. At var_p = 0, v = |c| and r is 0 or 1; at var_q = 0, s
     is 0 or 1."""
     c = b / (2.0 * a)
@@ -175,10 +182,10 @@ def _scaled_masses(a, b, v, var_p, var_q):
 
 def _certificate(mt: MomentTuple) -> tuple[BoundCertificate, list[float] | None]:
     """The certificate of ``moment_bound_arrays`` on one moment tuple, and
-    the scaled masses 2v (r, 1 - r, s, 1 - s) behind it (None where every
-    field is 0). The same operations in the same order, on floats: a numpy
-    call costs far more than the arithmetic of four moments. v is np.hypot,
-    as math.hypot may differ in the last bit."""
+    the fractions (r, 1 - r, s, 1 - s) behind it (None where every field is
+    0). The same operations in the same order, on floats: a numpy call costs
+    far more than the arithmetic of four moments. v is np.hypot, as
+    math.hypot may differ in the last bit."""
     var_p, var_q = mt.var_p, mt.var_q
     a = mt.m_p - mt.m_q
     a2 = a * a
@@ -187,16 +194,12 @@ def _certificate(mt: MomentTuple) -> tuple[BoundCertificate, list[float] | None]
     b = a2 + var_q - var_p
     c = b / (2.0 * a)
     v = float(np.hypot(math.sqrt(var_p), c))
-    if not math.isfinite(v):
+    if not math.isfinite(2.0 * v):
         raise DomainError(_OVERFLOW)
-    masses, bound = _float_masses_and_bound(a, b, v, var_p, var_q)
-    if (any(x < _TINY for x in masses[:2]) and var_p > 0.0
-            or any(x < _TINY for x in masses[2:]) and var_q > 0.0):
-        f = math.ldexp(1.0, min(max(500 - math.frexp(2.0 * v)[1], 0), 511))
-        bound = _float_masses_and_bound(a * f, b * (f * f), v * f,
-                                        var_p * (f * f), var_q * (f * f))[1]
-    two_v = 2.0 * v
-    return BoundCertificate(masses[0] / two_v, masses[2] / two_v, a, b, v, bound), masses
+    f = math.ldexp(1.0, min(max(499 - math.frexp(v)[1], 0), 511))
+    f2 = f * f
+    fractions, bound = _float_masses_and_bound(a * f, b * f2, v * f, var_p * f2, var_q * f2)
+    return BoundCertificate(fractions[0], fractions[2], a, b, v, bound), fractions
 
 
 def _float_masses_and_bound(a, b, v, var_p, var_q) -> tuple[list[float], float]:
@@ -215,7 +218,8 @@ def _float_masses_and_bound(a, b, v, var_p, var_q) -> tuple[list[float], float]:
     # from numpy's ufuncs, as math.log and math.log1p may differ from them in
     # the last bit, and the series of a near term from _g_series
     terms = []
-    for x, y, diff in ((masses[0], masses[2], a), (masses[1], masses[3], -a)):
+    for x, y, y_other, diff in ((masses[0], masses[2], masses[3], a),
+                                (masses[1], masses[3], masses[2], -a)):
         t = diff / y if y else math.copysign(math.inf, diff)
         if abs(t) < _G_CUT:
             terms.append(y * t * t * float(_g_series(np.array([t]))[0]))
@@ -223,13 +227,16 @@ def _float_masses_and_bound(a, b, v, var_p, var_q) -> tuple[list[float], float]:
             terms.append(0.0 - diff)
         else:
             ratio = x / y if y else math.inf
-            # where the log of the ratio would be infinite at y > 0: ln x - ln y
-            if y and (ratio in (0.0, math.inf) if t < -0.5 else math.isinf(t)):
+            if y < _NORMAL and var_q > 0.0:
+                # y y_other = var_q, and y is below the normal floats
+                log_ratio = float(np.log(x)) - (float(np.log(var_q)) - float(np.log(y_other)))
+            elif y and (ratio in (0.0, math.inf) if t < -0.5 else math.isinf(t)):
+                # the log of the ratio would be infinite at y > 0: ln x - ln y
                 log_ratio = float(np.log(x)) - float(np.log(y))
             else:
                 log_ratio = float(np.log(ratio) if t < -0.5 else np.log1p(t))
             terms.append(x * log_ratio - diff)
-    return masses, (terms[0] + terms[1]) / two_v
+    return [x / two_v for x in masses], (terms[0] + terms[1]) / two_v
 
 
 def kl_moment_lower_bound(mt: MomentTuple) -> BoundCertificate:
@@ -239,19 +246,24 @@ def kl_moment_lower_bound(mt: MomentTuple) -> BoundCertificate:
 
 
 def attaining_pair(mt: MomentTuple) -> tuple[DiscreteDistribution, DiscreteDistribution]:
-    """Two-point pair with the prescribed moments whose KL equals the bound."""
-    cert, masses = _certificate(mt)
+    """Two-point pair with the prescribed moments whose KL equals the bound.
+    DomainError where the pair leaves the float range: a fraction of a
+    positive variance rounds to 0, or the atoms overflow or meet."""
+    _, fractions = _certificate(mt)
     # equal means, or a gap whose square underflows: the infimum 0 is not attained
-    if masses is None:
+    if fractions is None:
         raise PreconditionViolated("attaining pair requires distinct means")
     if mt.var_p <= 0.0:
         raise PreconditionViolated("attaining pair requires var_p > 0")
-    r, r_comp, s, s_comp = (x / (2.0 * cert.v) for x in masses)
-    u1 = mt.m_p + math.sqrt(r_comp * mt.var_p / r)
-    u2 = mt.m_p - math.sqrt(r * mt.var_p / r_comp)
-    p = make_distribution([u2, u1], [r_comp, r])
-    q = make_distribution([u2, u1], [s_comp, s])
-    return p, q
+    r, r_comp, s, s_comp = fractions
+    # no fraction of a positive variance rounded to 0
+    if r and r_comp and (s and s_comp or mt.var_q == 0.0):
+        u1 = mt.m_p + math.sqrt(r_comp * mt.var_p / r)
+        u2 = mt.m_p - math.sqrt(r * mt.var_p / r_comp)
+        if -math.inf < u2 < u1 < math.inf:
+            return (make_distribution([u2, u1], [r_comp, r]),
+                    make_distribution([u2, u1], [s_comp, s]))
+    raise DomainError("the attaining pair of these moments leaves the float range")
 
 
 def equal_means_sequence(
@@ -330,7 +342,11 @@ def gaussian_kl(mt: MomentTuple) -> float:
         shift = (mt.m_p - mt.m_q) ** 2
     except OverflowError:
         shift = math.inf
-    return 0.5 * math.log(mt.var_q / mt.var_p) + 0.5 * ((shift + mt.var_p) / mt.var_q - 1.0)
+    ratio = mt.var_q / mt.var_p
+    # ln var_q - ln var_p where the ratio overflows or underflows
+    log_ratio = (math.log(ratio) if 0.0 < ratio < math.inf
+                 else math.log(mt.var_q) - math.log(mt.var_p))
+    return 0.5 * log_ratio + 0.5 * ((shift + mt.var_p) / mt.var_q - 1.0)
 
 
 def exponential_kl(mt: MomentTuple) -> float:

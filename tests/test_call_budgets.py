@@ -97,6 +97,21 @@ def test_moment_bound_calls_no_array_kernel(monkeypatch, moments, near_terms):
     assert [len(args[0]) for args in series] == [1] * near_terms
 
 
+@pytest.mark.parametrize("moments", [
+    (45, 20, 40, 20),
+    # the reference pair of test_doors.py: a mass of s is subnormal at scale 1
+    (2057.2405520276566, 1.0354122601793056e-245, -1353.4166495572242, 1.2902736587e-314),
+    # s below 2^-1574: its mass underflows at any scale
+    (1e100, 1.0, 0.0, 1e-300),
+])
+def test_each_form_of_the_moment_bound_takes_its_masses_once(monkeypatch, moments):
+    floats = _counting(monkeypatch, divrel.moment_bounds, "_float_masses_and_bound")
+    arrays = _counting(monkeypatch, divrel.moment_bounds, "_masses_and_bound")
+    kl_moment_lower_bound(MomentTuple(*moments))
+    divrel.moment_bounds.moment_bound_arrays(*moments)
+    assert len(floats) == len(arrays) == 1
+
+
 def test_a_law_is_validated_once_a_build(monkeypatch):
     calls = _counting(monkeypatch, divrel.distributions, "validate_mass")
     p = make_distribution([2.0, 0.0, 1.0], [0.2, 0.3, 0.5])

@@ -20,6 +20,7 @@ from divrel import (
     PoissonFamily,
     SourceChannelPair,
     TypeClassProblem,
+    attaining_pair,
     binary_kl,
     brute_force_mu_f,
     check_gv_identity,
@@ -301,6 +302,9 @@ def test_conditioning_indices_are_one_flat_list(indices):
 @pytest.mark.parametrize("argv", [
     ["identity-check", "--which", "recursive", "--k", "-1"],
     ["moment-bound", "--mp", "1e200", "--varp", "1", "--mq", "0", "--varq", "1"],
+    # r rounds to 0: the attaining pair leaves the floats
+    ["moment-bound", "--mp", "0", "--varp", "1e-4", "--mq", "4.768505305131004e-157",
+     "--varq", "93790.41571965019", "--attain"],
 ])
 def test_the_cli_calls_that_once_ended_in_a_traceback_exit_1(tmp_path, capsys, argv):
     if argv[0] == "identity-check":
@@ -349,6 +353,13 @@ def _mp_hcr(gap, var_p, var_q, lam, dps=50):
         return +(lam * gap) ** 2 / ((1 - lam) * var_p + lam * var_q + lam * (1 - lam) * gap ** 2)
 
 
+def _mp_gaussian_kl(var_p, var_q, dps=50):
+    """KL of N(0, var_p) from N(0, var_q): (ln(var_q/var_p) + var_p/var_q - 1)/2."""
+    with mpmath.workdps(dps):
+        ratio = mpmath.mpf(var_p) / mpmath.mpf(var_q)
+        return +(ratio - 1 - mpmath.log(ratio)) / 2
+
+
 def _convexity_bits(rates, weights):
     """sum_i w_i sum_j w_j D(P_i||P_j) in bits, from the exact Poisson KL."""
     with mpmath.workdps(60):
@@ -389,6 +400,24 @@ EXTREMES = {
     **{f"kl_moment_lower_bound.probe.{i}": (
         lambda t=t: kl_moment_lower_bound(MomentTuple(*map(float, t))).bound_nats,
         moment_bound_mpmath(*t)) for i, t in enumerate(_TUPLES)},
+    # v finite, 2v not: a tiny gap against a variance gap of 1.9e298
+    "kl_moment_lower_bound.two_v_overflows": (
+        lambda: kl_moment_lower_bound(MomentTuple(1e-10, 0.0, 0.0, 1.9e298)),
+        (DomainError, "mean gap too large")),
+    # s below 2^-1574, whose mass underflows at any scale
+    **{f"kl_moment_lower_bound.tiny_s.{var_q!r}": (
+        lambda var_q=var_q: kl_moment_lower_bound(MomentTuple(1e100, 1.0, 0.0, var_q)).bound_nats,
+        moment_bound_mpmath(1e100, 1.0, 0.0, var_q)) for var_q in (1e-300, 5e-324)},
+    # r rounds to 0, or an atom of P to +inf
+    **{f"attaining_pair.{t!r}": (lambda t=t: attaining_pair(MomentTuple(*t)),
+                                 (DomainError, "attaining pair of these moments"))
+       for t in ((0.0, 9.496598795388095e-05, 4.768505305131004e-157, 93790.41571965019),
+                 (0.0, 1.0, 1e-157, 2.0))},
+    # var_q/var_p overflows or underflows
+    **{f"gaussian_kl.{var_p!r}.{var_q!r}": (
+        lambda var_p=var_p, var_q=var_q: gaussian_kl(MomentTuple(0.0, var_p, 0.0, var_q)),
+        _mp_gaussian_kl(var_p, var_q)) for var_p, var_q in ((5e-324, 1.0), (1e-300, 1e300),
+                                                             (1e300, 1e-300))},
     **{f"lambert_w_minus1.{y!r}": (lambda y=y: _x_exp_x(lambert_w_minus1(y)), mpmath.mpf(y))
        for y in (-1.0 / math.e + 1e-12, -2.2250738585072014e-308, -1e-308, -1e-309, -1e-310,
                  -1e-315, -1e-320, -1e-323, -5e-324)},

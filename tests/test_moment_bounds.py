@@ -25,6 +25,7 @@ from divrel import (
 )
 from divrel.errors import (
     DegenerateVariance,
+    DivrelError,
     DomainError,
     EpsilonTooLarge,
     NonFinite,
@@ -32,7 +33,7 @@ from divrel.errors import (
 )
 from divrel.moment_bounds import moment_bound_arrays
 
-from oracles import moment_bound_integral
+from oracles import moment_bound_integral, moment_bound_mpmath
 
 
 @pytest.mark.parametrize("fields", [
@@ -444,16 +445,59 @@ def test_array_form_raises_where_moment_tuple_does(m_p, var_p, m_q, var_q):
                                               cert.bound_nats]
 
 
-def test_float_bound_is_the_array_form_bit_for_bit():
-    # the float closed form against the grid form on 24,000 tuples
-    columns = _moment_tuples(np.random.default_rng(23), 24_000)
+def _assert_float_form_is_array_form(columns):
+    """The certificate of each tuple of the columns is the array form's, bit
+    for bit."""
     fields = moment_bound_arrays(*columns)
-    gap = columns[0] - columns[2]
-    assert (gap == 0.0).sum() > 2000 and ((gap != 0.0) & (gap * gap == 0.0)).sum() > 1000
     for i, args in enumerate(zip(*(c.tolist() for c in columns))):
         cert = kl_moment_lower_bound(MomentTuple(*args))
         got = (cert.r, cert.s, cert.a, cert.b, cert.v, cert.bound_nats)
         assert all(g == f[i] for g, f in zip(got, fields)), args
+
+
+def test_float_bound_is_the_array_form_bit_for_bit():
+    # the float closed form against the grid form on 24,000 tuples
+    columns = _moment_tuples(np.random.default_rng(23), 24_000)
+    gap = columns[0] - columns[2]
+    assert (gap == 0.0).sum() > 2000 and ((gap != 0.0) & (gap * gap == 0.0)).sum() > 1000
+    _assert_float_form_is_array_form(columns)
+
+
+def _extreme_tuples(count):
+    """count seeded (m_p, var_p, m_q, var_q) columns out to the ends of the
+    floats: means N(0, 1) 10^U(-5, 5) and variances 10^U(-320, 10), down to
+    subnormal ones, where a mass of the bound may be subnormal at any scale."""
+    rng = np.random.default_rng(7)
+    m_p, m_q = rng.standard_normal((2, count)) * 10.0 ** rng.uniform(-5, 5, (2, count))
+    var_p, var_q = 10.0 ** rng.uniform(-320.0, 10.0, (2, count))
+    return m_p, var_p, m_q, var_q
+
+
+def test_float_bound_is_the_array_form_at_extreme_moments_bit_for_bit():
+    _assert_float_form_is_array_form(_extreme_tuples(20_000))
+
+
+def test_bound_at_extreme_moments_matches_mpmath():
+    # every 4th tuple where r or s rounds to 0 or the bound is above 700 nats
+    # (s below 1e-304), and every 500th of the rest
+    columns = _extreme_tuples(20_000)
+    r, s, *_, bound = moment_bound_arrays(*columns)
+    edge = (np.minimum(r, s) == 0.0) | (bound > 700.0)
+    picked = np.union1d(np.flatnonzero(edge)[::4], np.arange(0, len(r), 500))
+    assert edge.sum() > 1000 and len(picked) > 300
+    for i in picked:
+        exact = moment_bound_mpmath(*(float(c[i]) for c in columns))
+        assert abs(mpmath.mpf(bound[i]) - exact) <= 1e-13 * exact + 2.0 ** -1072, i
+
+
+def test_attaining_pair_raises_only_divrel_errors():
+    # r rounds to 0 at some of the tiny gaps, and an atom overflows at others
+    for args in zip(*(c.tolist() for c in _moment_tuples(np.random.default_rng(23), 24_000))):
+        try:
+            attaining_pair(MomentTuple(*args))
+        except DivrelError as exc:
+            # and not NonFinite, which would name atoms the caller never passed
+            assert isinstance(exc, (DomainError, PreconditionViolated)), (args, exc)
 
 
 def test_float_bound_is_the_array_form_on_near_equal_means_bit_for_bit():

@@ -28,6 +28,11 @@ take 0.2 s. The row holds
 - ``sample_size``: ``d_star`` on the paper's reference box (REFERENCE_TCP),
   ``n_star`` at that d for k = 2 and k = 100 and at d = 1e-20 for k = 2, and
   ``lambert_w_minus1`` at y = -1e-300 and at -1/e + 1e-12;
+- ``moments``: ``kl_moment_lower_bound`` at the paper's reference tuple
+  (REFERENCE_MOMENTS) and at one with a subnormal var_q, whose mass of s
+  is subnormal unless scaled up (SUBNORMAL_MOMENTS), ``attaining_pair`` at
+  the reference tuple, and ``moment_bound_arrays`` on the GRID x GRID grid
+  of the mean and variance box of REFERENCE_TCP against its (m_q, var_q);
 - the versions of Python, numpy and orjson, the line count of
   TREE/src/divrel (``wc -l`` of its modules), TREE's commit, and whether
   TREE/src differs from that commit.
@@ -64,6 +69,10 @@ IDENTITY_PAIRS = 16
 # the paper's sample-size example: reference law, mean and variance box, epsilon
 REFERENCE_TCP = dict(m_q=40.0, var_q=20.0, mean_box=(43.0, 47.0), var_box=(18.0, 22.0),
                      epsilon=1e-10)
+REFERENCE_MOMENTS = (45.0, 20.0, 40.0, 20.0)
+SUBNORMAL_MOMENTS = (2057.2405520276566, 1.0354122601793056e-245, -1353.4166495572242,
+                     1.2902736587e-314)
+GRID = 301
 
 
 def best(fn) -> float:
@@ -185,6 +194,20 @@ def group_sample_size() -> dict:
             "lambert_w_minus1.branch+1e-12": best(lambda: D.lambert_w_minus1(-1 / math.e + 1e-12))}
 
 
+def group_moments() -> dict:
+    import divrel as D
+
+    reference, subnormal = D.MomentTuple(*REFERENCE_MOMENTS), D.MomentTuple(*SUBNORMAL_MOMENTS)
+    means = np.linspace(*REFERENCE_TCP["mean_box"], GRID)[:, None]
+    variances = np.linspace(*REFERENCE_TCP["var_box"], GRID)[None, :]
+    m_q, var_q = REFERENCE_TCP["m_q"], REFERENCE_TCP["var_q"]
+    return {"kl_moment_lower_bound.reference": best(lambda: D.kl_moment_lower_bound(reference)),
+            "kl_moment_lower_bound.subnormal": best(lambda: D.kl_moment_lower_bound(subnormal)),
+            "attaining_pair.reference": best(lambda: D.attaining_pair(reference)),
+            f"moment_bound_arrays.{GRID}x{GRID}": best(
+                lambda: D.moment_bound_arrays(means, variances, m_q, var_q))}
+
+
 def group_versions() -> dict:
     import orjson
 
@@ -194,7 +217,7 @@ def group_versions() -> dict:
 
 GROUPS = {"versions": group_versions, "build": group_build, "kernels": group_kernels,
           "codec": group_codec, "loops": group_loops, "identities": group_identities,
-          "sample_size": group_sample_size}
+          "sample_size": group_sample_size, "moments": group_moments}
 
 
 def run_group(tree: Path, name: str):
@@ -246,7 +269,7 @@ def main(argv=None) -> int:
         print(f"{name}: {time * 1e3:.3f} ms")
     for name, time in row["identities"].items():
         print(f"identity {name}: {time * 1e6:.1f} us per pair")
-    for name, time in row["sample_size"].items():
+    for name, time in {**row["sample_size"], **row["moments"]}.items():
         print(f"{name}: {time * 1e6:.2f} us")
     return 0
 
