@@ -141,6 +141,7 @@ def _cmd_inequalities(args) -> dict:
     from . import inequalities
 
     _check_count("trials", args.trials, 1)
+    _check_count("seed", args.seed, 0)
     rng = np.random.default_rng(args.seed)
     # pairs of 2..6 atoms, zero-padded to 6: a padded atom adds 0 to every
     # kernel. Uniform Dirichlet laws on the first n atoms, drawn all at once as
@@ -341,7 +342,7 @@ def main(argv=None) -> int:
     except QuadratureFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except (DivrelError, ValueError, OSError) as exc:
+    except (DivrelError, OSError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 1
     inputs = {k: v for k, v in vars(args).items() if k not in _NOT_INPUTS}

@@ -313,18 +313,29 @@ def push_forward(p: DiscreteDistribution, w: Channel) -> DiscreteDistribution:
     return DiscreteDistribution(np.arange(w.n_outputs, dtype=float), p.mass @ w.matrix)
 
 
+def _centered(u: np.ndarray, masses, weights=(1.0,)) -> tuple[float, list, int, float]:
+    """(mean, firsts, e, s) of R = sum w_i m_i on the sorted support u, in one
+    centered pass: mean = sum R u, d = (u - mean)/2^e, firsts = [sum m_i d],
+    s = sum R d^2 - (sum R d)^2 = Var_R/4^e, whose second term removes the
+    rounding of the mean (Chan, Golub and LeVeque, 1983). e > 0 only where an
+    end lies 2^510 or more from the mean, and then brings every |d| below:
+    d^2 is finite, and an atom of mass 0 adds 0 however far it lies."""
+    mean = sum([w * float(m.dot(u)) for w, m in zip(weights, masses)])
+    top = max(mean - float(u[0]), float(u[-1]) - mean)  # inf near -max..max
+    e = max((math.frexp(top)[1] if top < math.inf else 1025) - 510, 0)
+    d = np.ldexp(u, -e) if e else u - mean
+    if e:
+        d -= math.ldexp(mean, -e)
+    firsts = [float(m.dot(d)) for m in masses]
+    shift = sum([w * x for w, x in zip(weights, firsts)])
+    d *= d  # in place: d is the one temporary array
+    second = sum([w * float(m.dot(d)) for w, m in zip(weights, masses)])
+    # below 0 by a rounding at most, at a point mass whose mass is above 1
+    return mean, firsts, e, max(second - shift * shift, 0.0)
+
+
 def moments(p: DiscreteDistribution) -> tuple[float, float]:
-    """(mean, variance) of the atom values under the mass vector; the
-    variance is +inf where it overflows. Where a square overflows (an atom
-    above about 1.34e154), the sums are taken again on the atoms over the
-    power of two 2^e above the largest |atom|, and the variance scaled back."""
-    u = p.support
-    mean = float(np.dot(p.mass, u))
-    with np.errstate(over="ignore", invalid="ignore"):
-        var = float(np.dot(p.mass, u * u) - mean * mean)
-        if not math.isfinite(var):
-            e = math.frexp(float(np.abs(u).max()))[1]
-            v = np.ldexp(u, -e)
-            mean_v = float(np.dot(p.mass, v))
-            var = float(np.ldexp(np.dot(p.mass, v * v) - mean_v * mean_v, 2 * e))
-    return mean, max(var, 0.0)
+    """(mean, variance) of the atom values under the mass vector, from one
+    centered pass (``_centered``); the variance is +inf where it overflows."""
+    mean, _, e, s = _centered(p.support, (p.mass,))
+    return mean, s * 2.0 ** e * 2.0 ** e

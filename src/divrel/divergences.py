@@ -240,7 +240,7 @@ def _polylog(a, b, k, c=1.0):
     # t, Li_k(1 - t) is the inversion at L = ln t, where |Li_k(1/(1-t))| < 1e-300 drops
     zeta_k = _polylog_coefficients(k)[1][0]
     return _generic(a, b, lambda t: _polylog_li(k, t), zeta_k, 0.0,
-                    lambda log_t: _inverted(k, log_t, 0.0), c)
+                    lambda log_t, b: _inverted(k, log_t, 0.0, np.log(b)[:, None]), c)
 
 
 # terms of Borwein's eta series: for s >= 2 the error of zeta is below
@@ -384,9 +384,11 @@ def _polylog_li(k: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _inverted(k: int, big_l: np.ndarray, li_inverse) -> np.ndarray:
-    """Li_k(y) at y < -1 from the array big_l of L = ln(-y) and li_inverse =
-    Li_k(1/y), by the inversion formula of ``_polylog_li``."""
+def _inverted(k: int, big_l: np.ndarray, li_inverse, log_b=0.0) -> np.ndarray:
+    """b Li_k(y) at y < -1 from the array big_l of L = ln(-y), li_inverse =
+    b Li_k(1/y) and log_b = ln b, by the inversion formula of ``_polylog_li``.
+    ln b enters each exponent, so that a subnormal b meets L^m/m! before
+    either rounds to 0 or overflows."""
     orders, log_fact, weights = _polylog_coefficients(k)[3:6]
     # L^m/m! as exp(m ln L - ln m!), which neither overflows nor divides inf by
     # inf. |Li_k(y)| >= eta(k) >= 1/2 for y <= -1, so the orders m >= 2 max L
@@ -395,7 +397,7 @@ def _inverted(k: int, big_l: np.ndarray, li_inverse) -> np.ndarray:
     log_l = np.log(big_l)[:, None]
     top = log_l.max(initial=0.0)
     keep = (orders < 2.0 * np.exp(top)) | (orders * top - log_fact > math.log(1e-32))
-    inverted = (np.exp(log_l * orders[keep] - log_fact[keep]) * weights[keep]).sum(axis=1)
+    inverted = (np.exp(log_l * orders[keep] - log_fact[keep] + log_b) * weights[keep]).sum(axis=1)
     return -inverted - (-1) ** k * li_inverse
 
 
@@ -429,8 +431,8 @@ def _generic(a, b, f, f_at_zero, slope_at_inf, f_of_log=None, c=1.0):
 
     a / b overflows where b is subnormal (0.1 / 5e-324), and b f(inf) is
     then no limit of the term: on a row that came out NaN or infinite, it is
-    b f_of_log(``_log_ratio``) with the caller's f of ln t, and without one
-    the row raises QuadratureFailure, which names the atom."""
+    f_of_log(``_log_ratio``, b), the caller's b f(t) from ln t, and without
+    one the row raises QuadratureFailure, which names the atom."""
     inner = (a > 0) & (b > 0)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ratio = np.where(inner, a / b, 1.0)
@@ -450,7 +452,7 @@ def _generic(a, b, f, f_at_zero, slope_at_inf, f_of_log=None, c=1.0):
                 raise QuadratureFailure(
                     f"likelihood ratio {float(a[row, atom])!r} / {float(b[row, atom])!r} "
                     f"overflows at atom {atom}, and the divergence came out {float(out[row])!r}")
-            terms[over] = b[over] * f_of_log(_log_ratio(a[over], b[over])) * c[over]
+            terms[over] = f_of_log(_log_ratio(a[over], b[over]), b[over]) * c[over]
             out = terms.sum(axis=-1)
     return out
 

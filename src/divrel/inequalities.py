@@ -144,7 +144,9 @@ def skew_kl_convexity_comparison(
     """The mixture-based bound dominates the convexity bound lam * D(P||Q)."""
     _check_real("lambda", lam, 0.0, 1.0)
     d = kl(p, q)
-    return InequalityReport("skew_kl_vs_convexity", float(_skew_kl_bound(lam, d)), lam * d)
+    # K_0 = 0: the bound lam * D is 0 at lam = 0, also where D is +inf
+    return InequalityReport("skew_kl_vs_convexity", float(_skew_kl_bound(lam, d)),
+                            lam * d if lam else 0.0)
 
 
 # central-difference step of derivative_checks, slack of its inequality and

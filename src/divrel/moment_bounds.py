@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import (DiscreteDistribution, _check_real, _check_reals, _reals,
-                            make_distribution, moments)
+from .distributions import (DiscreteDistribution, _centered, _check_real, _check_reals, _reals,
+                            align, make_distribution)
 from .divergences import _G_CUT, _binary_term, _g_series
 from .errors import (
     DegenerateVariance,
@@ -55,27 +55,16 @@ class BoundCertificate:
 def hcr_lower_bound(
     p: DiscreteDistribution, q: DiscreteDistribution, lam: float
 ) -> float:
-    """Mean-shift-over-variance lower bound on chi^2(P || (1-lam)P + lam*Q):
-    lam^2 (m_p - m_q)^2 / ``mixture_variance``, from the moments of P and Q.
-    DomainError where the variance of P or Q overflows floats; where the
-    square of the gap does, the same ratio with both sides over it."""
-    given = [moments(p), moments(q)]
-    for name, (_, var) in zip("PQ", given):
-        if math.isinf(var):
-            raise DomainError(f"the variance of {name} overflows floats")
-    mt = MomentTuple(*given[0], *given[1])
-    var_z = mixture_variance(mt, lam)
-    if var_z == 0.0:
+    """Hammersley-Chapman-Robbins bound (E_P X - E_R X)^2 / Var_R X <= chi^2(P||R),
+    R = (1-lam)P + lam*Q, from one centered pass over R (``_centered``), gap
+    lam (sum p d - sum q d): a unit-free ratio, finite where Var_R X overflows."""
+    _check_real("lambda", lam, 0.0, 1.0)
+    p, q = align(p, q)
+    _, (first_p, first_q), _, s = _centered(p.support, (p.mass, q.mass), (1.0 - lam, lam))
+    if s == 0.0:
         raise DegenerateVariance("mixture has zero variance")
-    gap = mt.m_p - mt.m_q
-    try:
-        if var_z < math.inf:
-            return (lam * gap) ** 2 / var_z
-    except OverflowError:
-        pass
-    # the square of the gap overflows: both sides over (lam gap) gap
-    rest = ((1.0 - lam) * mt.var_p + lam * mt.var_q) / gap / (lam * gap) + (1.0 - lam)
-    return lam / rest if rest else math.inf
+    gap = lam * (first_p - first_q)
+    return gap * (gap / s)
 
 
 def mixture_variance(mt: MomentTuple, lam: float) -> float:

@@ -301,11 +301,15 @@ def validate_mass_reference(m: np.ndarray) -> None:
         raise NonStochastic(f"mass sums to {float(sums[bad][0])!r}, not 1")
 
 
-def _gauss_kronrod_reference(f, lo, hi):
+def _gauss_kronrod_reference(f, lo, hi, a, b):
+    """A node that rounds onto a, the end where f need only have a limit, is
+    taken one ulp toward b, as in ``identities._gauss_kronrod``."""
     from divrel.identities import _EPS50, _RULES, _TINY, _WK, _XK
 
     half = 0.5 * (hi - lo)
-    fx = np.asarray(f((_XK[:, None] * half + (lo + half)).ravel()), dtype=float)
+    x = _XK[:, None] * half + (lo + half)
+    x[x == a] = math.nextafter(a, b)
+    fx = np.asarray(f(x.ravel()), dtype=float)
     fx = fx.reshape(len(_XK), -1)
     with np.errstate(invalid="ignore", over="ignore"):
         kronrod, gauss = _RULES @ fx
@@ -329,7 +333,7 @@ def integrate_reference(f, *edges):
         return 0.0
     lo = (edges[:-1, None] + np.arange(4.0) * ((edges[1:] - edges[:-1]) / 4.0)[:, None]).ravel()
     hi = np.append(lo[1:], b)
-    value, err = _gauss_kronrod_reference(f, lo, hi)
+    value, err = _gauss_kronrod_reference(f, lo, hi, a, b)
     while True:
         total = float(value.sum())
         if math.isnan(total):
@@ -358,7 +362,7 @@ def integrate_reference(f, *edges):
         keep[split] = False
         new_lo = np.concatenate([lo[split], mid])
         new_hi = np.concatenate([mid, hi[split]])
-        new_value, new_err = _gauss_kronrod_reference(f, new_lo, new_hi)
+        new_value, new_err = _gauss_kronrod_reference(f, new_lo, new_hi, a, b)
         lo, hi = np.concatenate([lo[keep], new_lo]), np.concatenate([hi[keep], new_hi])
         value = np.concatenate([value[keep], new_value])
         err = np.concatenate([err[keep], new_err])
@@ -416,6 +420,42 @@ def moment_bound_mpmath(m_p: float, var_p: float, m_q: float, var_q: float, dps:
         v = mpmath.sqrt(var_p + b * b / (4 * a * a))
         r = mpmath.mpf(1) / 2 + b / (4 * a * v)
         return +_mp_binary(r, r - a / (2 * v))
+
+
+def mean_variance_mpmath(support, mass, dps: int = 50):
+    """(mean, variance) of the masses, normalized to sum 1, on the support:
+    two mpfs at dps digits, every float (or mpf) taken exactly, the variance
+    as the centered sum sum m (u - mean)^2."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        u, m = [mpmath.mpf(x) for x in support], [mpmath.mpf(x) for x in mass]
+        total = mpmath.fsum(m)
+        mean = mpmath.fsum(a * x for a, x in zip(m, u)) / total
+        return mean, mpmath.fsum(a * (x - mean) ** 2 for a, x in zip(m, u)) / total
+
+
+def hcr_mpmath(p, q, lam: float, dps: int = 50):
+    """(HCR bound, chi^2(P||R)) of two laws with R = (1-lam)P + lam*Q, each
+    law's masses normalized first: (lam (E_P X - E_Q X))^2 / Var_R X from
+    ``mean_variance_mpmath``, and sum (p - r)^2/r. Two mpfs at dps digits;
+    the gap is taken as E_P X - E_Q X, which 1 - lam cannot round away."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        support = sorted(set(map(float, p.support)) | set(map(float, q.support)))
+        laws = []
+        for d in (p, q):
+            at = dict(zip(map(float, d.support), map(float, d.mass)))
+            mass = [mpmath.mpf(at.get(x, 0.0)) for x in support]
+            total = mpmath.fsum(mass)
+            laws.append([x / total for x in mass])
+        lam = mpmath.mpf(lam)
+        r = [(1 - lam) * a + lam * b for a, b in zip(*laws)]
+        gap = lam * (mean_variance_mpmath(support, laws[0], dps)[0]
+                     - mean_variance_mpmath(support, laws[1], dps)[0])
+        chi2 = mpmath.fsum((a - c) ** 2 / c for a, c in zip(laws[0], r) if c > 0)
+        return gap ** 2 / mean_variance_mpmath(support, r, dps)[1], chi2
 
 
 def n_star_crossing_mpmath(k: int, epsilon: float, d: float, dps: int = 50):

@@ -27,7 +27,8 @@ from divrel import applications, distributions
 from divrel.errors import DomainError, NonFinite, PreconditionViolated, QuadratureFailure
 from divrel.moment_bounds import MomentTuple, moment_bound_arrays
 
-from oracles import mixture_kl_mpmath, poisson_entropy_direct, poisson_entropy_mpmath
+from oracles import (mixture_kl_mpmath, poisson_entropy_direct, poisson_entropy_mpmath,
+                     poisson_kl_mpmath)
 
 TCP = TypeClassProblem(
     m_q=40, var_q=20, mean_box=(43, 47), var_box=(18, 22),
@@ -210,26 +211,21 @@ def test_poisson_entropy_over_an_array_of_rates():
             poisson_entropy(bad)
 
 
-def _mp_poisson_kl(lam_i: float, lam_j: float) -> float:
-    # lam_i ln(lam_i/lam_j) + lam_j - lam_i cancels about 30 digits at the
-    # closest pairs below, so the sum is taken at 80
-    with mpmath.workdps(80):
-        a, b = mpmath.mpf(lam_i), mpmath.mpf(lam_j)
-        return float(a * mpmath.log(a / b) + b - a)
-
-
 def test_poisson_kl_is_exact_on_near_equal_rates():
+    # lam_i ln(lam_i/lam_j) + lam_j - lam_i cancels about 30 digits at the
+    # closest pairs below, so the oracle takes it at 80
     for lam_j in np.geomspace(1e-3, 1e6, 37):
         for gap in (1e-15, 1e-12, 1e-9, 1e-6, 1e-3, 0.05, 0.1):
             for lam_i in (lam_j * (1.0 + gap), lam_j * (1.0 - gap)):
                 got = poisson_kl(lam_i, lam_j)
                 assert got >= 0.0
-                assert got == pytest.approx(_mp_poisson_kl(lam_i, lam_j), rel=1e-15, abs=0)
+                want = float(poisson_kl_mpmath(lam_i, lam_j, 80))
+                assert got == pytest.approx(want, rel=1e-15, abs=0)
     # lam_i ln(lam_i/lam_j) + lam_j - lam_i in floats gives -3.47e-11 and
     # misses the second pair by 93%
     assert poisson_kl(999999.999, 1e6) == pytest.approx(5.0e-13, rel=1e-6)
-    assert poisson_kl(400, 400.000004) == pytest.approx(_mp_poisson_kl(400, 400.000004),
-                                                        rel=1e-15)
+    assert poisson_kl(400, 400.000004) == pytest.approx(
+        float(poisson_kl_mpmath(400, 400.000004, 80)), rel=1e-15)
 
 
 # the families of the tests above and 20 seeded ones of up to 40 log-uniform rates

@@ -491,6 +491,13 @@ def test_inequalities_without_trials_exits_1(capsys, trials):
     assert "trials" in capsys.readouterr().err
 
 
+def test_inequalities_with_a_negative_seed_exits_1(capsys):
+    # numpy's own ValueError named no flag, and only a catch of every
+    # ValueError made it exit 1
+    assert main(["inequalities", "--seed", "-1"]) == 1
+    assert capsys.readouterr().err.startswith("invalid input: seed must be an integer >= 0")
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--mp", "nan"), ("--varp", "inf"), ("--mq", "inf"), ("--varq", "nan"),
 ])

@@ -27,8 +27,10 @@ from divrel import (
 )
 from divrel.divergences import generic_f_divergence
 from divrel.errors import DimensionMismatch, DomainError, QuadratureFailure
+from divrel.inequalities import conditioned_measure_divergence
 
 from conftest import random_pair
+from oracles import binary_kl_mpmath
 
 # reference pair and independently computed values (40-digit arithmetic)
 P = make_distribution([0, 1, 2], [0.2, 0.5, 0.3])
@@ -145,13 +147,6 @@ def test_binary_kl():
         binary_kl(1.5, 0.5)
 
 
-def _mp_binary_kl(r, s):
-    with mpmath.workdps(50):
-        r, s = mpmath.mpf(r), mpmath.mpf(s)
-        terms = [x * mpmath.log(x / y) for x, y in ((r, s), (1 - r, 1 - s)) if x > 0]
-        return float(mpmath.fsum(terms))
-
-
 @pytest.mark.parametrize("r, s", [
     (0.5, 0.5 + 1e-12),
     (1e-3, 1e-3 * (1 + 1e-7)),
@@ -163,7 +158,7 @@ def _mp_binary_kl(r, s):
 def test_binary_kl_near_equal_pairs_mpmath(r, s):
     # each term of d(r||s) is about +-(r - s), and their sum is (r - s)^2
     # order: summing the two terms as written loses every digit
-    want = _mp_binary_kl(r, s)
+    want = float(binary_kl_mpmath(r, s))
     assert want > 0
     assert binary_kl(r, s) == pytest.approx(want, rel=1e-13, abs=0)
     assert binary_kl(np.array([r, s]), np.array([s, r]))[0] == binary_kl(r, s)
@@ -659,3 +654,19 @@ def test_polylog_rows_at_a_subnormal_mass_match_mpmath(seed, n, atom, tiny, k):
     p[atom] = tiny
     got = f_divergence_rows(DivergenceSpec("POLYLOG_F", k), q[None, :], p)[0]
     assert got == pytest.approx(_ref_polylog(k, q, p), rel=1e-13)
+
+
+@pytest.mark.parametrize("tiny", [5e-324, 1e-310, 1e-300])
+@pytest.mark.parametrize("k", [550, 600, 1000])
+def test_a_high_order_polylog_at_a_subnormal_mass_matches_mpmath(k, tiny):
+    # -inf once, after an overflow in the inversion's L^m/m!, L = ln(1/tiny)
+    # about 744: ln tiny now enters its exponent. At k = 1000 the value is
+    # near 0, a difference of two terms near 1
+    p, q = make_distribution([0, 1], [1.0, 0.0]), make_distribution([0, 1], [tiny, 1.0 - tiny])
+    with mpmath.workdps(60):
+        want = _ref_polylog(k, p.mass, q.mass)
+    got = f_k_divergence(k, p, q)
+    assert abs(got - want) <= (3e-13 if k == 1000 else 1e-15 * want)
+    conditioned = conditioned_measure_divergence(
+        DivergenceSpec("POLYLOG_F", k), make_distribution([0, 1, 2], [tiny, 0.5, 0.5]), [0])
+    assert all(abs(x - want) <= (3e-13 if k == 1000 else 1e-15 * want) for x in conditioned)

@@ -65,8 +65,8 @@ from divrel.cli import main
 from divrel.contraction import chi2_contraction_power, skew_k_factor, skew_s_factor
 from divrel.errors import DimensionMismatch, DivrelError, DomainError, NonFinite
 from divrel.inequalities import conditioned_measure_divergence, pair_slacks
-from oracles import (binary_kl_mpmath, moment_bound_mpmath, n_star_crossing_mpmath,
-                     poisson_kl_mpmath)
+from oracles import (binary_kl_mpmath, hcr_mpmath, mean_variance_mpmath, moment_bound_mpmath,
+                     n_star_crossing_mpmath, poisson_kl_mpmath)
 
 # each door, called with one bad stack x in the place of an array argument
 DOORS = {
@@ -293,6 +293,15 @@ def test_shapes_that_do_not_broadcast_are_a_dimension_mismatch(call):
         call()
 
 
+@pytest.mark.parametrize("P, Q", [
+    ([[0.5, 0.5]], [[0.5, 0.5], [0.2, 0.8]]), ([[0.5, 0.5]], [[0.2, 0.3, 0.5]]),
+    ([0.5, 0.5], [0.2, 0.8]),
+])
+def test_pair_stacks_of_two_shapes_are_a_dimension_mismatch(P, Q):
+    with pytest.raises(DimensionMismatch, match="stacks of one shape"):
+        pair_slacks(P, Q, 0.5)
+
+
 @pytest.mark.parametrize("indices", [[[0], [0, 1]], [[0], [1]], [[0, 1], 2]])
 def test_conditioning_indices_are_one_flat_list(indices):
     with pytest.raises(DomainError, match="flat list of integers"):
@@ -338,19 +347,6 @@ def _x_exp_x(x):
     """x e^x of a float x, as an mpf: the image that W must give back y of."""
     with mpmath.workdps(40):
         return mpmath.mpf(x) * mpmath.exp(mpmath.mpf(x))
-
-
-def _mp_moments(support, mass, dps=50):
-    with mpmath.workdps(dps):
-        u, m = [mpmath.mpf(x) for x in support], [mpmath.mpf(x) for x in mass]
-        mean = mpmath.fsum(a * x for a, x in zip(m, u))
-        return +mpmath.fsum(a * (x - mean) ** 2 for a, x in zip(m, u))
-
-
-def _mp_hcr(gap, var_p, var_q, lam, dps=50):
-    with mpmath.workdps(dps):
-        gap, lam = mpmath.mpf(gap), mpmath.mpf(lam)
-        return +(lam * gap) ** 2 / ((1 - lam) * var_p + lam * var_q + lam * (1 - lam) * gap ** 2)
 
 
 def _mp_gaussian_kl(var_p, var_q, dps=50):
@@ -437,25 +433,34 @@ EXTREMES = {
             ("mean_box", (43.0, 45.0, 47.0), "mean box"), ("var_box", (18.0,), "variance box"),
             ("mean_box", (47.0, 43.0), "upper mean edge"),
             ("var_box", (22.0, 18.0), "upper variance edge"))},
-    **{f"moments.{support!r}": (lambda support=support: moments(make_distribution(
-        support, [1.0 / len(support)] * len(support)))[1],
-        _mp_moments(support, [1.0 / len(support)] * len(support)))
-       for support in ([0.0, 1e200], [1e154, 2e154], [-_MAX, _MAX], [1.3e154, -1.3e154],
-                       [_MAX], [0.0, 1.0])},
+    **{f"moments.{support!r}": (
+        lambda support=support, mass=mass: moments(make_distribution(support, mass))[1],
+        mean_variance_mpmath(support, mass)[1])
+       for support, mass in [(u, [1.0 / len(u)] * len(u)) for u in (
+           [0.0, 1e200], [1e154, 2e154], [-_MAX, _MAX], [1.3e154, -1.3e154], [_MAX], [0.0, 1.0],
+           # a shifted support, whose E[X^2] - (E X)^2 cancels every digit
+           [1e8, 1e8 + 1.0], [1e10, 1e10 + 1.0, 1e10 + 2.0], [-3e7, -3e7 + 0.5])]
+       # an atom of mass 0 far away
+       + [([0.0, 1.0, 1e200], [0.5, 0.5, 0.0])]},
     **{f"mixture_variance.{gap!r}.{lam!r}": (
         lambda gap=gap, lam=lam: mixture_variance(MomentTuple(gap, 1.0, 0.0, 1.0), lam),
         1 - mpmath.mpf(lam) + lam + lam * (1 - mpmath.mpf(lam)) * mpmath.mpf(gap) ** 2)
        for gap in (1e200, 1.3e154, _MAX) for lam in (0.0, 0.5, 1.0, 1e-300)},
-    "hcr_lower_bound.overflowing_P": (
-        lambda: hcr_lower_bound(make_distribution([0.0, 1e200], [0.5, 0.5]), Q, 0.5),
-        (DomainError, "variance of P")),
-    "hcr_lower_bound.overflowing_Q": (
-        lambda: hcr_lower_bound(P, make_distribution([0.0, 1e200], [0.5, 0.5]), 0.5),
-        (DomainError, "variance of Q")),
+    # a variance above the floats in a finite bound, a shifted support, and a far atom of mass 0
+    **{f"hcr_lower_bound.{name}": (lambda p=p, q=q: hcr_lower_bound(p, q, 0.5),
+                                   hcr_mpmath(p, q, 0.5)[0]) for name, p, q in (
+        ("overflowing_P", make_distribution([0.0, 1e200], [0.5, 0.5]), Q),
+        ("overflowing_Q", P, make_distribution([0.0, 1e200], [0.5, 0.5])),
+        ("shifted", make_distribution([1e8, 1e8 + 1.0], [0.5, 0.5]),
+         make_distribution([1e8, 1e8 + 1.0], [0.3, 0.7])),
+        ("far_atom_of_mass_0", make_distribution([0.0, 1.0, 1e200], [0.5, 0.5, 0.0]),
+         make_distribution([0.0, 1.0], [0.3, 0.7])))},
     **{f"hcr_lower_bound.gap.{lam!r}": (
         lambda lam=lam: hcr_lower_bound(make_distribution([1e200], [1.0]),
                                         make_distribution([0.0, 1.0], [0.5, 0.5]), lam),
-        _mp_hcr(1e200 - 0.5, 0.0, 0.25, lam)) for lam in (1e-300, 0.5, 1.0 - 2.0 ** -53, 1.0)},
+        hcr_mpmath(make_distribution([1e200], [1.0]),
+                   make_distribution([0.0, 1.0], [0.5, 0.5]), lam)[0])
+       for lam in (1e-300, 0.5, 1.0 - 2.0 ** -53, 1.0)},
 }
 # tail-bound evaluations that one n_star call may take: twice log2 of the
 # largest n in floats, and a few for the bracket

@@ -101,6 +101,15 @@ def test_skew_upper_beats_convexity_bound():
         assert skew_kl_convexity_comparison(P, Q, lam).holds
 
 
+def test_the_convexity_bound_is_0_at_lambda_0_where_d_is_infinite():
+    # 0 * inf gave NaN, and a comparison that did not hold
+    p = make_distribution([0, 1, 2], [0.2, 0.3, 0.5])
+    q = make_distribution([0, 1, 2], [1.0, 0.0, 0.0])
+    rep = skew_kl_convexity_comparison(p, q, 0.0)
+    assert (rep.lhs, rep.rhs, rep.holds) == (0.0, 0.0, True)
+    assert skew_kl_convexity_comparison(p, q, 0.5).rhs == math.inf
+
+
 
 @pytest.mark.parametrize("lam", [1.5, -1.0])
 def test_skew_bounds_reject_lambda_outside_unit_interval(lam):

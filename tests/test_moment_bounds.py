@@ -33,7 +33,8 @@ from divrel.errors import (
 )
 from divrel.moment_bounds import moment_bound_arrays
 
-from oracles import moment_bound_integral, moment_bound_mpmath
+from oracles import (hcr_mpmath, mean_variance_mpmath, moment_bound_integral,
+                     moment_bound_mpmath)
 
 
 @pytest.mark.parametrize("fields", [
@@ -111,21 +112,48 @@ def test_hcr_bound_below_chi2():
 
 @pytest.mark.parametrize("seed", range(5))
 def test_hcr_bound_on_different_supports_matches_mpmath(seed):
-    # the bound from the mixture law's own mean and variance, at 40 digits
+    # the bound from the mixture law's own mean and variance, at 50 digits
     rng = np.random.default_rng(seed)
     laws = [make_distribution(np.sort(rng.normal(5.0, 3.0, n)), rng.dirichlet(np.ones(n)))
             for n in (4, 7)]
     lam = float(rng.uniform(0.05, 0.95))
-    with mpmath.workdps(40):
-        def moment(k, weights):
-            return mpmath.fsum(w * mpmath.mpf(float(x)) ** k * mpmath.mpf(float(m))
-                               for w, d in zip(weights, laws)
-                               for x, m in zip(d.support, d.mass))
-
-        mix = (1 - mpmath.mpf(lam), mpmath.mpf(lam))
-        m_p, m_z, e_z = moment(1, (1, 0)), moment(1, mix), moment(2, mix)
-        want = float((m_p - m_z) ** 2 / (e_z - m_z ** 2))
+    want = float(hcr_mpmath(*laws, lam)[0])
     assert hcr_lower_bound(*laws, lam) == pytest.approx(want, rel=1e-13)
+
+
+def _shifted_law(rng):
+    """A law of 2 to 8 atoms N(0, 1) 10^U(-3, 3) shifted by +-10^U(0, 12), the
+    atoms that the shift rounds together taken once, with Dirichlet masses."""
+    shift = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(0.0, 12.0)
+    u = np.unique(shift + 10.0 ** rng.uniform(-3.0, 3.0)
+                  * rng.standard_normal(int(rng.integers(2, 9))))
+    return make_distribution(u, rng.dirichlet(np.ones(len(u))))
+
+
+def test_hcr_bound_on_shifted_supports_matches_mpmath_and_stays_below_chi2():
+    # E[X^2] - (E X)^2 cancels every digit on such supports; the centered
+    # pass keeps the bound within 1e-12 of mpmath. The error left is that of
+    # the gap, whose terms p d and q d add up in size to as much as 21,600
+    # times its value here
+    rng = np.random.default_rng(38)
+    for _ in range(3000):
+        p = _shifted_law(rng)
+        # half the pairs on one support, half on the union of two
+        q = (_shifted_law(rng) if rng.random() < 0.5
+             else make_distribution(p.support, rng.dirichlet(np.ones(len(p)))))
+        lam = float(rng.uniform(0.0, 1.0))
+        got = hcr_lower_bound(p, q, lam)
+        want, chi2 = hcr_mpmath(p, q, lam)
+        assert abs(got - want) <= 1e-12 * want, (p, q, lam, got, want)
+        assert got <= chi2 * (1 + 1e-12), (p, q, lam, got, chi2)
+
+
+def test_moments_on_shifted_supports_match_mpmath():
+    rng = np.random.default_rng(39)
+    for _ in range(2000):
+        p = _shifted_law(rng)
+        want = mean_variance_mpmath(p.support, p.mass)[1]
+        assert abs(moments(p)[1] - want) <= 1e-13 * want, (p, want)
 
 
 def test_hcr_degenerate_variance():
@@ -278,27 +306,14 @@ def test_bound_below_gaussian_kl(m_p, v_p, m_q, v_q):
     assert cert.bound_nats <= exponential_kl(mt) + 1e-9
 
 
-def _mp_bound(m_p, v_p, m_q, v_q):
-    """d(r||s) from the closed forms at 50 digits."""
-    import mpmath
-
-    with mpmath.workdps(50):
-        m_p, v_p, m_q, v_q = map(mpmath.mpf, (m_p, v_p, m_q, v_q))
-        a = m_p - m_q
-        b = a * a + v_q - v_p
-        v = mpmath.sqrt(v_p + b * b / (4 * a * a))
-        r = mpmath.mpf(1) / 2 + b / (4 * a * v)
-        s = r - a / (2 * v)
-        return float(r * mpmath.log(r / s) + (1 - r) * mpmath.log((1 - r) / (1 - s)))
-
-
 def test_attaining_pair_with_nearly_equal_means():
     # r and s lie within 1e-9 of 1: 1 - s taken by subtraction puts the
     # variance of Q off by 1.6e-7 and the bound off by 1.8e-7
     mt = MomentTuple(3.338435283642567, 4.587542110086956, 3.338469074067107,
                      1.7904199382549955)
     cert = kl_moment_lower_bound(mt)
-    assert cert.bound_nats == pytest.approx(_mp_bound(*vars(mt).values()), rel=1e-12)
+    want = float(moment_bound_mpmath(*vars(mt).values()))
+    assert cert.bound_nats == pytest.approx(want, rel=1e-12)
     p, q = attaining_pair(mt)
     for dist, (mean, var) in ((p, (mt.m_p, mt.var_p)), (q, (mt.m_q, mt.var_q))):
         assert moments(dist) == pytest.approx((mean, var), rel=1e-12)
@@ -314,7 +329,7 @@ def test_bound_keeps_its_digits_as_the_means_meet(m_p, v_p, log_gap, below, v_q)
         return
     mt = MomentTuple(m_p, v_p, m_q, v_q)
     assert kl_moment_lower_bound(mt).bound_nats == pytest.approx(
-        _mp_bound(m_p, v_p, m_q, v_q), rel=1e-9)
+        float(moment_bound_mpmath(m_p, v_p, m_q, v_q)), rel=1e-9)
     p, q = attaining_pair(mt)
     assert moments(q)[1] == pytest.approx(v_q, rel=1e-9)
 

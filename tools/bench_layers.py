@@ -33,6 +33,9 @@ take 0.2 s. The row holds
   is subnormal unless scaled up (SUBNORMAL_MOMENTS), ``attaining_pair`` at
   the reference tuple, and ``moment_bound_arrays`` on the GRID x GRID grid
   of the mean and variance box of REFERENCE_TCP against its (m_q, var_q);
+- ``second_moments``: ``moments`` of a law and ``hcr_lower_bound`` at
+  lambda = 1/2 of two laws on one support, both from ``laws(n)``, at each n
+  of SECOND_MOMENT_SIZES (8 atoms, and the benchmark's large supports);
 - the versions of Python, numpy and orjson, the line count of
   TREE/src/divrel (``wc -l`` of its modules), TREE's commit, and whether
   TREE/src differs from that commit.
@@ -73,6 +76,7 @@ REFERENCE_MOMENTS = (45.0, 20.0, 40.0, 20.0)
 SUBNORMAL_MOMENTS = (2057.2405520276566, 1.0354122601793056e-245, -1353.4166495572242,
                      1.2902736587e-314)
 GRID = 301
+SECOND_MOMENT_SIZES = (8, 10_000, 100_000)
 
 
 def best(fn) -> float:
@@ -208,6 +212,18 @@ def group_moments() -> dict:
                 lambda: D.moment_bound_arrays(means, variances, m_q, var_q))}
 
 
+def group_second_moments() -> dict:
+    import divrel as D
+
+    out = {}
+    for n in SECOND_MOMENT_SIZES:
+        support, a, b = laws(n)
+        p, q = D.make_distribution(support, a), D.make_distribution(support, b)
+        out[f"moments.{n}"] = best(lambda: D.moments(p))
+        out[f"hcr_lower_bound.{n}"] = best(lambda: D.hcr_lower_bound(p, q, 0.5))
+    return out
+
+
 def group_versions() -> dict:
     import orjson
 
@@ -217,7 +233,8 @@ def group_versions() -> dict:
 
 GROUPS = {"versions": group_versions, "build": group_build, "kernels": group_kernels,
           "codec": group_codec, "loops": group_loops, "identities": group_identities,
-          "sample_size": group_sample_size, "moments": group_moments}
+          "sample_size": group_sample_size, "moments": group_moments,
+          "second_moments": group_second_moments}
 
 
 def run_group(tree: Path, name: str):
@@ -269,7 +286,7 @@ def main(argv=None) -> int:
         print(f"{name}: {time * 1e3:.3f} ms")
     for name, time in row["identities"].items():
         print(f"identity {name}: {time * 1e6:.1f} us per pair")
-    for name, time in {**row["sample_size"], **row["moments"]}.items():
+    for name, time in {**row["sample_size"], **row["moments"], **row["second_moments"]}.items():
         print(f"{name}: {time * 1e6:.2f} us")
     return 0
 
