@@ -76,8 +76,12 @@ class ContractionEstimate:
 
 def _normalized_joint(qx: np.ndarray, w: np.ndarray) -> np.ndarray:
     """B[k, x, y] = sqrt(qx[k, x]) W(y|x) / sqrt(Qy[k, y]) for each input law
-    qx[k] of the (m, n) stack; the top singular value of each B[k] is 1."""
+    qx[k] of the (m, n) stack; the top singular value of each B[k] is 1.
+    PreconditionViolated where an output mass is 0: also where it rounds to
+    0, as a mixture of two laws with positive outputs can (0.5 * 5e-324)."""
     qy = qx @ w
+    if not np.all(qy > 0):
+        raise PreconditionViolated("output law must be strictly positive")
     return np.sqrt(qx)[:, :, None] * w[None] / np.sqrt(qy)[:, None, :]
 
 
@@ -100,6 +104,15 @@ _LANCZOS_SIZE = 400
 # _LANCZOS_TOL; the spectrum lies in [0, 1]
 _LANCZOS_CHECK = 16
 _LANCZOS_TOL = 1e-14
+
+
+def _debug(message: str, *args) -> None:
+    """message % args at DEBUG on this module's logger. ``logging`` is
+    imported on the first call, so that only the routines that report
+    (the Lanczos route, the searches and the channel sup) pay for it."""
+    import logging
+
+    logging.getLogger(__name__).debug(message, *args)
 
 
 def _deflated_lanczos(gram: np.ndarray, top: np.ndarray) -> float:
@@ -144,10 +157,7 @@ def _deflated_lanczos(gram: np.ndarray, top: np.ndarray) -> float:
                 break
         beta.append(b)
         basis[k + 1] = u / b
-    # imported here, so that only the Lanczos route pays for it
-    import logging
-
-    logging.getLogger(__name__).debug(
+    _debug(
         "chi2 contraction of a %d-row Gram matrix by Lanczos: %d steps, "
         "residual bound %.3g, %s",
         n, k, bound, "Krylov space exhausted" if k == n - 1 else "converged",
@@ -268,10 +278,7 @@ def _sampled_sup(score_rows, n: int, n_samples: int, seed: int, anchor: np.ndarr
             score_rows, np.log(np.vstack((draws[starts], anchor))),
             np.append(scores[starts], -math.inf),
         )
-    # imported here, so that only the searches pay for it
-    import logging
-
-    logging.getLogger(__name__).debug(
+    _debug(
         "sampled sup over %d-atom laws: %d draws scored, %d refinement rounds, "
         "%d rows scored, final step %.3g, round cap %s",
         n, n_samples, rounds, rows, h,
@@ -391,30 +398,56 @@ def mu_chi2_channel(w: Channel) -> float:
         raise PreconditionViolated(f"output column {empty[0]} is zero in every row")
     pairs = np.column_stack(np.triu_indices(w.n_inputs, 1))
     sups = _in_blocks(lambda p: _pair_sups(m[p[:, 0]], m[p[:, 1]]), pairs, 2 * m.shape[1])
-    # imported here, so that only the channel sup pays for it
-    import logging
-
-    logging.getLogger(__name__).debug(
+    _debug(
         "chi2 channel sup over %d input pairs: %d bisection steps, final bracket width %.3g",
         len(pairs), _BISECTIONS, sups[:, 1].max(initial=0.0),
     )
     return float(sups[:, 0].max(initial=0.0))
 
 
-def skew_k_factor(alpha: float, q_min: float) -> float:
-    """Upper-bound multiplier for the K-family contraction coefficient."""
+def _skew_factor(which: str, alpha: float, q_min: float) -> tuple[float, float, float]:
+    """(num, c, q_min) of the multiplier num / (c q_min) of the skew family
+    which ('K' or 'S'), with num >= 1/4 and c in (0, 1]."""
     _check_real("alpha", alpha, 0.0, 1.0, lo_open=True)
     _check_real("q_min", q_min, 0.0, 1.0, lo_open=True)
-    return 1.0 / (alpha * q_min)
+    if which == "K":
+        return 1.0, alpha, q_min
+    return ((1.0 - alpha) * math.log(1.0 / alpha) + 2.0 * alpha - 1.0,
+            1.0 - 3.0 * alpha + 3.0 * alpha * alpha, q_min)
+
+
+def _times_factor(factor: tuple[float, float, float], *xs: float) -> float:
+    """The multiplier num / (c q_min) of factor (``_skew_factor``) times the
+    floats xs >= 0, in that order, where the multiplier is finite. Where it
+    overflows, or c q_min underflows to 0, it is the exact num prod(xs) /
+    (c q_min) rounded once: 0 where an x is 0, +inf only where that
+    overflows."""
+    num, c, q_min = factor
+    scale = c * q_min
+    out = num / scale if scale else math.inf
+    if out < math.inf:
+        for x in xs:
+            out *= x
+        return out
+    from fractions import Fraction  # here, so that only this rare path loads it
+
+    exact = Fraction(num) * math.prod(map(Fraction, xs)) / (Fraction(c) * Fraction(q_min))
+    try:
+        return float(exact)
+    except OverflowError:
+        return math.inf
+
+
+def skew_k_factor(alpha: float, q_min: float) -> float:
+    """Upper-bound multiplier 1 / (alpha q_min) for the K-family contraction
+    coefficient; +inf where it overflows."""
+    return _times_factor(_skew_factor("K", alpha, q_min))
 
 
 def skew_s_factor(alpha: float, q_min: float) -> float:
-    """Upper-bound multiplier for the S-family contraction coefficient."""
-    _check_real("alpha", alpha, 0.0, 1.0, lo_open=True)
-    _check_real("q_min", q_min, 0.0, 1.0, lo_open=True)
-    num = (1.0 - alpha) * math.log(1.0 / alpha) + 2.0 * alpha - 1.0
-    den = (1.0 - 3.0 * alpha + 3.0 * alpha * alpha) * q_min
-    return num / den
+    """Upper-bound multiplier for the S-family contraction coefficient;
+    +inf where it overflows."""
+    return _times_factor(_skew_factor("S", alpha, q_min))
 
 
 def skew_contraction_sandwich(
@@ -429,9 +462,9 @@ def skew_contraction_sandwich(
     if which not in ("K", "S"):
         raise DomainError("which must be 'K' or 'S'")
     q_min = float(np.min(sc.qx.mass))
-    factor = skew_k_factor(alpha, q_min) if which == "K" else skew_s_factor(alpha, q_min)
+    factor = _skew_factor(which, alpha, q_min)
     lower = chi2_contraction(sc)
-    return lower, mu_chi2_channel(sc.w), factor * lower
+    return lower, mu_chi2_channel(sc.w), _times_factor(factor, lower)
 
 
 def stationary_distribution(w: Channel) -> DiscreteDistribution:
@@ -481,16 +514,17 @@ def markov_mixing_report(
     n-step law to the stationary law, together with the envelope
     factor * mu^n * (initial divergence), where mu is the chi^2
     contraction of the stationary pair and the factors are the skew
-    family multipliers at Q_min. n_max must be an integer >= 0. p0 is
-    step 0, one mass per state, scored with the other steps.
+    family multipliers at Q_min (``_times_factor``: 0 where mu^n or the
+    initial divergence is, also where a factor overflows). n_max must be
+    an integer >= 0. p0 is step 0, one mass per state, scored with the
+    other steps.
     """
     _check_count("n_max", n_max, 0)
     q = stationary_distribution(w)
     _check_reversible(w, q)
     mu = chi2_contraction(SourceChannelPair(q, w))
     q_min = float(np.min(q.mass))
-    fk = skew_k_factor(alpha, q_min)
-    fs = skew_s_factor(alpha, q_min)
+    fk, fs = _skew_factor("K", alpha, q_min), _skew_factor("S", alpha, q_min)
     if len(p0) != len(q):
         raise DimensionMismatch(f"initial law has {len(p0)} atoms, the kernel {len(q)} states")
     steps = np.empty((n_max + 1, len(q)))
@@ -502,7 +536,8 @@ def markov_mixing_report(
     s0, *s = _REGISTRY["SKEW_S"][0](steps, q.mass, alpha).tolist()
     rows = [
         {"n": n, "k_alpha": kn, "s_alpha": sn,
-         "k_envelope": fk * mu**n * k0, "s_envelope": fs * mu**n * s0}
+         "k_envelope": _times_factor(fk, mu**n, k0),
+         "s_envelope": _times_factor(fs, mu**n, s0)}
         for n, kn, sn in zip(range(1, n_max + 1), k, s)
     ]
     return {
@@ -534,10 +569,10 @@ def max_correlation_path_bound(
     _check_count("n_grid", n_grid, 2)
     if not np.array_equal(p_x.support, q_x.support) or p_x == q_x:
         raise PreconditionViolated("needs P != Q on a shared support")
-    if np.any(p_x.mass <= 0) or np.any(q_x.mass <= 0):
-        raise PreconditionViolated("both input laws must be strictly positive")
-    if len(p_x) != w.n_inputs:
-        raise DimensionMismatch(f"input support size {len(p_x)} != channel rows {w.n_inputs}")
+    # each end a positive law of the channel's input size with a positive
+    # output law; so has every mixture, up to rounding (``_normalized_joint``)
+    SourceChannelPair(p_x, w)
+    SourceChannelPair(q_x, w)
     # D(P||Q) and D(Q||P) as rows (P, Q) against (Q, P), at the input and output
     x = np.stack((p_x.mass, q_x.mass))
     y = np.stack((p_x.mass @ w.matrix, q_x.mass @ w.matrix))
@@ -548,7 +583,5 @@ def max_correlation_path_bound(
         rhs_bound = float(np.where((din > 0) & (dout > 1e-13), np.sqrt(dout / din), 0.0).max())
     s = np.linspace(0.0, 1.0, n_grid)[:, None]
     mixes = (1.0 - s) * x[0] + s * x[1]
-    if np.any(mixes @ w.matrix <= 0):
-        raise PreconditionViolated("output law must be strictly positive")
     sup_rho = float(np.sqrt(_chi2_contraction_rows(mixes, w.matrix)).max(initial=0.0))
     return InequalityReport("max_correlation_path", rhs_bound, sup_rho)

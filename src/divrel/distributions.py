@@ -319,13 +319,20 @@ def _centered(u: np.ndarray, masses, weights=(1.0,)) -> tuple[float, list, int, 
     s = sum R d^2 - (sum R d)^2 = Var_R/4^e, whose second term removes the
     rounding of the mean (Chan, Golub and LeVeque, 1983). e > 0 only where an
     end lies 2^510 or more from the mean, and then brings every |d| below:
-    d^2 is finite, and an atom of mass 0 adds 0 however far it lies."""
+    d^2 is finite, and an atom of mass 0 adds 0 however far it lies. e < 0
+    where both ends lie within 2^-511 of the mean, not on it: u - mean is
+    scaled up after centering, to a largest |d| in [1/2, 1), so that d^2
+    loses no digits to underflow."""
     mean = sum([w * float(m.dot(u)) for w, m in zip(weights, masses)])
     top = max(mean - float(u[0]), float(u[-1]) - mean)  # inf near -max..max
-    e = max((math.frexp(top)[1] if top < math.inf else 1025) - 510, 0)
-    d = np.ldexp(u, -e) if e else u - mean
-    if e:
+    e = math.frexp(top)[1] if top < math.inf else 1025
+    if top >= 2.0 ** -511:
+        e = max(e - 510, 0)
+    d = np.ldexp(u, -e) if e > 0 else u - mean
+    if e > 0:
         d -= math.ldexp(mean, -e)
+    elif e:
+        np.ldexp(d, -e, out=d)
     firsts = [float(m.dot(d)) for m in masses]
     shift = sum([w * x for w, x in zip(weights, firsts)])
     d *= d  # in place: d is the one temporary array

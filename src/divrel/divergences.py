@@ -105,6 +105,15 @@ def _log_ratio(a, b):
         return np.where(np.isinf(ratio) & (b > 0), np.log(a) - np.log(b), np.log(ratio))
 
 
+def _row_sums(terms, c=1.0):
+    """The sum of each row of terms, each term first multiplied in place by
+    c where c is an array: the per-atom scale of ``_mixture``, which a term
+    1-homogeneous in the scaled masses takes back."""
+    if isinstance(c, np.ndarray):
+        terms *= c
+    return terms.sum(axis=-1)
+
+
 def _rows(picked, *arrays):
     """The rows that the mask picked selects from the arrays, broadcast
     together first."""
@@ -123,27 +132,29 @@ def _kl(a, b, _=None, c=1.0):
     leaves it infinite."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         terms = np.where(a > 0, a * np.log(a / b) - a + b, b)
-    if isinstance(c, np.ndarray):
-        terms *= c
-    out = np.maximum(terms.sum(axis=-1), 0.0)
+    out = np.maximum(_row_sums(terms, c), 0.0)
     # probability rows give no NaN row, so the largest row is +inf where any is
     if out.size and out.max() == INF:
         over = out == INF
         a, b, c = _rows(over, a, b, c)
         with np.errstate(invalid="ignore"):
-            terms = np.where(a > 0, a * _log_ratio(a, b) - a + b, b) * c
-        out[over] = np.maximum(terms.sum(axis=-1), 0.0)
+            terms = np.where(a > 0, a * _log_ratio(a, b) - a + b, b)
+        out[over] = np.maximum(_row_sums(terms, c), 0.0)
     return out
 
 
-def _chi2(a, b, _=None, c=1.0):
+def _quadratic(a, b, m, c=1.0):
+    """Sum (a - b)^2 / m per row, +inf where only m vanishes, each term
+    scaled back by c (``_row_sums``)."""
     d = a - b
-    # d * d / b overflows to +inf where b is subnormal
+    # d * d / m overflows to +inf where m is subnormal
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        terms = np.where(b > 0, d * d / b, np.where(a > 0, INF, 0.0))
-    if isinstance(c, np.ndarray):
-        terms *= c
-    return terms.sum(axis=-1)
+        terms = np.where(m > 0, d * d / m, np.where(d != 0, INF, 0.0))
+    return _row_sums(terms, c)
+
+
+def _chi2(a, b, _=None, c=1.0):
+    return _quadratic(a, b, b, c)
 
 
 def _tv(a, b, _=None):
@@ -156,23 +167,24 @@ def _renyi(a, b, alpha):
     keeps full relative precision near alpha = 1, where
     log(sum p^alpha q^(1-alpha)) / (alpha - 1) cancels.
 
-    Above order 1 the sum, or p/q itself at a subnormal q, may overflow: a
-    row that came out +inf with q > 0 wherever p > 0 is taken in logs, as
+    The sum, or p/q itself at a subnormal q, may overflow: above order 1 to
+    +inf, and below it to -inf (a subnormal p over q, where
+    (alpha-1) ln(p/q) passes 709). Such a row, unless above order 1 it has
+    p > 0 = q somewhere, is taken in logs, as
     logsumexp(alpha ln p + (1-alpha) ln q) / (alpha - 1), and at order inf
-    as the largest ``_log_ratio``."""
+    as the largest ``_log_ratio``. A row below 0 by rounding is 0."""
     if alpha == 1.0:
         return _kl(a, b)
     pos = a > 0
     off = pos & (b == 0)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if alpha == 0.0:
-            return -np.log(np.where(pos, b, 0.0).sum(axis=-1))
-        ratio = a / b
-        if math.isinf(alpha):
-            out = np.log(np.where(pos, ratio, 0.0).max(axis=-1))
+            out = -np.log(np.where(pos, b, 0.0).sum(axis=-1))
+        elif math.isinf(alpha):
+            out = np.log(np.where(pos, a / b, 0.0).max(axis=-1))
         else:
             z_minus_1 = (
-                np.where(pos & ~off, a * np.expm1((alpha - 1.0) * np.log(ratio)), 0.0)
+                np.where(pos & ~off, a * np.expm1((alpha - 1.0) * np.log(a / b)), 0.0)
                 .sum(axis=-1)
                 - np.where(off, a, 0.0).sum(axis=-1)
             )
@@ -180,21 +192,25 @@ def _renyi(a, b, alpha):
             # rows with no atom in common have sum p^alpha q^(1-alpha) = 0
             # exactly, however the rounded P(q = 0) falls short of 1
             out[(z_minus_1 <= -1.0) | ~(pos & ~off).any(axis=-1)] = INF
+    off = off.any(axis=-1)
+    over = out == math.copysign(INF, alpha - 1.0)
     if alpha > 1.0:
-        off = off.any(axis=-1)
-        over = (out == INF) & ~off
-        if over.any():
-            a, b = _rows(over, a, b)
-            if math.isinf(alpha):
-                out[over] = np.where(a > 0, _log_ratio(a, b), -INF).max(axis=-1)
-            else:
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    x = np.where(a > 0, alpha * np.log(a) + (1.0 - alpha) * np.log(b), -INF)
-                    top = x.max(axis=-1)
-                    total = top + np.log(np.exp(x - top[:, None]).sum(axis=-1))
-                    out[over] = total / (alpha - 1.0)
+        over &= ~off
+    if over.any():
+        a, b = _rows(over, a, b)
+        if math.isinf(alpha):
+            out[over] = np.where(a > 0, _log_ratio(a, b), -INF).max(axis=-1)
+        else:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                x = np.where(a > 0, alpha * np.log(a) + (1.0 - alpha) * np.log(b), -INF)
+                top = x.max(axis=-1)
+                total = top + np.log(np.exp(x - top[:, None]).sum(axis=-1))
+                out[over] = total / (alpha - 1.0)
+    if alpha > 1.0:
         out[off] = INF
-    return out
+    # D_alpha >= 0: where P is near Q, or the order near 0, rounding can take
+    # a row a few ulps of 1 below it
+    return np.maximum(out, 0.0)
 
 
 def _gv(a, b, s):
@@ -202,13 +218,7 @@ def _gv(a, b, s):
     vanishes. s is one skew, or an (m, 1) column of skews, one for each row;
     s = 0 gives chi^2(b||a) and s = 1 gives chi^2(a||b)."""
     c, (a, b), m = _mixture((1.0 - s, s), (a, b))
-    d = a - b
-    # d * d / m overflows to +inf where m is subnormal, as in _chi2
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        terms = np.where(m > 0, d * d / m, np.where(d != 0, INF, 0.0))
-    if isinstance(c, np.ndarray):
-        terms *= c
-    return terms.sum(axis=-1)
+    return _quadratic(a, b, m, c)
 
 
 def _skew_k(a, b, alpha):
@@ -440,9 +450,7 @@ def _generic(a, b, f, f_at_zero, slope_at_inf, f_of_log=None, c=1.0):
             inner, b * f(ratio),
             np.where(b > 0, b * f_at_zero, np.where(a > 0, a * slope_at_inf, 0.0)),
         )
-    if isinstance(c, np.ndarray):
-        terms *= c
-    out = terms.sum(axis=-1)
+    out = _row_sums(terms, c)
     if not math.isfinite(out.sum()):
         over = np.isinf(ratio) & ~np.isfinite(out)[..., None]
         if over.any():

@@ -46,22 +46,26 @@ class InequalityReport:
         return self.slack >= -GRACE
 
 
-def _neg_log_mixture(a, x):
-    """-ln(a + (1-a) exp(-x)) elementwise, for a in [0, 1] and x in [0, inf]:
-    0 where a >= 1. It is -log1p(-drop), drop = (1-a)(1 - e^-x), up to
-    drop = 1/2, so a small x loses no digits, and -logaddexp(ln a,
-    ln(1-a) - x) past it, where e^-x may underflow."""
+def _neg_log_mixture(a, b, x):
+    """-ln(a + b exp(-x)) elementwise, for weights a, b in [0, 1] with
+    a + b = 1, each as its caller has it (so that neither need be formed as
+    1 minus the other), and x in [0, inf]: 0 where b = 0. It is
+    -log1p(-drop), drop = b (1 - e^-x), up to drop = 1/2, so a small x or b
+    loses no digits, and -logaddexp(ln a, ln(1-a) - x) past it, where e^-x
+    may underflow; there b > 1/2 and a < 1/2."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        drop = -(1.0 - a) * np.expm1(-x)
+        drop = -b * np.expm1(-x)
         tight = np.where(drop <= 0.5, -np.log1p(-drop),
                          -np.logaddexp(np.log(a), np.log1p(-a) - x))
-    return np.where(a >= 1.0, 0.0, tight)
+    return np.where(b <= 0.0, 0.0, tight)
 
 
 def _skew_kl_bound(lam: float, d):
     """-ln(1 - lam + lam exp(-d)), the bound on K_lam(P||Q) from d = D(P||Q),
-    elementwise over an array d, for a lam that its caller checked."""
-    return _neg_log_mixture(1.0 - lam, np.asarray(d, dtype=float))
+    elementwise over an array d, for a lam that its caller checked; lam is
+    the weight of exp(-d) as it is given, which 1 - (1 - lam) loses below
+    1e-8."""
+    return _neg_log_mixture(1.0 - lam, lam, np.asarray(d, dtype=float))
 
 
 # Each pair inequality once, over (m, n) stacks: name -> (P, Q, t) -> (lhs, rhs), t
@@ -218,7 +222,7 @@ def _mixture_kl_bound(w, d, a) -> tuple[np.ndarray, np.ndarray]:
     c = (np.where(w > 0, d, 0.0) * w).sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         x = c / (1.0 - a)
-    return _neg_log_mixture(a, x), c
+    return _neg_log_mixture(a, 1.0 - a, x), c
 
 
 def mixture_kl_upper(

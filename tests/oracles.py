@@ -110,6 +110,23 @@ def gv_mpmath(s: float, a, b, dps: int = 40) -> float:
         return float(total)
 
 
+def renyi_mpmath(alpha: float, a, b, dps: int = 40) -> float:
+    """D_alpha(a||b) at dps digits for an order alpha in (0, inf] (alpha = 1:
+    KL), with every float mass taken exactly: log(sum a^alpha b^(1-alpha)) /
+    (alpha - 1) over the atoms with a > 0, where above order 1 b > 0."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        pairs = [(mpmath.mpf(float(x)), mpmath.mpf(float(y))) for x, y in zip(a, b) if x > 0]
+        if alpha == 1.0:
+            return float(mpmath.fsum(x * mpmath.log(x / y) for x, y in pairs))
+        if math.isinf(alpha):
+            return float(max(mpmath.log(x / y) for x, y in pairs))
+        alpha = mpmath.mpf(alpha)
+        z = mpmath.fsum(x ** alpha * y ** (1 - alpha) for x, y in pairs)
+        return float(mpmath.log(z) / (alpha - 1))
+
+
 def polylog_path_mpmath(k: int, lam: float, a, b, dps: int = 40) -> float:
     """D_{f_k}(R_lam||P) = sum p Li_k(1 - r/p), R_lam = (1 - lam) P + lam Q, for
     an order k >= 1 and mass vectors a of P and b of Q: an atom with p = 0

@@ -663,6 +663,15 @@ def test_path_bound_rejects_unreachable_output():
         max_correlation_path_bound(p, q, w)
 
 
+def test_path_bound_rejects_a_mixture_whose_output_rounds_to_zero():
+    # both ends hold 5e-324 at atom 0, where the mixture at s = 1/2 rounds
+    # 0.5 * 5e-324 + 0.5 * 5e-324 to 0; the identity channel keeps the zero
+    p = make_distribution([0, 1, 2], [5e-324, 0.3, 0.7])
+    q = make_distribution([0, 1, 2], [5e-324, 0.6, 0.4])
+    with pytest.raises(PreconditionViolated, match="output law"):
+        max_correlation_path_bound(p, q, make_channel(np.eye(3)))
+
+
 @pytest.mark.parametrize("alpha, first, second", [(1.0, 0, 1), (0.0, 1, 0)])
 def test_skew_s_integral_with_infinite_sides(alpha, first, second):
     # S_1(P||Q) = D(P||Q) and S_0(P||Q) = D(Q||P), +inf when the first law has

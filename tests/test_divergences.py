@@ -30,7 +30,7 @@ from divrel.errors import DimensionMismatch, DomainError, QuadratureFailure
 from divrel.inequalities import conditioned_measure_divergence
 
 from conftest import random_pair
-from oracles import binary_kl_mpmath
+from oracles import binary_kl_mpmath, renyi_mpmath
 
 # reference pair and independently computed values (40-digit arithmetic)
 P = make_distribution([0, 1, 2], [0.2, 0.5, 0.3])
@@ -292,20 +292,6 @@ def test_renyi_near_order_one_mpmath(alpha, q):
     assert renyi(alpha, P, q) == pytest.approx(want, rel=1e-12)
 
 
-def _renyi_mpmath(alpha, a, b, dps=40):
-    """D_alpha(a||b) at dps digits for alpha > 1 (alpha = 1: KL), with every
-    float mass taken exactly; b > 0 wherever a > 0."""
-    with mpmath.workdps(dps):
-        pairs = [(mpmath.mpf(float(x)), mpmath.mpf(float(y))) for x, y in zip(a, b) if x > 0]
-        if alpha == 1.0:
-            return float(mpmath.fsum(x * mpmath.log(x / y) for x, y in pairs))
-        if math.isinf(alpha):
-            return float(max(mpmath.log(x / y) for x, y in pairs))
-        alpha = mpmath.mpf(alpha)
-        z = mpmath.fsum(x ** alpha * y ** (1 - alpha) for x, y in pairs)
-        return float(mpmath.log(z) / (alpha - 1))
-
-
 # the mass of P_SUB at atom 0 is subnormal, so p/q overflows there in kl and
 # renyi of (Q_SUB, P_SUB); 40-digit values of that pair
 P_SUB = make_distribution([0, 1], [5e-324, 1.0])
@@ -316,7 +302,7 @@ AT_SUBNORMAL = {1.0: 74.11892421874668, 2.0: 739.8349017353932, math.inf: 742.13
 @pytest.mark.parametrize("alpha", sorted(AT_SUBNORMAL))
 def test_kl_and_renyi_at_a_subnormal_denominator_pinned(alpha):
     want = AT_SUBNORMAL[alpha]
-    assert _renyi_mpmath(alpha, Q_SUB.mass, P_SUB.mass) == pytest.approx(want, rel=1e-15)
+    assert renyi_mpmath(alpha, Q_SUB.mass, P_SUB.mass) == pytest.approx(want, rel=1e-15)
     assert renyi(alpha, Q_SUB, P_SUB) == pytest.approx(want, rel=1e-15)
     if alpha == 1.0:
         assert kl(Q_SUB, P_SUB) == pytest.approx(want, rel=1e-15)
@@ -336,12 +322,12 @@ def test_kl_and_renyi_at_a_subnormal_denominator_mpmath(seed, n, atom, tiny, alp
     p, q = make_distribution(np.arange(n), p), make_distribution(np.arange(n), q)
     got = renyi(alpha, p, q)
     assert math.isfinite(got)
-    assert got == pytest.approx(_renyi_mpmath(alpha, p.mass, q.mass), rel=1e-13)
+    assert got == pytest.approx(renyi_mpmath(alpha, p.mass, q.mass), rel=1e-13)
 
 
 def test_renyi_of_a_large_order_whose_sum_overflows_mpmath():
     p, q = make_distribution([0, 1], [0.5, 0.5]), make_distribution([0, 1], [1e-3, 1 - 1e-3])
-    assert renyi(500.0, p, q) == pytest.approx(_renyi_mpmath(500.0, p.mass, q.mass), rel=1e-14)
+    assert renyi(500.0, p, q) == pytest.approx(renyi_mpmath(500.0, p.mass, q.mass), rel=1e-14)
 
 
 def test_rows_that_stay_finite_are_scored_as_alone():

@@ -461,6 +461,25 @@ EXTREMES = {
         hcr_mpmath(make_distribution([1e200], [1.0]),
                    make_distribution([0.0, 1.0], [0.5, 0.5]), lam)[0])
        for lam in (1e-300, 0.5, 1.0 - 2.0 ** -53, 1.0)},
+    # a support narrower than 2^-511, whose squared deviations underflow unscaled
+    **{f"hcr_lower_bound.narrow.{w!r}": (
+        lambda w=w: hcr_lower_bound(make_distribution([0.0, w], [0.5, 0.5]),
+                                    make_distribution([0.0, w], [0.3, 0.7]), 0.5),
+        mpmath.mpf(1) / 24) for w in (1e-160, 1e-200, 1e-300, 5e-324)},
+    # alpha q_min underflows to 0, or a factor overflows where mu = 0
+    "skew_k_factor.underflow": (lambda: skew_k_factor(1e-300, 1e-300), mpmath.mpf("1e600")),
+    "skew_s_factor.underflow": (
+        lambda: skew_s_factor(0.5, 5e-324),
+        (mpmath.log(2) / 2) / (mpmath.mpf(1) / 4 * mpmath.mpf(5e-324))),
+    **{f"markov_mixing_report.{key}.zero_mu": (
+        lambda key=key: math.fsum(row[key] for row in markov_mixing_report(
+            make_channel([[1e-10, 1 - 1e-10]] * 2), make_distribution([0, 1], [0.5, 0.5]),
+            1e-300, 2)["rows"]),
+        mpmath.mpf(0)) for key in ("k_envelope", "s_envelope")},
+    "skew_contraction_sandwich.zero_lower": (
+        lambda: skew_contraction_sandwich(1e-300, "K", SourceChannelPair(
+            make_distribution([0, 1], [1e-10, 1 - 1e-10]), make_channel([[0.5, 0.5]] * 2)))[2],
+        mpmath.mpf(0)),
 }
 # tail-bound evaluations that one n_star call may take: twice log2 of the
 # largest n in floats, and a few for the bracket

@@ -484,7 +484,9 @@ def test_stacked_suite_rejects_parameter_outside_unit_interval(t):
 
 @pytest.mark.parametrize("lam, d", [(0.5, 1e-12), (0.3, 1e-15), (0.9, 1e-8), (0.1, 1e-300),
                                     (1.0, 1e-10), (0.25, 1e-5), (0.7, 3.0), (0.5, 50.0),
-                                    (0.999, 800.0)])
+                                    (0.999, 800.0),
+                                    # 1 - (1 - lam) loses lam's digits below 1e-8
+                                    (1e-300, 0.5), (1e-17, 3.0), (1e-10, 1e-5)])
 def test_skew_kl_bound_against_mpmath(lam, d):
     # -ln(1 - lam + lam e^-d) taken directly loses every digit as d -> 0
     import mpmath

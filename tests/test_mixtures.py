@@ -14,12 +14,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from divrel import (
+    DivergenceSpec,
     check_chi2_half_identity,
     check_gv_identity,
     check_kl_chi2_identity,
     check_recursive_identity,
     concavity_deficit_bounds,
     derivative_checks,
+    f_divergence_rows,
     gv_lower_bound,
     gyorfi_vajda,
     jensen_shannon,
@@ -28,6 +30,7 @@ from divrel import (
     markov_mixing_report,
     mixture_kl_upper,
     mu_chi2_channel,
+    renyi,
     skew_k,
     skew_kl_upper,
     skew_s,
@@ -36,7 +39,7 @@ from divrel.errors import PreconditionViolated
 from divrel.identities import check_skew_s_integral
 
 from oracles import (gv_mpmath, mixture_kl_bound_scalar, mixture_kl_mpmath,
-                     polylog_path_mpmath, skew_k_mpmath, skew_s_mpmath)
+                     polylog_path_mpmath, renyi_mpmath, skew_k_mpmath, skew_s_mpmath)
 from test_distributions import ODD_MASSES
 
 # the pair of the defect: P holds 5e-324 where Q holds nothing
@@ -169,6 +172,31 @@ def test_divergences_against_a_mixture_with_a_subnormal_mass(seed, n, atom, odd,
     out = concavity_deficit_bounds([p, q], w)
     _close(out["deficit_kl_form"], float(w @ want))
     _close(out["deficit_entropy_form"], float(w @ want), abs_=1e-14)
+
+
+# below order 1, sum p expm1((alpha - 1) ln(p/q)) overflows to +inf where
+# ln(p/q) < -709/(1 - alpha), at a subnormal p, and the row read -inf
+ORDERS_BELOW_ONE = st.floats(-300.0, 0.0).map(lambda e: 10.0 ** e).filter(lambda a: a < 1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**{**ODD_PAIRS, "alpha": ORDERS_BELOW_ONE})
+@example(seed=0, n=2, atom=0, odd=5e-324, q_empty=False, alpha=0.01)
+def test_renyi_below_order_one_with_a_subnormal_mass(seed, n, atom, odd, q_empty, alpha):
+    p, q = _odd_pair(seed, n, atom % n, odd, q_empty)
+    value = renyi(alpha, p, q)
+    assert math.isfinite(value) and value >= 0.0
+
+
+@pytest.mark.parametrize("alpha", [0.001, 0.01, 0.04])
+def test_renyi_below_order_one_at_a_subnormal_mass_against_mpmath(alpha):
+    rows = np.array([[5e-324, 1.0 - 5e-324], [0.3, 0.7]])
+    half = np.array([0.5, 0.5])
+    want = [renyi_mpmath(alpha, row, half) for row in rows]
+    assert renyi(alpha, make_distribution([0, 1], rows[0]), make_distribution([0, 1], half)) \
+        == pytest.approx(want[0], rel=1e-13)
+    got = f_divergence_rows(DivergenceSpec("RENYI", alpha), rows, half)
+    assert got.tolist() == pytest.approx(want, rel=1e-13)
 
 
 # the draws of ODD_PAIRS as one (P, Q) pair, so that a fixed pair can be an example

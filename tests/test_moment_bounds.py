@@ -372,12 +372,12 @@ def test_bound_non_increasing_in_var_p(m_p, m_q, var_p, more, var_q):
 
 @pytest.mark.parametrize("var_q", [1.6e-12, 1e-10, 1e-8, 1e-6, 1e-3])
 def test_bound_accurate_at_small_var_q(var_q):
-    mpmath.mp.dps = 50
-    a = mpmath.mpf(3)
-    ref = mpmath.quad(lambda s: s * a**2 / ((1 - s) * 22 + s * mpmath.mpf(var_q)
-                                            + s * (1 - s) * a**2),
-                      [0, 0.5, 0.9, 0.99, 1 - mpmath.mpf(1e-4), 1 - mpmath.mpf(1e-8),
-                       1 - mpmath.mpf(1e-12), 1])
+    with mpmath.workdps(50):
+        a = mpmath.mpf(3)
+        ref = mpmath.quad(lambda s: s * a**2 / ((1 - s) * 22 + s * mpmath.mpf(var_q)
+                                                + s * (1 - s) * a**2),
+                          [0, 0.5, 0.9, 0.99, 1 - mpmath.mpf(1e-4), 1 - mpmath.mpf(1e-8),
+                           1 - mpmath.mpf(1e-12), 1])
     assert bound(43, 22, 40, var_q) == pytest.approx(float(ref), rel=1e-13)
 
 
@@ -386,11 +386,11 @@ def test_bound_accurate_at_small_var_q(var_q):
 def test_bound_accurate_at_nearly_equal_means(gap, sign):
     # r -> s as the gap closes: d(r||s) must not be the difference of two
     # terms of size r - s
-    mpmath.mp.dps = 50
-    a = mpmath.mpf(sign * gap)
     for var_p, var_q in [(2.0, 2.0), (1.0, 3.0), (3.0, 1.0), (0.01, 5.0), (20.0, 0.5), (0.0, 2.0)]:
-        ref = mpmath.quad(lambda s: s * a**2 / ((1 - s) * var_p + s * var_q
-                                                + s * (1 - s) * a**2), [0, 0.5, 1])
+        with mpmath.workdps(50):
+            a = mpmath.mpf(sign * gap)
+            ref = mpmath.quad(lambda s: s * a**2 / ((1 - s) * var_p + s * var_q
+                                                    + s * (1 - s) * a**2), [0, 0.5, 1])
         got = bound(sign * gap, var_p, 0.0, var_q)
         assert got == pytest.approx(float(ref), rel=1e-12, abs=0), (var_p, var_q)
 

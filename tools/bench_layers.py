@@ -37,8 +37,9 @@ take 0.2 s. The row holds
   lambda = 1/2 of two laws on one support, both from ``laws(n)``, at each n
   of SECOND_MOMENT_SIZES (8 atoms, and the benchmark's large supports);
 - the versions of Python, numpy and orjson, the line count of
-  TREE/src/divrel (``wc -l`` of its modules), TREE's commit, and whether
-  TREE/src differs from that commit.
+  TREE/src/divrel (``wc -l`` of its modules) and its count of code lines
+  (``code_lines``), TREE's commit, and whether TREE/src differs from that
+  commit.
 
 The row is appended to the JSON list in OUT, which is created if missing,
 so that one file holds the rows of a parent and of a head.
@@ -47,11 +48,14 @@ so that one file holds the rows of a parent and of a head.
 from __future__ import annotations
 
 import argparse
+import ast
+import io
 import json
 import os
 import subprocess
 import sys
 import timeit
+import tokenize
 from pathlib import Path
 
 # set before numpy loads BLAS, and inherited by the group processes
@@ -249,6 +253,33 @@ def source_lines(tree: Path) -> int:
                for path in sorted((tree / "src" / "divrel").glob("*.py")))
 
 
+def code_lines(tree: Path) -> int:
+    """Lines of TREE/src/divrel/*.py that hold a token outside comments and
+    docstrings (the string that opens a module, class or function body), by
+    ``tokenize`` and ``ast``: deleting a comment or a docstring leaves it as
+    it is."""
+    skip = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+            tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
+    total = 0
+    for path in sorted((tree / "src" / "divrel").glob("*.py")):
+        text = path.read_text()
+        docstrings = set()
+        for node in ast.walk(ast.parse(text)):
+            body = getattr(node, "body", None)
+            if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                  ast.AsyncFunctionDef))
+                    and body and isinstance(body[0], ast.Expr)
+                    and isinstance(body[0].value, ast.Constant)
+                    and isinstance(body[0].value.value, str)):
+                docstrings.update(range(body[0].lineno, body[0].end_lineno + 1))
+        lines = set()
+        for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+            if tok.type not in skip:
+                lines.update(range(tok.start[0], tok.end[0] + 1))
+        total += len(lines - docstrings)
+    return total
+
+
 def commit(tree: Path) -> dict:
     """TREE's commit, and whether TREE/src differs from it; None outside git."""
     def git(*args):
@@ -274,7 +305,8 @@ def main(argv=None) -> int:
     if args.out is None:
         parser.error("OUT is required")
 
-    row = {**commit(tree), "src_divrel_lines": source_lines(tree)}
+    row = {**commit(tree), "src_divrel_lines": source_lines(tree),
+           "src_divrel_code_lines": code_lines(tree)}
     row.update((name, run_group(tree, name)) for name in GROUPS)
     rows = json.loads(args.out.read_text()) if args.out.exists() else []
     args.out.write_text(json.dumps(rows + [row], indent=1) + "\n")
